@@ -19,49 +19,22 @@ Results are written to ``BENCH_chaos.json`` (override with the
 tolerance as the other benchmarks.
 """
 
-import os
-import sys
-import time
-from pathlib import Path
-
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
+from harness.bench import PhaseResult
 
-from harness.bench import BenchReport, PhaseResult  # noqa: E402
-
-from repro.cluster import ClusterSpec  # noqa: E402
-from repro.harness.chaos import (  # noqa: E402
+from repro.cluster import ClusterSpec
+from repro.harness.chaos import (
     CHAOS_MODEL_NAMES,
     chaos_experiment,
     chaos_fault_plan,
     chaos_trace,
 )
-from repro.pfs import HybridPFS, replay_trace  # noqa: E402
-from repro.schemes import make_scheme  # noqa: E402
+from repro.pfs import HybridPFS, replay_trace
+from repro.schemes import make_scheme
 
-REPEATS = 3
-
-
-def best_of(fn, repeats: int = REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-@pytest.fixture(scope="module")
-def report():
-    rep = BenchReport(bench="chaos")
-    rep.collect_environment()
-    yield rep
-    out = os.environ.get("REPRO_BENCH_OUT", str(REPO_ROOT / "BENCH_chaos.json"))
-    rep.write(out)
-    print(f"\nwrote {out}")
+BENCH = "chaos"
+BENCH_OUT = "BENCH_chaos.json"
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +53,7 @@ def _replay(spec, trace, view, plan, engine):
     return metrics, pfs
 
 
-def test_faulted_replay_def(report, faulted_workload):
+def test_faulted_replay_def(report, faulted_workload, best_of):
     """Faulted flat replay stays bit-identical to the event engine."""
     spec, trace, plan = faulted_workload
     view = make_scheme("DEF").build(spec, trace)
@@ -107,7 +80,7 @@ def test_faulted_replay_def(report, faulted_workload):
     )
 
 
-def test_faulted_replay_saw(report, faulted_workload):
+def test_faulted_replay_saw(report, faulted_workload, best_of):
     """The straggler-aware feedback loop on the event engine."""
     spec, trace, plan = faulted_workload
     wall, (metrics, _) = best_of(
@@ -120,7 +93,7 @@ def test_faulted_replay_saw(report, faulted_workload):
     print(f"\nchaos replay SAW: {len(trace)} records, {wall * 1e3:.1f} ms")
 
 
-def test_chaos_sweep(report):
+def test_chaos_sweep(report, best_of):
     """End-to-end sweep: fault compilation, replay, report assembly."""
     trace = chaos_trace(processes=4, phases=8)
     runs_per_sweep = 2 * 2  # two intensities x two schemes

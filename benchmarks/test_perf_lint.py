@@ -21,43 +21,19 @@ only catch a runaway (e.g. the fixpoint failing to converge).
 
 import ast
 import os
-import sys
-import time
 from pathlib import Path
 
+from harness.bench import PhaseResult
+from tools.repro_lint.callgraph import build_graph
+from tools.repro_lint.engine import lint_paths
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
-
-import pytest  # noqa: E402
-
-from harness.bench import BenchReport, PhaseResult  # noqa: E402
-from tools.repro_lint.callgraph import build_graph  # noqa: E402
-from tools.repro_lint.engine import lint_paths  # noqa: E402
 
 #: generous absolute ceilings — runaway detectors, not the real gate
 MAX_GRAPH_BUILD_S = 30.0
 MAX_FULL_RUN_S = 120.0
-REPEATS = 3
-
-
-@pytest.fixture(scope="module")
-def report():
-    rep = BenchReport(bench="lint")
-    rep.collect_environment()
-    yield rep
-    out = os.environ.get("REPRO_BENCH_OUT", str(REPO_ROOT / "BENCH_lint.json"))
-    rep.write(out)
-    print(f"\nwrote {out}")
-
-
-def best_of(fn, repeats: int = REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+BENCH = "lint"
+BENCH_OUT = "BENCH_lint.json"
 
 
 def project_files():
@@ -69,7 +45,7 @@ def project_files():
     )
 
 
-def test_graph_build(report):
+def test_graph_build(report, best_of):
     """Parse the tree once, then time scan + fixpoint in isolation."""
     files = project_files()
     entries = []
@@ -85,7 +61,7 @@ def test_graph_build(report):
     report.add(PhaseResult.from_timing("lint-graph-build", wall, nodes))
 
 
-def test_full_lint_run(report):
+def test_full_lint_run(report, best_of):
     """The command CI and pre-commit actually pay for."""
     n_files = len(project_files())
     cwd = os.getcwd()

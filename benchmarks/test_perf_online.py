@@ -15,52 +15,23 @@ Results are written to ``BENCH_online.json`` (override with the
 regression tolerance as the RSSD search benchmark.
 """
 
-import os
-import sys
-import time
-from pathlib import Path
+from harness.bench import PhaseResult
 
-import pytest
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
-
-from harness.bench import BenchReport, PhaseResult  # noqa: E402
-
-from repro.cluster import ClusterSpec  # noqa: E402
-from repro.core import MHAPipeline  # noqa: E402
-from repro.online import (  # noqa: E402
+from repro.cluster import ClusterSpec
+from repro.core import MHAPipeline
+from repro.online import (
     ControllerConfig,
     RelayoutController,
     phase_shift_experiment,
 )
-from repro.units import KiB, MiB  # noqa: E402
-from repro.workloads import IORWorkload  # noqa: E402
+from repro.units import KiB, MiB
+from repro.workloads import IORWorkload
 
-REPEATS = 3
-
-
-def best_of(fn, repeats: int = REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+BENCH = "online-replay"
+BENCH_OUT = "BENCH_online.json"
 
 
-@pytest.fixture(scope="module")
-def report():
-    rep = BenchReport(bench="online-replay")
-    rep.collect_environment()
-    yield rep
-    out = os.environ.get("REPRO_BENCH_OUT", str(REPO_ROOT / "BENCH_online.json"))
-    rep.write(out)
-    print(f"\nwrote {out}")
-
-
-def test_observe_throughput(report):
+def test_observe_throughput(report, best_of):
     """Sketch + periodic drift checks on steady (non-drifting) traffic."""
     spec = ClusterSpec()
     pipeline = MHAPipeline(spec, seed=0)
@@ -94,7 +65,7 @@ def test_observe_throughput(report):
     )
 
 
-def test_phase_shift_throughput(report):
+def test_phase_shift_throughput(report, best_of):
     """The full closed-loop phase-shift experiment, per live record."""
     wall, result = best_of(lambda: phase_shift_experiment(passes=2))
     assert result.replans_admitted == 1

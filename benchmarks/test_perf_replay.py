@@ -17,47 +17,20 @@ Results are written to ``BENCH_replay.json`` (override with the
 regression tolerance as the other benchmarks.
 """
 
-import os
-import sys
-import time
-from pathlib import Path
-
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
+from harness.bench import PhaseResult
 
-from harness.bench import BenchReport, PhaseResult  # noqa: E402
+from repro.cluster import ClusterSpec
+from repro.pfs import HybridPFS, replay_trace
+from repro.schemes import make_scheme
+from repro.units import KiB, MiB
+from repro.workloads import IORWorkload
 
-from repro.cluster import ClusterSpec  # noqa: E402
-from repro.pfs import HybridPFS, replay_trace  # noqa: E402
-from repro.schemes import make_scheme  # noqa: E402
-from repro.units import KiB, MiB  # noqa: E402
-from repro.workloads import IORWorkload  # noqa: E402
-
-REPEATS = 3
+BENCH = "flat-replay"
+BENCH_OUT = "BENCH_replay.json"
 MIN_SPEEDUP_ANY = 5.0  # the tentpole claim: >=5x on at least one layout
 MIN_SPEEDUP_EACH = 4.0  # robustness floor per layout (CI noise margin)
-
-
-def best_of(fn, repeats: int = REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-@pytest.fixture(scope="module")
-def report():
-    rep = BenchReport(bench="flat-replay")
-    rep.collect_environment()
-    yield rep
-    out = os.environ.get("REPRO_BENCH_OUT", str(REPO_ROOT / "BENCH_replay.json"))
-    rep.write(out)
-    print(f"\nwrote {out}")
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +51,7 @@ def _replay(spec, trace, view, engine):
     return replay_trace(pfs, view, trace, keep_latencies=True, engine=engine), pfs
 
 
-def _bench_scheme(report, spec, trace, name, record_event_phase):
+def _bench_scheme(best_of, report, spec, trace, name, record_event_phase):
     view = make_scheme(name).build(spec, trace)
     event_wall, (event_metrics, event_pfs) = best_of(
         lambda: _replay(spec, trace, view, "event")
@@ -113,12 +86,12 @@ def _bench_scheme(report, spec, trace, name, record_event_phase):
     return speedup
 
 
-def test_flat_replay_speedup(report, workload):
+def test_flat_replay_speedup(report, workload, best_of):
     """Flat kernel >=5x the event engine, bit-identical results."""
     spec, trace = workload
     speedups = [
-        _bench_scheme(report, spec, trace, "DEF", record_event_phase=True),
-        _bench_scheme(report, spec, trace, "MHA", record_event_phase=False),
+        _bench_scheme(best_of, report, spec, trace, "DEF", record_event_phase=True),
+        _bench_scheme(best_of, report, spec, trace, "MHA", record_event_phase=False),
     ]
     assert max(speedups) >= MIN_SPEEDUP_ANY, (
         f"flat kernel best speedup {max(speedups):.1f}x below the "

@@ -3,7 +3,7 @@
 One synthetic region, 64 candidates per axis (the adaptive bounds put
 ``B_h = B_s = r_max = 256 KB`` on the default cluster, i.e. 64 nonzero
 4 KB steps on each axis), searched by both engines in both cost modes.
-Timing is best-of-``REPEATS`` wall clock; the grid engine must clear a
+Timing is the shared best-of-3 wall clock; the grid engine must clear a
 5x speedup over the scalar reference on the same candidate set.
 
 Results are written to ``BENCH_rssd.json`` (override with the
@@ -12,23 +12,15 @@ Results are written to ``BENCH_rssd.json`` (override with the
 gates against ``benchmarks/baselines/BENCH_rssd.json``.
 """
 
-import os
-import sys
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
+from harness.bench import PhaseResult
 
-from harness.bench import BenchReport, PhaseResult  # noqa: E402
-
-from repro.cluster import ClusterSpec  # noqa: E402
-from repro.core.determinator import determine_stripes  # noqa: E402
-from repro.core.params import CostModelParams  # noqa: E402
-from repro.units import KiB  # noqa: E402
+from repro.cluster import ClusterSpec
+from repro.core.determinator import determine_stripes
+from repro.core.params import CostModelParams
+from repro.units import KiB
 
 #: requests in the benchmark region — large enough that the per-request
 #: axis dominates, small enough that the scalar reference finishes fast
@@ -39,7 +31,8 @@ NUM_REQUESTS = 128
 R_MAX = 256 * KiB
 #: minimum acceptable grid-over-scalar speedup (acceptance criterion)
 MIN_SPEEDUP = 5.0
-REPEATS = 3
+BENCH = "rssd-search"
+BENCH_OUT = "BENCH_rssd.json"
 
 
 def make_region(seed: int = 7):
@@ -53,29 +46,8 @@ def make_region(seed: int = 7):
     return offsets, lengths, is_read, conc, bursts
 
 
-def best_of(fn, repeats: int = REPEATS):
-    """Best wall time over ``repeats`` runs, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-@pytest.fixture(scope="module")
-def report():
-    rep = BenchReport(bench="rssd-search")
-    rep.collect_environment()
-    yield rep
-    out = os.environ.get("REPRO_BENCH_OUT", str(REPO_ROOT / "BENCH_rssd.json"))
-    rep.write(out)
-    print(f"\nwrote {out}")
-
-
 @pytest.mark.parametrize("mode", ["batch", "burst"])
-def test_grid_engine_speedup(report, mode):
+def test_grid_engine_speedup(report, mode, best_of):
     params = CostModelParams.from_cluster(ClusterSpec())
     offsets, lengths, is_read, conc, bursts = make_region()
     kwargs = dict(step=4 * KiB, max_axis_candidates=64)

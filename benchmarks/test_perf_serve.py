@@ -17,47 +17,18 @@ Results are written to ``BENCH_serve.json`` (override with the
 tolerance as the other benchmarks.
 """
 
-import os
-import sys
-import time
-from pathlib import Path
+from harness.bench import PhaseResult
 
-import pytest
+from repro.cluster import ClusterSpec
+from repro.tenancy import build_tenants, make_tenants, serve_scenario
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
-
-from harness.bench import BenchReport, PhaseResult  # noqa: E402
-
-from repro.cluster import ClusterSpec  # noqa: E402
-from repro.tenancy import build_tenants, make_tenants, serve_scenario  # noqa: E402
-
-REPEATS = 3
+BENCH = "serve"
+BENCH_OUT = "BENCH_serve.json"
 TENANTS = 64
 SPEC = ClusterSpec(num_hservers=4, num_sservers=2)
 
 
-def best_of(fn, repeats: int = REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-@pytest.fixture(scope="module")
-def report():
-    rep = BenchReport(bench="serve")
-    rep.collect_environment()
-    yield rep
-    out = os.environ.get("REPRO_BENCH_OUT", str(REPO_ROOT / "BENCH_serve.json"))
-    rep.write(out)
-    print(f"\nwrote {out}")
-
-
-def test_sharded_build(report):
+def test_sharded_build(report, best_of):
     """Per-tenant build fan-out: trace gen, premap, quota — serial path."""
     fleet = make_tenants(TENANTS)
     wall, builds = best_of(lambda: build_tenants(SPEC, fleet))
@@ -66,7 +37,7 @@ def test_sharded_build(report):
     print(f"\nserve build: {TENANTS} tenants, {wall * 1e3:.1f} ms")
 
 
-def test_serve_replay(report):
+def test_serve_replay(report, best_of):
     """End-to-end serve: build, admission/QoS merge, coupled replay."""
     wall, rep = best_of(
         lambda: serve_scenario(spec=SPEC, tenants=TENANTS, max_active=16)

@@ -18,40 +18,23 @@ with ``REPRO_BENCH_OUT``), which CI gates against
 tolerance.
 """
 
-import os
-import sys
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT))
+from harness.bench import PhaseResult
 
-from harness.bench import BenchReport, PhaseResult  # noqa: E402
-
-from repro.core.features import (  # noqa: E402
+from repro.core.features import (
     extract_features,
     extract_features_columnar,
 )
-from repro.tracing import ColumnarTrace, Trace, TraceRecord  # noqa: E402
-from repro.units import KiB  # noqa: E402
+from repro.tracing import ColumnarTrace, Trace, TraceRecord
+from repro.units import KiB
 
 N_REQUESTS = 1_000_000
 MIN_SPEEDUP = 10.0
 GAP = 0.5
-REPEATS = 3
-
-
-def best_of(fn, repeats: int = REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+BENCH = "trace"
+BENCH_OUT = "BENCH_trace.json"
 
 
 def raw_columns(n: int = N_REQUESTS):
@@ -68,16 +51,6 @@ def raw_columns(n: int = N_REQUESTS):
 
 
 @pytest.fixture(scope="module")
-def report():
-    rep = BenchReport(bench="trace")
-    rep.collect_environment()
-    yield rep
-    out = os.environ.get("REPRO_BENCH_OUT", str(REPO_ROOT / "BENCH_trace.json"))
-    rep.write(out)
-    print(f"\nwrote {out}")
-
-
-@pytest.fixture(scope="module")
 def columns():
     return raw_columns()
 
@@ -89,7 +62,7 @@ def walls():
     return {}
 
 
-def test_ingest(report, columns, walls):
+def test_ingest(report, columns, walls, best_of):
     """Raw columns -> trace: 1M record constructions vs one batch call."""
     offsets, timestamps, ranks, sizes, ops = columns
     off_l, ts_l = offsets.tolist(), timestamps.tolist()
@@ -138,7 +111,7 @@ def test_ingest(report, columns, walls):
     )
 
 
-def test_cluster(report, columns, walls):
+def test_cluster(report, columns, walls, best_of):
     """Phase split + burst clustering + feature matrix, both paths."""
     trace, col = walls["trace"], walls["col"]
     record_wall, ref = best_of(

@@ -26,7 +26,6 @@ from .params import CostModelParams
 from .pipeline import (
     MHAPipeline,
     MHAPlan,
-    OnlinePipeline,
     identity_redirector,
     load_plan,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "RedirectorStats",
     "MHAPipeline",
     "MHAPlan",
-    "OnlinePipeline",
     "identity_redirector",
     "load_plan",
     "PlanReport",

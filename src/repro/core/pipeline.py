@@ -7,15 +7,10 @@ application's profiled first run and its subsequent runs: it consumes
 the collector's trace and produces an :class:`MHAPlan` holding the DRT,
 the RST, every region's layout and the runtime
 :class:`~repro.core.redirector.Redirector`.
-
-:class:`OnlinePipeline` is the paper's future-work extension — a
-sliding-window variant that re-plans as new requests stream in, for
-applications whose patterns are not predictable from one profiling run.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -54,7 +49,7 @@ from .redirector import Redirector
 from .reorganizer import ReorderPlan, reorganize, reorganize_arrays
 from .rst import RST
 
-__all__ = ["MHAPlan", "MHAPipeline", "OnlinePipeline", "identity_redirector", "load_plan"]
+__all__ = ["MHAPlan", "MHAPipeline", "identity_redirector", "load_plan"]
 
 #: stripe size of the original (pre-optimization) file layout — the PFS
 #: default the application was deployed with
@@ -445,45 +440,3 @@ def identity_redirector(
             )
     # region layouts == original layouts: data did not move
     return Redirector(drt, dict(layouts), dict(layouts))
-
-
-class OnlinePipeline:
-    """Sliding-window re-planning (the paper's dynamic future work).
-
-    Feed runtime records through :meth:`observe`; once ``window``
-    records have accumulated since the last plan, the off-line pipeline
-    re-runs over the most recent ``window`` records.  The current plan
-    is always available (``None`` until the first window fills).
-
-    .. deprecated::
-        This naive sketch re-runs the *full* off-line pipeline on a
-        fixed cadence and swaps plans instantaneously, ignoring both
-        drift and migration cost.  Use
-        :class:`repro.online.RelayoutController` instead — it detects
-        drifted regions, re-plans only those, admits a relayout only
-        when the modelled payback beats the migration cost, and
-        executes the migration as throttled background I/O with an
-        epoch-based swap.  ``RelayoutController.from_online`` accepts
-        the same ``(pipeline, window)`` arguments.
-    """
-
-    def __init__(self, pipeline: MHAPipeline, window: int = 1024) -> None:
-        if window <= 0:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self.pipeline = pipeline
-        self.window = window
-        self._buffer: deque[TraceRecord] = deque(maxlen=window)
-        self._since_plan = 0
-        self.plan: MHAPlan | None = None
-        self.replans = 0
-
-    def observe(self, record: TraceRecord) -> MHAPlan | None:
-        """Add one runtime record; returns a fresh plan when one is built."""
-        self._buffer.append(record)
-        self._since_plan += 1
-        if self._since_plan >= self.window:
-            self.plan = self.pipeline.plan(Trace(self._buffer))
-            self._since_plan = 0
-            self.replans += 1
-            return self.plan
-        return None

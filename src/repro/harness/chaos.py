@@ -216,7 +216,6 @@ def chaos_experiment(
     n_jobs: int | None = 1,
     label: str = "chaos",
     rank_groups: Mapping[str, Collection[int]] | None = None,
-    columnar: bool = False,
 ) -> ChaosReport:
     """Sweep fault intensity × scheme; tabulate bandwidth and tails.
 
@@ -233,9 +232,9 @@ def chaos_experiment(
     Leaving it ``None`` keeps the figure set — and therefore every
     existing digest — unchanged.
 
-    ``columnar`` routes every replay through the columnar trace spine
-    (see :func:`~repro.harness.experiment.compare_schemes`); the
-    report digest is identical either way.
+    Each intensity's :func:`~repro.harness.experiment.compare_schemes`
+    call converts ``trace`` to columnar once and replays every scheme
+    from that one copy.
     """
     if not intensities:
         raise ConfigurationError("need at least one intensity")
@@ -271,7 +270,6 @@ def chaos_experiment(
             n_jobs=n_jobs,
             fault_plan=plan,
             keep_latencies=True,
-            columnar=columnar,
         )
         report.comparisons[row] = comparison
         for scheme in schemes:

@@ -150,11 +150,6 @@ def _chaos_main(argv: list[str]) -> int:
         action="store_true",
         help="print only the report's SHA-256 digest (for CI comparison)",
     )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="replay through the columnar trace spine (same digest)",
-    )
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
@@ -170,7 +165,6 @@ def _chaos_main(argv: list[str]) -> int:
         horizon=args.horizon,
         engine=args.engine,
         n_jobs=args.jobs if args.jobs is not None else 1,
-        columnar=args.columnar,
     )
     elapsed = time.perf_counter() - started
     if args.digest:
@@ -237,11 +231,6 @@ def _serve_main(argv: list[str]) -> int:
         action="store_true",
         help="print only the report's SHA-256 digest (for CI comparison)",
     )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="replay through the columnar trace spine (same digest)",
-    )
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
@@ -252,7 +241,6 @@ def _serve_main(argv: list[str]) -> int:
         arrival_seed=args.seed,
         engine=args.engine,
         n_jobs=args.jobs,
-        columnar=args.columnar,
     )
     elapsed = time.perf_counter() - started
     if args.digest:

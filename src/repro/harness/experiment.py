@@ -140,7 +140,6 @@ def compare_schemes(
     n_jobs: int | None = 1,
     fault_plan: "FaultPlan | None" = None,
     keep_latencies: bool = False,
-    columnar: bool = False,
 ) -> Comparison:
     """Run every scheme on one workload trace; returns paired results.
 
@@ -152,13 +151,13 @@ def compare_schemes(
     scheme's replay (plans are frozen dataclasses, so they pickle to
     worker processes and compile identically there); together with
     ``keep_latencies`` this is the chaos harness's paired-comparison
-    primitive.  ``columnar=True`` replays every scheme through the
-    columnar spine (one record→columnar conversion shared by all
-    schemes); results are bit-identical either way.
+    primitive.  Each scheme builds its layout from ``trace`` as given;
+    the replay input is converted to columnar once and shared by every
+    scheme.
     """
     schemes = schemes if schemes is not None else scheme_names()
     scheme_kwargs = scheme_kwargs or {}
-    replay = as_columnar_trace(trace) if columnar else None
+    replay = as_columnar_trace(trace)
     tasks = [
         (
             name,

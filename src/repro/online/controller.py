@@ -34,7 +34,7 @@ instantaneous (stop-the-world) swap.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.pipeline import MHAPipeline, MHAPlan
 from ..exceptions import ConfigurationError
@@ -221,18 +221,3 @@ class RelayoutController:
         if action is not self.in_flight:
             raise ConfigurationError("abort of an action that is not in flight")
         self.in_flight = None
-
-    @classmethod
-    def from_online(
-        cls, pipeline: MHAPipeline, window: int = 1024, **kwargs
-    ) -> "RelayoutController":
-        """Adapter for :class:`repro.core.pipeline.OnlinePipeline` users.
-
-        Builds a controller with an *empty* initial plan (everything
-        falls through to the original layouts until the first admitted
-        relayout), using the legacy sketch's ``(pipeline, window)``
-        signature.
-        """
-        empty = pipeline.plan(Trace([]))
-        config = ControllerConfig(window=window, **kwargs)
-        return cls(pipeline, empty, config)

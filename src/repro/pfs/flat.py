@@ -4,7 +4,11 @@ Every data server is a single FIFO channel, so a sub-request's finish
 time is pure queue-tail arithmetic (``start = max(now, not_before,
 tail)``) the moment it is submitted — no event heap, no generator
 processes, no ``Completion``/``AllOf`` allocation per request.  The
-kernel keeps one cursor per rank and drives a merge loop keyed by each
+kernel takes the time-sorted
+:class:`~repro.tracing.columnar.ColumnarTrace` that
+:func:`~repro.pfs.replay.replay_trace` converts its input to, and
+builds its per-rank rows, ops and arrival times from the columns.  It
+keeps one cursor per rank and drives a merge loop keyed by each
 in-flight request's finish time; requests themselves are pre-mapped in
 one batched pass through the view (:func:`mapped_runs`).
 
@@ -46,7 +50,6 @@ from ..contracts import twin_of
 from ..exceptions import SimulationError
 from ..layouts.batch import MergedRuns, RunsBuilder
 from ..tracing.columnar import OP_NAMES, ColumnarTrace
-from ..tracing.record import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .replay import FileView
@@ -55,12 +58,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = ["mapped_runs", "replay_flat"]
 
 
-def _runs_from_columns(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
-    """:func:`mapped_runs` over a columnar trace.
+def mapped_runs(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
+    """Map all records of ``trace`` through ``view`` into merged runs.
 
-    The offset/size columns flow into the view's ``merged_runs`` batch
-    API as the arrays they already are — no per-record values are
-    materialized on the single-file fast path.
+    Views exposing a ``merged_runs(file, offsets, lengths)`` batch API
+    (:class:`~repro.schemes.base.LayoutView`, the MHA
+    :class:`~repro.core.redirector.Redirector`) get one batched call
+    per file, fed the offset/size columns as the arrays they already
+    are; anything else falls back to per-record ``map_request``.
+    Either way run ``k`` of the result equals what the event path's
+    ``merge_fragments(view.map_request(...))`` produces for record
+    ``k``.
     """
     batch = getattr(view, "merged_runs", None)
     n = len(trace)
@@ -78,6 +86,7 @@ def _runs_from_columns(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
         return builder.build()
     partition = trace.file_partition()
     if len(partition) == 1:
+        # single-file trace: the batch result is already record-ordered
         (file,) = partition
         runs: MergedRuns = batch(file, d["offset"], d["size"])
         return runs
@@ -86,54 +95,6 @@ def _runs_from_columns(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
         runs = batch(file, d["offset"][indices], d["size"][indices])
         builder.add_fragments(runs.n_fragments)
         for k, item in enumerate(indices.tolist()):
-            builder.place(item, runs, k)
-    return builder.build()
-
-
-def mapped_runs(
-    view: "FileView", records: "Sequence[TraceRecord] | ColumnarTrace"
-) -> MergedRuns:
-    """Map all records through ``view`` into columnar merged runs.
-
-    Views exposing a ``merged_runs(file, offsets, lengths)`` batch API
-    (:class:`~repro.schemes.base.LayoutView`, the MHA
-    :class:`~repro.core.redirector.Redirector`) get one batched call
-    per file; anything else falls back to per-record ``map_request``.
-    Either way run ``k`` of the result equals what the event path's
-    ``merge_fragments(view.map_request(...))`` produces for record
-    ``k``.  A :class:`~repro.tracing.columnar.ColumnarTrace` hands its
-    offset/size columns to the batch API without building records.
-    """
-    if isinstance(records, ColumnarTrace):
-        return _runs_from_columns(view, records)
-    batch = getattr(view, "merged_runs", None)
-    if batch is None:
-        builder = RunsBuilder(len(records))
-        for i, record in enumerate(records):
-            builder.place_fragments(
-                i, view.map_request(record.file, record.offset, record.size)
-            )
-        return builder.build()
-    by_file: dict[str, tuple[list[int], list[int], list[int]]] = {}
-    for i, record in enumerate(records):
-        group = by_file.get(record.file)
-        if group is None:
-            group = ([], [], [])
-            by_file[record.file] = group
-        group[0].append(i)
-        group[1].append(record.offset)
-        group[2].append(record.size)
-    if len(by_file) == 1:
-        # single-file trace: the batch result is already record-ordered
-        (_, offsets, lengths), = by_file.values()
-        file = next(iter(by_file))
-        runs: MergedRuns = batch(file, offsets, lengths)
-        return runs
-    builder = RunsBuilder(len(records))
-    for file, (items, offsets, lengths) in by_file.items():
-        runs = batch(file, offsets, lengths)
-        builder.add_fragments(runs.n_fragments)
-        for k, item in enumerate(items):
             builder.place(item, runs, k)
     return builder.build()
 
@@ -152,14 +113,15 @@ _WAKEUP = -2
 def replay_flat(
     pfs: "HybridPFS",
     view: "FileView",
-    ordered: "Sequence[TraceRecord] | ColumnarTrace",
+    ordered: ColumnarTrace,
     *,
     keep_latencies: bool = False,
     phase_of: Sequence[int] | None = None,
     phase_sizes: Sequence[int] | None = None,
     open_arrivals: bool = False,
 ) -> tuple[float, list[float], list[int]]:
-    """Replay time-ordered ``ordered`` records without the event heap.
+    """Replay the time-ordered columnar trace ``ordered`` without the
+    event heap.
 
     ``phase_of``/``phase_sizes`` carry the barrier structure computed by
     :func:`repro.pfs.replay._phase_index` (both ``None`` when barriers
@@ -179,32 +141,15 @@ def replay_flat(
     sim = pfs.sim
     start = sim.now
     runs = mapped_runs(view, ordered)
-    if isinstance(ordered, ColumnarTrace):
-        # stable argsort by rank == per-rank index rows in trace order
-        rank_col = ordered.data["rank"]
-        order = np.argsort(rank_col, kind="stable")
-        uniq, bounds = np.unique(rank_col[order], return_index=True)
-        ranks = uniq.tolist()
-        edges = np.append(bounds, order.size)
-        rows = [
-            order[edges[r] : edges[r + 1]].tolist() for r in range(uniq.size)
-        ]
-        ops = [OP_NAMES[c] for c in ordered.data["op"].tolist()]
-        arrivals = (
-            (start + ordered.data["timestamp"]).tolist() if open_arrivals else []
-        )
-    else:
-        by_rank: dict[int, list[int]] = {}
-        for i, record in enumerate(ordered):
-            by_rank.setdefault(record.rank, []).append(i)
-        ranks = sorted(by_rank)
-        rows = [by_rank[rank] for rank in ranks]
-        ops = [record.op for record in ordered]
-        arrivals = (
-            [start + record.timestamp for record in ordered]
-            if open_arrivals
-            else []
-        )
+    # stable argsort by rank == per-rank index rows in trace order
+    rank_col = ordered.data["rank"]
+    order = np.argsort(rank_col, kind="stable")
+    uniq, bounds = np.unique(rank_col[order], return_index=True)
+    ranks = uniq.tolist()
+    edges = np.append(bounds, order.size)
+    rows = [order[edges[r] : edges[r + 1]].tolist() for r in range(uniq.size)]
+    ops = [OP_NAMES[c] for c in ordered.data["op"].tolist()]
+    arrivals = (start + ordered.data["timestamp"]).tolist() if open_arrivals else []
     n_ranks = len(rows)
     cursor = [0] * n_ranks
     issued_at = [start] * n_ranks

@@ -41,7 +41,7 @@ from ..config import DEFAULT_REPLAY_ENGINE
 from ..layouts.base import SubRequest
 from ..simulate import Simulator, Waitable
 from ..tracing.collector import IOCollector
-from ..tracing.columnar import ColumnarTrace
+from ..tracing.columnar import ColumnarTrace, as_columnar_trace
 from ..tracing.record import Trace, TraceRecord
 from .flat import replay_flat
 from .system import HybridPFS
@@ -224,7 +224,7 @@ class RunMetrics:
 
 
 def _phase_index(
-    ordered: "Sequence[TraceRecord] | ColumnarTrace", barrier_gap: float
+    ordered: ColumnarTrace, barrier_gap: float
 ) -> tuple[list[int], list[int]]:
     """Bucket time-ordered records into barrier phases, by *index*.
 
@@ -233,28 +233,16 @@ def _phase_index(
     duplicated records — identical rank/offset/size/timestamp entries,
     legal in a trace — in their own phase slots.  Returns
     ``(phase_of, phase_sizes)`` with ``phase_of[i]`` the phase of
-    ``ordered[i]``.  Columnar traces take a vectorized branch with the
-    same boundaries (``t[i] - t[i-1] > gap`` on float64 either way).
+    ``ordered[i]``.
     """
-    if isinstance(ordered, ColumnarTrace):
-        times = ordered.data["timestamp"]
-        if times.size == 0:
-            return [], []
-        new_phase = np.empty(times.size, dtype=bool)
-        new_phase[0] = True
-        new_phase[1:] = times[1:] - times[:-1] > barrier_gap
-        phase_arr = np.cumsum(new_phase) - 1
-        return phase_arr.tolist(), np.bincount(phase_arr).tolist()
-    phase_of: list[int] = []
-    sizes: list[int] = []
-    prev_t: float | None = None
-    for record in ordered:
-        if prev_t is None or record.timestamp - prev_t > barrier_gap:
-            sizes.append(0)
-        prev_t = record.timestamp
-        phase_of.append(len(sizes) - 1)
-        sizes[-1] += 1
-    return phase_of, sizes
+    times = ordered.data["timestamp"]
+    if times.size == 0:
+        return [], []
+    new_phase = np.empty(times.size, dtype=bool)
+    new_phase[0] = True
+    new_phase[1:] = times[1:] - times[:-1] > barrier_gap
+    phase_arr = np.cumsum(new_phase) - 1
+    return phase_arr.tolist(), np.bincount(phase_arr).tolist()
 
 
 def _arrival_gate(sim: Simulator, at: float) -> Waitable:
@@ -370,6 +358,11 @@ def replay_trace(
     the metrics of this replay (server stats are reset first, so a
     shared :class:`HybridPFS` can host several sequential replays).
 
+    ``trace`` is converted once, on entry, to a time-sorted
+    :class:`~repro.tracing.columnar.ColumnarTrace` (the conversion is a
+    no-op for a columnar input).  The flat kernel reads its columns
+    directly; the event engine gets records materialized from it.
+
     ``on_record`` is called with each trace record at its simulated
     issue time, *before* the request is mapped — the hook point for
     online observers (the relayout controller of :mod:`repro.online`
@@ -423,7 +416,7 @@ def replay_trace(
             srv.latency_log = []
     sim = pfs.sim
     start_time = sim.now
-    ordered = trace.sorted_by_time()
+    ordered = as_columnar_trace(trace).sorted_by_time()
     phase_of: list[int] | None = None
     phase_sizes: list[int] | None = None
     if barrier_gap is not None:
@@ -448,14 +441,11 @@ def replay_trace(
         )
     else:
         # the event engine's hooks and dispatchers consume records, so
-        # a columnar trace materializes only on this fallback path
-        event_ordered = (
-            ordered.to_trace() if isinstance(ordered, ColumnarTrace) else ordered
-        )
+        # records materialize only on this fallback path
         foreground_end, latencies, latency_ranks = _replay_event(
             pfs,
             view,
-            event_ordered,
+            ordered.to_trace(),
             keep_latencies=keep_latencies,
             collector=collector,
             on_record=on_record,
@@ -464,12 +454,6 @@ def replay_trace(
             open_arrivals=open_arrivals,
         )
 
-    if isinstance(trace, ColumnarTrace):
-        read_bytes = trace.read_bytes()
-        write_bytes = trace.write_bytes()
-    else:
-        read_bytes = sum(r.size for r in trace if r.op == "read")
-        write_bytes = sum(r.size for r in trace if r.op == "write")
     per_server_latencies: list[list[float]] = []
     if keep_latencies:
         per_server_latencies = [
@@ -478,12 +462,12 @@ def replay_trace(
         ]
     return RunMetrics(
         makespan=foreground_end - start_time,
-        total_bytes=trace.total_bytes(),
-        requests=len(trace),
+        total_bytes=ordered.total_bytes(),
+        requests=len(ordered),
         per_server_busy=pfs.per_server_busy(),
         per_server_bytes=pfs.per_server_bytes(),
-        read_bytes=read_bytes,
-        write_bytes=write_bytes,
+        read_bytes=ordered.read_bytes(),
+        write_bytes=ordered.write_bytes(),
         latencies=latencies,
         latency_ranks=latency_ranks,
         per_server_latencies=per_server_latencies,

@@ -51,7 +51,6 @@ from ..harness.report import (
 )
 from ..layouts.batch import MergedRuns
 from ..pfs.replay import RunMetrics, replay_trace
-from ..tracing.columnar import as_columnar_trace
 from ..pfs.system import HybridPFS
 from ..tracing.record import Trace
 from ..units import MiB
@@ -175,7 +174,6 @@ def serve_scenario(
     arrival_seed: int = DEFAULT_ARRIVAL_SEED,
     rank_stride: int = RANK_STRIDE,
     label: str = "serve",
-    columnar: bool = False,
 ) -> ServeReport:
     """Serve a tenant fleet on one shared hybrid PFS; tabulate fairness.
 
@@ -183,9 +181,11 @@ def serve_scenario(
     :func:`~repro.tenancy.spec.make_tenants` with ``hot_fraction``) or
     an explicit tuple of specs.  ``max_active`` bounds concurrently
     admitted tenants; ``n_jobs`` shards the build phase across
-    processes (results are bit-identical at any job count).
-    ``columnar`` replays the merged fleet trace through the columnar
-    spine; the report digest is identical either way.
+    processes (results are bit-identical at any job count).  The
+    merged fleet trace goes to :func:`~repro.pfs.replay.replay_trace`
+    as records, and the replay converts it to columnar on entry.
+    ``rank_stride`` is the width of each tenant's rank window; the
+    per-tenant and per-class latency tables both group by it.
     """
     spec = spec if spec is not None else ClusterSpec()
     if isinstance(tenants, int):
@@ -220,7 +220,7 @@ def serve_scenario(
     metrics = replay_trace(
         pfs,
         view,
-        as_columnar_trace(merged) if columnar else merged,
+        merged,
         keep_latencies=True,
         open_arrivals=True,
         engine=engine,
@@ -255,12 +255,15 @@ def serve_scenario(
                 p99=_percentile(ordered, 99.0),
             )
         )
-    report.figures.extend(_figures(report, fleet, label))
+    report.figures.extend(_figures(report, fleet, label, rank_stride))
     return report
 
 
 def _figures(
-    report: ServeReport, fleet: tuple[TenantSpec, ...], label: str
+    report: ServeReport,
+    fleet: tuple[TenantSpec, ...],
+    label: str,
+    rank_stride: int,
 ) -> list[FigureResult]:
     """Per-class bandwidth, tails, fairness, and tenant-tail spread."""
     classes = ("hot", "tail")
@@ -293,7 +296,7 @@ def _figures(
         for latency, rank in zip(
             report.metrics.latencies, report.metrics.latency_ranks
         ):
-            tenant = tenant_of_rank(rank, RANK_STRIDE)
+            tenant = tenant_of_rank(rank, rank_stride)
             pooled[klass_of[tenant]].append(latency)
     for klass in classes:
         ordered = sorted(pooled[klass])

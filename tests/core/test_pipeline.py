@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import MHAPipeline, OnlinePipeline
+from repro.core import MHAPipeline
 from repro.core.pipeline import identity_redirector
 from repro.exceptions import ConfigurationError
 from repro.layouts import check_tiling
@@ -122,25 +122,3 @@ class TestIdentityRedirector:
         redirector.map_request("f", trace[0].offset, trace[0].size)
         assert redirector.stats.translated_extents >= 1
         assert redirector.stats.fallthrough_extents == 0
-
-
-class TestOnlinePipeline:
-    def test_replans_per_window(self, spec):
-        online = OnlinePipeline(MHAPipeline(spec, seed=0), window=16)
-        trace = mixed_trace(loops=4, procs=2)
-        plans = 0
-        for record in trace:
-            if online.observe(record) is not None:
-                plans += 1
-        assert plans == len(trace) // 16
-        assert online.replans == plans
-        assert online.plan is not None
-
-    def test_no_plan_before_first_window(self, spec):
-        online = OnlinePipeline(MHAPipeline(spec, seed=0), window=100)
-        assert online.observe(rec(0, 1024, 0.0)) is None
-        assert online.plan is None
-
-    def test_invalid_window(self, spec):
-        with pytest.raises(ConfigurationError):
-            OnlinePipeline(MHAPipeline(spec), window=0)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import MHAPipeline
-from repro.core.pipeline import OnlinePipeline
 from repro.exceptions import ConfigurationError
 from repro.online import ControllerConfig, RelayoutController
 from repro.units import KiB, MiB
@@ -130,32 +129,3 @@ class TestRelayoutController:
             ControllerConfig(check_interval=0)
         with pytest.raises(ConfigurationError):
             ControllerConfig(cooldown=-1)
-
-    def test_from_online_adapter(self, pipeline):
-        controller = RelayoutController.from_online(pipeline, window=64)
-        assert controller.config.window == 64
-        assert not controller.active_plan.region_layouts
-
-
-class TestDeprecatedOnlinePipeline:
-    def test_buffer_is_bounded_deque(self, pipeline):
-        from collections import deque
-
-        online = OnlinePipeline(pipeline, window=4)
-        trace = ior_trace([32 * KiB])
-        for record in trace.sorted_by_time():
-            online.observe(record)
-        assert isinstance(online._buffer, deque)
-        assert len(online._buffer) == 4
-
-    def test_deprecation_pointer_in_docstring(self):
-        assert "RelayoutController" in OnlinePipeline.__doc__
-
-    def test_still_replans(self, pipeline):
-        trace = ior_trace([32 * KiB])
-        online = OnlinePipeline(pipeline, window=len(trace))
-        plan = None
-        for record in trace.sorted_by_time():
-            plan = online.observe(record) or plan
-        assert plan is not None
-        assert online.replans == 1

@@ -15,7 +15,7 @@ from repro.layouts import FixedStripeLayout
 from repro.pfs import HybridPFS, replay_trace, run_workload
 from repro.schemes import build_view, scheme_names
 from repro.schemes.base import LayoutView
-from repro.tracing import Trace, TraceRecord
+from repro.tracing import Trace, TraceRecord, as_columnar_trace
 from repro.units import KiB, MiB
 from repro.workloads import IORWorkload
 from repro.workloads.base import PHASE_GAP
@@ -124,11 +124,15 @@ class TestBitIdentity:
 
     def test_phase_index_keys_by_position(self):
         dup = rec(0, 64 * KiB, 0.0)
-        phase_of, sizes = replay_mod._phase_index([dup, dup, dup], barrier_gap=5.0)
+        phase_of, sizes = replay_mod._phase_index(
+            as_columnar_trace(Trace([dup, dup, dup])), barrier_gap=5.0
+        )
         assert phase_of == [0, 0, 0]
         assert sizes == [3]
         later = rec(0, 64 * KiB, 10.0)
-        phase_of, sizes = replay_mod._phase_index([dup, dup, later, later], 5.0)
+        phase_of, sizes = replay_mod._phase_index(
+            as_columnar_trace(Trace([dup, dup, later, later])), 5.0
+        )
         assert phase_of == [0, 0, 1, 1]
         assert sizes == [2, 2]
 

@@ -82,6 +82,14 @@ class TestFairnessInvariants:
         shares = [fairness.value(k, "bytes") for k in ("hot", "tail")]
         assert sum(shares) == pytest.approx(1.0)
 
+    def test_non_default_rank_stride(self):
+        """Per-tenant and per-class tails group by the same rank window."""
+        report = serve(tenants=8, max_active=4, rank_stride=2 * RANK_STRIDE)
+        assert all(t.completed == t.requests for t in report.tenants)
+        tails = next(f for f in report.figures if f.figure == "serve-tails")
+        for klass in ("hot", "tail"):
+            assert tails.value(klass, "p99") > 0.0
+
 
 class TestQuotaEnforcement:
     def test_tail_quota_demotes_to_hdd(self):

@@ -242,3 +242,20 @@ class TestServeDigestPinned:
             n_jobs=1,
         )
         assert report.digest() == self.PINNED
+
+
+class TestChaosDigestPinned:
+    """Regression pin for the chaos harness.
+
+    Every replay takes the columnar trace, so this digest is also what
+    the record-path replay produced before it was deleted; it must only
+    ever move consciously.
+    """
+
+    PINNED = "3bb060489f6176a5076ed506efbb49cb85eb6fc19f8bb7dc79b3a55424c9a77c"
+
+    def test_small_chaos_digest(self):
+        from repro.harness.chaos import chaos_experiment
+
+        report = chaos_experiment(intensities=(0.5,), schemes=("DEF", "MHA"))
+        assert report.digest() == self.PINNED

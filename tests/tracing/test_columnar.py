@@ -4,13 +4,11 @@ The generated twin suites (``tests/contracts/test_twin_*``) already
 police the registered ``@twin_of`` contracts; this module pins the
 parts the generator does not reach — container semantics of
 :class:`~repro.tracing.columnar.ColumnarTrace` against the record
-``Trace``, the full ``sorted_by_time`` tie-break, text↔binary
-round-trips at the edges (empty / single record), and record-vs-
-columnar digest stability of the serve and chaos harnesses.
+``Trace``, the full ``sorted_by_time`` tie-break, and text↔binary
+round-trips at the edges (empty / single record).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -223,25 +221,3 @@ class TestTraceIO:
         save_trace_columnar(col, tmp_path / "b.ctrace")
         a = (tmp_path / "a.ctrace").read_bytes()
         assert a == (tmp_path / "b.ctrace").read_bytes()
-
-
-# ---------------------------------------------------------------------------
-# harness digest stability: record vs columnar replay
-
-
-class TestDigestStability:
-    def test_serve_digest_identical(self):
-        from repro.tenancy import serve_scenario
-
-        record = serve_scenario(tenants=8, max_active=4)
-        columnar = serve_scenario(tenants=8, max_active=4, columnar=True)
-        assert columnar.digest() == record.digest()
-
-    def test_chaos_digest_identical(self):
-        from repro.harness.chaos import chaos_experiment
-
-        record = chaos_experiment(intensities=(0.5,), schemes=("DEF", "MHA"))
-        columnar = chaos_experiment(
-            intensities=(0.5,), schemes=("DEF", "MHA"), columnar=True
-        )
-        assert columnar.digest() == record.digest()
