@@ -41,6 +41,7 @@ from .rst import StripePair
 __all__ = [
     "StripeDecision",
     "determine_stripes",
+    "grid_chunks",
     "search_bounds",
     "region_search_task",
     "RegionSearchTask",
@@ -147,6 +148,19 @@ def _dedupe(
     )
 
 
+def grid_chunks(
+    n_candidates: int, n_eval: int, params: CostModelParams
+) -> list[slice]:
+    """Slices of a grid search's candidate axis, in candidate order.
+
+    Each slice holds few enough candidates that the grid engine's
+    ``(chunk, n_eval, M + N)`` cost-model temporaries stay within
+    :data:`GRID_CHUNK_ELEMS`.
+    """
+    chunk = max(1, GRID_CHUNK_ELEMS // max(1, n_eval * (params.M + params.N)))
+    return [slice(lo, lo + chunk) for lo in range(0, n_candidates, chunk)]
+
+
 def determine_stripes(
     params: CostModelParams,
     offsets: np.ndarray,
@@ -218,6 +232,10 @@ def determine_stripes(
         raise ConfigurationError("cannot determine stripes for an empty region")
     if step <= 0:
         raise ConfigurationError(f"step must be > 0, got {step}")
+    if max_eval_requests < 1:
+        raise ConfigurationError(
+            f"max_eval_requests must be >= 1, got {max_eval_requests}"
+        )
     if (lengths <= 0).any():
         raise ConfigurationError("request lengths must be positive")
 
@@ -320,12 +338,8 @@ def determine_stripes(
         h_arr = np.array([p[0] for p in pairs], dtype=np.int64)
         s_arr = np.array([p[1] for p in pairs], dtype=np.int64)
         costs = np.empty(len(pairs), dtype=np.float64)
-        # chunk the candidate axis so the (chunk, K, M + N) cost-model
-        # temporaries stay within a fixed memory budget
-        chunk = max(1, GRID_CHUNK_ELEMS // max(1, n_eval * (params.M + params.N)))
-        for lo in range(0, len(pairs), chunk):
-            hi = lo + chunk
-            costs[lo:hi] = evaluate_grid(h_arr[lo:hi], s_arr[lo:hi])
+        for chunk in grid_chunks(len(pairs), n_eval, params):
+            costs[chunk] = evaluate_grid(h_arr[chunk], s_arr[chunk])
         idx = int(np.argmin(costs))  # first minimum, like the loop's strict <
         best_cost = float(costs[idx])
         best_pair = StripePair(*pairs[idx])

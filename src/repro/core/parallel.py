@@ -153,6 +153,7 @@ def parallel_map(
     submit_fn: Callable[[T], object] = (
         partial(_sanitized_call, fn) if sanitizing else fn
     )
+    succeeded = False
     try:
         futures = [executor.submit(submit_fn, item) for item in items]
         results: list[R] = []
@@ -174,6 +175,10 @@ def parallel_map(
                 if isinstance(exc, RegionSearchError):
                     raise
                 raise RegionSearchError(label, exc) from exc
+        succeeded = True
         return results
     finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+        # on success every future is done, so join the workers: none is
+        # left tearing down its pipes when the interpreter exits.  On
+        # failure, drop the queued work without waiting.
+        executor.shutdown(wait=succeeded, cancel_futures=not succeeded)

@@ -31,11 +31,17 @@ import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_SAMPLE_SEED
-from ..core.cost_model import burst_costs
+from ..core.cost_model import burst_costs_grid
+from ..core.determinator import grid_chunks
 from ..determinism import SeedDomain, derive_rng
 from ..core.params import CostModelParams
-from ..tracing.analysis import burst_ids_of
 from ..layouts.fixed import FixedStripeLayout
+from ..tracing.columnar import (
+    OP_NAMES,
+    ColumnarTrace,
+    as_columnar_trace,
+    burst_ids_columnar,
+)
 from ..tracing.record import Trace
 from ..units import KiB
 from .base import LayoutView, Scheme
@@ -52,6 +58,10 @@ class AALScheme(Scheme):
     def __init__(self, step: int = 4 * KiB, max_eval_requests: int = 4096) -> None:
         if step <= 0:
             raise ValueError(f"step must be > 0, got {step}")
+        if max_eval_requests < 1:
+            raise ValueError(
+                f"max_eval_requests must be >= 1, got {max_eval_requests}"
+            )
         self.step = step
         self.max_eval_requests = max_eval_requests
         #: per-file stripe decisions of the last build
@@ -71,40 +81,42 @@ class AALScheme(Scheme):
             beta_sw=0.0,
         )
 
-    def stripe_for(self, spec: ClusterSpec, trace: Trace) -> int:
+    def stripe_for(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> int:
         """The cost-minimizing uniform stripe for one file's trace."""
-        if len(trace) == 0:
+        columns = as_columnar_trace(trace)
+        if len(columns) == 0:
             return DEFAULT_STRIPE
         params = self._homogeneous_params(spec)
-        burst_map = burst_ids_of(trace)
-        offsets = np.array([r.offset for r in trace], dtype=np.int64)
-        lengths = np.array([r.size for r in trace], dtype=np.int64)
-        is_read = np.array([r.op == "read" for r in trace], dtype=bool)
-        bursts = np.array([burst_map[r] for r in trace], dtype=np.int64)
-        if len(trace) > self.max_eval_requests:
+        data = columns.data
+        offsets = data["offset"]
+        lengths = data["size"]
+        is_read = data["op"] == OP_NAMES.index("read")
+        bursts = burst_ids_columnar(columns)
+        if len(columns) > self.max_eval_requests:
             rng = derive_rng(SeedDomain.SAMPLE, base=DEFAULT_SAMPLE_SEED)
-            pick = rng.choice(len(trace), size=self.max_eval_requests, replace=False)
+            pick = rng.choice(len(columns), size=self.max_eval_requests, replace=False)
             offsets, lengths, is_read, bursts = (
                 offsets[pick], lengths[pick], is_read[pick], bursts[pick],
             )
         # like HARL, the prior-generation schemes bound their stripe
         # search by the average request size (§III-F)
-        best_stripe, best_cost = DEFAULT_STRIPE, np.inf
         upper = max(self.step, int(lengths.mean()))
-        for stripe in range(self.step, upper + self.step, self.step):
-            cost = burst_costs(
-                params, offsets, lengths, is_read, bursts, stripe, 0
-            ).sum()
-            if cost < best_cost:
-                best_cost, best_stripe = cost, stripe
-        return best_stripe
+        stripes = np.arange(self.step, upper + self.step, self.step, dtype=np.int64)
+        costs = np.empty(stripes.shape[0], dtype=np.float64)
+        for chunk in grid_chunks(stripes.shape[0], offsets.shape[0], params):
+            h_arr = stripes[chunk]
+            costs[chunk] = burst_costs_grid(
+                params, offsets, lengths, is_read, bursts, h_arr, np.zeros_like(h_arr)
+            ).sum(axis=1)
+        # first minimum, like a strict-< scan in candidate order
+        return int(stripes[np.argmin(costs)])
 
-    def build(self, spec: ClusterSpec, trace: Trace) -> LayoutView:
+    def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:
+        columns = as_columnar_trace(trace)
         layouts = {}
         self.decisions = {}
-        for file in trace.files():
-            sub = trace.for_file(file)
-            stripe = self.stripe_for(spec, sub)
+        for file, indices in columns.file_partition().items():
+            stripe = self.stripe_for(spec, columns.take(indices))
             self.decisions[file] = stripe
             layouts[file] = FixedStripeLayout(spec.server_ids, stripe, obj=file)
         default = FixedStripeLayout(spec.server_ids, DEFAULT_STRIPE, obj="file")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..core.determinator import DEFAULT_STEP, region_search_task
+from ..core.determinator import DEFAULT_STEP, RegionSearchTask, region_search_task
 from ..core.parallel import parallel_map
 from ..core.params import CostModelParams
 from ..core.rst import StripePair
@@ -30,7 +30,12 @@ from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
 from ..layouts.region import Region, RegionLayout
 from ..layouts.varied import VariedStripeLayout
-from ..tracing.analysis import burst_ids_of, concurrency_of
+from ..tracing.columnar import (
+    OP_NAMES,
+    ColumnarTrace,
+    as_columnar_trace,
+    concurrency_and_burst_ids,
+)
 from ..tracing.record import Trace
 from ..units import KiB
 from .base import LayoutView, Scheme
@@ -55,6 +60,10 @@ class HARLScheme(Scheme):
     ) -> None:
         if num_regions <= 0:
             raise ValueError(f"num_regions must be >= 1, got {num_regions}")
+        if max_eval_requests < 1:
+            raise ValueError(
+                f"max_eval_requests must be >= 1, got {max_eval_requests}"
+            )
         self.num_regions = num_regions
         self.step = step
         self.max_eval_requests = max_eval_requests
@@ -86,71 +95,53 @@ class HARLScheme(Scheme):
         bounds.append((start, max(extent_end, start + size)))
         return bounds
 
-    def _region_task(
-        self,
-        params: CostModelParams,
-        trace: Trace,
-        conc_map: dict,
-        burst_map: dict,
-        start: int,
-        end: int,
-    ) -> tuple | None:
-        """One region's search task, or ``None`` for an untouched region."""
-        # requests clipped to the region, in region-local coordinates
-        offsets, lengths, is_read, conc, bursts = [], [], [], [], []
-        for idx, record in enumerate(trace):
-            lo = max(record.offset, start)
-            hi = min(record.end, end)
-            if lo < hi:
-                offsets.append(lo - start)
-                lengths.append(hi - lo)
-                is_read.append(record.op == "read")
-                conc.append(conc_map.get(record, 1))
-                bursts.append(burst_map.get(record, -(idx + 1)))
-        if not offsets:
-            return None
-        return (
-            params,
-            np.array(offsets, dtype=np.int64),
-            np.array(lengths, dtype=np.int64),
-            np.array(is_read, dtype=bool),
-            np.array(conc, dtype=np.int64),
-            np.array(bursts, dtype=np.int64),
-            dict(
-                step=self.step,
-                bound_policy="average",
-                max_eval_requests=self.max_eval_requests,
-                seed=self.seed,
-                engine=self.engine,
-            ),
-        )
-
-    def build(self, spec: ClusterSpec, trace: Trace) -> LayoutView:
+    def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:
         params = CostModelParams.from_cluster(spec)
+        search_kwargs = dict(
+            step=self.step,
+            bound_policy="average",
+            max_eval_requests=self.max_eval_requests,
+            seed=self.seed,
+            engine=self.engine,
+        )
         self.decisions: dict[str, StripePair] = {}
         # phase 1: clip requests into regions, collecting one search
         # task per touched region across every file
+        columns = as_columnar_trace(trace)
         file_regions: dict[str, list[tuple[int, int, str, int | None]]] = {}
-        tasks: list[tuple] = []
+        tasks: list[RegionSearchTask] = []
         labels: list[str] = []
-        for file in trace.files():
-            sub = trace.for_file(file).sorted_by_offset()
-            conc_map = concurrency_of(sub)
-            burst_map = burst_ids_of(sub)
+        for file, indices in columns.file_partition().items():
+            sub = columns.take(indices).sorted_by_offset()
+            conc, bursts = concurrency_and_burst_ids(sub)
+            data = sub.data
+            offsets = data["offset"]
+            ends = offsets + data["size"]
+            is_read = data["op"] == OP_NAMES.index("read")
             _, extent_end = sub.extent()
             bounds = self._region_bounds(extent_end, sub.max_size())
             entries: list[tuple[int, int, str, int | None]] = []
             for idx, (start, end) in enumerate(bounds):
                 obj = f"{file}/r{idx}"
-                task = self._region_task(
-                    params, sub, conc_map, burst_map, start, end
-                )
-                if task is None:
+                # requests clipped to the region, in region-local
+                # coordinates; an untouched region gets no search
+                lo = np.maximum(offsets, start)
+                hi = np.minimum(ends, end)
+                inside = lo < hi
+                if not inside.any():
                     entries.append((start, end, obj, None))
-                else:
-                    entries.append((start, end, obj, len(tasks)))
-                    tasks.append(task)
-                    labels.append(obj)
+                    continue
+                entries.append((start, end, obj, len(tasks)))
+                tasks.append((
+                    params,
+                    lo[inside] - start,
+                    hi[inside] - lo[inside],
+                    is_read[inside],
+                    conc[inside],
+                    bursts[inside],
+                    search_kwargs,
+                ))
+                labels.append(obj)
             file_regions[file] = entries
 
         # phase 2: all region searches are independent — run them on

@@ -158,6 +158,16 @@ class TestDetermineStripes:
                 np.array([1]),
             )
 
+    @pytest.mark.parametrize("bursts", [None, np.arange(4)])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_max_eval_requests_rejected(self, params, bursts, bad):
+        offsets, lengths, is_read, conc = uniform_requests(64 * KiB, count=4)
+        with pytest.raises(ConfigurationError, match="max_eval_requests"):
+            determine_stripes(
+                params, offsets, lengths, is_read, conc,
+                burst_ids=bursts, max_eval_requests=bad,
+            )
+
     def test_mismatched_burst_ids_rejected(self, params):
         offsets, lengths, is_read, conc = uniform_requests(64 * KiB, count=4)
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,8 @@
 """The executor layer: job resolution, order preservation, fallbacks
 and error context propagation."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,14 @@ class TestParallelMap:
     def test_process_pool_preserves_order(self):
         items = list(range(20))
         assert parallel_map(square, items, n_jobs=2) == [x * x for x in items]
+
+    def test_pool_workers_joined_on_success(self):
+        before = set(multiprocessing.active_children())
+        assert parallel_map(square, list(range(8)), n_jobs=2) == [
+            x * x for x in range(8)
+        ]
+        # the workers exited before parallel_map returned
+        assert set(multiprocessing.active_children()) <= before
 
     def test_empty_items(self):
         assert parallel_map(square, [], n_jobs=4) == []

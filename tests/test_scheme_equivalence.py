@@ -1,0 +1,220 @@
+"""AAL's grid stripe search and HARL's columnar region clipping equal
+their per-record reference implementations.
+
+The references score one AAL candidate stripe at a time with the
+scalar ``burst_costs`` over per-record arrays, and clip HARL's regions
+record by record with the record-path burst and concurrency maps.
+Decisions, and HARL's shipped search tasks, must match with ``==``.
+"""
+
+from functools import partial
+
+import numpy as np
+import pytest
+
+import repro.core.determinator as determinator
+import repro.schemes.harl as harl
+from repro.cluster import ClusterSpec
+from repro.config import DEFAULT_SAMPLE_SEED
+from repro.core.cost_model import burst_costs
+from repro.core.determinator import region_search_task
+from repro.core.parallel import parallel_map
+from repro.core.params import CostModelParams
+from repro.core.rst import StripePair
+from repro.determinism import SeedDomain, derive_rng
+from repro.layouts.varied import VariedStripeLayout
+from repro.schemes import AALScheme, HARLScheme
+from repro.schemes.default import DEFAULT_STRIPE
+from repro.tracing import Trace
+from repro.tracing.analysis import burst_ids_of, concurrency_of
+from repro.tracing.columnar import ColumnarTrace
+from repro.units import KiB, MiB
+from repro.workloads import IORWorkload
+
+
+def aal_reference_stripe(scheme, spec, trace):
+    """AAL's former stripe search: one scalar cost call per candidate."""
+    if len(trace) == 0:
+        return DEFAULT_STRIPE
+    params = scheme._homogeneous_params(spec)
+    burst_map = burst_ids_of(trace)
+    offsets = np.array([r.offset for r in trace], dtype=np.int64)
+    lengths = np.array([r.size for r in trace], dtype=np.int64)
+    is_read = np.array([r.op == "read" for r in trace], dtype=bool)
+    bursts = np.array([burst_map[r] for r in trace], dtype=np.int64)
+    if len(trace) > scheme.max_eval_requests:
+        rng = derive_rng(SeedDomain.SAMPLE, base=DEFAULT_SAMPLE_SEED)
+        pick = rng.choice(len(trace), size=scheme.max_eval_requests, replace=False)
+        offsets, lengths, is_read, bursts = (
+            offsets[pick], lengths[pick], is_read[pick], bursts[pick],
+        )
+    best_stripe, best_cost = DEFAULT_STRIPE, np.inf
+    upper = max(scheme.step, int(lengths.mean()))
+    for stripe in range(scheme.step, upper + scheme.step, scheme.step):
+        cost = burst_costs(params, offsets, lengths, is_read, bursts, stripe, 0).sum()
+        if cost < best_cost:
+            best_cost, best_stripe = cost, stripe
+    return best_stripe
+
+
+def harl_reference_tasks(scheme, spec, trace):
+    """HARL's former phase 1: ``(label, task)`` per touched region, the
+    requests clipped record by record."""
+    params = CostModelParams.from_cluster(spec)
+    tasks = []
+    for file in trace.files():
+        sub = trace.for_file(file).sorted_by_offset()
+        conc_map = concurrency_of(sub)
+        burst_map = burst_ids_of(sub)
+        _, extent_end = sub.extent()
+        bounds = scheme._region_bounds(extent_end, sub.max_size())
+        for idx, (start, end) in enumerate(bounds):
+            offsets, lengths, is_read, conc, bursts = [], [], [], [], []
+            for i, record in enumerate(sub):
+                lo = max(record.offset, start)
+                hi = min(record.end, end)
+                if lo < hi:
+                    offsets.append(lo - start)
+                    lengths.append(hi - lo)
+                    is_read.append(record.op == "read")
+                    conc.append(conc_map.get(record, 1))
+                    bursts.append(burst_map.get(record, -(i + 1)))
+            if not offsets:
+                continue
+            tasks.append((
+                f"{file}/r{idx}",
+                (
+                    params,
+                    np.array(offsets, dtype=np.int64),
+                    np.array(lengths, dtype=np.int64),
+                    np.array(is_read, dtype=bool),
+                    np.array(conc, dtype=np.int64),
+                    np.array(bursts, dtype=np.int64),
+                    dict(
+                        step=scheme.step,
+                        bound_policy="average",
+                        max_eval_requests=scheme.max_eval_requests,
+                        seed=scheme.seed,
+                        engine=scheme.engine,
+                    ),
+                ),
+            ))
+    return tasks
+
+
+def harl_reference_decisions(scheme, spec, trace):
+    """HARL's former decisions: one serial search per reference task."""
+    decisions = {}
+    for label, task in harl_reference_tasks(scheme, spec, trace):
+        pair = region_search_task(task).pair
+        layout = VariedStripeLayout(spec.hserver_ids, spec.sserver_ids, pair.h, pair.s)
+        decisions[label] = StripePair(layout.h, layout.s)
+    return decisions
+
+
+@pytest.fixture
+def spec():
+    return ClusterSpec()
+
+
+def ior_trace(op="write", file="ior.dat", seed=1, sizes=(32 * KiB, 128 * KiB)):
+    return IORWorkload(
+        num_processes=8,
+        request_sizes=list(sizes),
+        total_size=8 * MiB,
+        seed=seed,
+        file=file,
+    ).trace(op)
+
+
+def multi_file_trace():
+    """Two files, a write pass and a read pass, five records duplicated."""
+    a = ior_trace("write", file="a.dat", seed=1)
+    b = ior_trace("read", file="b.dat", seed=2, sizes=(16 * KiB, 256 * KiB))
+    records = list(a) + list(b) + list(b)[:5]
+    return Trace(records)
+
+
+class TestAALGridSearch:
+    def test_single_file_ior(self, spec):
+        trace = ior_trace()
+        scheme = AALScheme()
+        assert scheme.stripe_for(spec, trace) == aal_reference_stripe(
+            scheme, spec, trace
+        )
+
+    def test_sampling_path(self, spec):
+        trace = ior_trace(sizes=(16 * KiB, 48 * KiB, 96 * KiB))
+        scheme = AALScheme(max_eval_requests=64)
+        assert len(trace) > scheme.max_eval_requests
+        assert scheme.stripe_for(spec, trace) == aal_reference_stripe(
+            scheme, spec, trace
+        )
+
+    def test_multi_file_trace(self, spec):
+        trace = multi_file_trace()
+        scheme = AALScheme()
+        assert scheme.stripe_for(spec, trace) == aal_reference_stripe(
+            scheme, spec, trace
+        )
+        scheme.build(spec, trace)
+        assert scheme.decisions == {
+            file: aal_reference_stripe(scheme, spec, trace.for_file(file))
+            for file in trace.files()
+        }
+
+    # the trace has 51 requests on 8 servers and 40 candidate stripes:
+    # one candidate per chunk, then three per chunk with a ragged tail
+    @pytest.mark.parametrize("budget", [1, 3 * 51 * 8])
+    def test_candidates_split_across_chunks(self, spec, monkeypatch, budget):
+        trace = ior_trace(sizes=(64 * KiB, 256 * KiB))
+        scheme = AALScheme()
+        expected = aal_reference_stripe(scheme, spec, trace)
+        monkeypatch.setattr(determinator, "GRID_CHUNK_ELEMS", budget)
+        assert scheme.stripe_for(spec, trace) == expected
+
+
+class TestHARLColumnarClipping:
+    @pytest.mark.parametrize("make_trace", [ior_trace, multi_file_trace])
+    def test_decisions_match_record_clipping(self, spec, make_trace):
+        trace = make_trace()
+        scheme = HARLScheme(n_jobs=1)
+        scheme.build(spec, trace)
+        assert scheme.decisions == harl_reference_decisions(scheme, spec, trace)
+
+    @pytest.mark.parametrize("make_trace", [ior_trace, multi_file_trace])
+    def test_tasks_match_record_clipping(self, spec, monkeypatch, make_trace):
+        trace = make_trace()
+        scheme = HARLScheme(n_jobs=1)
+        shipped = []
+
+        def recording_map(fn, tasks, **kwargs):
+            shipped.extend(zip(kwargs["labels"], tasks))
+            return parallel_map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(harl, "parallel_map", recording_map)
+        scheme.build(spec, trace)
+        expected = harl_reference_tasks(scheme, spec, trace)
+        assert [label for label, _ in shipped] == [label for label, _ in expected]
+        for (_, got), (_, want) in zip(shipped, expected):
+            assert got[0] == want[0] and got[6] == want[6]
+            for a, b in zip(got[1:6], want[1:6]):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    def test_sampled_regions_match(self, spec):
+        trace = ior_trace(sizes=(16 * KiB, 48 * KiB))
+        scheme = HARLScheme(n_jobs=1, max_eval_requests=8)
+        scheme.build(spec, trace)
+        assert scheme.decisions == harl_reference_decisions(scheme, spec, trace)
+
+
+class TestTraceRepresentations:
+    @pytest.mark.parametrize("make_scheme", [AALScheme, partial(HARLScheme, n_jobs=1)])
+    def test_record_and_columnar_inputs_agree(self, spec, make_scheme):
+        trace = multi_file_trace()
+        from_records, from_columns = make_scheme(), make_scheme()
+        from_records.build(spec, trace)
+        from_columns.build(spec, ColumnarTrace.from_trace(trace))
+        assert from_records.decisions == from_columns.decisions
+        assert from_records.decisions

@@ -93,6 +93,11 @@ class TestAAL:
 
         assert AALScheme().stripe_for(spec, Trace([])) == 64 * KiB
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_invalid_max_eval_requests(self, bad):
+        with pytest.raises(ValueError, match="max_eval_requests"):
+            AALScheme(max_eval_requests=bad)
+
 
 class TestHARL:
     def test_regions_cover_file(self, spec, trace):
@@ -118,6 +123,11 @@ class TestHARL:
     def test_invalid_num_regions(self):
         with pytest.raises(ValueError):
             HARLScheme(num_regions=0)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_invalid_max_eval_requests(self, bad):
+        with pytest.raises(ValueError, match="max_eval_requests"):
+            HARLScheme(max_eval_requests=bad)
 
 
 class TestMHA:
