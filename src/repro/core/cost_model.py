@@ -47,11 +47,7 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..devices.base import READ, WRITE
-from ..layouts.extents import (
-    max_server_bytes_grid,
-    per_server_bytes_batch,
-    per_server_bytes_grid,
-)
+from ..layouts.extents import max_server_bytes_grid, per_server_bytes_batch
 from .params import CostModelParams
 
 __all__ = [
@@ -61,7 +57,25 @@ __all__ = [
     "burst_costs",
     "batch_costs_grid",
     "burst_costs_grid",
+    "grid_chunks",
 ]
+
+#: cap on the elements of one ``(K, block)`` grid-kernel temporary.  The
+#: candidate axis is cut into blocks of ``GRID_CHUNK_ELEMS // K``
+#: candidates so that one int64 temporary (256 KiB) stays in cache.
+GRID_CHUNK_ELEMS = 32 * 1024
+
+
+def grid_chunks(n_candidates: int, n_eval: int) -> list[slice]:
+    """Slices of a grid search's candidate axis, in candidate order.
+
+    Each slice holds few enough candidates that one ``(n_eval, chunk)``
+    temporary of the grid kernels stays within :data:`GRID_CHUNK_ELEMS`
+    elements.  Chunking cannot change a result: every candidate's costs
+    are computed independently of its neighbours.
+    """
+    chunk = max(1, GRID_CHUNK_ELEMS // max(1, n_eval))
+    return [slice(lo, lo + chunk) for lo in range(0, n_candidates, chunk)]
 
 
 def _effective_stripes(params: CostModelParams, h: int, s: int) -> tuple[int, int]:
@@ -269,8 +283,8 @@ def batch_costs_grid(
     broadcast axis, so the vectorized RSSD search selects exactly the
     pair the scalar search would.
 
-    Memory is ``O(G * K * (M + N))`` floats; callers evaluating large
-    grids should chunk over the candidate axis (the determinator does).
+    Memory is ``O(G * K)`` floats; callers evaluating large grids chunk
+    the candidate axis with :func:`grid_chunks` (the determinator does).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -360,26 +374,36 @@ def burst_costs_grid(
     h_arr: np.ndarray,
     s_arr: np.ndarray,
 ) -> np.ndarray:
-    """:func:`burst_costs` broadcast over ``G`` candidate pairs at once.
+    """:func:`burst_costs` evaluated for ``G`` candidate pairs at once.
 
     Returns shape ``(G, B)`` — row ``g`` is bit-identical to
-    ``burst_costs(params, ..., h_arr[g], s_arr[g])``.  The scalar
-    path's ``np.add.at`` scatter becomes a stable sort by burst id plus
-    ``np.add.reduceat`` along the request axis: within a burst the
-    requests keep their original order, and both primitives accumulate
-    strictly left to right, so the per-server sums are the same floats.
+    ``burst_costs(params, ..., h_arr[g], s_arr[g])``.
 
-    Memory is ``O(G * K * (M + N))``; chunk over candidates for large
-    grids.
+    The kernel streams.  It groups the requests by burst id once (a
+    stable sort, so within a burst the requests keep their order) and
+    cuts the candidate axis with :func:`grid_chunks`.  For each block it
+    handles one server at a time: that server's ``(K, block)`` byte
+    counts are reduced to per-burst loads and start counts with the
+    same ``np.add.reduceat(..., axis=0)`` that :func:`burst_costs`
+    applies to its ``(K, M)`` counts, and folded into a running
+    per-burst maximum.  ``reduceat`` sums each column of a segment in
+    an order fixed by the segment alone, whatever the number of
+    columns, and ``max`` is exact, so the server-by-server fold gives
+    the scalar path's floats.
+
+    Memory is ``O(K * block + G * B)``: no ``(G, K, M + N)`` tensor
+    exists, so callers pass their whole candidate grid in one call.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    # a non-positive length maps no byte, like the scalar path's zeroed rows
+    lengths = np.maximum(np.asarray(lengths, dtype=np.int64), 0)
     is_read = np.asarray(is_read, dtype=bool)
     burst_ids = np.asarray(burst_ids)
     h_arr = np.asarray(h_arr, dtype=np.int64)
     s_arr = np.asarray(s_arr, dtype=np.int64)
-    h_eff = h_arr if params.M > 0 else np.zeros_like(h_arr)
-    s_eff = s_arr if params.N > 0 else np.zeros_like(s_arr)
+    # an absent server class contributes nothing to the cycle and is
+    # never looped over, so its stripes need no zeroing
+    M, N = params.M, params.N
 
     _, inverse = np.unique(burst_ids, return_inverse=True)
     G = h_arr.shape[0]
@@ -388,40 +412,58 @@ def burst_costs_grid(
     if G == 0 or B == 0:
         return worst
 
-    # the determinator pre-sorts its requests by burst id, so the
-    # gather is usually a no-op; detect that and skip the large copies
-    if np.all(inverse[:-1] <= inverse[1:]):
-        sorted_already = True
-        sorted_inverse = inverse
-    else:
-        sorted_already = False
+    # the determinator pre-sorts its requests by burst id, so this
+    # gather is usually skipped
+    if not np.all(inverse[:-1] <= inverse[1:]):
         order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
+        inverse, offsets, lengths, is_read = (
+            inverse[order], offsets[order], lengths[order], is_read[order],
+        )
     # np.unique guarantees every id in [0, B) occurs, so each segment
     # start exists and reduceat sees B non-empty segments
-    seg_starts = np.searchsorted(sorted_inverse, np.arange(B))
-    h_bytes, s_bytes = per_server_bytes_grid(
-        offsets, lengths, params.M, params.N, h_eff, s_eff
-    )
+    seg_starts = np.searchsorted(inverse, np.arange(B))
+    K = offsets.shape[0]
+    ends = (offsets + lengths)[:, None]
+    starts = offsets[:, None]
     lam = params.net_latency
+    h_load = params.t + params.beta_h
+    h_startup = params.alpha_h + lam
+    s_load = (params.t + np.where(is_read, params.beta_sr, params.beta_sw))[:, None]
+    s_startup = (np.where(is_read, params.alpha_sr, params.alpha_sw) + lam)[:, None]
 
-    def segment_sum(vals: np.ndarray) -> np.ndarray:
-        if not sorted_already:
-            vals = vals[:, order, :]
-        return np.add.reduceat(vals, seg_starts, axis=1)
+    for chunk in grid_chunks(G, K):
+        h_w = h_arr[chunk][None, :]  # (1, block)
+        s_w = s_arr[chunk][None, :]
+        cycle = M * h_w + N * s_w
+        # dead candidates (cycle == 0) have zero-width windows on every
+        # server, so any positive stand-in cycle leaves their bytes at 0
+        cyc = np.where(cycle > 0, cycle, 1)
+        full_e, rem_e = np.divmod(ends, cyc)  # (K, block)
+        full_o, rem_o = np.divmod(starts, cyc)
+        cycles = full_e - full_o
 
-    if params.M > 0:
-        loads = segment_sum(h_bytes * (params.t + params.beta_h))
-        counts = segment_sum((h_bytes > 0).astype(np.float64))
-        t_h = counts * (params.alpha_h + lam) + loads
-        worst = np.maximum(worst, t_h.max(axis=2))
-    if params.N > 0:
-        beta = np.where(is_read, params.beta_sr, params.beta_sw)[:, None]
-        alpha = np.where(is_read, params.alpha_sr, params.alpha_sw)[:, None]
-        loads = segment_sum(s_bytes * (params.t + beta[None, :, :]))
-        starts = segment_sum((s_bytes > 0) * (alpha + lam)[None, :, :])
-        t_s = starts + loads
-        worst = np.maximum(worst, t_s.max(axis=2))
+        def server_bytes(start: np.ndarray, width: np.ndarray) -> np.ndarray:
+            """``(K, block)`` bytes in the window ``[start, start + width)``."""
+            return (
+                cycles * width
+                + np.clip(rem_e - start, 0, width)
+                - np.clip(rem_o - start, 0, width)
+            )
+
+        block_worst = np.zeros((B, h_w.shape[1]), dtype=np.float64)
+        for i in range(M):
+            nbytes = server_bytes(i * h_w, h_w)
+            loads = np.add.reduceat(nbytes * h_load, seg_starts, axis=0)
+            counts = np.add.reduceat(
+                (nbytes > 0).astype(np.float64), seg_starts, axis=0
+            )
+            np.maximum(block_worst, counts * h_startup + loads, out=block_worst)
+        for j in range(N):
+            nbytes = server_bytes(M * h_w + j * s_w, s_w)
+            loads = np.add.reduceat(nbytes * s_load, seg_starts, axis=0)
+            startups = np.add.reduceat((nbytes > 0) * s_startup, seg_starts, axis=0)
+            np.maximum(block_worst, startups + loads, out=block_worst)
+        worst[chunk] = block_worst.T
     return worst
 
 

@@ -34,14 +34,19 @@ import numpy as np
 from ..config import DEFAULT_SAMPLE_SEED
 from ..exceptions import ConfigurationError
 from ..units import KiB
-from .cost_model import batch_costs, batch_costs_grid, burst_costs, burst_costs_grid
+from .cost_model import (
+    batch_costs,
+    batch_costs_grid,
+    burst_costs,
+    burst_costs_grid,
+    grid_chunks,
+)
 from .params import CostModelParams
 from .rst import StripePair
 
 __all__ = [
     "StripeDecision",
     "determine_stripes",
-    "grid_chunks",
     "search_bounds",
     "region_search_task",
     "RegionSearchTask",
@@ -62,10 +67,6 @@ RegionSearchTask = tuple[
 #: Algorithm 2's default step (user-configurable)
 DEFAULT_STEP = 4 * KiB
 
-#: soft cap on the number of float64 elements a single grid-engine
-#: temporary may hold (``chunk * K * (M + N)``); the candidate axis is
-#: chunked to stay under it.  8 Mi elements ~ 64 MB of float64.
-GRID_CHUNK_ELEMS = 8 * 1024 * 1024
 #: per-server unit of Algorithm 2's bound threshold (line 3).  The
 #: paper uses the PFS default stripe, 64 KB; our calibrated cluster
 #: model has a higher startup share per sub-request, which moves the
@@ -148,19 +149,6 @@ def _dedupe(
     )
 
 
-def grid_chunks(
-    n_candidates: int, n_eval: int, params: CostModelParams
-) -> list[slice]:
-    """Slices of a grid search's candidate axis, in candidate order.
-
-    Each slice holds few enough candidates that the grid engine's
-    ``(chunk, n_eval, M + N)`` cost-model temporaries stay within
-    :data:`GRID_CHUNK_ELEMS`.
-    """
-    chunk = max(1, GRID_CHUNK_ELEMS // max(1, n_eval * (params.M + params.N)))
-    return [slice(lo, lo + chunk) for lo in range(0, n_candidates, chunk)]
-
-
 def determine_stripes(
     params: CostModelParams,
     offsets: np.ndarray,
@@ -213,9 +201,11 @@ def determine_stripes(
     paper leaves to the user (§III-F).
 
     ``engine`` selects the search implementation: ``"grid"`` (default)
-    evaluates the whole ``<h, s>`` candidate grid in a few chunked
-    numpy broadcasts (:func:`repro.core.cost_model.batch_costs_grid` /
-    :func:`~repro.core.cost_model.burst_costs_grid`), while
+    evaluates the whole ``<h, s>`` candidate grid at once — one
+    :func:`~repro.core.cost_model.burst_costs_grid` call, which blocks
+    the candidate axis itself, or a loop of
+    :func:`repro.core.cost_model.batch_costs_grid` calls over
+    :func:`~repro.core.cost_model.grid_chunks` — while
     ``"scalar"`` is the literal Algorithm 2 loop evaluating one
     candidate at a time.  Both walk the identical candidate sequence
     and produce bit-identical costs, so they return the same winning
@@ -261,8 +251,8 @@ def determine_stripes(
             weight_scale = uniq.size / max_eval_requests
 
         # group requests by burst id up front (stable, so within-burst
-        # order — and therefore accumulation order — is preserved);
-        # every per-candidate evaluation then skips the gather step
+        # order — and therefore accumulation order — is preserved); the
+        # scalar engine's per-candidate evaluations then skip the gather
         if not np.all(burst_ids[:-1] <= burst_ids[1:]):
             order = np.argsort(burst_ids, kind="stable")
             offsets, lengths, is_read, burst_ids = (
@@ -281,8 +271,6 @@ def determine_stripes(
             )
             return per_burst.sum(axis=1) * weight_scale
 
-        n_eval = offsets.shape[0]
-
     else:
         offs, lens, reads, conc, weights = _dedupe(
             offsets, lengths, is_read, concurrency
@@ -300,10 +288,13 @@ def determine_stripes(
             return _weighted_cost(params, offs, lens, reads, conc, weights, h, s)
 
         def evaluate_grid(h_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
-            costs = batch_costs_grid(params, offs, lens, reads, conc, h_arr, s_arr)
-            return (costs * weights).sum(axis=1)
-
-        n_eval = offs.shape[0]
+            costs = np.empty(h_arr.shape[0], dtype=np.float64)
+            for chunk in grid_chunks(h_arr.shape[0], offs.shape[0]):
+                per_request = batch_costs_grid(
+                    params, offs, lens, reads, conc, h_arr[chunk], s_arr[chunk]
+                )
+                costs[chunk] = (per_request * weights).sum(axis=1)
+            return costs
 
     best_pair: StripePair | None = None
     best_cost = np.inf
@@ -337,9 +328,7 @@ def determine_stripes(
     if pairs and engine == "grid":
         h_arr = np.array([p[0] for p in pairs], dtype=np.int64)
         s_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-        costs = np.empty(len(pairs), dtype=np.float64)
-        for chunk in grid_chunks(len(pairs), n_eval, params):
-            costs[chunk] = evaluate_grid(h_arr[chunk], s_arr[chunk])
+        costs = evaluate_grid(h_arr, s_arr)
         idx = int(np.argmin(costs))  # first minimum, like the loop's strict <
         best_cost = float(costs[idx])
         best_pair = StripePair(*pairs[idx])

@@ -9,9 +9,12 @@ reproduces those properties:
 * an in-memory hash table for lookups;
 * an append-only on-disk log, flushed + fsynced per mutation when
   ``sync=True`` (the paper's durability mode);
-* crash recovery by log replay on open, tolerating a torn final record;
+* crash recovery by log replay on open, tolerating a torn final record
+  (the torn bytes are cut off before the next append);
 * explicit :meth:`compact` to rewrite the log without superseded
-  entries.
+  entries;
+* in the durability mode, the directory fsynced after the log is
+  created or renamed, so a power failure cannot undo either.
 
 Keys and values are ``bytes``; higher layers (``repro.core.drt`` /
 ``rst``) define the encodings.
@@ -53,15 +56,23 @@ class HashDB:
     def _open(self) -> None:
         exists = self.path.exists()
         if exists:
-            self._replay()
+            intact = self._replay()
             self._fh = open(self.path, "ab")
+            if intact < self.path.stat().st_size:
+                # replay stops at a torn or corrupt record, so an append
+                # behind it would be lost at the next open
+                self._fh.truncate(intact)
+                self._flush()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "ab")
             self._fh.write(_MAGIC)
             self._flush()
+            self._sync_dir()
 
-    def _replay(self) -> None:
+    def _replay(self) -> int:
+        """Load the table from the log; return the end of its last
+        intact record."""
         data = self.path.read_bytes()
         if len(data) < len(_MAGIC) or data[: len(_MAGIC)] != _MAGIC:
             raise KVStoreError(f"{self.path}: not a HashDB file")
@@ -85,6 +96,7 @@ class HashDB:
                 table[key] = body[keylen:]
             pos = end
         self._table = table
+        return pos
 
     def close(self) -> None:
         """Flush and close the log file; further mutation raises."""
@@ -120,6 +132,21 @@ class HashDB:
         if self.sync:
             os.fsync(self._fh.fileno())
 
+    def _sync_dir(self) -> None:
+        """Make the log's directory entry durable.
+
+        A new log's name and compaction's rename live in the directory;
+        until it is fsynced, a power failure can undo them and with them
+        every later fsynced append.
+        """
+        if not self.sync:
+            return
+        fd = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``; durable before returning."""
         if not isinstance(key, bytes) or not isinstance(value, bytes):
@@ -154,6 +181,7 @@ class HashDB:
             os.fsync(out.fileno())
         self._fh.close()
         os.replace(tmp, self.path)
+        self._sync_dir()
         self._fh = open(self.path, "ab")
 
     # -- mapping protocol ----------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "windows_touched",
     "per_server_bytes",
     "per_server_bytes_batch",
-    "per_server_bytes_grid",
     "max_server_bytes_grid",
 ]
 
@@ -142,83 +141,6 @@ def per_server_bytes_batch(
 
 @twin_of(
     "repro.layouts.extents:per_server_bytes_batch",
-    param_map={"h": "h_arr", "s": "s_arr"},
-    harness="extents_grid",
-)
-def per_server_bytes_grid(
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    M: int,
-    N: int,
-    h_arr: np.ndarray,
-    s_arr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`per_server_bytes_batch` broadcast over a *grid* of candidates.
-
-    ``h_arr`` and ``s_arr`` are equal-shape 1-D integer arrays of ``G``
-    candidate stripe pairs; the result is ``(h_bytes, s_bytes)`` with
-    shapes ``(G, K, M)`` and ``(G, K, N)``.  This is the kernel of the
-    vectorized RSSD search: the whole candidate grid is mapped in one
-    numpy evaluation instead of one :func:`per_server_bytes_batch` call
-    per pair.  All arithmetic is int64 and identical per element to the
-    scalar-candidate path, so byte counts are exactly equal.
-
-    Callers are expected to chunk over ``G`` — the temporaries are
-    ``O(G * K * (M + N))``.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    h_arr = np.asarray(h_arr, dtype=np.int64)
-    s_arr = np.asarray(s_arr, dtype=np.int64)
-    if offsets.shape != lengths.shape or offsets.ndim != 1:
-        raise ValueError("offsets and lengths must be equal-shape 1-D arrays")
-    if h_arr.shape != s_arr.shape or h_arr.ndim != 1:
-        raise ValueError("h_arr and s_arr must be equal-shape 1-D arrays")
-    G, K = h_arr.shape[0], offsets.shape[0]
-    h_eff = h_arr if M > 0 else np.zeros_like(h_arr)
-    s_eff = s_arr if N > 0 else np.zeros_like(s_arr)
-    cycle = M * h_eff + N * s_eff  # (G,)
-    h_bytes = np.zeros((G, K, M), dtype=np.int64)
-    s_bytes = np.zeros((G, K, N), dtype=np.int64)
-    if G == 0 or K == 0 or not (cycle > 0).any():
-        return h_bytes, s_bytes
-
-    # dead candidates (cycle == 0) have zero-width windows everywhere,
-    # so any positive stand-in cycle leaves their byte counts at 0
-    cyc = np.where(cycle > 0, cycle, 1)[:, None]  # (G, 1)
-    # the stripe-cycle decomposition of both extent endpoints is shared
-    # by every server, so hoist it out of the per-server loops
-    full_e, rem_e = np.divmod((offsets + lengths)[None, :], cyc)  # (G, K)
-    full_o, rem_o = np.divmod(offsets[None, :], cyc)
-
-    if M > 0:
-        w = h_eff[:, None]
-        base_e = full_e * w
-        base_o = full_o * w
-        for i in range(M):
-            a = i * w
-            h_bytes[:, :, i] = (base_e + np.clip(rem_e - a, 0, w)) - (
-                base_o + np.clip(rem_o - a, 0, w)
-            )
-    if N > 0:
-        start0 = (M * h_eff)[:, None]
-        w = s_eff[:, None]
-        base_e = full_e * w
-        base_o = full_o * w
-        for j in range(N):
-            a = start0 + j * w
-            s_bytes[:, :, j] = (base_e + np.clip(rem_e - a, 0, w)) - (
-                base_o + np.clip(rem_o - a, 0, w)
-            )
-    empty = lengths <= 0
-    if empty.any():
-        h_bytes[:, empty, :] = 0
-        s_bytes[:, empty, :] = 0
-    return h_bytes, s_bytes
-
-
-@twin_of(
-    "repro.layouts.extents:per_server_bytes_batch",
     kind="reduction",
     param_map={"h": "h_arr", "s": "s_arr"},
     harness="extents_max_grid",
@@ -235,11 +157,11 @@ def max_server_bytes_grid(
 
     Returns ``(h_max, s_max)`` of shape ``(G, K)`` — for each candidate
     pair and request, the byte count of the most-loaded HServer and
-    SServer.  Equal to ``per_server_bytes_grid(...)[0].max(axis=2)``
-    (and ``[1]`` likewise) but fused: the per-server counts are folded
-    into a running maximum, so no ``(G, K, M)`` tensor is ever
-    materialized.  Integer arithmetic throughout — exactly the scalar
-    path's values.
+    SServer.  Row ``g`` equals
+    ``per_server_bytes_batch(..., h_arr[g], s_arr[g])[0].max(axis=1)``
+    (and ``[1]`` likewise), but the per-server counts are folded into a
+    running maximum, so no ``(G, K, M)`` tensor is ever materialized.
+    Integer arithmetic throughout — exactly the scalar path's values.
 
     This is the kernel of the vectorized *batch* cost path, where the
     per-class completion bound only depends on the most-loaded server a

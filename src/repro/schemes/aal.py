@@ -32,7 +32,6 @@ import numpy as np
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_SAMPLE_SEED
 from ..core.cost_model import burst_costs_grid
-from ..core.determinator import grid_chunks
 from ..determinism import SeedDomain, derive_rng
 from ..core.params import CostModelParams
 from ..layouts.fixed import FixedStripeLayout
@@ -102,12 +101,9 @@ class AALScheme(Scheme):
         # search by the average request size (§III-F)
         upper = max(self.step, int(lengths.mean()))
         stripes = np.arange(self.step, upper + self.step, self.step, dtype=np.int64)
-        costs = np.empty(stripes.shape[0], dtype=np.float64)
-        for chunk in grid_chunks(stripes.shape[0], offsets.shape[0], params):
-            h_arr = stripes[chunk]
-            costs[chunk] = burst_costs_grid(
-                params, offsets, lengths, is_read, bursts, h_arr, np.zeros_like(h_arr)
-            ).sum(axis=1)
+        costs = burst_costs_grid(
+            params, offsets, lengths, is_read, bursts, stripes, np.zeros_like(stripes)
+        ).sum(axis=1)
         # first minimum, like a strict-< scan in candidate order
         return int(stripes[np.argmin(costs)])
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import contracts
 from repro.cluster import ClusterSpec
+from repro.core import cost_model
 from repro.core import DRT, DRTEntry, Redirector, StripePair, build_region_layout
 from repro.core.cost_model import (
     batch_costs,
@@ -38,11 +39,7 @@ from repro.faults import (
 from repro.faults.state import CliffState, Scrub, ServerFaultState, Window
 from repro.layouts import FixedStripeLayout
 from repro.layouts.batch import merge_fragments
-from repro.layouts.extents import (
-    max_server_bytes_grid,
-    per_server_bytes_batch,
-    per_server_bytes_grid,
-)
+from repro.layouts.extents import max_server_bytes_grid, per_server_bytes_batch
 from repro.core.features import extract_features, extract_features_columnar
 from repro.core.pipeline import MHAPipeline
 from repro.pfs import HybridPFS, replay_trace
@@ -236,6 +233,23 @@ def _candidate_grid(rng, G=16):
     h = rng.integers(0, 64, G) * 4096
     s = np.maximum(rng.integers(1, 64, G) * 4096, h)
     return h, s
+
+
+def _wide_burst_region(rng):
+    """1-6 bursts of 8-300 mixed read/write requests, ids unsorted.
+
+    Bursts this wide are where a reduction primitive other than the
+    scalar path's would sum the per-burst loads in a different order.
+    """
+    sizes = rng.integers(8, 301, int(rng.integers(1, 7)))
+    K = int(sizes.sum())
+    # sparse, shuffled ids: the kernel must group by id, not by position
+    bursts = np.repeat(rng.permutation(sizes.shape[0]) * 7 + 3, sizes)
+    rng.shuffle(bursts)
+    offsets = rng.integers(0, 1 << 24, K)
+    lengths = rng.integers(1, 1 << 18, K)
+    is_read = rng.random(K) < 0.5
+    return offsets, lengths, is_read, bursts
 
 
 # ------------------------------------------------------------- columnar trace
@@ -752,27 +766,6 @@ def _layout_view_runs(contract):
 # ---------------------------------------------------------------- array kernels
 
 
-@harness("extents_grid")
-def _extents_grid(contract):
-    @given(seed=_seeds, which=st.integers(min_value=0, max_value=len(SPECS) - 1))
-    @settings(max_examples=15, deadline=None)
-    def test(seed, which):
-        spec = SPECS[which]
-        M, N = spec.num_hservers, spec.num_sservers
-        rng = np.random.default_rng(seed)
-        offsets, lengths, _, _, _ = _random_region(rng)
-        h_arr, s_arr = _candidate_grid(rng)
-        hg, sg = per_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
-        for g in range(h_arr.shape[0]):
-            hb, sb = per_server_bytes_batch(
-                offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
-            )
-            assert np.array_equal(hg[g], hb)
-            assert np.array_equal(sg[g], sb)
-
-    return test
-
-
 @harness("extents_max_grid")
 def _extents_max_grid(contract):
     @given(seed=_seeds, which=st.integers(min_value=0, max_value=len(SPECS) - 1))
@@ -822,15 +815,33 @@ def _batch_costs_grid(contract):
 
 @harness("burst_costs_grid")
 def _burst_costs_grid(contract):
-    @given(seed=_seeds, which=st.integers(min_value=0, max_value=len(SPECS) - 1))
-    @settings(max_examples=10, deadline=None)
-    def test(seed, which):
+    @given(
+        seed=_seeds,
+        which=st.integers(min_value=0, max_value=len(SPECS) - 1),
+        wide=st.booleans(),
+        per_block=st.sampled_from([1, 3, 5, None]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test(seed, which, wide, per_block):
         spec = SPECS[which]
         params = CostModelParams.from_cluster(spec)
         rng = np.random.default_rng(seed)
-        offsets, lengths, is_read, _, bursts = _random_region(rng)
+        if wide:
+            offsets, lengths, is_read, bursts = _wide_burst_region(rng)
+        else:
+            offsets, lengths, is_read, _, bursts = _random_region(rng)
         h_arr, s_arr = _candidate_grid(rng)
-        grid = burst_costs_grid(params, offsets, lengths, is_read, bursts, h_arr, s_arr)
+        # a few candidates per internal block (ragged tail for 3 and 5),
+        # or the default budget
+        budget = cost_model.GRID_CHUNK_ELEMS
+        if per_block is not None:
+            cost_model.GRID_CHUNK_ELEMS = per_block * offsets.shape[0]
+        try:
+            grid = burst_costs_grid(
+                params, offsets, lengths, is_read, bursts, h_arr, s_arr
+            )
+        finally:
+            cost_model.GRID_CHUNK_ELEMS = budget
         for g in range(h_arr.shape[0]):
             row = burst_costs(
                 params, offsets, lengths, is_read, bursts, int(h_arr[g]), int(s_arr[g])

@@ -8,11 +8,13 @@ per-candidate cost rows and per-server byte counts are compared with
 ``==`` / ``array_equal``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import CostModelParams, determine_stripes
+from repro.core import CostModelParams, cost_model, determine_stripes
 from repro.core.cost_model import (
     batch_costs,
     batch_costs_grid,
@@ -20,11 +22,8 @@ from repro.core.cost_model import (
     burst_costs_grid,
 )
 from repro.exceptions import ConfigurationError
-from repro.layouts.extents import (
-    max_server_bytes_grid,
-    per_server_bytes_batch,
-    per_server_bytes_grid,
-)
+from repro.layouts.extents import max_server_bytes_grid, per_server_bytes_batch
+from repro.units import KiB
 
 SPECS = [
     ClusterSpec(),
@@ -54,36 +53,24 @@ class TestKernelEquivalence:
     """The grid extent/cost kernels row-for-row against the scalar ones."""
 
     @pytest.mark.parametrize("spec", SPECS)
-    def test_per_server_bytes_grid_matches_batch(self, spec):
-        rng = np.random.default_rng(1)
-        M, N = spec.num_hservers, spec.num_sservers
-        for _ in range(5):
-            offsets, lengths, _, _, _ = random_region(rng)
-            h_arr, s_arr = candidate_grid(rng)
-            hg, sg = per_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
-            for g in range(h_arr.shape[0]):
-                hb, sb = per_server_bytes_batch(
-                    offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
-                )
-                assert np.array_equal(hg[g], hb)
-                assert np.array_equal(sg[g], sb)
-
-    @pytest.mark.parametrize("spec", SPECS)
     def test_max_server_bytes_grid_is_fused_max(self, spec):
         rng = np.random.default_rng(2)
         M, N = spec.num_hservers, spec.num_sservers
         offsets, lengths, _, _, _ = random_region(rng)
         h_arr, s_arr = candidate_grid(rng)
-        hg, sg = per_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
         hm, sm = max_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
-        if M > 0:
-            assert np.array_equal(hm, hg.max(axis=2))
-        else:
-            assert not hm.any()
-        if N > 0:
-            assert np.array_equal(sm, sg.max(axis=2))
-        else:
-            assert not sm.any()
+        for g in range(h_arr.shape[0]):
+            hb, sb = per_server_bytes_batch(
+                offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
+            )
+            if M > 0:
+                assert np.array_equal(hm[g], hb.max(axis=1))
+            else:
+                assert not hm[g].any()
+            if N > 0:
+                assert np.array_equal(sm[g], sb.max(axis=1))
+            else:
+                assert not sm[g].any()
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_batch_costs_grid_rows_match_scalar(self, spec):
@@ -118,6 +105,28 @@ class TestKernelEquivalence:
                     int(h_arr[g]), int(s_arr[g]),
                 )
                 assert np.array_equal(grid[g], row)
+
+    def test_burst_kernel_streams_one_server_at_a_time(self):
+        """No ``(G, K, M + N)`` tensor: the kernel's peak memory stays far
+        below even one ``(G, K)`` int64 server slice of it."""
+        params = CostModelParams.from_cluster(ClusterSpec())
+        K, G = 2048, 512
+        offsets = np.arange(K, dtype=np.int64) * 256 * KiB
+        lengths = np.full(K, 256 * KiB, dtype=np.int64)
+        is_read = np.arange(K) % 2 == 0
+        bursts = np.arange(K) // 16
+        h_arr = np.arange(G, dtype=np.int64) % 64 * 4 * KiB
+        s_arr = h_arr + 4 * KiB
+        tracemalloc.start()
+        try:
+            grid = burst_costs_grid(
+                params, offsets, lengths, is_read, bursts, h_arr, s_arr
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (G, K // 16)
+        assert peak < G * K * 8
 
     def test_zero_length_requests_cost_nothing_in_grid(self):
         params = CostModelParams.from_cluster(ClusterSpec())
@@ -176,22 +185,27 @@ class TestSearchEquivalence:
             assert a.candidates == b.candidates
             assert (a.bound_h, a.bound_s) == (b.bound_h, b.bound_s)
 
-    def test_engines_agree_across_chunk_boundaries(self):
-        """Chunked grid evaluation must not depend on the chunk size."""
-        from repro.core import determinator
-
+    @pytest.mark.parametrize("mode", ["batch", "burst"])
+    def test_engines_agree_across_chunk_boundaries(self, monkeypatch, mode):
+        """Blocked grid evaluation must not depend on the block size."""
         params = CostModelParams.from_cluster(ClusterSpec())
         rng = np.random.default_rng(9)
-        offsets, lengths, is_read, conc, _ = random_region(rng)
-        baseline = determine_stripes(params, offsets, lengths, is_read, conc)
-        original = determinator.GRID_CHUNK_ELEMS
-        try:
-            determinator.GRID_CHUNK_ELEMS = 1  # one candidate per chunk
-            tiny = determine_stripes(params, offsets, lengths, is_read, conc)
-        finally:
-            determinator.GRID_CHUNK_ELEMS = original
-        assert tiny.pair == baseline.pair
-        assert tiny.cost == baseline.cost
+        offsets, lengths, is_read, conc, bursts = random_region(rng)
+        kw = {"burst_ids": bursts} if mode == "burst" else {}
+        baseline = determine_stripes(params, offsets, lengths, is_read, conc, **kw)
+        reference = determine_stripes(
+            params, offsets, lengths, is_read, conc, engine="scalar", **kw
+        )
+        # the random requests are distinct, so both modes evaluate all K
+        K = offsets.shape[0]
+        assert baseline.candidates % 7 != 0  # 7 per block leaves a ragged tail
+        for budget in (1, 7 * K):  # one candidate per block, then seven
+            monkeypatch.setattr(cost_model, "GRID_CHUNK_ELEMS", budget)
+            blocked = determine_stripes(
+                params, offsets, lengths, is_read, conc, **kw
+            )
+            assert blocked.pair == baseline.pair == reference.pair
+            assert blocked.cost == baseline.cost == reference.cost
 
     def test_unknown_engine_rejected(self):
         params = CostModelParams.from_cluster(ClusterSpec())

@@ -1,5 +1,8 @@
 """Tests for the Berkeley-DB stand-in, including crash recovery."""
 
+import os
+import stat
+
 import pytest
 
 from repro.exceptions import KVStoreError
@@ -79,6 +82,25 @@ class TestDurability:
             assert db[b"good"] == b"kept"
             assert b"tail" not in db
 
+    @pytest.mark.parametrize("damage", ["torn", "corrupt"])
+    def test_put_after_recovery_survives_reopen(self, tmp_path, damage):
+        path = tmp_path / "db"
+        with HashDB(path) as db:
+            db.put(b"good", b"kept")
+            db.put(b"tail", b"lost")
+        data = bytearray(path.read_bytes())
+        if damage == "torn":
+            del data[-3:]
+        else:
+            data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with HashDB(path) as db:
+            db.put(b"after", b"durable")
+        with HashDB(path) as db:
+            assert db[b"good"] == b"kept"
+            assert b"tail" not in db
+            assert db[b"after"] == b"durable"
+
     def test_corrupt_record_stops_replay(self, tmp_path):
         path = tmp_path / "db"
         with HashDB(path) as db:
@@ -110,6 +132,24 @@ class TestDurability:
             assert db[b"key4"] == b"v49"
         with HashDB(path) as db:
             assert len(db) == 5
+
+    def test_creation_and_compaction_sync_the_directory(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        path = tmp_path / "db"
+        with HashDB(path) as db:
+            assert synced[-1] is True  # the new log's name
+            db.put(b"a", b"1")
+            synced.clear()
+            db.compact()
+            assert synced[-1] is True  # the rename, after the file's data
+            assert False in synced
 
     def test_writes_after_compaction_survive(self, tmp_path):
         path = tmp_path / "db"

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-import repro.core.determinator as determinator
+import repro.core.cost_model as cost_model
 import repro.schemes.harl as harl
 from repro.cluster import ClusterSpec
 from repro.config import DEFAULT_SAMPLE_SEED
@@ -163,14 +163,14 @@ class TestAALGridSearch:
             for file in trace.files()
         }
 
-    # the trace has 51 requests on 8 servers and 40 candidate stripes:
-    # one candidate per chunk, then three per chunk with a ragged tail
-    @pytest.mark.parametrize("budget", [1, 3 * 51 * 8])
+    # the trace has 51 requests and 40 candidate stripes: one candidate
+    # per kernel block, then 24 per block with a ragged tail of 16
+    @pytest.mark.parametrize("budget", [1, 24 * 51])
     def test_candidates_split_across_chunks(self, spec, monkeypatch, budget):
         trace = ior_trace(sizes=(64 * KiB, 256 * KiB))
         scheme = AALScheme()
         expected = aal_reference_stripe(scheme, spec, trace)
-        monkeypatch.setattr(determinator, "GRID_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(cost_model, "GRID_CHUNK_ELEMS", budget)
         assert scheme.stripe_for(spec, trace) == expected
 
 
