@@ -253,9 +253,18 @@ class TestChaosDigestPinned:
     """
 
     PINNED = "3bb060489f6176a5076ed506efbb49cb85eb6fc19f8bb7dc79b3a55424c9a77c"
+    #: the straggler-aware schemes, whose dispatch feeds on completion
+    #: times; computed on the event engine
+    PINNED_SAW = "4e63b490e292e7adf5056c03c07be8da5344f2d897975322738f8ecdb78ca9d1"
 
     def test_small_chaos_digest(self):
         from repro.harness.chaos import chaos_experiment
 
         report = chaos_experiment(intensities=(0.5,), schemes=("DEF", "MHA"))
         assert report.digest() == self.PINNED
+
+    def test_small_chaos_digest_straggler_aware(self):
+        from repro.harness.chaos import chaos_experiment
+
+        report = chaos_experiment(intensities=(0.5,), schemes=("SAW", "MHA+SAW"))
+        assert report.digest() == self.PINNED_SAW
