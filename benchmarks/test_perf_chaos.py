@@ -8,8 +8,10 @@ gate compares):
 * ``chaos-replay-def`` — the flat kernel replaying the write/re-read
   chaos trace under a full four-model fault plan with the default
   striping layout (also asserts bit-identity against the event engine);
-* ``chaos-replay-saw`` — the event engine replaying the same faulted
-  trace through the straggler-aware view (EWMA feedback + redirection);
+* ``chaos-replay-saw`` — the flat kernel replaying the same faulted
+  trace through the straggler-aware view (EWMA feedback + redirection),
+  with the event engine's time as its scalar reference (also asserts
+  bit-identity);
 * ``chaos-sweep`` — a small end-to-end ``chaos_experiment`` sweep
   (two intensities, DEF vs SAW) including report assembly.
 
@@ -81,16 +83,34 @@ def test_faulted_replay_def(report, faulted_workload, best_of):
 
 
 def test_faulted_replay_saw(report, faulted_workload, best_of):
-    """The straggler-aware feedback loop on the event engine."""
+    """The straggler-aware feedback loop on the default (flat) engine,
+    bit-identical to the event engine."""
     spec, trace, plan = faulted_workload
-    wall, (metrics, _) = best_of(
-        lambda: _replay(
-            spec, trace, make_scheme("SAW").build(spec, trace), plan, "event"
+
+    def replay(engine):
+        # a fresh view per run: the view's EWMAs and redirects are state
+        return _replay(
+            spec, trace, make_scheme("SAW").build(spec, trace), plan, engine
+        )
+
+    event_wall, (event_metrics, event_pfs) = best_of(lambda: replay("event"))
+    flat_wall, (flat_metrics, flat_pfs) = best_of(lambda: replay(None))
+    assert flat_metrics.engine == "flat"
+    assert flat_metrics.makespan == event_metrics.makespan
+    assert flat_metrics.latencies == event_metrics.latencies
+    for flat_srv, event_srv in zip(flat_pfs.servers, event_pfs.servers):
+        assert flat_srv.busy_time == event_srv.busy_time
+
+    report.add(
+        PhaseResult.from_timing(
+            "chaos-replay-saw", flat_wall, len(trace), scalar_wall_s=event_wall
         )
     )
-    assert metrics.total_bytes == trace.total_bytes()
-    report.add(PhaseResult.from_timing("chaos-replay-saw", wall, len(trace)))
-    print(f"\nchaos replay SAW: {len(trace)} records, {wall * 1e3:.1f} ms")
+    print(
+        f"\nchaos replay SAW: {len(trace)} records, "
+        f"event {event_wall * 1e3:.1f} ms, flat {flat_wall * 1e3:.1f} ms "
+        f"({len(trace) / flat_wall:,.0f} rec/s)"
+    )
 
 
 def test_chaos_sweep(report, best_of):

@@ -65,6 +65,7 @@ TWIN_MODULES = (
     "repro.pfs.server",
     "repro.pfs.system",
     "repro.schemes.base",
+    "repro.schemes.straggler",
     "repro.simulate.resources",
     "repro.tracing.columnar",
     "repro.tracing.tracefile",

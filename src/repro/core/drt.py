@@ -23,7 +23,7 @@ bytes.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -196,6 +196,20 @@ class DRT:
     def _remember(self, o_file: str, entry: DRTEntry) -> None:
         self._cache.put((o_file, entry.o_offset), entry)
         self._hot[o_file] = entry.o_offset
+
+    def overlaps(self, o_file: str, offset: int, length: int) -> bool:
+        """Whether any entry maps a byte of ``[offset, offset+length)``.
+
+        One bisect over the file's sorted entry starts: entries never
+        overlap, so the last one starting before the extent's end is the
+        only candidate.  Unlike :meth:`translate` it leaves the
+        hot-entry list and its hit/miss counters untouched.
+        """
+        starts = self._starts.get(o_file)
+        if not starts or length <= 0:
+            return False
+        idx = bisect_left(starts, offset + length)
+        return idx > 0 and self._entries[o_file][idx - 1].o_end > offset
 
     def entry_at(self, o_file: str, offset: int) -> DRTEntry | None:
         """The entry covering byte ``offset`` of ``o_file``, if any.

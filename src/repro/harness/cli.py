@@ -137,7 +137,7 @@ def _chaos_main(argv: list[str]) -> int:
         "--engine",
         choices=("flat", "event"),
         default=None,
-        help="replay engine (feedback schemes fall back to event)",
+        help="replay engine (default: the flat queue-tail kernel)",
     )
     parser.add_argument(
         "--jobs",

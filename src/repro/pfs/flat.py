@@ -33,6 +33,18 @@ event engine exactly:
   append, then the rank's next issue — the exact statement order of the
   event-mode rank generator.
 
+**Feedback views.**  The kernel gives a view the event engine's two
+hooks.  A view with ``dispatch_runs`` (the straggler-aware dispatcher,
+whose event-engine form is ``dispatch_request``) is asked at issue time
+which runs to submit, in which order, given the request's premapped
+runs.  A view with ``observe_latency`` learns from every run's completion, in
+event order: each merged run gets its own ready-heap entry keyed
+``(finish, seq)``, popping it calls ``observe_latency(server, finish -
+issued, finish)``, and the request completes when its last run pops —
+in event mode a run's ``Completion`` fires its observer before the
+``AllOf`` wakes the rank.  Views without an observer keep the single
+critical-fragment entry per request.
+
 The simulator clock is advanced once at the end via
 :meth:`~repro.simulate.engine.Simulator.advance_to`, so sequential
 replays sharing a :class:`~repro.pfs.system.HybridPFS` observe the same
@@ -63,7 +75,8 @@ def mapped_runs(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
 
     Views exposing a ``merged_runs(file, offsets, lengths)`` batch API
     (:class:`~repro.schemes.base.LayoutView`, the MHA
-    :class:`~repro.core.redirector.Redirector`) get one batched call
+    :class:`~repro.core.redirector.Redirector`, the straggler-aware
+    view) get one batched call
     per file, fed the offset/size columns as the arrays they already
     are; anything else falls back to per-record ``map_request``.
     Either way run ``k`` of the result equals what the event path's
@@ -141,6 +154,12 @@ def replay_flat(
     sim = pfs.sim
     start = sim.now
     runs = mapped_runs(view, ordered)
+    dispatch = getattr(view, "dispatch_runs", None)
+    observer = getattr(view, "observe_latency", None)
+    names = ordered.interned_files
+    file_col = ordered.data["file"]
+    offset_col = ordered.data["offset"]
+    size_col = ordered.data["size"]
     # stable argsort by rank == per-rank index rows in trace order
     rank_col = ordered.data["rank"]
     order = np.argsort(rank_col, kind="stable")
@@ -178,9 +197,13 @@ def replay_flat(
     latencies: list[float] = []
     latency_ranks: list[int] = []
     # in-flight requests: (critical finish, critical fragment seq, rank
-    # position, barrier phase or -1) — pops in the event heap's order.
-    # Arrival wakeups ride the same heap tagged ``_WAKEUP``.
-    heap: list[tuple[float, int, int, int]] = []
+    # position, barrier phase or -1, -1) — pops in the event heap's
+    # order.  Arrival wakeups ride the same heap tagged ``_WAKEUP``.  A
+    # view with an observer gets one entry per run instead, whose last
+    # field is the run's server, and ``runs_left`` counts each rank's
+    # runs still in flight.
+    heap: list[tuple[float, int, int, int, int]] = []
+    runs_left = [0] * n_ranks
 
     def issue_from(rp: int, now: float) -> None:
         nonlocal foreground_end, max_finish, seq
@@ -202,7 +225,7 @@ def replay_flat(
             if arrival > now:
                 # the event engine schedules one wakeup event here; burn
                 # the matching seq so same-instant pops keep its order
-                heappush(heap, (arrival, seq, rp, _WAKEUP))
+                heappush(heap, (arrival, seq, rp, _WAKEUP, -1))
                 seq += 1
                 return
         cursor[rp] = c + 1
@@ -217,26 +240,46 @@ def replay_flat(
                 latency_ranks.append(ranks[rp])
             issue_from(rp, now)
             return
+        op = ops[i]
+        if dispatch is None:
+            servers, objs, offs, lens = srv_col, obj_col, off_col, len_col
+        else:
+            picked = dispatch(
+                op,
+                names[file_col[i]],
+                int(offset_col[i]),
+                int(size_col[i]),
+                runs.subrequests(i),
+            )
+            servers = [f.server for f in picked]
+            objs = [f.obj for f in picked]
+            offs = [f.offset for f in picked]
+            lens = [f.length for f in picked]
+            lo, hi = 0, len(picked)
         not_before = 0.0
         if nodes is not None:
             total = 0
             for j in range(lo, hi):
-                total += len_col[j]
+                total += lens[j]
             not_before = nodes[rp].schedule_flat(now, link_time(total))
-        op = ops[i]
         best = -1.0
         best_seq = -1
         for j in range(lo, hi):
-            finish = submit[srv_col[j]](
-                op, obj_col[j], off_col[j], len_col[j], now, not_before=not_before
+            finish = submit[servers[j]](
+                op, objs[j], offs[j], lens[j], now, not_before=not_before
             )
             if finish >= best:
                 best = finish
                 best_seq = seq
+            if observer is not None:
+                heappush(heap, (finish, seq, rp, phase, servers[j]))
             seq += 1
         if best > max_finish:
             max_finish = best
-        heappush(heap, (best, best_seq, rp, phase))
+        if observer is None:
+            heappush(heap, (best, best_seq, rp, phase, -1))
+        else:
+            runs_left[rp] = hi - lo
 
     def record_complete(phase: int, now: float) -> None:
         nonlocal frontier
@@ -252,15 +295,23 @@ def replay_flat(
     for rp in range(n_ranks):
         issue_from(rp, start)
     while heap:
-        now, _, rp, phase = heappop(heap)
+        now, _, rp, phase, server = heappop(heap)
         if phase == _WAKEUP:
             issue_from(rp, now)
             continue
+        if server >= 0:
+            observer(server, now - issued_at[rp], now)
+            runs_left[rp] -= 1
+            if runs_left[rp]:
+                continue
         if phase >= 0:
             record_complete(phase, now)
         if keep_latencies:
             latencies.append(now - issued_at[rp])
             latency_ranks.append(ranks[rp])
         issue_from(rp, now)
+    # the two closures call each other: break the cycle so the premap
+    # and the per-rank rows free on return, not at the next cyclic GC
+    del issue_from, record_complete
     sim.advance_to(max_finish)
     return foreground_end, latencies, latency_ranks

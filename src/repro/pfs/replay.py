@@ -14,11 +14,14 @@ Two engines produce the same replay:
 * ``"flat"`` (the default, :mod:`repro.pfs.flat`) — an event-free merge
   loop over per-rank cursors that computes every completion time as
   queue-tail arithmetic.  Bit-identical metrics, ~an order of magnitude
-  faster;
+  faster.  It also drives feedback views (the straggler-aware
+  dispatcher), reporting each run's completion in event order;
 * ``"event"`` — one generator process per rank on the discrete-event
   engine.  Required (and selected automatically) whenever a replay
   needs per-record hooks (``on_record``/``collector``), servers with
   multi-channel queues, or a simulator with events already in flight.
+
+:attr:`RunMetrics.engine` records which engine ran.
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ class RunMetrics:
     #: cluster index; populated only when the replay kept latencies —
     #: the per-server tail columns of the chaos reports read these
     per_server_latencies: list[list[float]] = field(default_factory=list)
+    #: the engine that ran the replay, ``"flat"`` or ``"event"`` (empty
+    #: when the metrics come from elsewhere); both engines give the same
+    #: results, so it takes no part in equality and no digest reads it
+    engine: str = field(default="", compare=False)
     # cached ascending view of ``latencies`` for percentile queries;
     # rebuilt when the list length changes, droppable explicitly via
     # :meth:`invalidate_latency_cache` after in-place mutation
@@ -384,11 +391,8 @@ def replay_trace(
     flat kernel requires a pure replay — it is skipped, falling back to
     the event engine, when an ``on_record``/``collector`` hook is set,
     when the simulator already has pending events (e.g. background
-    migrations in flight), when any server queue has more than one
-    channel, or when the view declares ``requires_event_engine`` (a
-    feedback dispatcher — e.g. the straggler-aware view — whose mapping
-    depends on completion-time observations the flat kernel's pre-pass
-    cannot provide).
+    migrations in flight), or when any server queue has more than one
+    channel.  ``metrics.engine`` names the engine that ran.
 
     ``fault_plan`` attaches a compiled
     :class:`~repro.faults.plan.FaultPlan` to ``pfs`` before the replay
@@ -426,7 +430,6 @@ def replay_trace(
         and on_record is None
         and collector is None
         and sim.pending() == 0
-        and not getattr(view, "requires_event_engine", False)
         and all(srv.channel.capacity == 1 for srv in pfs.servers)
     )
     if use_flat:
@@ -471,6 +474,7 @@ def replay_trace(
         latencies=latencies,
         latency_ranks=latency_ranks,
         per_server_latencies=per_server_latencies,
+        engine="flat" if use_flat else "event",
     )
 
 

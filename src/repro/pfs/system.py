@@ -162,9 +162,10 @@ class HybridPFS:
 
         ``observer`` receives the same ``(server, latency, finish)``
         observations as :meth:`issue`, but synchronously at submission
-        (finish times are already known); feedback dispatchers that
-        must not see the future set ``requires_event_engine`` on their
-        view instead, which routes their replays to the event engine.
+        (finish times are already known), so a dispatcher fed this way
+        would see the future.  The flat replay kernel does not use it:
+        it reports each run to the view's ``observe_latency`` when the
+        run's ready-heap entry pops (see :mod:`repro.pfs.flat`).
         """
         if now is None:
             now = self.sim.now

@@ -25,19 +25,27 @@ variant) with a client-side dispatcher that:
   client); it is kept as an explicit, observable dispatch policy — the
   completion list and event order follow it.
 
-The view *requires the event engine*: its mapping depends on latency
-observations accumulated during the replay, which the flat kernel's
-pre-mapping pass cannot provide.  ``requires_event_engine = True``
-makes :func:`repro.pfs.replay.replay_trace` fall back automatically.
+Both replay engines drive the view.  Its mapping depends on latency
+observations accumulated during the replay, so neither may map a
+request before it issues; the flat kernel premaps every request once
+through :meth:`StragglerAwareView.merged_runs` and re-checks each at
+issue time with :meth:`StragglerAwareView.dispatch_runs`, which keeps
+the premapped runs unless a redirect covers the request or a write
+could be redirected.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from ..cluster import ClusterSpec
+from ..contracts import twin_of
 from ..core.drt import DRT, DRTEntry
 from ..exceptions import ConfigurationError
 from ..layouts.base import SubRequest
-from ..layouts.batch import merge_fragments
+from ..layouts.batch import MergedRuns, RunsBuilder, merge_fragments
 from ..tracing.record import Trace
 from .base import Scheme
 from .catalog import make_scheme
@@ -131,23 +139,21 @@ class LatencyEWMA:
 class StragglerAwareView:
     """Runtime dispatcher wrapping a base scheme's file view.
 
-    See the module docstring for the policy.  The view exposes three
-    protocols the replay engine probes for:
+    See the module docstring for the policy.  The view exposes the
+    protocols the replay engines probe for:
 
     * ``map_request`` — read-semantics mapping (follow existing
       redirects, never create new ones); this is also what external
-      tools resolving the view see;
+      tools resolving the view see.  ``merged_runs`` is its batch form,
+      the flat kernel's premap;
     * ``dispatch_request(op, file, offset, length)`` — the op-aware
       path the event replay uses: writes may be redirected away from
       stragglers, and the returned runs are pre-merged and ordered
-      slowest-server-first (dispatch order);
+      slowest-server-first (dispatch order).  ``dispatch_runs`` is the
+      flat kernel's form, which reuses a premapped request's runs;
     * ``observe_latency(server, latency, finish)`` — completion-time
       feedback updating the EWMAs.
     """
-
-    #: replays through this view must use the event engine: mapping
-    #: decisions depend on completion-time feedback
-    requires_event_engine = True
 
     def __init__(
         self,
@@ -253,6 +259,47 @@ class StragglerAwareView:
                 )
         return fragments
 
+    @twin_of(
+        "repro.schemes.straggler:StragglerAwareView.map_request",
+        kind="reduction",
+        param_map={"offset": "offsets", "length": "lengths"},
+        harness="saw_runs",
+    )
+    def merged_runs(
+        self, file: str, offsets: Sequence[int], lengths: Sequence[int]
+    ) -> MergedRuns:
+        """Batch :meth:`map_request` for one file, as merged runs.
+
+        Requests no redirect covers go through the base view's batch
+        mapper in one call; the others take :meth:`map_request`.
+        """
+        batch = self.inner.merged_runs
+        off = np.asarray(offsets, dtype=np.int64).reshape(-1)
+        lng = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        covered: list[int] = []
+        if len(self._drt):
+            overlaps = self._drt.overlaps
+            covered = [
+                k
+                for k, (o, n) in enumerate(zip(off.tolist(), lng.tolist()))
+                if overlaps(file, o, n)
+            ]
+        if not covered:
+            return batch(file, off, lng)
+        keep = np.ones(off.size, dtype=bool)
+        keep[covered] = False
+        items = np.flatnonzero(keep)
+        runs = batch(file, off[items], lng[items])
+        builder = RunsBuilder(off.size)
+        builder.add_fragments(runs.n_fragments)
+        for k, item in enumerate(items.tolist()):
+            builder.place(item, runs, k)
+        for item in covered:
+            builder.place_fragments(
+                item, self.map_request(file, int(off[item]), int(lng[item]))
+            )
+        return builder.build()
+
     def _redirect(self, file: str, frag: SubRequest, target: int) -> SubRequest:
         """Move one write fragment to ``target``'s overflow object and
         record the relocation in the DRT."""
@@ -307,6 +354,36 @@ class StragglerAwareView:
                 else:
                     fragments.append(frag)
         return self._ordered(merge_fragments(fragments))
+
+    @twin_of(
+        "repro.schemes.straggler:StragglerAwareView.dispatch_request",
+        twin_only=("premapped",),
+        harness="saw_dispatch",
+    )
+    def dispatch_runs(
+        self,
+        op: str,
+        file: str,
+        offset: int,
+        length: int,
+        premapped: list[SubRequest],
+    ) -> list[SubRequest]:
+        """:meth:`dispatch_request` for a request already mapped.
+
+        ``premapped`` holds the request's merged runs from
+        :meth:`merged_runs`; they stay valid while no redirect covers
+        the request.  They are returned in dispatch order unless a
+        redirect covers the request now, or the request is a write with
+        a run on a straggler while budget remains; such requests go
+        through :meth:`dispatch_request`.
+        """
+        if self._drt.overlaps(file, offset, length) or (
+            op == "write"
+            and self.replicated_bytes < self.replication_budget
+            and not self.stragglers().isdisjoint(f.server for f in premapped)
+        ):
+            return self.dispatch_request(op, file, offset, length)
+        return self._ordered(premapped)
 
     def _ordered(self, merged: list[SubRequest]) -> list[SubRequest]:
         """Dispatch order: slowest estimated server first (stable, so

@@ -45,6 +45,7 @@ from repro.core.pipeline import MHAPipeline
 from repro.pfs import HybridPFS, replay_trace
 from repro.pfs.server import DataServer
 from repro.schemes.base import LayoutView
+from repro.schemes.straggler import StragglerAwareView
 from repro.simulate import FIFOResource, Simulator
 from repro.tracing import (
     ColumnarTrace,
@@ -429,9 +430,10 @@ def _replay(contract):
         gap=st.booleans(),
         faulted=st.booleans(),
         open_=st.booleans(),
+        feedback=st.booleans(),
     )
-    @settings(max_examples=15, deadline=None)
-    def test(raw, nics, gap, faulted, open_):
+    @settings(max_examples=25, deadline=None)
+    def test(raw, nics, gap, faulted, open_, feedback):
         spec = ClusterSpec(num_hservers=2, num_sservers=2, model_client_nics=nics)
         trace = Trace(
             [
@@ -447,11 +449,23 @@ def _replay(contract):
             ]
         )
         runs = {}
+        views = {}
         for engine in ("event", "flat"):
             pfs = HybridPFS(spec)
             view = LayoutView(
                 {}, default=FixedStripeLayout(spec.server_ids, 32 * KiB, obj="f")
             )
+            if feedback:
+                # thresholds low enough that the fault plan's slow
+                # servers draw redirects within a few requests
+                view = StragglerAwareView(
+                    view,
+                    spec.num_servers,
+                    replication_budget=trace.total_bytes() // 2,
+                    threshold=1.2,
+                    min_samples=1,
+                )
+            views[engine] = view
             metrics = replay_trace(
                 pfs,
                 view,
@@ -475,6 +489,10 @@ def _replay(contract):
         for fsrv, esrv in zip(fpfs.servers, epfs.servers):
             assert fsrv.stats == esrv.stats
         assert fpfs.sim.now == epfs.sim.now
+        if feedback:
+            fview, eview = views["flat"], views["event"]
+            assert fview.replicated_bytes == eview.replicated_bytes
+            assert fview.redirected_fragments == eview.redirected_fragments
 
     return test
 
@@ -759,6 +777,97 @@ def _layout_view_runs(contract):
             assert runs.subrequests(k) == merge_fragments(
                 view.map_request(file, o, l)
             )
+
+    return test
+
+
+# ---------------------------------------------------------------- straggler view
+
+
+def _saw_view(spec, slow, budget):
+    """A straggler-aware view over 16 KiB striping whose EWMAs already
+    mark server ``slow`` a straggler."""
+    view = StragglerAwareView(
+        LayoutView({}, default=FixedStripeLayout(spec.server_ids, 16 * KiB, obj="f")),
+        spec.num_servers,
+        replication_budget=budget,
+        min_samples=1,
+    )
+    for server in range(spec.num_servers):
+        view.observe_latency(server, 4.0 if server == slow else 1.0, 1.0)
+    return view
+
+
+_budgets = st.sampled_from([0, 48 * KiB, 1 << 30])
+
+
+@harness("saw_runs")
+def _saw_runs(contract):
+    @given(
+        writes=_probe_batches,
+        probes=_extent_batches,
+        slow=st.integers(min_value=0, max_value=3),
+        budget=_budgets,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test(writes, probes, slow, budget):
+        view = _saw_view(ClusterSpec(num_hservers=2, num_sservers=2), slow, budget)
+        # writes bound for the straggler leave redirects in the DRT
+        for o, l in writes:
+            view.dispatch_request("write", "f", o, l)
+        runs = view.merged_runs("f", [o for o, _ in probes], [l for _, l in probes])
+        assert runs.n_extents == len(probes)
+        for k, (o, l) in enumerate(probes):
+            assert runs.subrequests(k) == merge_fragments(
+                view.map_request("f", o, l)
+            )
+
+    return test
+
+
+_dispatch_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write"]),
+        st.integers(min_value=0, max_value=512 * KiB),
+        st.integers(min_value=1, max_value=96 * KiB),
+        # an observation before the request: (server, latency * 4)
+        st.none()
+        | st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=1, max_value=40),
+        ),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+@harness("saw_dispatch")
+def _saw_dispatch(contract):
+    @given(
+        steps=_dispatch_steps,
+        slow=st.integers(min_value=0, max_value=3),
+        budget=_budgets,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test(steps, slow, budget):
+        spec = ClusterSpec(num_hservers=2, num_sservers=2)
+        ref, twin = _saw_view(spec, slow, budget), _saw_view(spec, slow, budget)
+        # premapped once, before any redirect — as the flat kernel does
+        premap = twin.merged_runs(
+            "f", [o for _, o, _, _ in steps], [l for _, _, l, _ in steps]
+        )
+        for k, (op, o, l, seen) in enumerate(steps):
+            if seen is not None:
+                server, lat4 = seen
+                ref.observe_latency(server, lat4 / 4.0, 2.0 + k)
+                twin.observe_latency(server, lat4 / 4.0, 2.0 + k)
+            want = ref.dispatch_request(op, "f", o, l)
+            got = twin.dispatch_runs(op, "f", o, l, premap.subrequests(k))
+            assert got == want
+        assert twin.replicated_bytes == ref.replicated_bytes
+        assert twin.redirected_fragments == ref.redirected_fragments
+        assert list(twin._drt) == list(ref._drt)
 
     return test
 

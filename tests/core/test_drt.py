@@ -83,6 +83,19 @@ class TestTranslate:
     def test_zero_length(self):
         assert self.make().translate("f", 0, 0) == []
 
+    def test_overlaps_matches_translate(self):
+        """``overlaps`` is exactly "some translated piece is mapped",
+        including extents ending or starting on an entry boundary, and
+        leaves the hot-entry counters alone."""
+        drt = self.make()
+        for offset in range(0, 320, 10):
+            for length in (0, 1, 10, 50, 100, 150, 300):
+                want = any(e.mapped for e in drt.translate("f", offset, length))
+                hits, misses = drt.cache_hits, drt.cache_misses
+                assert drt.overlaps("f", offset, length) == want, (offset, length)
+                assert (drt.cache_hits, drt.cache_misses) == (hits, misses)
+        assert not drt.overlaps("other", 0, 1000)
+
     def test_entry_at(self):
         drt = self.make()
         assert drt.entry_at("f", 50).r_file == "rA"

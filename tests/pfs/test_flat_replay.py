@@ -288,6 +288,34 @@ class TestFaultEquivalence:
         assert_identical(event, flat)
         assert flat[0].per_server_latencies == event[0].per_server_latencies
 
+    @pytest.mark.parametrize("scheme", ["SAW", "MHA+SAW"])
+    @pytest.mark.parametrize("nics", [False, True])
+    def test_feedback_schemes_match_event_engine(self, scheme, nics):
+        """Straggler-aware dispatch redirects writes and steers the
+        re-reads; both engines must agree on every redirect."""
+        from repro.harness.chaos import chaos_fault_plan, chaos_trace
+
+        spec = ClusterSpec(model_client_nics=nics)
+        trace = chaos_trace(processes=8, phases=12)
+        views = []
+
+        def view_of():
+            views.append(build_view(scheme, spec, trace, min_samples=2))
+            return views[-1]
+
+        event, flat = run_both(
+            spec,
+            view_of,
+            trace,
+            keep_latencies=True,
+            fault_plan=chaos_fault_plan(spec, 1.0),
+        )
+        assert_identical(event, flat)
+        assert flat[0].per_server_latencies == event[0].per_server_latencies
+        event_view, flat_view = views
+        assert flat_view.redirected_fragments == event_view.redirected_fragments > 0
+        assert flat_view.replicated_bytes == event_view.replicated_bytes
+
     def test_faults_slow_the_replay_down(self):
         from repro.faults import FaultPlan, ServerOutage
 
@@ -299,6 +327,28 @@ class TestFaultEquivalence:
         assert faulted.makespan > healthy.makespan
         assert faulted.makespan >= 1.0  # deferred past the outage
         assert faulted.total_bytes == healthy.total_bytes
+
+
+class TestMemory:
+    @pytest.mark.parametrize("scheme", ["DEF", "SAW"])
+    def test_flat_replay_leaves_no_cyclic_garbage(self, scheme):
+        """The premap and per-rank rows free when the kernel returns,
+        not at the next cyclic collection: a long run keeps its earlier
+        replays' results, and this garbage would sit on top of them."""
+        import gc
+
+        spec = ClusterSpec(num_hservers=2, num_sservers=2)
+        trace = Trace([rec(i * 64 * KiB, 64 * KiB, float(i), rank=i % 3) for i in range(12)])
+        view = build_view(scheme, spec, trace)
+        pfs = HybridPFS(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            metrics = replay_trace(pfs, view, trace, engine="flat")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert metrics.engine == "flat"
 
 
 class TestEngineSelection:
@@ -317,6 +367,7 @@ class TestEngineSelection:
         monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
         metrics = replay_trace(HybridPFS(spec), simple_view(spec), trace, engine="event")
         assert metrics.requests == 3
+        assert metrics.engine == "event"
 
     @staticmethod
     def boom(*args, **kwargs):
@@ -331,6 +382,7 @@ class TestEngineSelection:
         )
         assert len(seen) == 3
         assert metrics.requests == 3
+        assert metrics.engine == "event"
 
     def test_collector_falls_back_to_event(self, monkeypatch):
         from repro.tracing import IOCollector
@@ -338,10 +390,11 @@ class TestEngineSelection:
         spec, trace = self.make()
         monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
         collector = IOCollector()
-        replay_trace(
+        metrics = replay_trace(
             HybridPFS(spec), simple_view(spec), trace, engine="flat", collector=collector
         )
         assert len(collector) == 3
+        assert metrics.engine == "event"
 
     def test_pending_events_fall_back_to_event(self, monkeypatch):
         spec, trace = self.make()
@@ -355,6 +408,7 @@ class TestEngineSelection:
         monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
         metrics = replay_trace(pfs, simple_view(spec), trace, engine="flat")
         assert metrics.requests == 3
+        assert metrics.engine == "event"
 
     def test_multichannel_server_falls_back_to_event(self, monkeypatch):
         from repro.simulate import FIFOResource
@@ -366,16 +420,29 @@ class TestEngineSelection:
         monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
         metrics = replay_trace(pfs, simple_view(spec), trace, engine="flat")
         assert metrics.requests == 3
+        assert metrics.engine == "event"
 
-    def test_feedback_view_falls_back_to_event(self, monkeypatch):
+    def test_feedback_view_takes_flat_kernel(self, monkeypatch):
+        """The straggler-aware view replays on the flat kernel and equals
+        the event engine (redirects under faults are compared by
+        ``TestFaultEquivalence.test_feedback_schemes_match_event_engine``)."""
         from repro.schemes import make_scheme
 
         spec, trace = self.make()
-        view = make_scheme("SAW").build(spec, trace)
-        assert view.requires_event_engine
-        monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
-        metrics = replay_trace(HybridPFS(spec), view, trace, engine="flat")
-        assert metrics.requests == 3
+        calls = []
+        real = replay_mod.replay_flat
+
+        def spy(*args, **kwargs):
+            calls.append(True)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(replay_mod, "replay_flat", spy)
+        event, flat = run_both(
+            spec, lambda: make_scheme("SAW").build(spec, trace), trace, keep_latencies=True
+        )
+        assert calls == [True]
+        assert (event[0].engine, flat[0].engine) == ("event", "flat")
+        assert_identical(event, flat)
 
     def test_flat_is_the_default_engine(self, monkeypatch):
         from repro.config import DEFAULT_REPLAY_ENGINE
@@ -390,8 +457,9 @@ class TestEngineSelection:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(replay_mod, "replay_flat", spy)
-        replay_trace(HybridPFS(spec), simple_view(spec), trace)
+        metrics = replay_trace(HybridPFS(spec), simple_view(spec), trace)
         assert called.get("flat")
+        assert metrics.engine == "flat"
 
 
 class TestLatencyPercentileCache:

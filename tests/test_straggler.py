@@ -196,7 +196,6 @@ class TestScheme:
         trace = Trace(_records())
         view = scheme.build(spec, trace)
         assert isinstance(view, StragglerAwareView)
-        assert view.requires_event_engine
         assert view.replication_budget == int(0.5 * trace.total_bytes())
 
     def test_composed_name(self):
