@@ -63,7 +63,6 @@ TWIN_MODULES = (
     "repro.layouts.extents",
     "repro.pfs.flat",
     "repro.pfs.server",
-    "repro.pfs.system",
     "repro.schemes.base",
     "repro.schemes.straggler",
     "repro.simulate.resources",
@@ -86,8 +85,7 @@ class TwinContract:
     * ``unsupported`` — reference parameters the twin deliberately
       lacks; they must match the runtime fallback condition that routes
       such calls to the reference path (e.g. ``replay_trace`` falls
-      back to the event engine when ``collector``/``on_record`` is
-      set);
+      back to the event engine when ``on_record`` is set);
     * ``twin_only`` — parameters only the twin has (e.g. the flat
       kernel's caller-maintained ``now`` clock);
     * ``fallback_flags`` — ``repro.config`` names that may legitimately

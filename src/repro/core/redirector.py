@@ -121,23 +121,6 @@ class Redirector:
 
     @twin_of(
         "repro.core.redirector:Redirector.map_request",
-        param_map={"offset": "offsets", "length": "lengths"},
-        harness="redirector_map",
-    )
-    def map_requests(
-        self, file: str, offsets: Sequence[int], lengths: Sequence[int]
-    ) -> list[list[SubRequest]]:
-        """Batch :meth:`map_request` over parallel offset/length arrays.
-
-        The DRT translation is batched; results and statistics are
-        identical to calling :meth:`map_request` per record.
-        """
-        extents_per = self._drt.translate_many(file, offsets, lengths)
-        self.stats.requests += len(extents_per)
-        return [self._assemble(file, extents) for extents in extents_per]
-
-    @twin_of(
-        "repro.core.redirector:Redirector.map_request",
         kind="reduction",
         param_map={"offset": "offsets", "length": "lengths"},
         harness="redirector_runs",

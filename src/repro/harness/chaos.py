@@ -21,6 +21,7 @@ flips the hash).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
@@ -117,8 +118,10 @@ def chaos_fault_plan(
     lives).  The same ``(seed, models, intensity)`` triple always
     yields the same plan.
     """
-    if intensity < 0:
-        raise ConfigurationError(f"intensity must be >= 0, got {intensity}")
+    if not (math.isfinite(intensity) and intensity >= 0):
+        raise ConfigurationError(
+            f"intensity must be finite and >= 0, got {intensity}"
+        )
     if intensity == 0:
         return FaultPlan(faults=(), seed=seed)
     hdd = list(spec.hserver_ids) or list(spec.server_ids)
@@ -256,10 +259,12 @@ def chaos_experiment(
         )
         for q in TAIL_QUANTILES
     }
-    for intensity in intensities:
-        plan = chaos_fault_plan(
-            spec, intensity, seed=seed, models=models, horizon=horizon
-        )
+    # build every plan first: a bad intensity fails before any replay
+    plans = [
+        chaos_fault_plan(spec, intensity, seed=seed, models=models, horizon=horizon)
+        for intensity in intensities
+    ]
+    for intensity, plan in zip(intensities, plans):
         row = f"intensity={intensity:g}"
         comparison = compare_schemes(
             spec,

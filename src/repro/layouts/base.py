@@ -82,19 +82,6 @@ class Layout(abc.ABC):
         tile the extent exactly.  A zero-length extent maps to ``[]``.
         """
 
-    def map_extents(
-        self, offsets: Sequence[int], lengths: Sequence[int]
-    ) -> list[list[SubRequest]]:
-        """Batch :meth:`map_extent` over parallel offset/length arrays.
-
-        The default is a per-extent loop; layouts with a vectorized
-        kernel override it (the result must be element-identical).
-        """
-        return [
-            self.map_extent(int(offset), int(length))
-            for offset, length in zip(offsets, lengths)
-        ]
-
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]
     ) -> "MergedRuns | None":

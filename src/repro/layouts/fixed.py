@@ -60,53 +60,6 @@ class FixedStripeLayout(Layout):
             cursor += take
         return fragments
 
-    def map_extents(
-        self, offsets: Sequence[int], lengths: Sequence[int]
-    ) -> list[list[SubRequest]]:
-        """Vectorized batch mapping: all stripe indices for all extents
-        are computed in NumPy; only the final fragments are objects."""
-        off = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        lng = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        if off.size == 0:
-            return []
-        if int(off.min()) < 0 or int(lng.min()) < 0:
-            raise LayoutError("offset and length must be non-negative")
-        stripe = self.stripe
-        nservers = len(self._servers)
-        end = off + lng
-        first = off // stripe
-        # zero-length extents touch no stripes
-        last = np.where(lng > 0, (end - 1) // stripe, first - 1)
-        counts = last - first + 1
-        total = int(counts.sum())
-        row_starts = np.zeros(off.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_starts[1:])
-        rows = np.repeat(np.arange(off.size), counts)
-        sidx = first[rows] + (np.arange(total) - row_starts[rows])
-        frag_lo = np.maximum(off[rows], sidx * stripe)
-        frag_hi = np.minimum(end[rows], (sidx + 1) * stripe)
-        servers = np.asarray(self._servers, dtype=np.int64)[sidx % nservers]
-        srv_off = (sidx // nservers) * stripe + (frag_lo - sidx * stripe)
-        srv_list = servers.tolist()
-        off_list = srv_off.tolist()
-        len_list = (frag_hi - frag_lo).tolist()
-        log_list = frag_lo.tolist()
-        bounds = row_starts.tolist()
-        obj = self.obj
-        return [
-            [
-                SubRequest(
-                    server=srv_list[j],
-                    obj=obj,
-                    offset=off_list[j],
-                    length=len_list[j],
-                    logical_offset=log_list[j],
-                )
-                for j in range(bounds[k], bounds[k + 1])
-            ]
-            for k in range(off.size)
-        ]
-
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]
     ) -> MergedRuns:

@@ -119,7 +119,7 @@ _WAKEUP = -2
 
 @twin_of(
     "repro.pfs.replay:_replay_event",
-    unsupported=("collector", "on_record"),
+    unsupported=("on_record",),
     fallback_flags=("DEFAULT_REPLAY_ENGINE",),
     harness="replay",
 )

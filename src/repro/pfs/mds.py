@@ -90,4 +90,4 @@ class MetaDataServer:
         self.lookups += 1
         table = self.rst if tenant is None else self.rst_for(tenant)
         pair = table.get(region) if region in table else None
-        return self.channel.submit(self.lookup_latency, tag=region), pair
+        return self.channel.submit(self.lookup_latency), pair

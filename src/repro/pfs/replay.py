@@ -18,8 +18,10 @@ Two engines produce the same replay:
   dispatcher), reporting each run's completion in event order;
 * ``"event"`` — one generator process per rank on the discrete-event
   engine.  Required (and selected automatically) whenever a replay
-  needs per-record hooks (``on_record``/``collector``), servers with
-  multi-channel queues, or a simulator with events already in flight.
+  needs the per-record ``on_record`` hook or runs on a simulator with
+  events already in flight — the two things the online relayout loop
+  does.  It is also the reference every flat-kernel twin is tested
+  against.
 
 :attr:`RunMetrics.engine` records which engine ran.
 """
@@ -43,7 +45,6 @@ from ..cluster import ClusterSpec
 from ..config import DEFAULT_REPLAY_ENGINE
 from ..layouts.base import SubRequest
 from ..simulate import Simulator, Waitable
-from ..tracing.collector import IOCollector
 from ..tracing.columnar import ColumnarTrace, as_columnar_trace
 from ..tracing.record import Trace, TraceRecord
 from .flat import replay_flat
@@ -265,7 +266,6 @@ def _replay_event(
     ordered: Sequence[TraceRecord],
     *,
     keep_latencies: bool,
-    collector: IOCollector | None,
     on_record: Callable[[TraceRecord], None] | None,
     phase_of: list[int] | None,
     phase_sizes: list[int] | None,
@@ -313,15 +313,6 @@ def _replay_event(
             issued = sim.now
             if on_record is not None:
                 on_record(record)
-            if collector is not None:
-                collector.record(
-                    rank=record.rank,
-                    op=record.op,
-                    offset=record.offset,
-                    size=record.size,
-                    file=record.file,
-                    timestamp=issued,
-                )
             if dispatch is not None:
                 runs = dispatch(record.op, record.file, record.offset, record.size)
                 yield pfs.issue_merged(
@@ -351,7 +342,6 @@ def replay_trace(
     trace: "Trace | ColumnarTrace",
     *,
     keep_latencies: bool = False,
-    collector: IOCollector | None = None,
     on_record: Callable[[TraceRecord], None] | None = None,
     barrier_gap: float | None = None,
     engine: str | None = None,
@@ -388,11 +378,10 @@ def replay_trace(
 
     ``engine`` picks ``"flat"`` or ``"event"``
     (:data:`~repro.config.DEFAULT_REPLAY_ENGINE` when ``None``).  The
-    flat kernel requires a pure replay — it is skipped, falling back to
-    the event engine, when an ``on_record``/``collector`` hook is set,
-    when the simulator already has pending events (e.g. background
-    migrations in flight), or when any server queue has more than one
-    channel.  ``metrics.engine`` names the engine that ran.
+    flat kernel is skipped, falling back to the event engine, when an
+    ``on_record`` hook is set or when the simulator already has pending
+    events (e.g. background migrations in flight).  ``metrics.engine``
+    names the engine that ran.
 
     ``fault_plan`` attaches a compiled
     :class:`~repro.faults.plan.FaultPlan` to ``pfs`` before the replay
@@ -425,13 +414,7 @@ def replay_trace(
     phase_sizes: list[int] | None = None
     if barrier_gap is not None:
         phase_of, phase_sizes = _phase_index(ordered, barrier_gap)
-    use_flat = (
-        engine == "flat"
-        and on_record is None
-        and collector is None
-        and sim.pending() == 0
-        and all(srv.channel.capacity == 1 for srv in pfs.servers)
-    )
+    use_flat = engine == "flat" and on_record is None and sim.pending() == 0
     if use_flat:
         foreground_end, latencies, latency_ranks = replay_flat(
             pfs,
@@ -443,14 +426,13 @@ def replay_trace(
             open_arrivals=open_arrivals,
         )
     else:
-        # the event engine's hooks and dispatchers consume records, so
+        # the event engine's hook and dispatchers consume records, so
         # records materialize only on this fallback path
         foreground_end, latencies, latency_ranks = _replay_event(
             pfs,
             view,
             ordered.to_trace(),
             keep_latencies=keep_latencies,
-            collector=collector,
             on_record=on_record,
             phase_of=phase_of,
             phase_sizes=phase_sizes,

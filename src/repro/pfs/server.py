@@ -87,7 +87,7 @@ class DataServer:
         self.link = link
         self.name = name if name is not None else f"server{index}"
         self.stream_capacity = stream_capacity
-        self.channel = FIFOResource(sim, name=self.name, capacity=1)
+        self.channel = FIFOResource(sim, name=self.name)
         self.stats = ServerStats()
         #: service-time multiplier for fault/straggler injection: 1.0 is
         #: healthy, 2.0 services everything at half speed, etc.
@@ -145,13 +145,12 @@ class DataServer:
             # duration.  ``not_before=start`` reproduces the deferred
             # start exactly inside ``channel.schedule``'s own max().
             now = self.sim.now
-            tail = min(self.channel._tails)
+            tail = self.channel.busy_until
             start, factor = faults.adjust(
                 op, length, max(now, not_before, tail), tail
             )
             duration = self.slowdown * (factor * base)
             not_before = start
-        tag = (op, obj, offset, length)
         if sequential:
             self.stats.sequential_hits += 1
         else:
@@ -161,7 +160,7 @@ class DataServer:
             self.stats.bytes_read += length
         else:
             self.stats.bytes_written += length
-        record, done = self.channel.schedule(duration, not_before=not_before, tag=tag)
+        record, done = self.channel.schedule(duration, not_before=not_before)
         if self.latency_log is not None:
             self.latency_log.append(record.finish - self.sim.now)
         return done
@@ -183,10 +182,11 @@ class DataServer:
         """Event-free twin of :meth:`submit` for the flat replay kernel.
 
         Same sequential-stream update, same duration arithmetic, same
-        statistics — but the finish time is computed synchronously via
-        :meth:`FIFOResource.schedule_flat` (the server is a single FIFO
-        channel, so it is fully determined at submission) instead of
-        scheduling a completion event.  ``now`` is the caller's clock.
+        statistics — but the finish time is computed synchronously with
+        :meth:`FIFOResource.schedule_flat`'s arithmetic, inlined (the
+        server is a single FIFO channel, so it is fully determined at
+        submission) instead of scheduling a completion event.  ``now``
+        is the caller's clock.
         """
         if self.slowdown <= 0:
             raise ValueError(f"slowdown must be > 0, got {self.slowdown}")
@@ -208,39 +208,20 @@ class DataServer:
         else:
             stats.bytes_written += length
         channel = self.channel
+        tail = channel.busy_until
         faults = self.faults
-        if channel.capacity == 1 and not channel.keep_records:
-            # single-channel fast path: same arithmetic as schedule_flat,
-            # minus the call, channel scan, and tag allocation
-            tails = channel._tails
-            tail = tails[0]
-            if faults is None:
-                duration = self.slowdown * base
-                start = max(now, not_before, tail)
-            else:
-                start, factor = faults.adjust_flat(
-                    op, length, max(now, not_before, tail), tail
-                )
-                duration = self.slowdown * (factor * base)
-            finish = start + duration
-            tails[0] = finish
-            channel.busy_time += duration
-            channel.served += 1
-            if self.latency_log is not None:
-                self.latency_log.append(finish - now)
-            return finish
         if faults is None:
             duration = self.slowdown * base
+            start = max(now, not_before, tail)
         else:
-            tail = min(channel._tails)
             start, factor = faults.adjust_flat(
                 op, length, max(now, not_before, tail), tail
             )
             duration = self.slowdown * (factor * base)
-            not_before = start
-        finish = channel.schedule_flat(
-            now, duration, not_before=not_before, tag=(op, obj, offset, length)
-        )
+        finish = start + duration
+        channel.busy_until = finish
+        channel.busy_time += duration
+        channel.served += 1
         if self.latency_log is not None:
             self.latency_log.append(finish - now)
         return finish

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..cluster import ClusterSpec
-from ..contracts import twin_of
 from ..devices.base import OpType
 from ..exceptions import SimulationError
 from ..layouts.base import SubRequest
@@ -70,12 +69,11 @@ class HybridPFS:
 
     def server(self, index: int) -> DataServer:
         """The data server at cluster index ``index``."""
-        try:
-            return self.servers[index]
-        except IndexError:
+        if not 0 <= index < len(self.servers):
             raise SimulationError(
                 f"server index {index} out of range 0..{len(self.servers) - 1}"
-            ) from None
+            )
+        return self.servers[index]
 
     def issue(
         self,
@@ -137,58 +135,6 @@ class HybridPFS:
                 done.add_waiter(_observation(observer, f.server))
             completions.append(done)
         return self.sim.all_of(completions)
-
-    @twin_of(
-        "repro.pfs.system:HybridPFS.issue",
-        twin_only=("now",),
-        harness="pfs_issue",
-    )
-    def issue_flat(
-        self,
-        op: OpType,
-        fragments: Sequence[SubRequest],
-        rank: int | None = None,
-        observer: Callable[[int, float, float], None] | None = None,
-        now: float | None = None,
-    ) -> float:
-        """Event-free :meth:`issue`: the request's finish time, directly.
-
-        With one FIFO channel per server a sub-request's finish time is
-        pure queue-tail arithmetic, so no completion/event machinery is
-        needed — the same merged runs are scheduled through
-        ``submit_flat``/``schedule_flat`` and the slowest finish time is
-        returned.  ``now`` is the issue time (defaults to the sim
-        clock); an empty request completes immediately at ``now``.
-
-        ``observer`` receives the same ``(server, latency, finish)``
-        observations as :meth:`issue`, but synchronously at submission
-        (finish times are already known), so a dispatcher fed this way
-        would see the future.  The flat replay kernel does not use it:
-        it reports each run to the view's ``observe_latency`` when the
-        run's ready-heap entry pops (see :mod:`repro.pfs.flat`).
-        """
-        if now is None:
-            now = self.sim.now
-        merged = merge_fragments(fragments)
-        if not merged:
-            return now
-        not_before = 0.0
-        if self.client_links is not None and rank is not None:
-            node = self.client_links[rank % len(self.client_links)]
-            total = sum(f.length for f in merged)
-            not_before = node.schedule_flat(
-                now, self.spec.link.transfer_time(total)
-            )
-        finish = now
-        for f in merged:
-            done = self.server(f.server).submit_flat(
-                op, f.obj, f.offset, f.length, now, not_before=not_before
-            )
-            if observer is not None:
-                observer(f.server, done - now, done)
-            if done > finish:
-                finish = done
-        return finish
 
     # -- statistics ------------------------------------------------------
 

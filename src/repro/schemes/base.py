@@ -40,18 +40,6 @@ class LayoutView:
 
     @twin_of(
         "repro.schemes.base:LayoutView.map_request",
-        param_map={"offset": "offsets", "length": "lengths"},
-        harness="layout_view_map",
-    )
-    def map_requests(
-        self, file: str, offsets: Sequence[int], lengths: Sequence[int]
-    ) -> list[list[SubRequest]]:
-        """Batch :meth:`map_request` for one file (vectorized where the
-        layout provides a batch kernel)."""
-        return self.layout_for(file).map_extents(offsets, lengths)
-
-    @twin_of(
-        "repro.schemes.base:LayoutView.map_request",
         kind="reduction",
         param_map={"offset": "offsets", "length": "lengths"},
         harness="layout_view_runs",

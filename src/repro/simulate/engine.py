@@ -34,17 +34,6 @@ class Event:
     time: float
     seq: int
     callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    # back-reference so cancel() can keep the owning simulator's live
-    # event count exact without an O(heap) scan
-    owner: "Simulator | None" = field(default=None, compare=False, repr=False)
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when the event is popped."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.owner is not None:
-                self.owner._event_cancelled()
 
 
 class Waitable:
@@ -176,7 +165,6 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
-        self._pending = 0  # live (scheduled, not cancelled, not run) events
 
     @property
     def now(self) -> float:
@@ -193,13 +181,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past ({time} < {self._now})"
             )
-        event = Event(time, next(self._seq), callback, owner=self)
+        event = Event(time, next(self._seq), callback)
         heapq.heappush(self._heap, event)
-        self._pending += 1
         return event
-
-    def _event_cancelled(self) -> None:
-        self._pending -= 1
 
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a generator process; returns its :class:`Process` handle."""
@@ -209,29 +193,17 @@ class Simulator:
         """Convenience constructor for :class:`AllOf`."""
         return AllOf(waitables)
 
-    def run(self, until: float | None = None) -> float:
-        """Run events until the heap drains (or ``until`` is reached).
-
-        Returns the final simulated time.
-        """
+    def run(self) -> float:
+        """Run events until the heap drains; returns the final simulated time."""
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         try:
-            while self._heap:
-                event = self._heap[0]
-                if until is not None and event.time > until:
-                    self._now = until
-                    break
-                heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self._pending -= 1
+            heap = self._heap
+            while heap:
+                event = heapq.heappop(heap)
                 self._now = event.time
                 event.callback()
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
         finally:
             self._running = False
         return self._now
@@ -248,13 +220,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot advance to the past ({time} < {self._now})"
             )
-        if self._pending:
+        if self._heap:
             raise SimulationError(
-                f"advance_to({time}) would skip {self._pending} pending event(s)"
+                f"advance_to({time}) would skip {len(self._heap)} pending event(s)"
             )
         self._now = time
         return self._now
 
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._pending
+        """Number of events still queued."""
+        return len(self._heap)

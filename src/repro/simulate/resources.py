@@ -1,10 +1,10 @@
 """FIFO resources for the discrete-event engine.
 
-A storage server's disk and NIC are modelled as :class:`FIFOResource`
-instances: work items are served one at a time in arrival order, each
-occupying the resource for a caller-supplied duration.  This is the
-standard single-channel queueing abstraction the paper's cost model
-approximates analytically.
+A storage server's service channel, a client NIC and the MDS are each
+modelled as a :class:`FIFOResource`: work items are served one at a
+time in arrival order, each occupying the resource for a
+caller-supplied duration.  This is the single FIFO queue per server
+that the paper's cost model (Eq. 2) approximates analytically.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class ServiceRecord:
     start: float
     finish: float
     duration: float
-    tag: object = None
 
     @property
     def wait(self) -> float:
@@ -34,46 +33,33 @@ class ServiceRecord:
 
 
 class FIFOResource:
-    """A ``capacity``-channel FIFO queue with busy-until semantics.
+    """A single-channel FIFO queue with busy-until semantics.
 
-    ``submit(duration)`` enqueues a work item that will occupy one
-    channel for ``duration`` seconds once a channel frees up, and
-    returns a :class:`~repro.simulate.engine.Completion` firing (with
-    the :class:`ServiceRecord`) when service finishes.  ``capacity``
-    models internal parallelism — a disk head is 1, a flash device's
-    channel array is several.
+    ``submit(duration)`` enqueues a work item that will occupy the
+    resource for ``duration`` seconds once it frees up, and returns a
+    :class:`~repro.simulate.engine.Completion` firing (with the
+    :class:`ServiceRecord`) when service finishes.
 
-    The implementation does not need explicit queue objects: because
-    service is FIFO and non-preemptive, per-channel ``busy_until``
-    watermarks fully determine each item's start time at submission;
-    arrivals take the earliest-free channel.  :meth:`schedule` exposes
-    the computed times synchronously for callers composing multi-stage
-    pipelines (device then NIC), including a ``not_before`` lower bound
-    on the start time.
+    The implementation does not need an explicit queue object: because
+    service is FIFO and non-preemptive, the ``busy_until`` watermark
+    fully determines each item's start time at submission.
+    :meth:`schedule` exposes the computed times synchronously for
+    callers composing multi-stage pipelines (device then NIC),
+    including a ``not_before`` lower bound on the start time.
     """
 
-    def __init__(self, sim: Simulator, name: str = "", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = "") -> None:
         self._sim = sim
         self.name = name
-        self.capacity = capacity
-        self._tails = [0.0] * capacity
+        #: simulated time at which the current backlog fully drains
+        self.busy_until = 0.0
         #: total seconds of service performed (utilization numerator)
         self.busy_time = 0.0
         #: completed service count
         self.served = 0
-        #: records of every service, in completion order (optional use)
-        self.records: list[ServiceRecord] = []
-        self.keep_records = False
-
-    @property
-    def busy_until(self) -> float:
-        """Simulated time at which the current backlog fully drains."""
-        return max(self._tails)
 
     def schedule(
-        self, duration: float, not_before: float = 0.0, tag: object = None
+        self, duration: float, not_before: float = 0.0
     ) -> tuple[ServiceRecord, Completion]:
         """Enqueue a work item; returns its (record, completion).
 
@@ -84,17 +70,14 @@ class FIFOResource:
         if duration < 0:
             raise ValueError(f"service duration must be >= 0, got {duration}")
         now = self._sim.now
-        channel = min(range(self.capacity), key=self._tails.__getitem__)
-        start = max(now, not_before, self._tails[channel])
+        start = max(now, not_before, self.busy_until)
         finish = start + duration
-        self._tails[channel] = finish
+        self.busy_until = finish
         self.busy_time += duration
         self.served += 1
         record = ServiceRecord(
-            arrival=now, start=start, finish=finish, duration=duration, tag=tag
+            arrival=now, start=start, finish=finish, duration=duration
         )
-        if self.keep_records:
-            self.records.append(record)
         done = Completion()
         self._sim.schedule_at(finish, lambda: done.fire(record))
         return record, done
@@ -105,40 +88,29 @@ class FIFOResource:
         harness="fifo_schedule",
     )
     def schedule_flat(
-        self, now: float, duration: float, not_before: float = 0.0, tag: object = None
+        self, now: float, duration: float, not_before: float = 0.0
     ) -> float:
         """Queue-tail arithmetic twin of :meth:`schedule`.
 
-        Identical bookkeeping (tails, busy time, served count, optional
-        service records) and identical start/finish arithmetic, but no
-        :class:`Completion` and no heap event: the finish time is
-        returned directly.  ``now`` is the caller-maintained clock —
-        the flat replay kernel (:mod:`repro.pfs.flat`) advances time
-        itself and only moves the simulator clock at the end.
+        Identical bookkeeping (watermark, busy time, served count) and
+        identical start/finish arithmetic, but no :class:`Completion`
+        and no heap event: the finish time is returned directly.
+        ``now`` is the caller-maintained clock — the flat replay kernel
+        (:mod:`repro.pfs.flat`) advances time itself and only moves the
+        simulator clock at the end.
         """
         if duration < 0:
             raise ValueError(f"service duration must be >= 0, got {duration}")
-        tails = self._tails
-        if self.capacity == 1:
-            channel = 0
-        else:
-            channel = min(range(self.capacity), key=tails.__getitem__)
-        start = max(now, not_before, tails[channel])
+        start = max(now, not_before, self.busy_until)
         finish = start + duration
-        tails[channel] = finish
+        self.busy_until = finish
         self.busy_time += duration
         self.served += 1
-        if self.keep_records:
-            self.records.append(
-                ServiceRecord(
-                    arrival=now, start=start, finish=finish, duration=duration, tag=tag
-                )
-            )
         return finish
 
-    def submit(self, duration: float, tag: object = None) -> Completion:
+    def submit(self, duration: float) -> Completion:
         """Enqueue a work item; returns a completion for its finish."""
-        _, done = self.schedule(duration, tag=tag)
+        _, done = self.schedule(duration)
         return done
 
     def utilization(self, horizon: float) -> float:
@@ -151,4 +123,3 @@ class FIFOResource:
         """Clear accumulated statistics (not the busy watermark)."""
         self.busy_time = 0.0
         self.served = 0
-        self.records.clear()

@@ -21,8 +21,9 @@ class TestChaosFaultPlan:
         assert len(plan) == 0
 
     def test_negative_intensity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            chaos_fault_plan(ClusterSpec(), -0.5)
+        for bad in ("-0.5", "nan", "inf"):
+            with pytest.raises(ConfigurationError, match=f"got {bad}"):
+                chaos_fault_plan(ClusterSpec(), float(bad))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown chaos model"):

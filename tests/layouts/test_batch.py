@@ -1,10 +1,9 @@
 """Batched request mapping must equal the per-request object path.
 
-Every batch API introduced for the flat replay kernel — layout
-``map_extents``/``merged_extent_runs``, :func:`merged_runs_of`,
-``LayoutView.map_requests``/``merged_runs``, and the MHA redirector's
-batch twins — is checked fragment-for-fragment against the scalar path
-it replaces.
+Every batch API the flat replay kernel maps requests through — layout
+``merged_extent_runs``, :func:`merged_runs_of`, ``LayoutView.merged_runs``
+and the MHA redirector's ``merged_runs`` — is checked
+fragment-for-fragment against the scalar path it replaces.
 """
 
 import pytest
@@ -99,14 +98,6 @@ def assert_runs_equal_object_path(layout, runs: MergedRuns, extents):
 
 class TestLayoutBatchEquivalence:
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
-    def test_map_extents_equals_loop(self, name):
-        layout = LAYOUTS[name]()
-        offsets = [o for o, _ in EXTENTS]
-        lengths = [l for _, l in EXTENTS]
-        batched = layout.map_extents(offsets, lengths)
-        assert batched == [layout.map_extent(o, l) for o, l in EXTENTS]
-
-    @pytest.mark.parametrize("name", sorted(LAYOUTS))
     def test_merged_runs_equals_object_path(self, name):
         layout = LAYOUTS[name]()
         offsets = [o for o, _ in EXTENTS]
@@ -197,14 +188,6 @@ class TestViewBatching:
             default=FixedStripeLayout(spec.server_ids, 4 * KiB),
         )
 
-    def test_map_requests_equals_map_request(self):
-        view = self.make_view()
-        offsets = [0, 100 * KiB, 0]
-        lengths = [256 * KiB, 8 * KiB, 0]
-        assert view.map_requests("f", offsets, lengths) == [
-            view.map_request("f", o, l) for o, l in zip(offsets, lengths)
-        ]
-
     def test_merged_runs_equals_merge_fragments(self):
         view = self.make_view()
         offsets = [0, 100 * KiB]
@@ -230,16 +213,6 @@ class TestRedirectorBatching:
     # mapped, fallthrough, straddling (multi-extent), zero-length
     OFFSETS = [0, 70 * KiB, 60 * KiB, 130 * KiB, 0]
     LENGTHS = [32 * KiB, 8 * KiB, 80 * KiB, 16 * KiB, 0]
-
-    def test_map_requests_equals_map_request(self):
-        batched, scalar = self.make(), self.make()
-        got = batched.map_requests("f", self.OFFSETS, self.LENGTHS)
-        want = [
-            scalar.map_request("f", o, l)
-            for o, l in zip(self.OFFSETS, self.LENGTHS)
-        ]
-        assert got == want
-        assert batched.stats == scalar.stats
 
     def test_merged_runs_equals_object_path(self):
         batched, scalar = self.make(), self.make()

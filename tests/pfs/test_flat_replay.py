@@ -384,18 +384,6 @@ class TestEngineSelection:
         assert metrics.requests == 3
         assert metrics.engine == "event"
 
-    def test_collector_falls_back_to_event(self, monkeypatch):
-        from repro.tracing import IOCollector
-
-        spec, trace = self.make()
-        monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
-        collector = IOCollector()
-        metrics = replay_trace(
-            HybridPFS(spec), simple_view(spec), trace, engine="flat", collector=collector
-        )
-        assert len(collector) == 3
-        assert metrics.engine == "event"
-
     def test_pending_events_fall_back_to_event(self, monkeypatch):
         spec, trace = self.make()
         pfs = HybridPFS(spec)
@@ -405,18 +393,6 @@ class TestEngineSelection:
 
         pfs.sim.spawn(background(), name="bg")
         assert pfs.sim.pending() > 0
-        monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
-        metrics = replay_trace(pfs, simple_view(spec), trace, engine="flat")
-        assert metrics.requests == 3
-        assert metrics.engine == "event"
-
-    def test_multichannel_server_falls_back_to_event(self, monkeypatch):
-        from repro.simulate import FIFOResource
-
-        spec, trace = self.make()
-        pfs = HybridPFS(spec)
-        srv = pfs.servers[0]
-        srv.channel = FIFOResource(pfs.sim, name=srv.name, capacity=2)
         monkeypatch.setattr(replay_mod, "replay_flat", self.boom)
         metrics = replay_trace(pfs, simple_view(spec), trace, engine="flat")
         assert metrics.requests == 3

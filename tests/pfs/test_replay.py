@@ -6,7 +6,7 @@ from repro.cluster import ClusterSpec
 from repro.layouts import FixedStripeLayout
 from repro.pfs import HybridPFS, replay_trace, run_workload
 from repro.schemes.base import LayoutView
-from repro.tracing import IOCollector, Trace, TraceRecord
+from repro.tracing import Trace, TraceRecord
 from repro.units import KiB, MiB
 
 
@@ -70,16 +70,6 @@ class TestReplay:
         trace = Trace([rec(i * 64 * KiB, 64 * KiB, float(i)) for i in range(16)])
         metrics = run_workload(spec, simple_view(spec), trace)
         assert metrics.load_imbalance() >= 1.0
-
-    def test_collector_hook_records_requests(self, spec):
-        trace = Trace([rec(i * 64 * KiB, 64 * KiB, float(i)) for i in range(3)])
-        collector = IOCollector()
-        pfs = HybridPFS(spec)
-        replay_trace(pfs, simple_view(spec), trace, collector=collector)
-        assert len(collector) == 3
-        # collector timestamps are simulated times, not wall-clock
-        recorded = collector.trace(sort_by_offset=False)
-        assert recorded[0].timestamp == 0.0
 
     def test_shared_pfs_sequential_replays(self, spec):
         trace = Trace([rec(0, 64 * KiB, 0.0)])

@@ -72,6 +72,10 @@ class TestHybridPFS:
         pfs = HybridPFS(ClusterSpec(num_hservers=1, num_sservers=1))
         with pytest.raises(SimulationError):
             pfs.issue("read", [frag(9, 0, 10, 0)])
+        n = len(pfs.servers)
+        for index in (-1, n):
+            with pytest.raises(SimulationError, match=f"out of range 0..{n - 1}"):
+                pfs.server(index)
 
     def test_per_server_stats(self):
         pfs = HybridPFS(ClusterSpec(num_hservers=1, num_sservers=1))

@@ -1,4 +1,4 @@
-"""Tests for FIFO resources (single- and multi-channel)."""
+"""Tests for the single-channel FIFO resource."""
 
 import pytest
 
@@ -71,51 +71,6 @@ class TestSingleChannel:
         record, _ = res.schedule(1.0, not_before=10.0)
         assert record.start == 10.0 and record.finish == 11.0
 
-    def test_records_kept_when_enabled(self):
-        sim = Simulator()
-        res = FIFOResource(sim)
-        res.keep_records = True
-        res.submit(1.0, tag="a")
-        drain(sim)
-        assert len(res.records) == 1 and res.records[0].tag == "a"
-
-
-class TestMultiChannel:
-    def test_parallel_channels_overlap(self):
-        sim = Simulator()
-        res = FIFOResource(sim, capacity=2)
-        c1 = res.submit(2.0)
-        c2 = res.submit(2.0)
-        c3 = res.submit(2.0)
-        drain(sim)
-        assert c1.value.start == 0.0
-        assert c2.value.start == 0.0  # second channel
-        assert c3.value.start == 2.0  # queues behind the earliest free
-
-    def test_busy_until_is_max_tail(self):
-        sim = Simulator()
-        res = FIFOResource(sim, capacity=2)
-        res.submit(1.0)
-        res.submit(5.0)
-        assert res.busy_until == 5.0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            FIFOResource(Simulator(), capacity=0)
-
-    def test_k_channels_give_k_speedup_for_uniform_work(self):
-        sim1, sim4 = Simulator(), Simulator()
-        serial = FIFOResource(sim1, capacity=1)
-        parallel = FIFOResource(sim4, capacity=4)
-        for _ in range(8):
-            serial.submit(1.0)
-            parallel.submit(1.0)
-        t_serial = sim1.run()
-        t_parallel = sim4.run()
-        assert t_serial == 8.0
-        assert t_parallel == 2.0
-
-
 class TestScheduleFlat:
     def test_matches_event_schedule(self):
         """schedule_flat returns the same finishes schedule produces."""
@@ -141,26 +96,8 @@ class TestScheduleFlat:
         assert res.schedule_flat(1.0, 1.0, not_before=10.0) == 11.0
         assert res.schedule_flat(1.0, 1.0) == 12.0  # queued behind the tail
 
-    def test_multichannel_picks_earliest_tail(self):
-        sim = Simulator()
-        res = FIFOResource(sim, capacity=2)
-        assert res.schedule_flat(0.0, 4.0) == 4.0
-        assert res.schedule_flat(0.0, 1.0) == 1.0  # second channel is free
-        assert res.schedule_flat(0.0, 1.0) == 2.0  # behind the shorter tail
-
     def test_negative_duration_rejected(self):
         sim = Simulator()
         res = FIFOResource(sim)
         with pytest.raises(ValueError):
             res.schedule_flat(0.0, -1.0)
-
-    def test_records_kept_when_enabled(self):
-        sim = Simulator()
-        res = FIFOResource(sim)
-        res.keep_records = True
-        res.schedule_flat(0.0, 2.0, tag="a")
-        res.schedule_flat(1.0, 3.0, tag="b")
-        assert [(r.start, r.finish, r.tag) for r in res.records] == [
-            (0.0, 2.0, "a"),
-            (2.0, 5.0, "b"),
-        ]
