@@ -27,7 +27,6 @@ For each region, iterate candidate stripe pairs ``<h, s>``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -44,25 +43,7 @@ from .cost_model import (
 from .params import CostModelParams
 from .rst import StripePair
 
-__all__ = [
-    "StripeDecision",
-    "determine_stripes",
-    "search_bounds",
-    "region_search_task",
-    "RegionSearchTask",
-]
-
-#: the picklable work unit :func:`region_search_task` consumes:
-#: ``(params, offsets, lengths, is_read, concurrency, burst_ids, kwargs)``
-RegionSearchTask = tuple[
-    CostModelParams,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    np.ndarray,
-    "np.ndarray | None",
-    dict[str, Any],
-]
+__all__ = ["StripeDecision", "determine_stripes", "search_bounds"]
 
 #: Algorithm 2's default step (user-configurable)
 DEFAULT_STEP = 4 * KiB
@@ -356,22 +337,6 @@ def determine_stripes(
         candidates=candidates,
         bound_h=b_h,
         bound_s=b_s,
-    )
-
-
-def region_search_task(task: RegionSearchTask) -> StripeDecision:
-    """Picklable worker for process-parallel region searches.
-
-    ``task`` is ``(params, offsets, lengths, is_read, concurrency,
-    burst_ids, kwargs)``; the result is the region's
-    :class:`StripeDecision`.  Both :class:`repro.core.pipeline.MHAPipeline`
-    and :class:`repro.schemes.harl.HARLScheme` ship these tuples through
-    :func:`repro.core.parallel.parallel_map`.
-    """
-    params, offsets, lengths, is_read, concurrency, burst_ids, kwargs = task
-    return determine_stripes(
-        params, offsets, lengths, is_read, concurrency,
-        burst_ids=burst_ids, **kwargs,
     )
 
 

@@ -1,9 +1,10 @@
-"""Process-parallel execution of independent region searches.
+"""Process-parallel execution of independent coarse-grained tasks.
 
-The Determination phase is embarrassingly parallel: every region's RSSD
-search reads only its own request arrays and the (immutable) cost-model
-parameters.  This module provides the one executor abstraction the
-pipeline and the search-based schemes share:
+A comparison runs one independent task per scheme, a sweep one per
+(point, scheme) cell, the chaos experiment one per fault cell and the
+tenancy service one per tenant build.  This module provides the one
+executor abstraction they share (region searches are too small to pay
+for a worker process and run in the calling process):
 
 * :func:`resolve_jobs` turns an explicit ``n_jobs`` or the
   ``REPRO_JOBS`` environment variable into a worker count (default: all
@@ -15,10 +16,10 @@ pipeline and the search-based schemes share:
   (sandboxes without ``fork`` semaphores, for example) — results are
   identical either way, because every task is independent and
   deterministic;
-* worker exceptions are re-raised as :class:`RegionSearchError` carrying
-  the *region label* of the failing item, with the original exception
-  chained, so a failure in one of hundreds of concurrent searches still
-  says exactly which region broke;
+* worker exceptions are re-raised as :class:`TaskError` carrying the
+  *label* of the failing item, with the original exception chained, so
+  a failure in one of many concurrent tasks still says exactly which
+  scheme, cell or tenant broke;
 * under ``REPRO_SANITIZE=1`` (see :mod:`repro.determinism`) every
   worker's seed-lineage/draw-count ledger is captured per item and
   merged back into the parent's, so a sharded run's ledger is
@@ -39,7 +40,7 @@ from typing import TypeVar
 from ..determinism import ledger, reset_ledger, sanitize_enabled
 from ..exceptions import ConfigurationError, ReproError
 
-__all__ = ["RegionSearchError", "resolve_jobs", "parallel_map", "JOBS_ENV_VAR"]
+__all__ = ["TaskError", "resolve_jobs", "parallel_map", "JOBS_ENV_VAR"]
 
 #: environment variable consulted when ``n_jobs`` is not given
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -48,14 +49,12 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class RegionSearchError(ReproError):
-    """A parallel region task failed; ``label`` names the region."""
+class TaskError(ReproError):
+    """A parallel task failed; ``label`` names the task."""
 
     def __init__(self, label: str, cause: BaseException) -> None:
         self.label = label
-        super().__init__(
-            f"region task {label!r} failed: {type(cause).__name__}: {cause}"
-        )
+        super().__init__(f"task {label!r} failed: {type(cause).__name__}: {cause}")
 
 
 def resolve_jobs(n_jobs: int | None = None) -> int:
@@ -100,7 +99,7 @@ def _run_serial(
         try:
             results.append(fn(item))
         except Exception as exc:
-            raise RegionSearchError(label, exc) from exc
+            raise TaskError(label, exc) from exc
     return results
 
 
@@ -116,7 +115,7 @@ def parallel_map(
     ``fn`` and the items must be picklable when more than one worker is
     used.  ``labels`` (same length as ``items``) name the items in
     error reports; they default to the item index.  The first failing
-    item (in submission order) raises :class:`RegionSearchError` with
+    item (in submission order) raises :class:`TaskError` with
     its label and the worker's exception chained.
     """
     items = list(items)
@@ -172,9 +171,9 @@ def parallel_map(
                 # the answer is the same
                 return _run_serial(fn, items, labels)
             except Exception as exc:
-                if isinstance(exc, RegionSearchError):
+                if isinstance(exc, TaskError):
                     raise
-                raise RegionSearchError(label, exc) from exc
+                raise TaskError(label, exc) from exc
         succeeded = True
         return results
     finally:

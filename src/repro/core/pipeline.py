@@ -7,13 +7,19 @@ application's profiled first run and its subsequent runs: it consumes
 the collector's trace and produces an :class:`MHAPlan` holding the DRT,
 the RST, every region's layout and the runtime
 :class:`~repro.core.redirector.Redirector`.
+
+The whole workflow runs in the calling process.  A region's RSSD search
+is too short to repay a worker process (on Fig. 7 and on a 12-region
+plan, a pool per plan ran slower than the serial loop), so process
+parallelism stays one level up: comparisons, sweeps and the tenancy
+service fan whole plans out through
+:func:`repro.core.parallel.parallel_map`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -26,27 +32,22 @@ from ..layouts.fixed import FixedStripeLayout
 from ..tracing.analysis import burst_ids_of, concurrency_of
 from ..tracing.columnar import (
     ColumnarTrace,
+    as_columnar_trace,
     collapse_by_last_group,
     concurrency_and_burst_ids,
     identity_classes,
 )
 from ..tracing.record import Trace, TraceRecord
 from ..units import KiB
-from .determinator import (
-    DEFAULT_STEP,
-    RegionSearchTask,
-    StripeDecision,
-    region_search_task,
-)
+from .determinator import DEFAULT_STEP, StripeDecision, determine_stripes
 from .drt import DRT, DRTEntry
 from .features import extract_features, extract_features_columnar
 from .grouping import DEFAULT_MAX_GROUPS, GroupingResult, group_requests, suggest_k
 from .intervals import IntervalSet
-from .parallel import parallel_map
 from .params import CostModelParams
 from .placer import place_regions
 from .redirector import Redirector
-from .reorganizer import ReorderPlan, reorganize, reorganize_arrays
+from .reorganizer import RegionPlan, ReorderPlan, reorganize, reorganize_arrays
 from .rst import RST
 
 __all__ = ["MHAPlan", "MHAPipeline", "identity_redirector", "load_plan"]
@@ -114,12 +115,6 @@ class MHAPipeline:
         Optional persistence locations (Berkeley-DB stand-in files).
     max_eval_requests / seed:
         Cost-evaluation sampling bound and RNG seed (determinism).
-    n_jobs:
-        Worker processes for the Determination phase.  Regions are
-        independent, so their RSSD searches run concurrently through
-        :func:`repro.core.parallel.parallel_map`; ``None`` defers to
-        the ``REPRO_JOBS`` environment variable and then the CPU
-        count.  Results are identical for any worker count.
     engine:
         RSSD search engine (``"grid"`` vectorized / ``"scalar"``
         reference loop); see
@@ -141,7 +136,6 @@ class MHAPipeline:
         rst_path: str | Path | None = None,
         max_eval_requests: int = 4096,
         seed: int = DEFAULT_SAMPLE_SEED,
-        n_jobs: int | None = None,
         engine: str = "grid",
     ) -> None:
         if k is not None and k <= 0:
@@ -159,7 +153,6 @@ class MHAPipeline:
         self.rst_path = rst_path
         self.max_eval_requests = max_eval_requests
         self.seed = seed
-        self.n_jobs = n_jobs
         self.engine = engine
 
     def _original_layout(self, file: str) -> Layout:
@@ -167,31 +160,34 @@ class MHAPipeline:
             servers=self.spec.server_ids, stripe=self.original_stripe, obj=file
         )
 
-    def search_kwargs(self) -> dict[str, Any]:
-        """The RSSD search options shared by every region task."""
-        return dict(
+    def search(self, region: RegionPlan) -> StripeDecision:
+        """Algorithm 2 (RSSD) over one region's requests, with the
+        pipeline's step, bound policy, sample bound, seed and engine."""
+        offsets, lengths, is_read, concurrency, burst_ids = region.request_arrays()
+        return determine_stripes(
+            self.params,
+            offsets,
+            lengths,
+            is_read,
+            concurrency,
             step=self.step,
             bound_policy=self.bound_policy,
             max_eval_requests=self.max_eval_requests,
             seed=self.seed,
+            burst_ids=burst_ids,
             engine=self.engine,
         )
 
     def plan_file(
         self, file: str, sub: Trace, drt: DRT
-    ) -> tuple[ReorderPlan, GroupingResult, list[str], list[RegionSearchTask]]:
-        """Run grouping + reordering for one file; return its search tasks.
+    ) -> tuple[ReorderPlan, GroupingResult]:
+        """Run grouping + reordering for one file (record reference).
 
         ``sub`` must be the offset-sorted single-file trace.  DRT
-        entries for the file's regions are appended to ``drt``.  The
-        returned search tasks are the picklable
-        :func:`~repro.core.determinator.region_search_task` tuples for
-        the file's regions (one per name in the returned name list) —
-        callers fan them out through
-        :func:`repro.core.parallel.parallel_map`.  Factored out of
-        :meth:`plan` so the online re-planner
-        (:mod:`repro.online.replanner`) can rebuild a single drifted
-        file with exactly the off-line semantics.
+        entries for the file's regions are appended to ``drt``; each
+        region of the returned plan is ready for :meth:`search`.
+        Production runs the :meth:`plan_file_columnar` twin; this
+        record-object version is its reference oracle.
         """
         features = extract_features(sub, gap=self.gap, spatial=self.spatial)
         distinct = int(np.unique(features.points, axis=0).shape[0]) if len(sub) else 1
@@ -220,23 +216,7 @@ class MHAPipeline:
         plan = reorganize(
             sub, grouping, conc, o_file=file, drt=drt, bursts=bursts
         )
-        region_names: list[str] = []
-        search_tasks: list[RegionSearchTask] = []
-        for region in plan.regions:
-            offsets, lengths, is_read, concurrency, burst_ids = (
-                region.request_arrays()
-            )
-            region_names.append(region.name)
-            search_tasks.append((
-                self.params,
-                offsets,
-                lengths,
-                is_read,
-                concurrency,
-                burst_ids,
-                self.search_kwargs(),
-            ))
-        return plan, grouping, region_names, search_tasks
+        return plan, grouping
 
     @twin_of(
         "repro.core.pipeline:MHAPipeline.plan_file",
@@ -245,10 +225,14 @@ class MHAPipeline:
     )
     def plan_file_columnar(
         self, file: str, sub: ColumnarTrace, drt: DRT
-    ) -> tuple[ReorderPlan, GroupingResult, list[str], list[RegionSearchTask]]:
+    ) -> tuple[ReorderPlan, GroupingResult]:
         """:meth:`plan_file` over a columnar trace — no record objects.
 
-        Identical outputs (plan, grouping, names, tasks): the feature
+        Factored out of :meth:`plan` so the online re-planner
+        (:mod:`repro.online.replanner`) can rebuild a single drifted
+        file with exactly the off-line semantics.
+
+        Identical outputs (plan and grouping): the feature
         matrix is the :func:`extract_features_columnar` twin's, the
         grouping runs the exact same array k-means, and the per-group
         concurrency/burst assignment reproduces the reference's
@@ -288,31 +272,16 @@ class MHAPipeline:
         plan = reorganize_arrays(
             sub, grouping, conc_arr, o_file=file, drt=drt, bursts=burst_arr
         )
-        region_names: list[str] = []
-        search_tasks: list[RegionSearchTask] = []
-        for region in plan.regions:
-            offsets, lengths, is_read, concurrency, burst_ids = (
-                region.request_arrays()
-            )
-            region_names.append(region.name)
-            search_tasks.append((
-                self.params,
-                offsets,
-                lengths,
-                is_read,
-                concurrency,
-                burst_ids,
-                self.search_kwargs(),
-            ))
-        return plan, grouping, region_names, search_tasks
+        return plan, grouping
 
     def plan(self, trace: "Trace | ColumnarTrace") -> MHAPlan:
         """Run reordering + determination + placement over a trace.
 
-        Accepts either trace representation; the columnar one runs the
-        vectorized twins end-to-end and produces a bit-identical plan.
-        Either way the per-file sub-traces come from a single-pass
-        partition, not a per-file rescan of the whole trace.
+        The trace is converted to columnar once and split by a
+        single-pass file partition.  Every file is reorganized (which
+        writes its DRT entries) before the first region is searched;
+        the RST then receives each region's pair in file and region
+        order.
         """
         drt = DRT(self.drt_path) if self.drt_path else DRT()
         rst = RST(self.rst_path) if self.rst_path else RST()
@@ -320,42 +289,20 @@ class MHAPipeline:
         groupings: dict[str, GroupingResult] = {}
         decisions: dict[str, StripeDecision] = {}
         original_layouts: dict[str, Layout] = {}
-        region_names: list[str] = []
-        search_tasks: list[RegionSearchTask] = []
 
-        if isinstance(trace, ColumnarTrace):
-            for file, indices in trace.file_partition().items():
-                sub_col = trace.take(indices).sorted_by_offset()
-                original_layouts[file] = self._original_layout(file)
-                plan, grouping, names, tasks = self.plan_file_columnar(
-                    file, sub_col, drt
-                )
-                reorder_plans[file] = plan
-                groupings[file] = grouping
-                region_names.extend(names)
-                search_tasks.extend(tasks)
-        else:
-            for file, sub_records in trace.partition_by_file().items():
-                sub = sub_records.sorted_by_offset()
-                original_layouts[file] = self._original_layout(file)
-                plan, grouping, names, tasks = self.plan_file(file, sub, drt)
-                reorder_plans[file] = plan
-                groupings[file] = grouping
-                region_names.extend(names)
-                search_tasks.extend(tasks)
+        columns = as_columnar_trace(trace)
+        for file, indices in columns.file_partition().items():
+            sub = columns.take(indices).sorted_by_offset()
+            original_layouts[file] = self._original_layout(file)
+            reorder_plans[file], groupings[file] = self.plan_file_columnar(
+                file, sub, drt
+            )
 
-        # Determination: every region's RSSD search is independent, so
-        # fan the accumulated searches (across all files) out to the
-        # worker pool at once
-        results = parallel_map(
-            region_search_task,
-            search_tasks,
-            n_jobs=self.n_jobs,
-            labels=region_names,
-        )
-        for name, decision in zip(region_names, results):
-            decisions[name] = decision
-            rst.set(name, decision.pair)
+        for reorder_plan in reorder_plans.values():
+            for region in reorder_plan.regions:
+                decision = self.search(region)
+                decisions[region.name] = decision
+                rst.set(region.name, decision.pair)
 
         region_layouts = place_regions(self.spec, rst)
         redirector = Redirector(drt, region_layouts, original_layouts)

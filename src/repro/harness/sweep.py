@@ -9,7 +9,7 @@ back, and print or bar-chart it like any reproduced figure.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..cluster import ClusterSpec
 from ..core.parallel import parallel_map
@@ -88,10 +88,3 @@ def sweep(
         result.add(task[3], task[0], bandwidth_mib(run.metrics.bandwidth))
     return result
 
-
-def grid(
-    labels_and_values: Sequence[tuple[str, object]],
-    make_point: Callable[[object], SweepPoint],
-) -> list[SweepPoint]:
-    """Small helper: build sweep points from (label, value) pairs."""
-    return [make_point(value) for _label, value in labels_and_values]

@@ -4,9 +4,11 @@ A drift report names files whose regions no longer serve the traffic
 they were built for.  The re-planner runs the off-line machinery —
 grouping, reordering, the grid RSSD search — over the *recent window*
 of those files only, and carries every un-drifted file's DRT entries,
-layouts and stripe decisions into the new plan verbatim.  Region
-searches fan out through :func:`repro.core.parallel.parallel_map`, the
-same worker pool the off-line Determination phase uses.
+layouts and stripe decisions into the new plan verbatim.  The window is
+converted to columnar once, and each drifted file goes through the same
+:meth:`~repro.core.pipeline.MHAPipeline.plan_file_columnar` and
+:meth:`~repro.core.pipeline.MHAPipeline.search` calls the off-line
+plan makes, in the calling process.
 
 One further saving: when a rebuilt region's centroid lands within
 ``reuse_tolerance`` (relative distance) of an **un-drifted** region of
@@ -20,14 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.determinator import StripeDecision, region_search_task
+from ..core.determinator import StripeDecision
 from ..core.drt import DRT
-from ..core.parallel import parallel_map
 from ..core.pipeline import MHAPipeline, MHAPlan
 from ..core.placer import place_regions
 from ..core.redirector import Redirector
+from ..core.reorganizer import RegionPlan
 from ..core.rst import RST
 from ..layouts.base import Layout
+from ..tracing.columnar import as_columnar_trace
 from ..tracing.record import Trace
 from .drift import DriftReport, plan_centroids, relative_distance
 
@@ -60,9 +63,9 @@ class IncrementalReplanner:
     ----------
     pipeline:
         The off-line pipeline whose parameters (grouping cap, RSSD
-        step, bound policy, seed, engine, worker count) the re-planner
-        mirrors — a replan is the off-line optimization scoped down to
-        the drifted files.
+        step, bound policy, seed, engine) the re-planner mirrors — a
+        replan is the off-line optimization scoped down to the drifted
+        files.
     reuse_tolerance:
         Centroid distance under which an un-drifted old region's
         decision is reused without a search; 0 disables reuse.
@@ -83,7 +86,9 @@ class IncrementalReplanner:
         layouts, same decisions), so the resulting plan can serve the
         whole namespace the old one did.
         """
-        drifted = [f for f in report.drifted_files if len(window.for_file(f))]
+        columns = as_columnar_trace(window)
+        partition = columns.file_partition()
+        drifted = [f for f in report.drifted_files if f in partition]
         drt = DRT()
         rst = RST()
         reorder_plans = dict(old_plan.reorder_plans)
@@ -109,37 +114,30 @@ class IncrementalReplanner:
             for name, center in old_centroids.items()
             if name not in report.drifted_regions
         }
-        region_names: list[str] = []
-        search_tasks: list[tuple] = []
+        to_search: list[RegionPlan] = []
         reused: list[str] = []
         for file in drifted:
-            sub = window.for_file(file).sorted_by_offset()
+            sub = columns.take(partition[file]).sorted_by_offset()
             original_layouts.setdefault(
                 file, self.pipeline._original_layout(file)
             )
-            plan, grouping, names, tasks = self.pipeline.plan_file(file, sub, drt)
+            plan, grouping = self.pipeline.plan_file_columnar(file, sub, drt)
             reorder_plans[file] = plan
             groupings[file] = grouping
-            for region, name, task in zip(plan.regions, names, tasks):
+            for region in plan.regions:
                 pair = self._reusable_pair(
                     old_plan, undrifted_old, grouping, region.group
                 )
                 if pair is not None:
-                    rst.set(name, pair)
-                    reused.append(name)
+                    rst.set(region.name, pair)
+                    reused.append(region.name)
                 else:
-                    region_names.append(name)
-                    search_tasks.append(task)
+                    to_search.append(region)
 
-        results = parallel_map(
-            region_search_task,
-            search_tasks,
-            n_jobs=self.pipeline.n_jobs,
-            labels=region_names,
-        )
-        for name, decision in zip(region_names, results):
-            decisions[name] = decision
-            rst.set(name, decision.pair)
+        for region in to_search:
+            decision = self.pipeline.search(region)
+            decisions[region.name] = decision
+            rst.set(region.name, decision.pair)
 
         region_layouts = place_regions(self.pipeline.spec, rst)
         redirector = Redirector(drt, region_layouts, original_layouts)
@@ -156,7 +154,7 @@ class IncrementalReplanner:
         return ReplanOutcome(
             plan=plan,
             replanned_files=drifted,
-            searched_regions=region_names,
+            searched_regions=[region.name for region in to_search],
             reused_regions=reused,
         )
 

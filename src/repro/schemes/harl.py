@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..core.determinator import DEFAULT_STEP, RegionSearchTask, region_search_task
-from ..core.parallel import parallel_map
+from ..core.determinator import DEFAULT_STEP, determine_stripes
 from ..core.params import CostModelParams
 from ..core.rst import StripePair
 from ..layouts.base import Layout
@@ -55,7 +54,6 @@ class HARLScheme(Scheme):
         step: int = DEFAULT_STEP,
         max_eval_requests: int = 4096,
         seed: int = 0,
-        n_jobs: int | None = None,
         engine: str = "grid",
     ) -> None:
         if num_regions <= 0:
@@ -68,7 +66,6 @@ class HARLScheme(Scheme):
         self.step = step
         self.max_eval_requests = max_eval_requests
         self.seed = seed
-        self.n_jobs = n_jobs
         self.engine = engine
 
     def _region_bounds(
@@ -97,20 +94,9 @@ class HARLScheme(Scheme):
 
     def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:
         params = CostModelParams.from_cluster(spec)
-        search_kwargs = dict(
-            step=self.step,
-            bound_policy="average",
-            max_eval_requests=self.max_eval_requests,
-            seed=self.seed,
-            engine=self.engine,
-        )
         self.decisions: dict[str, StripePair] = {}
-        # phase 1: clip requests into regions, collecting one search
-        # task per touched region across every file
         columns = as_columnar_trace(trace)
-        file_regions: dict[str, list[tuple[int, int, str, int | None]]] = {}
-        tasks: list[RegionSearchTask] = []
-        labels: list[str] = []
+        layouts: dict[str, Layout] = {}
         for file, indices in columns.file_partition().items():
             sub = columns.take(indices).sorted_by_offset()
             conc, bursts = concurrency_and_burst_ids(sub)
@@ -120,43 +106,33 @@ class HARLScheme(Scheme):
             is_read = data["op"] == OP_NAMES.index("read")
             _, extent_end = sub.extent()
             bounds = self._region_bounds(extent_end, sub.max_size())
-            entries: list[tuple[int, int, str, int | None]] = []
+            regions = []
             for idx, (start, end) in enumerate(bounds):
                 obj = f"{file}/r{idx}"
                 # requests clipped to the region, in region-local
-                # coordinates; an untouched region gets no search
+                # coordinates; an untouched region keeps the PFS default
                 lo = np.maximum(offsets, start)
                 hi = np.minimum(ends, end)
                 inside = lo < hi
-                if not inside.any():
-                    entries.append((start, end, obj, None))
-                    continue
-                entries.append((start, end, obj, len(tasks)))
-                tasks.append((
-                    params,
-                    lo[inside] - start,
-                    hi[inside] - lo[inside],
-                    is_read[inside],
-                    conc[inside],
-                    bursts[inside],
-                    search_kwargs,
-                ))
-                labels.append(obj)
-            file_regions[file] = entries
-
-        # phase 2: all region searches are independent — run them on
-        # the worker pool
-        results = parallel_map(
-            region_search_task, tasks, n_jobs=self.n_jobs, labels=labels
-        )
-
-        # phase 3: assemble the per-file region layouts in order
-        layouts: dict[str, Layout] = {}
-        for file, entries in file_regions.items():
-            regions = []
-            for start, end, obj, task_idx in entries:
-                if task_idx is None:
-                    # untouched region: keep the PFS default
+                if inside.any():
+                    pair = determine_stripes(
+                        params,
+                        lo[inside] - start,
+                        hi[inside] - lo[inside],
+                        is_read[inside],
+                        conc[inside],
+                        step=self.step,
+                        bound_policy="average",
+                        max_eval_requests=self.max_eval_requests,
+                        seed=self.seed,
+                        burst_ids=bursts[inside],
+                        engine=self.engine,
+                    ).pair
+                    layout = VariedStripeLayout(
+                        spec.hserver_ids, spec.sserver_ids, h=pair.h, s=pair.s, obj=obj
+                    )
+                    self.decisions[obj] = StripePair(layout.h, layout.s)
+                else:
                     layout = VariedStripeLayout(
                         spec.hserver_ids,
                         spec.sserver_ids,
@@ -164,16 +140,6 @@ class HARLScheme(Scheme):
                         s=DEFAULT_STRIPE if spec.num_sservers else 0,
                         obj=obj,
                     )
-                else:
-                    pair = results[task_idx].pair
-                    layout = VariedStripeLayout(
-                        spec.hserver_ids,
-                        spec.sserver_ids,
-                        h=pair.h,
-                        s=pair.s,
-                        obj=obj,
-                    )
-                    self.decisions[obj] = StripePair(layout.h, layout.s)
                 regions.append(Region(start=start, end=end, layout=layout))
             layouts[file] = RegionLayout(regions, obj=file)
         default = FixedStripeLayout(spec.server_ids, DEFAULT_STRIPE, obj="file")

@@ -368,15 +368,11 @@ def _plan_file_columnar(contract):
         sub = trace.for_file("f").sorted_by_offset()
         col = ColumnarTrace.from_trace(sub)
         spec = ClusterSpec(num_hservers=2, num_sservers=2)
-        pipe = MHAPipeline(spec, gap=gap, spatial=spatial, k=k, n_jobs=1)
+        pipe = MHAPipeline(spec, gap=gap, spatial=spatial, k=k)
         drt_ref, drt_twin = DRT(), DRT()
-        ref_plan, ref_grouping, ref_names, ref_tasks = pipe.plan_file(
-            "f", sub, drt_ref
-        )
-        twin_plan, twin_grouping, twin_names, twin_tasks = pipe.plan_file_columnar(
-            "f", col, drt_twin
-        )
-        assert twin_names == ref_names
+        ref_plan, ref_grouping = pipe.plan_file("f", sub, drt_ref)
+        twin_plan, twin_grouping = pipe.plan_file_columnar("f", col, drt_twin)
+        assert twin_plan.region_names() == ref_plan.region_names()
         assert np.array_equal(twin_grouping.labels, ref_grouping.labels)
         assert twin_plan.migrated_bytes == ref_plan.migrated_bytes
         assert list(drt_twin) == list(drt_ref)
@@ -388,12 +384,11 @@ def _plan_file_columnar(contract):
             assert twin_region.name == ref_region.name
             assert twin_region.size == ref_region.size
             assert twin_region.requests == ref_region.requests
-        for twin_task, ref_task in zip(twin_tasks, ref_tasks):
-            for twin_col, ref_col in zip(twin_task, ref_task):
-                if isinstance(twin_col, np.ndarray):
-                    assert twin_col.tobytes() == ref_col.tobytes()
-                else:
-                    assert twin_col == ref_col
+            for twin_col, ref_col in zip(
+                twin_region.request_arrays(), ref_region.request_arrays()
+            ):
+                assert twin_col.dtype == ref_col.dtype
+                assert twin_col.tobytes() == ref_col.tobytes()
 
     return test
 

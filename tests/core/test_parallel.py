@@ -1,21 +1,20 @@
-"""The executor layer: job resolution, order preservation, fallbacks
-and error context propagation."""
+"""The executor layer: job resolution, order preservation, fallbacks,
+error context propagation, and the region searches that never use it."""
 
 import multiprocessing
 
-import numpy as np
 import pytest
 
+import repro.core.parallel as parallel
 from repro.cluster import ClusterSpec
-from repro.core.determinator import region_search_task
-from repro.core.parallel import (
-    JOBS_ENV_VAR,
-    RegionSearchError,
-    parallel_map,
-    resolve_jobs,
-)
-from repro.core.params import CostModelParams
+from repro.core.parallel import JOBS_ENV_VAR, TaskError, parallel_map, resolve_jobs
+from repro.core.pipeline import MHAPipeline
 from repro.exceptions import ConfigurationError
+from repro.online import DriftReport, IncrementalReplanner
+from repro.schemes import HARLScheme
+from repro.tracing import Trace
+from repro.units import KiB, MiB
+from repro.workloads import IORWorkload
 
 
 def square(x):
@@ -86,17 +85,17 @@ class TestParallelMap:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_error_carries_label_and_cause(self, jobs):
-        with pytest.raises(RegionSearchError) as info:
+        with pytest.raises(TaskError) as info:
             parallel_map(
                 boom_on_two, [1, 2, 3], n_jobs=jobs, labels=["a", "b", "c"]
             )
         assert info.value.label == "b"
-        assert "ValueError" in str(info.value)
+        assert str(info.value).startswith("task 'b' failed: ValueError")
         assert "two is right out" in str(info.value)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_default_labels_are_indices(self):
-        with pytest.raises(RegionSearchError) as info:
+        with pytest.raises(TaskError) as info:
             parallel_map(boom, [10], n_jobs=1)
         assert info.value.label == "#0"
 
@@ -111,42 +110,58 @@ class TestParallelMap:
         assert result == [2, 3, 4]
 
 
-class TestRegionSearchTask:
-    """The module-level worker entry drives a real region search."""
 
-    def _task(self, engine):
-        params = CostModelParams.from_cluster(ClusterSpec())
-        rng = np.random.default_rng(0)
-        offsets = rng.integers(0, 1 << 20, 24)
-        lengths = rng.integers(1, 1 << 16, 24)
-        is_read = rng.random(24) < 0.5
-        conc = rng.integers(1, 8, 24)
-        return (
-            params,
-            offsets,
-            lengths,
-            is_read,
-            conc,
-            None,
-            dict(step=4096, engine=engine),
+def ior(file, sizes, seed):
+    return IORWorkload(
+        num_processes=4,
+        request_sizes=sizes,
+        total_size=2 * MiB,
+        seed=seed,
+        file=file,
+    ).trace("write")
+
+
+class TestRegionSearchesStayInProcess:
+    """MHA plans, HARL builds and online replans search every region in
+    the calling process, whatever job count the environment asks for."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_pools(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a region search started a process pool")
+
+        monkeypatch.setenv(JOBS_ENV_VAR, "4")
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+
+    @pytest.fixture
+    def spec(self):
+        return ClusterSpec()
+
+    @pytest.fixture
+    def trace(self):
+        return Trace([
+            *ior("a.dat", [16 * KiB, 128 * KiB], seed=1),
+            *ior("b.dat", [64 * KiB, 256 * KiB], seed=2),
+        ])
+
+    def test_mha_plan(self, spec, trace):
+        plan = MHAPipeline(spec, seed=0).plan(trace)
+        assert len(plan.decisions) > 1
+
+    def test_harl_build(self, spec, trace):
+        scheme = HARLScheme()
+        scheme.build(spec, trace)
+        assert len(scheme.decisions) > 1
+
+    def test_online_replan(self, spec, trace):
+        pipeline = MHAPipeline(spec, seed=0)
+        old_plan = pipeline.plan(trace)
+        window = ior("b.dat", [32 * KiB, 512 * KiB], seed=3)
+        report = DriftReport(
+            drifted_regions=old_plan.reorder_plans["b.dat"].region_names(),
+            drifted_files=["b.dat"],
         )
-
-    def test_matches_direct_call(self):
-        from repro.core.determinator import determine_stripes
-
-        task = self._task("grid")
-        params, offsets, lengths, is_read, conc, _, kwargs = task
-        direct = determine_stripes(
-            params, offsets, lengths, is_read, conc, **kwargs
+        outcome = IncrementalReplanner(pipeline, reuse_tolerance=0.0).replan(
+            window, old_plan, report
         )
-        via_task = region_search_task(task)
-        assert via_task.pair == direct.pair
-        assert via_task.cost == direct.cost
-
-    def test_runs_across_processes(self):
-        tasks = [self._task("grid"), self._task("scalar")]
-        grid, scalar = parallel_map(
-            region_search_task, tasks, n_jobs=2, labels=["g", "s"]
-        )
-        assert grid.pair == scalar.pair
-        assert grid.cost == scalar.cost
+        assert len(outcome.searched_regions) > 1

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.harness import compare_schemes, run_scheme
+from repro.harness.chaos import chaos_fault_plan
 from repro.harness.report import FigureResult, format_table
 from repro.units import KiB, MiB
 from repro.workloads import HPIOWorkload, IORWorkload, LANLWorkload
@@ -61,6 +62,25 @@ class TestExperiment:
         ).trace("read")
         run = run_scheme("MHA", spec, mixed_trace, other)
         assert run.metrics.total_bytes == other.total_bytes()
+
+    def test_sharded_faulted_comparison_matches_serial(self, spec, mixed_trace):
+        schemes = ("DEF", "HARL", "MHA", "MHA+SAW")
+        plan = chaos_fault_plan(spec, 0.5)
+        serial, sharded = (
+            compare_schemes(
+                spec,
+                mixed_trace,
+                schemes,
+                n_jobs=jobs,
+                fault_plan=plan,
+                keep_latencies=True,
+            )
+            for jobs in (1, 2)
+        )
+        for name in schemes:
+            assert sharded[name].metrics == serial[name].metrics
+            assert sharded[name].metrics.engine == serial[name].metrics.engine
+        assert serial["MHA"].metrics.per_server_latencies
 
 
 class TestPaperShape:

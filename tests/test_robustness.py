@@ -13,7 +13,7 @@ random op mixes.  Two invariants:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
@@ -21,6 +21,32 @@ from repro.core import MHAPipeline, verify_plan
 from repro.harness import compare_schemes
 from repro.tracing import Trace, TraceRecord
 from repro.units import KiB
+
+
+def phased_trace(ops, sizes, procs):
+    """Phases of one request per rank over one shared file.
+
+    Phase ``p`` requests ``sizes[p % len(sizes)]`` KiB per rank at
+    time ``p * 10 + rank * 1e-4``; ``ops`` gives every request's op in
+    issue order, and offsets run back to back.
+    """
+    records = []
+    offset = 0
+    for i, op in enumerate(ops):
+        phase, rank = divmod(i, procs)
+        size = sizes[phase % len(sizes)] * KiB
+        records.append(
+            TraceRecord(
+                offset=offset,
+                timestamp=phase * 10.0 + rank * 1e-4,
+                rank=rank,
+                size=size,
+                op=op,
+                file="rand.dat",
+            )
+        )
+        offset += size
+    return Trace(records)
 
 
 @st.composite
@@ -32,27 +58,21 @@ def random_workloads(draw):
     sizes = [
         int(s) for s in rng.choice([4, 16, 64, 128, 256], size=n_sizes, replace=False)
     ]
-    procs = draw(st.sampled_from([2, 4, 8]))
+    procs = draw(st.sampled_from([1, 2, 4, 8]))
     phases = draw(st.integers(min_value=2, max_value=8))
     write_fraction = draw(st.floats(min_value=0.0, max_value=1.0))
-    records = []
-    offset = 0
-    for phase in range(phases):
-        size = sizes[phase % len(sizes)] * KiB
-        for rank in range(procs):
-            op = "write" if rng.random() < write_fraction else "read"
-            records.append(
-                TraceRecord(
-                    offset=offset,
-                    timestamp=phase * 10.0 + rank * 1e-4,
-                    rank=rank,
-                    size=size,
-                    op=op,
-                    file="rand.dat",
-                )
-            )
-            offset += size
-    return Trace(records)
+    ops = [
+        "write" if rng.random() < write_fraction else "read"
+        for _ in range(phases * procs)
+    ]
+    return phased_trace(ops, sizes, procs)
+
+
+#: Four ranks read alternating 64 KiB and 4 KiB phases.  Under fault
+#: seed 0 the scrub on server 2 slows some reads, which reorders the
+#: arrivals at the other servers' FIFO queues: the faulted replay ends
+#: at 0.025609 s, before the healthy one at 0.026192 s.
+FASTER_UNDER_FAULTS = phased_trace(["read"] * 16, [64, 4], procs=4)
 
 
 class TestRandomWorkloads:
@@ -129,6 +149,7 @@ class TestFaultConservation:
         )
 
     @given(trace=random_workloads(), seed=st.integers(min_value=0, max_value=5))
+    @example(trace=FASTER_UNDER_FAULTS, seed=0)
     @settings(max_examples=10, deadline=None)
     def test_faults_conserve_bytes(self, trace, seed):
         from repro.pfs import run_workload
@@ -143,7 +164,13 @@ class TestFaultConservation:
         assert faulted.write_bytes == healthy.write_bytes
         assert faulted.per_server_bytes == healthy.per_server_bytes
         assert faulted.requests == healthy.requests
-        assert faulted.makespan >= healthy.makespan
+        if len(trace.ranks()) == 1:
+            # one rank issues each request after the previous one
+            # completed, so every queue is empty at issue and a fault
+            # can only delay.  With more ranks, a slowed server
+            # reorders arrivals at the other queues, and the run may
+            # end sooner (FASTER_UNDER_FAULTS).
+            assert faulted.makespan >= healthy.makespan
 
     @given(trace=random_workloads())
     @settings(max_examples=6, deadline=None)

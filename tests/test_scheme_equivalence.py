@@ -4,10 +4,9 @@ their per-record reference implementations.
 The references score one AAL candidate stripe at a time with the
 scalar ``burst_costs`` over per-record arrays, and clip HARL's regions
 record by record with the record-path burst and concurrency maps.
-Decisions, and HARL's shipped search tasks, must match with ``==``.
+Decisions, and the arrays HARL hands to each region search, must match
+with ``==``.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +16,7 @@ import repro.schemes.harl as harl
 from repro.cluster import ClusterSpec
 from repro.config import DEFAULT_SAMPLE_SEED
 from repro.core.cost_model import burst_costs
-from repro.core.determinator import region_search_task
-from repro.core.parallel import parallel_map
+from repro.core.determinator import determine_stripes
 from repro.core.params import CostModelParams
 from repro.core.rst import StripePair
 from repro.determinism import SeedDomain, derive_rng
@@ -58,8 +56,9 @@ def aal_reference_stripe(scheme, spec, trace):
 
 
 def harl_reference_tasks(scheme, spec, trace):
-    """HARL's former phase 1: ``(label, task)`` per touched region, the
-    requests clipped record by record."""
+    """``(label, task)`` per touched region, the requests clipped record
+    by record; a task is ``(params, offsets, lengths, is_read,
+    concurrency, burst_ids, search options)``."""
     params = CostModelParams.from_cluster(spec)
     tasks = []
     for file in trace.files():
@@ -106,7 +105,10 @@ def harl_reference_decisions(scheme, spec, trace):
     """HARL's former decisions: one serial search per reference task."""
     decisions = {}
     for label, task in harl_reference_tasks(scheme, spec, trace):
-        pair = region_search_task(task).pair
+        params, offsets, lengths, is_read, conc, bursts, options = task
+        pair = determine_stripes(
+            params, offsets, lengths, is_read, conc, burst_ids=bursts, **options
+        ).pair
         layout = VariedStripeLayout(spec.hserver_ids, spec.sserver_ids, pair.h, pair.s)
         decisions[label] = StripePair(layout.h, layout.s)
     return decisions
@@ -178,39 +180,41 @@ class TestHARLColumnarClipping:
     @pytest.mark.parametrize("make_trace", [ior_trace, multi_file_trace])
     def test_decisions_match_record_clipping(self, spec, make_trace):
         trace = make_trace()
-        scheme = HARLScheme(n_jobs=1)
+        scheme = HARLScheme()
         scheme.build(spec, trace)
         assert scheme.decisions == harl_reference_decisions(scheme, spec, trace)
 
     @pytest.mark.parametrize("make_trace", [ior_trace, multi_file_trace])
     def test_tasks_match_record_clipping(self, spec, monkeypatch, make_trace):
         trace = make_trace()
-        scheme = HARLScheme(n_jobs=1)
-        shipped = []
+        scheme = HARLScheme()
+        searched = []
 
-        def recording_map(fn, tasks, **kwargs):
-            shipped.extend(zip(kwargs["labels"], tasks))
-            return parallel_map(fn, tasks, **kwargs)
+        def recording_search(*args, **kwargs):
+            searched.append((args, dict(kwargs)))
+            return determine_stripes(*args, **kwargs)
 
-        monkeypatch.setattr(harl, "parallel_map", recording_map)
+        monkeypatch.setattr(harl, "determine_stripes", recording_search)
         scheme.build(spec, trace)
         expected = harl_reference_tasks(scheme, spec, trace)
-        assert [label for label, _ in shipped] == [label for label, _ in expected]
-        for (_, got), (_, want) in zip(shipped, expected):
-            assert got[0] == want[0] and got[6] == want[6]
-            for a, b in zip(got[1:6], want[1:6]):
+        assert list(scheme.decisions) == [label for label, _ in expected]
+        assert len(searched) == len(expected)
+        for (args, kwargs), (_, want) in zip(searched, expected):
+            bursts = kwargs.pop("burst_ids")
+            assert args[0] == want[0] and kwargs == want[6]
+            for a, b in zip((*args[1:], bursts), want[1:6]):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
     def test_sampled_regions_match(self, spec):
         trace = ior_trace(sizes=(16 * KiB, 48 * KiB))
-        scheme = HARLScheme(n_jobs=1, max_eval_requests=8)
+        scheme = HARLScheme(max_eval_requests=8)
         scheme.build(spec, trace)
         assert scheme.decisions == harl_reference_decisions(scheme, spec, trace)
 
 
 class TestTraceRepresentations:
-    @pytest.mark.parametrize("make_scheme", [AALScheme, partial(HARLScheme, n_jobs=1)])
+    @pytest.mark.parametrize("make_scheme", [AALScheme, HARLScheme])
     def test_record_and_columnar_inputs_agree(self, spec, make_scheme):
         trace = multi_file_trace()
         from_records, from_columns = make_scheme(), make_scheme()
