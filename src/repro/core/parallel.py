@@ -6,13 +6,14 @@ tenancy service one per tenant build.  This module provides the one
 executor abstraction they share (region searches are too small to pay
 for a worker process and run in the calling process):
 
-* :func:`resolve_jobs` turns an explicit ``n_jobs`` or the
-  ``REPRO_JOBS`` environment variable into a worker count (default: all
-  CPUs);
-* :func:`parallel_map` maps a picklable function over items with a
+* :func:`parallel_map` runs serially unless the caller asks for more
+  than one worker with ``n_jobs`` (on a 2-vCPU host a pool of two lost
+  to the serial loop on ``serve`` and ``fig07``, so nothing fans out by
+  default);
+* with ``n_jobs > 1`` it maps a picklable function over items with a
   ``ProcessPoolExecutor``, preserving item order, and degrades to a
-  plain serial loop when one worker is requested, when there is nothing
-  to fan out, or when the platform cannot spawn worker processes
+  plain serial loop when there is nothing to fan out, when a task does
+  not pickle, or when the platform cannot spawn worker processes
   (sandboxes without ``fork`` semaphores, for example) — results are
   identical either way, because every task is independent and
   deterministic;
@@ -29,7 +30,6 @@ for a worker process and run in the calling process):
 
 from __future__ import annotations
 
-import os
 import pickle
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -40,10 +40,7 @@ from typing import TypeVar
 from ..determinism import ledger, reset_ledger, sanitize_enabled
 from ..exceptions import ConfigurationError, ReproError
 
-__all__ = ["TaskError", "resolve_jobs", "parallel_map", "JOBS_ENV_VAR"]
-
-#: environment variable consulted when ``n_jobs`` is not given
-JOBS_ENV_VAR = "REPRO_JOBS"
+__all__ = ["TaskError", "parallel_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,25 +52,6 @@ class TaskError(ReproError):
     def __init__(self, label: str, cause: BaseException) -> None:
         self.label = label
         super().__init__(f"task {label!r} failed: {type(cause).__name__}: {cause}")
-
-
-def resolve_jobs(n_jobs: int | None = None) -> int:
-    """Resolve the worker count: explicit ``n_jobs``, else ``REPRO_JOBS``,
-    else one worker per CPU.  Values must be >= 1."""
-    if n_jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if env:
-            try:
-                n_jobs = int(env)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{JOBS_ENV_VAR} must be an integer, got {env!r}"
-                ) from exc
-        else:
-            n_jobs = os.cpu_count() or 1
-    if n_jobs < 1:
-        raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
-    return n_jobs
 
 
 def _sanitized_call(
@@ -107,10 +85,11 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],
     *,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     labels: Sequence[str] | None = None,
 ) -> list[R]:
-    """Apply ``fn`` to every item, in order, possibly across processes.
+    """Apply ``fn`` to every item, in order, across up to ``n_jobs``
+    worker processes (default 1: the calling process).
 
     ``fn`` and the items must be picklable when more than one worker is
     used.  ``labels`` (same length as ``items``) name the items in
@@ -118,6 +97,8 @@ def parallel_map(
     item (in submission order) raises :class:`TaskError` with
     its label and the worker's exception chained.
     """
+    if n_jobs < 1:
+        raise ConfigurationError(f"n_jobs must be >= 1, got {n_jobs}")
     items = list(items)
     if labels is None:
         labels = [f"#{i}" for i in range(len(items))]
@@ -126,8 +107,7 @@ def parallel_map(
         raise ConfigurationError(
             f"labels ({len(labels)}) must match items ({len(items)})"
         )
-    jobs = resolve_jobs(n_jobs)
-    if jobs == 1 or len(items) <= 1:
+    if n_jobs == 1 or len(items) <= 1:
         return _run_serial(fn, items, labels)
 
     # Unpicklable work must never reach the pool: a task that fails to
@@ -143,7 +123,7 @@ def parallel_map(
         return _run_serial(fn, items, labels)
 
     try:
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
+        executor = ProcessPoolExecutor(max_workers=min(n_jobs, len(items)))
     except (OSError, ImportError, NotImplementedError):
         # platforms without working process pools (restricted sandboxes,
         # missing POSIX semaphores) run the same tasks serially

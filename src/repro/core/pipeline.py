@@ -140,6 +140,8 @@ class MHAPipeline:
     ) -> None:
         if k is not None and k <= 0:
             raise ConfigurationError(f"k must be >= 1, got {k}")
+        if spatial < 0:
+            raise ConfigurationError(f"spatial must be >= 0, got {spatial}")
         self.spec = spec
         self.params = CostModelParams.from_cluster(spec)
         self.max_groups = max_groups

@@ -216,7 +216,7 @@ def chaos_experiment(
     seed: int = DEFAULT_FAULT_SEED,
     horizon: float = 30.0,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
     label: str = "chaos",
     rank_groups: Mapping[str, Collection[int]] | None = None,
 ) -> ChaosReport:

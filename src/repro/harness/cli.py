@@ -142,7 +142,7 @@ def _chaos_main(argv: list[str]) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         help="worker processes per intensity (default 1 = serial)",
     )
     parser.add_argument(
@@ -164,7 +164,7 @@ def _chaos_main(argv: list[str]) -> int:
         seed=args.seed,
         horizon=args.horizon,
         engine=args.engine,
-        n_jobs=args.jobs if args.jobs is not None else 1,
+        n_jobs=args.jobs,
     )
     elapsed = time.perf_counter() - started
     if args.digest:
@@ -188,9 +188,9 @@ def _serve_main(argv: list[str]) -> int:
             "seeded per-tenant arrival processes, admission control, "
             "token-bucket bandwidth shares, SServer quotas, and SCFQ "
             "weighted fair queueing, with per-tenant tail latencies. "
-            "Builds shard across processes; the result is bit-identical "
-            "at any --jobs count, and --digest prints only the SHA-256 "
-            "CI compares across runs."
+            "Builds shard across --jobs processes (default 1); the result "
+            "is bit-identical at any --jobs count, and --digest prints only "
+            "the SHA-256 CI compares across runs."
         ),
     )
     parser.add_argument(
@@ -223,8 +223,8 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="build-shard worker processes (default: REPRO_JOBS/CPUs)",
+        default=1,
+        help="build-shard worker processes (default 1 = serial)",
     )
     parser.add_argument(
         "--digest",
@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         help="worker processes per figure (default 1 = serial)",
     )
     args = parser.parse_args(argv)
@@ -301,8 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         kwargs["schemes"] = tuple(s.strip().upper() for s in args.schemes.split(","))
     if args.engine:
         kwargs["engine"] = args.engine
-    if args.jobs is not None:
-        kwargs["n_jobs"] = args.jobs
+    kwargs["n_jobs"] = args.jobs
 
     for fig in wanted:
         fn = ALL_FIGURES[fig]

@@ -137,7 +137,7 @@ def compare_schemes(
     label: str = "",
     scheme_kwargs: dict[str, dict] | None = None,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
     fault_plan: "FaultPlan | None" = None,
     keep_latencies: bool = False,
 ) -> Comparison:
@@ -145,8 +145,7 @@ def compare_schemes(
 
     Scheme runs are independent (each builds its own PFS), so
     ``n_jobs`` > 1 fans them out across processes via
-    :func:`repro.core.parallel.parallel_map`; the default of 1 stays
-    serial (pass ``None`` to defer to ``REPRO_JOBS``/CPU count).
+    :func:`repro.core.parallel.parallel_map`; the default of 1 stays serial.
     ``fault_plan`` applies the same seeded fault schedule to every
     scheme's replay (plans are frozen dataclasses, so they pickle to
     worker processes and compile identically there); together with

@@ -73,7 +73,7 @@ def fig07_ior_mixed_sizes(
     schemes: Sequence[str] | None = None,
     seed: int = 0,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """IOR bandwidth with mixed request sizes (reads and writes)."""
     spec = spec or ClusterSpec()
@@ -110,7 +110,7 @@ def fig08_server_io_time(
     op: str = WRITE,
     seed: int = 0,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """Per-server I/O time under each scheme, normalized to the minimum
     server time under MHA (the paper's normalization)."""
@@ -153,7 +153,7 @@ def fig09_ior_mixed_procs(
     group_mib: int = 16,
     schemes: Sequence[str] | None = None,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """IOR bandwidth with mixed process numbers (reads and writes)."""
     spec = spec or ClusterSpec()
@@ -189,7 +189,7 @@ def fig10_server_ratios(
     schemes: Sequence[str] | None = None,
     seed: int = 0,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """IOR bandwidth across HServer:SServer ratios."""
     base_spec = base_spec or ClusterSpec()
@@ -226,7 +226,7 @@ def fig11_hpio(
     schemes: Sequence[str] | None = None,
     op: str = WRITE,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """HPIO bandwidth over process counts (mixed region sizes)."""
     spec = spec or ClusterSpec()
@@ -259,7 +259,7 @@ def fig12a_btio(
     scale: float = 1 / 64,
     schemes: Sequence[str] | None = None,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """BTIO aggregate bandwidth (class B + C sizes interleaved)."""
     spec = spec or ClusterSpec()
@@ -284,7 +284,7 @@ def _trace_figure(
     spec: ClusterSpec,
     schemes: Sequence[str],
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     result = FigureResult(figure=figure, title=title)
     comparison = compare_schemes(
@@ -302,7 +302,7 @@ def fig12b_lanl(
     loops: int = 48,
     schemes: Sequence[str] | None = None,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """LANL anonymous-application trace replay."""
     spec = spec or ClusterSpec()
@@ -320,7 +320,7 @@ def fig13a_lu(
     slabs: int = 24,
     schemes: Sequence[str] | None = None,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """Out-of-core LU decomposition trace replay (8 per-process files)."""
     spec = spec or ClusterSpec()
@@ -339,7 +339,7 @@ def fig13b_cholesky(
     schemes: Sequence[str] | None = None,
     seed: int = 7,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """Sparse Cholesky trace replay (highly skewed request sizes)."""
     spec = spec or ClusterSpec()

@@ -50,14 +50,13 @@ def sweep(
     figure: str = "sweep",
     scheme_kwargs: dict[str, dict] | None = None,
     engine: str | None = None,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
 ) -> FigureResult:
     """Run every scheme on every sweep point.
 
     Every (point, scheme) cell is independent, so the whole grid is
     flattened and fanned out across ``n_jobs`` processes (default 1 =
-    serial; ``None`` defers to ``REPRO_JOBS``/CPU count).  ``engine``
-    picks the replay engine for every cell.
+    serial).  ``engine`` picks the replay engine for every cell.
 
     Example — vary the request size::
 

@@ -57,11 +57,6 @@ class SubRequest:
         if self.offset < 0 or self.logical_offset < 0:
             raise LayoutError("fragment offsets must be non-negative")
 
-    @property
-    def logical_end(self) -> int:
-        """One past the last logical byte the fragment covers."""
-        return self.logical_offset + self.length
-
 
 class Layout(abc.ABC):
     """Maps logical extents of one file/region onto server objects."""

@@ -107,12 +107,6 @@ class RunMetrics:
             return 0.0
         return self.total_bytes / self.makespan
 
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
     def invalidate_latency_cache(self) -> None:
         """Drop the sorted-latency caches (call after mutating
         ``latencies``/``per_server_latencies`` in place without

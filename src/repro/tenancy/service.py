@@ -169,7 +169,7 @@ def serve_scenario(
     *,
     hot_fraction: float = 0.8,
     max_active: int = 64,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
     engine: str | None = None,
     arrival_seed: int = DEFAULT_ARRIVAL_SEED,
     rank_stride: int = RANK_STRIDE,

@@ -160,14 +160,14 @@ def build_tenants(
     spec: ClusterSpec,
     tenants: tuple[TenantSpec, ...],
     *,
-    n_jobs: int | None = 1,
+    n_jobs: int = 1,
     arrival_seed: int = DEFAULT_ARRIVAL_SEED,
     rank_stride: int = RANK_STRIDE,
 ) -> list[TenantBuild]:
     """Build every tenant, possibly across processes, in tenant order.
 
-    ``n_jobs=1`` (the default) stays serial; ``None`` defers to
-    ``REPRO_JOBS``/CPU count.  Results are identical either way.
+    ``n_jobs=1`` (the default) stays serial.  Results are identical at
+    any job count.
     """
     validate_tenants(tenants)
     tasks = [

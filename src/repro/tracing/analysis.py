@@ -105,8 +105,11 @@ def burst_clusters(
     :func:`_phase_spatial_threshold`); an integer value uses that fixed
     byte threshold instead.  Spatial clustering recovers the
     *per-location* concurrency MHA needs when different file parts see
-    different process counts (Fig. 9).
+    different process counts (Fig. 9).  A negative threshold is a
+    ``ValueError``.
     """
+    if spatial < 0:
+        raise ValueError(f"spatial must be >= 0, got {spatial}")
     clusters: list[list[TraceRecord]] = []
     for phase in split_phases(trace, gap=gap):
         if spatial is False:

@@ -19,15 +19,17 @@ generated hypothesis differential suites police bit-identity against
 the record path.  The subtle part of that identity is *duplicate
 records*: the reference functions return ``dict[TraceRecord, int]``
 mappings, so identical records collapse onto one entry and the **last**
-burst to touch the record wins.  The columnar twins reproduce exactly
-that dict-update semantics (:func:`concurrency_and_burst_ids` /
-:func:`identity_classes`) instead of the naive per-index value.
+write wins.  For bursts that needs no work, because identical records
+always share a burst (see :func:`concurrency_and_burst_ids`); the
+pipeline's per-group dict updates can split them, and
+:func:`identity_classes` with :func:`collapse_by_last_group` reproduce
+that collapse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -554,6 +556,8 @@ def _burst_partition(
     records of :func:`~repro.tracing.analysis.burst_clusters`'s output,
     cluster by cluster, member by member.
     """
+    if spatial < 0:
+        raise ValueError(f"spatial must be >= 0, got {spatial}")
     slices = split_phases_columnar(trace, gap=gap)
     order, pstarts = slices.order, slices.starts
     n = order.size
@@ -629,12 +633,14 @@ def identity_classes(trace: ColumnarTrace) -> tuple[np.ndarray, int]:
 def concurrency_and_burst_ids(
     trace: ColumnarTrace, gap: float = 0.5, spatial: bool | int = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record burst size and burst id, with dict-update collapse.
+    """Per-record burst size and burst id, index-aligned with the trace.
 
-    One pass computes both arrays (index-aligned with the trace).  The
-    reference functions key their result dicts by record value, so
-    duplicate records all take the value of their *last* occurrence in
-    cluster-iteration order; this reproduces that exactly.
+    The reference functions key their result dicts by record value, so
+    a duplicate record takes the value of its *last* occurrence.  That
+    needs no collapse here: equal records share a timestamp, hence a
+    phase, and an offset, and within a phase a record is never split
+    from a predecessor at its own offset (the gap is at most 0, and the
+    threshold at least 0).  So every copy is already in the same burst.
     """
     n = len(trace)
     if n == 0:
@@ -642,20 +648,11 @@ def concurrency_and_burst_ids(
         return empty, empty.copy()
     it_order, bstarts = _burst_partition(trace, gap, spatial)
     counts = np.diff(bstarts).astype(np.int64)
-    ids_by_pos = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    sizes_by_pos = np.repeat(counts, counts)
-    pos_of = np.empty(n, dtype=np.int64)
-    pos_of[it_order] = np.arange(n, dtype=np.int64)
-    inverse, n_classes = identity_classes(trace)
-    if n_classes == n:
-        conc = np.empty(n, dtype=np.int64)
-        bursts = np.empty(n, dtype=np.int64)
-        conc[it_order] = sizes_by_pos
-        bursts[it_order] = ids_by_pos
-        return conc, bursts
-    win_pos = np.full(n_classes, -1, dtype=np.int64)
-    np.maximum.at(win_pos, inverse, pos_of)
-    return sizes_by_pos[win_pos][inverse], ids_by_pos[win_pos][inverse]
+    conc = np.empty(n, dtype=np.int64)
+    bursts = np.empty(n, dtype=np.int64)
+    conc[it_order] = np.repeat(counts, counts)
+    bursts[it_order] = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    return conc, bursts
 
 
 @twin_of(
@@ -712,12 +709,3 @@ def collapse_by_last_group(
     )
     winner = order[last]  # one index per class, classes in id order
     return values[winner[inverse]]
-
-
-# re-exported for Mapping-based callers that want a columnar view of the
-# reference dicts (tests, docs examples)
-def mapping_to_array(
-    mapping: Mapping[TraceRecord, int], trace: Trace, default: int = 1
-) -> np.ndarray:
-    """Index-align a reference ``dict[TraceRecord, int]`` with a trace."""
-    return np.array([mapping.get(r, default) for r in trace], dtype=np.int64)

@@ -1,4 +1,4 @@
-"""The executor layer: job resolution, order preservation, fallbacks,
+"""The executor layer: job validation, order preservation, fallbacks,
 error context propagation, and the region searches that never use it."""
 
 import multiprocessing
@@ -7,7 +7,7 @@ import pytest
 
 import repro.core.parallel as parallel
 from repro.cluster import ClusterSpec
-from repro.core.parallel import JOBS_ENV_VAR, TaskError, parallel_map, resolve_jobs
+from repro.core.parallel import TaskError, parallel_map
 from repro.core.pipeline import MHAPipeline
 from repro.exceptions import ConfigurationError
 from repro.online import DriftReport, IncrementalReplanner
@@ -31,35 +31,16 @@ def boom_on_two(x):
     return x
 
 
-class TestResolveJobs:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "7")
-        assert resolve_jobs(3) == 3
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "5")
-        assert resolve_jobs() == 5
-
-    def test_default_is_cpu_count(self, monkeypatch):
-        import os
-
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert resolve_jobs() == (os.cpu_count() or 1)
-
-    def test_bad_env_var(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV_VAR, "many")
-        with pytest.raises(ConfigurationError):
-            resolve_jobs()
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_nonpositive_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            resolve_jobs(bad)
-
-
 class TestParallelMap:
     def test_serial_preserves_order(self):
         assert parallel_map(square, [3, 1, 2], n_jobs=1) == [9, 1, 4]
+
+    def test_serial_by_default(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("parallel_map started a pool unasked")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        assert parallel_map(square, [3, 1, 2]) == [9, 1, 4]
 
     def test_process_pool_preserves_order(self):
         items = list(range(20))
@@ -78,6 +59,11 @@ class TestParallelMap:
 
     def test_single_item_stays_serial(self):
         assert parallel_map(square, [6], n_jobs=8) == [36]
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_jobs_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            parallel_map(square, [1, 2], n_jobs=bad)
 
     def test_label_length_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -105,7 +91,7 @@ class TestParallelMap:
         # the lambda below is the point of the test: it must NOT cross
         # the process boundary, and the runtime must degrade gracefully
         result = parallel_map(
-            lambda x: x + 1, [1, 2, 3], n_jobs=2  # repro-lint: disable=RL003
+            lambda x: x + 1, [1, 2, 3], n_jobs=2  # repro-lint: disable=RL302
         )
         assert result == [2, 3, 4]
 
@@ -123,14 +109,13 @@ def ior(file, sizes, seed):
 
 class TestRegionSearchesStayInProcess:
     """MHA plans, HARL builds and online replans search every region in
-    the calling process, whatever job count the environment asks for."""
+    the calling process."""
 
     @pytest.fixture(autouse=True)
     def forbid_pools(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a region search started a process pool")
 
-        monkeypatch.setenv(JOBS_ENV_VAR, "4")
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
 
     @pytest.fixture

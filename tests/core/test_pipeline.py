@@ -102,6 +102,10 @@ class TestPlan:
         with pytest.raises(ConfigurationError):
             MHAPipeline(spec, k=0)
 
+    def test_negative_spatial_rejected(self, spec):
+        with pytest.raises(ConfigurationError):
+            MHAPipeline(spec, spatial=-1)
+
     def test_max_groups_cap(self, spec):
         plan = MHAPipeline(spec, max_groups=2, seed=0).plan(mixed_trace())
         assert plan.groupings["f"].k <= 2

@@ -223,7 +223,7 @@ class TestInterference:
 
 class TestScale:
     def test_couple_hundred_tenants_replay_fully(self):
-        report = serve_scenario(spec=SPEC, tenants=200, max_active=32, n_jobs=None)
+        report = serve_scenario(spec=SPEC, tenants=200, max_active=32, n_jobs=2)
         assert report.num_tenants == 200
         assert report.total_requests == sum(t.requests for t in report.tenants)
         assert all(t.completed == t.requests for t in report.tenants)

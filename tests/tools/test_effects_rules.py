@@ -215,6 +215,27 @@ def run(items):
 """
         assert rules_of(source, PATH, ["RL302"]) == ["RL302"]
 
+    def test_rl302_computed_task_flagged(self):
+        source = """
+from repro.core.parallel import parallel_map
+def run(tasks, items):
+    return parallel_map(tasks[0], items)
+"""
+        assert rules_of(source, PATH, ["RL302"]) == ["RL302"]
+
+    def test_rl302_rng_captured_in_lambda_is_named(self):
+        # the lambda alone fires too; the captured rng is its own finding
+        source = """
+from repro.determinism import SeedDomain, derive_rng
+from repro.core.parallel import parallel_map
+def run(items, work):
+    rng = derive_rng(SeedDomain.FAULTS, 0, base=1)
+    return parallel_map(lambda it: work(it, rng), items)
+"""
+        diags = lint_source(source, PATH, checkers=all_checkers(["RL302"]))
+        named = [(d.line, d.col) for d in diags if "RNG object `rng`" in d.message]
+        assert named == [(6, 44)]
+
     def test_rl303_env_under_digest(self):
         source = """
 import os

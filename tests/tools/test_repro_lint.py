@@ -19,7 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SRC = "src/repro/online/example.py"  # in RL001 scope (online/) and src scope
 CORE = "src/repro/core/example.py"  # src scope, not RL001 scope
-COST = "src/repro/core/cost_model.py"  # RL004 scope
+COST = "src/repro/core/cost_model.py"  # RL301 scope
 TEST = "tests/core/test_example.py"  # test scope
 
 
@@ -118,14 +118,17 @@ class TestRL002:
         assert "RL002" not in rules_of(src, TEST)
 
 
-# -- RL003 parallel safety ------------------------------------------------
+# -- RL302 task boundary (the fixtures of the deleted RL003) --------------
 
 
 class TestRL003:
+    """Only module-level callables enter ``parallel_map``; RL302's
+    boundary check took these over from RL003."""
+
     def test_lambda_flagged(self):
         src = "from repro.core.parallel import parallel_map\n\n"
         src += "r = parallel_map(lambda x: x, [1])\n"
-        assert "RL003" in rules_of(src, SRC)
+        assert "RL302" in rules_of(src, SRC)
 
     def test_nested_function_flagged(self):
         src = (
@@ -135,7 +138,7 @@ class TestRL003:
             "        return x + k\n"
             "    return parallel_map(inner, [1])\n"
         )
-        assert "RL003" in rules_of(src, SRC)
+        assert "RL302" in rules_of(src, SRC)
 
     def test_bound_method_flagged(self):
         src = (
@@ -143,7 +146,7 @@ class TestRL003:
             "def run(sim):\n"
             "    return parallel_map(sim.step, [1])\n"
         )
-        assert "RL003" in rules_of(src, SRC)
+        assert "RL302" in rules_of(src, SRC)
 
     def test_module_level_function_ok(self):
         src = (
@@ -153,7 +156,7 @@ class TestRL003:
             "def run():\n"
             "    return parallel_map(work, [1])\n"
         )
-        assert "RL003" not in rules_of(src, SRC)
+        assert "RL302" not in rules_of(src, SRC)
 
     def test_module_attribute_ok(self):
         src = (
@@ -161,7 +164,7 @@ class TestRL003:
             "from repro.core.parallel import parallel_map\n\n"
             "r = parallel_map(math.sqrt, [1.0])\n"
         )
-        assert "RL003" not in rules_of(src, SRC)
+        assert "RL302" not in rules_of(src, SRC)
 
     def test_partial_binding_simulator_flagged(self):
         src = (
@@ -172,42 +175,44 @@ class TestRL003:
             "def run(simulator):\n"
             "    return parallel_map(partial(work, simulator), [1])\n"
         )
-        assert "RL003" in rules_of(src, SRC)
+        assert "RL302" in rules_of(src, SRC)
 
     def test_applies_in_tests_too(self):
         src = "from repro.core.parallel import parallel_map\n\n"
         src += "r = parallel_map(lambda x: x, [1])\n"
-        assert "RL003" in rules_of(src, TEST)
+        assert "RL302" in rules_of(src, TEST)
 
 
-# -- RL004 cost-model purity ----------------------------------------------
+# -- RL301 Eq. 2 purity (the fixtures of the deleted RL004) ---------------
 
 
 class TestRL004:
+    """Single-function purity defects, which RL301 finds transitively."""
+
     def test_argument_attribute_write_flagged(self):
         src = "def f(plan):\n    plan.cost = 1.0\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_argument_item_write_flagged(self):
         src = "def f(table):\n    table['k'] = 1\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_global_statement_flagged(self):
         src = "_N = 0\n\ndef f():\n    global _N\n    _N += 1\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_io_call_flagged(self):
         src = "def f(x):\n    print(x)\n    return x\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_function_level_import_flagged(self):
         # the pre-fix placer.py pattern
         src = "def f(spec):\n    from .params import CostModelParams\n    return 0\n"
-        assert "RL004" in rules_of(src, "src/repro/core/placer.py")
+        assert "RL301" in rules_of(src, "src/repro/core/placer.py")
 
     def test_mutator_on_argument_flagged(self):
         src = "def f(rows):\n    rows.append(1)\n    return rows\n"
-        assert "RL004" in rules_of(src, COST)
+        assert "RL301" in rules_of(src, COST)
 
     def test_pure_function_ok(self):
         src = (
@@ -216,7 +221,7 @@ class TestRL004:
             "    local.append(2 * x)\n"
             "    return sum(local) * params.t\n"
         )
-        assert "RL004" not in rules_of(src, COST)
+        assert "RL301" not in rules_of(src, COST)
 
     def test_self_state_ok(self):
         # stateful controllers may keep internal state
@@ -226,11 +231,11 @@ class TestRL004:
             "        self.evaluations = getattr(self, 'evaluations', 0) + 1\n"
             "        return plan\n"
         )
-        assert "RL004" not in rules_of(src, "src/repro/online/gate.py")
+        assert "RL301" not in rules_of(src, "src/repro/online/gate.py")
 
     def test_out_of_scope_module_ignored(self):
         src = "def f(plan):\n    plan.cost = 1.0\n"
-        assert "RL004" not in rules_of(src, "src/repro/pfs/storage.py")
+        assert "RL301" not in rules_of(src, "src/repro/pfs/storage.py")
 
 
 # -- RL005 float equality -------------------------------------------------
@@ -637,13 +642,16 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in (
-            "RL001", "RL002", "RL003", "RL004", "RL005",
+        listed = {line.split(None, 1)[0] for line in out.strip().splitlines()}
+        assert listed == {
+            "RL001", "RL002", "RL005",
             "RL101", "RL102", "RL103", "RL104",
-            "RL201", "RL202", "RL203",
+            "RL201", "RL202",
             "RL211", "RL212", "RL213",
-        ):
-            assert rule in out
+            "RL301", "RL302", "RL303", "RL304", "RL305",
+        }
+        # folded into RL301 and RL302
+        assert not listed & {"RL003", "RL004", "RL203"}
 
     def bad_file(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "online" / "bad.py"
@@ -876,10 +884,13 @@ class TestRL202:
         assert "RL202" in rules_of(src, "src/repro/determinism.py")
 
 
-# -- RL203 rng across task boundary ---------------------------------------
+# -- RL302 RNG across the task boundary (the fixtures of the deleted RL203)
 
 
 class TestRL203:
+    """An RNG object must not reach a ``parallel_map`` call; RL302's
+    boundary check took these over from RL203."""
+
     def test_rng_captured_in_lambda_flagged(self):
         src = (
             "from repro.determinism import SeedDomain, derive_rng\n"
@@ -888,7 +899,7 @@ class TestRL203:
             "    rng = derive_rng(SeedDomain.FAULTS, 0, base=1)\n"
             "    return parallel_map(lambda it: work(it, rng), items)\n"
         )
-        assert "RL203" in rules_of(src, CORE)
+        assert "RL302" in rules_of(src, CORE)
 
     def test_rng_as_direct_argument_flagged(self):
         src = (
@@ -899,7 +910,7 @@ class TestRL203:
             "    rng = np.random.default_rng(seed)\n"
             "    return parallel_map(partial(work, rng), items)\n"
         )
-        assert "RL203" in rules_of(src, CORE)
+        assert "RL302" in rules_of(src, CORE)
 
     def test_worker_side_derivation_ok(self):
         src = (
@@ -907,7 +918,7 @@ class TestRL203:
             "def run(specs, work):\n"
             "    return parallel_map(work, specs)\n"
         )
-        assert "RL203" not in rules_of(src, CORE)
+        assert "RL302" not in rules_of(src, CORE)
 
     def test_rng_outside_call_ok(self):
         src = (
@@ -918,7 +929,7 @@ class TestRL203:
             "    out = parallel_map(work, specs)\n"
             "    return [o + rng.random() for o in out]\n"
         )
-        assert "RL203" not in rules_of(src, CORE)
+        assert "RL302" not in rules_of(src, CORE)
 
 
 # -- RL211 set iteration order --------------------------------------------
@@ -1110,7 +1121,7 @@ class TestSeedLineageMutation:
         )
         mod = self.write(tmp_path, src, rel="src/repro/core/example.py")
         assert cli_main([str(mod)]) == 1
-        assert "RL203" in capsys.readouterr().out
+        assert "RL302" in capsys.readouterr().out
 
 
 # -- sanitize-report ------------------------------------------------------

@@ -9,6 +9,7 @@ round-trips at the edges (empty / single record).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +19,20 @@ from repro.tracing import (
     Trace,
     TraceRecord,
     as_columnar_trace,
+    burst_ids_columnar,
+    concurrency_columnar,
     load_trace,
     load_trace_mmap,
     save_trace,
     save_trace_columnar,
     split_phases_columnar,
 )
-from repro.tracing.analysis import burst_ids_of, concurrency_of, split_phases
+from repro.tracing.analysis import (
+    burst_clusters,
+    burst_ids_of,
+    concurrency_of,
+    split_phases,
+)
 from repro.units import KiB
 
 # ---------------------------------------------------------------------------
@@ -164,8 +172,6 @@ class TestAnalysisEquivalence:
     @given(_raw_rows, _gaps, _spatials)
     @settings(max_examples=50, deadline=None)
     def test_burst_ids_and_concurrency(self, raw, gap, spatial):
-        from repro.tracing import burst_ids_columnar, concurrency_columnar
-
         trace, col = build_traces(raw)
         ref_conc = concurrency_of(trace, gap=gap, spatial=spatial)
         ref_ids = burst_ids_of(trace, gap=gap, spatial=spatial)
@@ -183,6 +189,38 @@ class TestAnalysisEquivalence:
         got = extract_features_columnar(col, gap=gap, spatial=spatial)
         assert got.points.tobytes() == ref.points.tobytes()
         assert np.asarray(got.spread).tobytes() == np.asarray(ref.spread).tobytes()
+
+
+class TestDuplicateRecords:
+    """Copies of one record share a timestamp and an offset, so with a
+    non-negative spatial threshold they always land in one burst: the
+    burst twins rely on this instead of collapsing duplicates."""
+
+    @given(_raw_rows, _gaps, st.sampled_from([False, True, 0, 64 * KiB]))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_records_share_a_burst(self, raw, gap, spatial):
+        trace, col = build_traces(raw + raw[: len(raw) // 2 + 1])
+        ids = burst_ids_columnar(col, gap=gap, spatial=spatial)
+        first: dict[TraceRecord, int] = {}
+        for i, record in enumerate(col):
+            assert ids[i] == first.setdefault(record, ids[i])
+        home: dict[TraceRecord, int] = {}
+        for b, members in enumerate(burst_clusters(trace, gap, spatial)):
+            for record in members:
+                assert home.setdefault(record, b) == b
+
+    @pytest.mark.parametrize(
+        "fn, as_input",
+        [
+            (concurrency_of, lambda trace: trace),
+            (concurrency_columnar, ColumnarTrace.from_trace),
+        ],
+        ids=["reference", "columnar"],
+    )
+    def test_negative_spatial_rejected(self, fn, as_input):
+        trace = Trace([rec(offset=0), rec(offset=64 * KiB, ts=0.1)])
+        with pytest.raises(ValueError, match="spatial"):
+            fn(as_input(trace), spatial=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ The lattice is the one documented in :mod:`repro.effects` — ``PURE``
 
 plus one *internal* pseudo-effect, ``MUTATES_STATE``, that never appears
 in a public summary: a method writing through ``self``/``cls`` is not a
-mutation of the method's own contract (the RL004 precedent — controllers
-may keep internal state), but it *is* a mutation of the receiver, so at
+mutation of the method's own contract (stateful controllers may keep
+internal state), but it *is* a mutation of the receiver, so at
 every call site it is translated by receiver kind — ``obj.m()`` where
 ``obj`` is a caller parameter becomes ``MUTATES_ARG`` in the caller,
 where ``obj`` is a module global becomes ``MUTATES_GLOBAL``, where
@@ -95,8 +95,8 @@ EFFECT_NAMES: tuple[str, ...] = (
 READS_CONFIG, READS_ENV, RNG, TIME, MUTATES_ARG, MUTATES_GLOBAL, IO = EFFECT_NAMES
 
 #: internal pseudo-effect: mutates *internal state* of an object
-#: reachable from self or an argument (caches, counters, EWMAs — the
-#: RL004 "controllers may keep internal state" exemption).  Translated
+#: reachable from self or an argument (caches, counters, EWMAs:
+#: stateful controllers may keep internal state).  Translated
 #: at call edges: it hardens to MUTATES_GLOBAL when the receiver is a
 #: module-level singleton, keeps propagating through param/self
 #: receivers, and is dropped for locally-constructed objects.  Never
@@ -118,11 +118,11 @@ SPEC_EFFECT_OVERRIDES: dict[str, frozenset[str]] = {
     "repro.determinism:sanitize_enabled": _ENV,
     # parallel_map is effect-transparent infrastructure: the *task's*
     # effects flow through the explicit task edge recorded at every
-    # call site, and the pool management itself (REPRO_JOBS, process
-    # spawn, pickle round-trip) is guaranteed not to change results —
-    # sharded builds are bit-identical by contract (PR 7) and the twin
-    # suites test n_jobs independence.  Treating pool plumbing as IO
-    # would mark every fan-out caller IO and bury real task effects.
+    # call site, and the pool management itself (process spawn, pickle
+    # round-trip) is guaranteed not to change results — sharded builds
+    # are bit-identical to serial ones by contract, and CI diffs them.
+    # Treating pool plumbing as IO would mark every fan-out caller IO
+    # and bury real task effects.
     "repro.core.parallel:parallel_map": PURE,
 }
 
@@ -266,6 +266,16 @@ _SEEDED_RNG_CTORS = {
     "numpy.random.RandomState",
     "random.Random",
 }
+
+#: call leaves that return an RNG object: a name a scope binds to one
+#: must not appear in a ``parallel_map`` call, or every worker replays
+#: the same pickled stream
+_RNG_BINDERS = frozenset({"default_rng", "Random", "RandomState", "derive_rng"})
+
+#: simulated-state names a ``partial`` must not bind into a parallel task
+_STATE_NAMES = frozenset(
+    {"sim", "simulator", "server", "servers", "pfs", "client", "clients"}
+)
 
 _IO_BUILTINS = {"print", "open", "input", "breakpoint", "__import__"}
 
@@ -451,6 +461,12 @@ class ParallelSite:
     task: str | None  # resolved task spec, or None when dynamic
     text: str
     is_test: bool
+    #: what the call sends across the process boundary unsafely, as
+    #: ``(kind, name, line, col)`` with kind "lambda", "nested",
+    #: "method", "dynamic" (the task is not a module-level function),
+    #: "rng" (an RNG-bound name in any argument) or "state" (simulated
+    #: state bound by ``partial``)
+    boundary: tuple[tuple[str, str, int, int], ...] = ()
 
 
 @dataclass
@@ -589,6 +605,8 @@ class _Scope:
     #: function-level ``from x import y``
     local_imported: dict[str, tuple[str, str]] = field(default_factory=dict)
     declared_globals: frozenset[str] = frozenset()
+    #: names bound to an RNG object (``x = default_rng(...)``)
+    rng_names: set[str] = field(default_factory=set)
 
     def kind_of(self, name: str | None) -> str:
         if name is None:
@@ -613,8 +631,29 @@ class _Scope:
 @dataclass
 class _ScanUnit:
     node: FunctionNode
-    fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
+    #: a module stands for its top-level code, scanned for
+    #: ``parallel_map`` sites only
+    fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda | ast.Module
     scope: _Scope
+
+
+def _leaf(expr: ast.expr) -> str | None:
+    chain = _attr_chain(expr)
+    return chain[-1] if chain else None
+
+
+def _rng_target(item: ast.AST) -> str | None:
+    """The name ``item`` binds to an RNG object, if it is
+    ``name = default_rng(...)`` (or another :data:`_RNG_BINDERS` call)."""
+    if (
+        isinstance(item, ast.Assign)
+        and len(item.targets) == 1
+        and isinstance(item.targets[0], ast.Name)
+        and isinstance(item.value, ast.Call)
+        and _leaf(item.value.func) in _RNG_BINDERS
+    ):
+        return item.targets[0].id
+    return None
 
 
 def _call_text(call: ast.Call) -> str:
@@ -674,6 +713,11 @@ class _GraphBuilder:
         for stmt in self._module_stmts(tree.body):
             self._collect_stmt(mod, stmt, is_package)
         self._collect_config_aliases(mod, tree)
+        top = FunctionNode(
+            spec=f"{name}:<module>", module=name, qualname="<module>",
+            name="<module>", path=display_path, line=1, col=0, is_test=is_test,
+        )
+        self._pending.append(_ScanUnit(node=top, fn=tree, scope=_Scope(module=mod)))
 
     @staticmethod
     def _module_stmts(body: list[ast.stmt]) -> Iterator[ast.stmt]:
@@ -1280,6 +1324,9 @@ class _GraphBuilder:
 
     def _scan(self, unit: _ScanUnit) -> None:
         node, fn, scope = unit.node, unit.fn, unit.scope
+        if isinstance(fn, ast.Module):
+            self._scan_module_sites(node, fn, scope)
+            return
         mod = scope.module
         body: list[ast.stmt]
         if isinstance(fn, ast.Lambda):
@@ -1319,6 +1366,26 @@ class _GraphBuilder:
             line, text = node.unresolved[0]
             node.unproven_origin = ("local", line, text)
 
+    def _scan_module_sites(
+        self, node: FunctionNode, tree: ast.Module, scope: _Scope
+    ) -> None:
+        """Record the ``parallel_map`` sites of top-level code, which
+        belongs to no function node; nothing else in it is scanned."""
+        calls: list[ast.Call] = []
+        stack: list[ast.AST] = list(tree.body)
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            rng = _rng_target(item)
+            if rng is not None:
+                scope.rng_names.add(rng)
+            elif isinstance(item, ast.Call) and _leaf(item.func) == "parallel_map":
+                calls.append(item)
+            stack.extend(ast.iter_child_nodes(item))
+        for call in calls:
+            self._record_parallel_site(node, call, scope)
+
     def _prepass(
         self, node: FunctionNode, body: list[ast.stmt], scope: _Scope
     ) -> None:
@@ -1343,6 +1410,9 @@ class _GraphBuilder:
                 declared_globals.update(item.names)
             elif isinstance(item, ast.Assign) and len(item.targets) == 1:
                 target = item.targets[0]
+                rng = _rng_target(item)
+                if rng is not None:
+                    scope.rng_names.add(rng)
                 if isinstance(target, ast.Name):
                     value = item.value
                     if isinstance(value, ast.Lambda):
@@ -1589,6 +1659,7 @@ class _GraphBuilder:
                     break
         task_spec: str | None = None
         text = "<dynamic>"
+        boundary: list[tuple[str, str, int, int]] = []
         if task_expr is not None:
             chain = _attr_chain(task_expr)
             text = ".".join(chain) if chain else (
@@ -1602,11 +1673,19 @@ class _GraphBuilder:
                     scope.module, task_expr, node, scope
                 )
                 task_spec = child.spec
+            boundary = self._task_boundary(task_expr, task_spec, scope)
+        if scope.rng_names:
+            for arg in list(call.args) + [kw.value for kw in call.keywords]:
+                for sub in ast.walk(arg):
+                    if isinstance(sub, ast.Name) and sub.id in scope.rng_names:
+                        boundary.append(
+                            ("rng", sub.id, sub.lineno, sub.col_offset)
+                        )
         self.parallel_sites.append(
             ParallelSite(
                 caller=node.spec, path=node.path, line=call.lineno,
                 col=call.col_offset, task=task_spec, text=text,
-                is_test=node.is_test,
+                is_test=node.is_test, boundary=tuple(boundary),
             )
         )
         if task_spec is not None:
@@ -1623,6 +1702,46 @@ class _GraphBuilder:
                     varargs=True,
                 )
             )
+
+    def _task_boundary(
+        self, expr: ast.expr, task_spec: str | None, scope: _Scope
+    ) -> list[tuple[str, str, int, int]]:
+        """Unwrap ``partial``, then require a module-level function: a
+        lambda, a nested def, a bound method or any other expression is
+        a finding, and so is simulated state bound by ``partial``.  A
+        bare name that is no nested def (a parameter forwarding its
+        caller's task) and a module attribute (``math.sqrt``) pass."""
+        found: list[tuple[str, str, int, int]] = []
+        while (
+            isinstance(expr, ast.Call)
+            and _leaf(expr.func) == "partial"
+            and expr.args
+        ):
+            for bound in expr.args[1:] + [kw.value for kw in expr.keywords]:
+                if isinstance(bound, ast.Name) and bound.id.lower() in _STATE_NAMES:
+                    found.append(
+                        ("state", bound.id, bound.lineno, bound.col_offset)
+                    )
+            expr = expr.args[0]
+        kind = ""
+        if isinstance(expr, ast.Lambda):
+            kind = "lambda"
+        elif isinstance(expr, ast.Name):
+            if task_spec is not None and ".<locals>." in task_spec:
+                kind = "nested"
+        elif isinstance(expr, ast.Attribute):
+            head = _attr_chain(expr)[:1]
+            if not head or not (
+                head[0] in scope.module.module_aliases
+                or head[0] in scope.local_module_aliases
+            ):
+                kind = "method"
+        else:
+            kind = "dynamic"
+        if kind:
+            name = ".".join(_attr_chain(expr))
+            found.append((kind, name, expr.lineno, expr.col_offset))
+        return found
 
     # -- fixpoint ----------------------------------------------------------
 

@@ -8,8 +8,6 @@ from . import determinism  # noqa: F401
 from . import effects  # noqa: F401
 from . import float_equality  # noqa: F401
 from . import ordering  # noqa: F401
-from . import parallel_safety  # noqa: F401
-from . import purity  # noqa: F401
 from . import seed_lineage  # noqa: F401
 from . import twin_contracts  # noqa: F401
 from . import units_discipline  # noqa: F401

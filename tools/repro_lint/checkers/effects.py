@@ -3,23 +3,31 @@
 These rules query the interprocedural call graph
 (:mod:`tools.repro_lint.callgraph`): every function in the linted files
 gets an inferred effect summary, propagated to fixpoint over resolved
-call edges, and the rules judge the *transitive* summary where the
-older RL004/RL003/RL203 rules could only inspect one function body.
+call edges, and the rules judge the *transitive* summary, through the
+whole call tree rather than one function body at a time.
 
 * **RL301** — Eq.2 purity, transitively: functions in the cost-model /
-  determination / placement / gate modules (the RL004 scope plus
-  ``core/cost_model.py``) must infer to ``PURE`` modulo
-  ``READS_CONFIG``, and must be *proven* — an unresolved call anywhere
-  in their call tree is itself a finding, because an unproven gate is
-  an uncertifiable gate.
+  determination / placement / gate modules must infer to ``PURE``
+  modulo ``READS_CONFIG``, and must be *proven* — an unresolved call
+  anywhere in their call tree is itself a finding, because an unproven
+  gate is an uncertifiable gate.  Writes to arguments or globals, I/O
+  and function-level imports all surface as effects.
 
-* **RL302** — parallel-task hygiene, transitively: a task entering
-  ``parallel_map`` must never reach ``MUTATES_GLOBAL`` or un-derived
-  ``RNG`` (those break bit-identical sharded merges and no declaration
-  can sanction them).  ``IO``/``READS_ENV`` on a task are allowed only
-  when the task function carries an explicit ``@effects`` contract
-  naming them (the audit trail for config-gated persistence such as
-  DRT-backed builds); an undeclared task must additionally be proven.
+* **RL302** — parallel-task hygiene.  At every ``parallel_map`` site,
+  in ``src/`` and in tests, the task must survive pickling: after
+  unwrapping ``functools.partial`` it must be a module-level function
+  (or a module attribute such as ``math.sqrt``), not a lambda, nested
+  def, bound method or computed expression; ``partial`` must not bind
+  simulated state (``sim``, ``server``, ``pfs``, ``client``, ...); and
+  no argument may mention a name the calling scope binds to an RNG
+  constructor (workers must derive their own streams).  Transitively,
+  for ``src/`` tasks: a task must never reach ``MUTATES_GLOBAL`` or
+  un-derived ``RNG`` (those break bit-identical sharded merges and no
+  declaration can sanction them).  ``IO``/``READS_ENV`` on a task are
+  allowed only when the task function carries an explicit ``@effects``
+  contract naming them (the audit trail for config-gated persistence
+  such as DRT-backed builds); an undeclared task must additionally be
+  proven.
 
 * **RL303** — digest discipline, transitively: digest-producing
   functions (``digest``/``digest_*``/``*_digest`` in ``src/``) must not
@@ -37,10 +45,11 @@ older RL004/RL003/RL203 rules could only inspect one function body.
   contract names ``fallback_flags`` (the twin may consult config to
   decide whether to fall back).
 
-Internal-state mutation (``MUTATES_STATE``: caches, counters — the
-RL004 "controllers may keep internal state" concession) is stripped
-before any rule fires.  Suppressions use the standard
-``# repro-lint: disable=RL30x`` comment on the flagged line.
+Internal-state mutation (``MUTATES_STATE``: caches, counters, closure
+state written through ``nonlocal`` — stateful controllers may keep
+internal state) is stripped before any rule fires.  Suppressions use
+the standard ``# repro-lint: disable=RL30x`` comment on the flagged
+line.
 """
 
 from __future__ import annotations
@@ -63,10 +72,16 @@ from ..callgraph import (
 )
 from ..diagnostics import Diagnostic
 from ..registry import ProjectChecker, register
-from .purity import _PURE_MODULE_SUFFIXES
 
-#: RL301 scope: the RL004 module list plus the cost model itself
-_EQ2_MODULE_SUFFIXES = _PURE_MODULE_SUFFIXES + ("repro/core/cost_model.py",)
+#: RL301 scope: the modules on the Eq. 2 evaluation path
+_EQ2_MODULE_SUFFIXES = (
+    "repro/core/params.py",
+    "repro/core/features.py",
+    "repro/core/determinator.py",
+    "repro/core/placer.py",
+    "repro/online/gate.py",
+    "repro/core/cost_model.py",
+)
 
 #: effects Eq.2 functions may keep (config is a deterministic ambient
 #: input the twin rules force both paths to mirror)
@@ -74,6 +89,36 @@ _EQ2_ALLOWED = frozenset({READS_CONFIG})
 
 #: effects a parallel task may never reach, declared or not
 _TASK_FORBIDDEN = frozenset({MUTATES_GLOBAL, RNG})
+
+#: RL302 boundary findings, by :attr:`ParallelSite.boundary` kind
+_BOUNDARY_MESSAGES = {
+    "lambda": (
+        "lambda passed to parallel_map cannot be pickled into worker "
+        "processes; define a module-level function"
+    ),
+    "nested": (
+        "`{name}` is a nested function (closure); parallel_map workers "
+        "can only import module-level callables"
+    ),
+    "method": (
+        "bound method `{name}` passed to parallel_map pickles its whole "
+        "instance into every worker; use a module-level function taking "
+        "the data explicitly"
+    ),
+    "dynamic": (
+        "parallel_map task is not a module-level function; pass one by "
+        "name, optionally through functools.partial"
+    ),
+    "rng": (
+        "RNG object `{name}` crosses a parallel_map task boundary; workers "
+        "must derive their own stream via derive_rng(...) from the "
+        "picklable task spec"
+    ),
+    "state": (
+        "partial binds `{name}` into the worker payload; simulator/server "
+        "state must not cross the process boundary, pass plain data instead"
+    ),
+}
 
 #: effects a digest producer may never reach
 _DIGEST_FORBIDDEN = frozenset({READS_ENV, TIME, RNG})
@@ -173,14 +218,28 @@ class ParallelTaskEffects(_EffectRule):
     rule = "RL302"
     name = "parallel-task-effects"
     description = (
-        "parallel_map tasks must not transitively reach MUTATES_GLOBAL "
-        "or RNG; IO/READS_ENV only via a pinned @effects contract"
+        "parallel_map tasks must be picklable module-level functions "
+        "with no RNG or simulator state in the call, and must not "
+        "transitively reach MUTATES_GLOBAL or RNG; IO/READS_ENV only via "
+        "a pinned @effects contract"
     )
 
     def finalize(self) -> Iterator[Diagnostic]:
         graph = self._graph()
         seen: set[tuple[str, str]] = set()
+        reported: set[Diagnostic] = set()
         for site in graph.parallel_sites:
+            for kind, name, line, col in site.boundary:
+                diag = Diagnostic(
+                    path=site.path,
+                    line=line,
+                    col=col,
+                    rule=self.rule,
+                    message=_BOUNDARY_MESSAGES[kind].format(name=name),
+                )
+                if diag not in reported:
+                    reported.add(diag)
+                    yield diag
             if site.is_test or site.task is None:
                 continue
             node = graph.nodes.get(site.task)

@@ -1,4 +1,4 @@
-"""RL201–RL203 — seed lineage: every stream derived, none aliased.
+"""RL201–RL202 — seed lineage: every stream derived, none aliased.
 
 :mod:`repro.determinism` centralizes RNG stream derivation:
 ``derive_seed(domain, *indices, base=...)`` hashes a
@@ -18,22 +18,18 @@ rules make that discipline compiler-grade:
   two such sites can hand out the *same stream* for overlapping
   indices.  One shared helper (one call site) or a second domain are
   the fixes.
-* **RL203** — RNG crossing a ``parallel_map`` task boundary: a
-  generator object (or a closure/partial capturing one) passed into
-  ``parallel_map`` would be pickled and replayed identically in every
-  worker; streams must instead be *derived inside the worker* from the
-  picklable spec (which is what makes sharded builds bit-identical to
-  serial ones).
 
-RL201/RL203 are per-file dataflow passes; RL202 is a
+RL201 is a per-file pass; RL202 is a
 :class:`~tools.repro_lint.registry.ProjectChecker` so call sites in
-different modules still collide.
+different modules still collide.  An RNG object crossing a
+``parallel_map`` task boundary is RL302's boundary check
+(:mod:`.effects`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Union
+from typing import Iterator
 
 from ..diagnostics import Diagnostic
 from ..engine import FileContext
@@ -43,8 +39,6 @@ from ..registry import Checker, ProjectChecker, register
 _RNG_CTORS = frozenset({"default_rng", "Random", "RandomState"})
 #: the registry's own constructors (never flagged; counted by RL202)
 _DERIVE_FUNCS = frozenset({"derive_seed", "derive_rng"})
-
-_FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def _attr_leaf(node: ast.expr) -> str:
@@ -270,85 +264,3 @@ class LineageAliasChecker(ProjectChecker):
                 "the same stream; share one helper or add a new domain"
             ),
         )
-
-
-@register
-class RngTaskBoundaryChecker(Checker):
-    rule = "RL203"
-    name = "rng-task-boundary"
-    description = (
-        "RNG objects must not cross a parallel_map task boundary; "
-        "derive the stream inside the worker from the picklable spec"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        # applies in tests too: pickling an rng into a pool is wrong
-        # everywhere (mirrors RL003's scope)
-        return True
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_scope(ctx, node.body)
-        yield from self._check_scope(ctx, ctx.tree.body)
-
-    def _walk_scope(self, body: list[ast.stmt]) -> Iterator[ast.AST]:
-        """Walk a scope's statements without descending into nested
-        function definitions (each scope is checked on its own);
-        lambdas stay in scope — they close over the enclosing names."""
-        stack: list[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_scope(
-        self, ctx: FileContext, body: list[ast.stmt]
-    ) -> Iterator[Diagnostic]:
-        rng_names = self._rng_bindings(body)
-        if not rng_names:
-            return
-        for node in self._walk_scope(body):
-            if not isinstance(node, ast.Call):
-                continue
-            if _attr_leaf(node.func) != "parallel_map":
-                continue
-            for name, line, col in self._rng_uses(node, rng_names):
-                yield self.diagnostic(
-                    ctx,
-                    line,
-                    col,
-                    f"RNG object {name!r} crosses a parallel_map task "
-                    "boundary; workers must derive their own stream "
-                    "via derive_rng(...) from the picklable task spec",
-                )
-
-    def _rng_bindings(self, body: list[ast.stmt]) -> set[str]:
-        """Names bound (anywhere in this scope) to an RNG constructor."""
-        names: set[str] = set()
-        for node in self._walk_scope(body):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if not isinstance(value, ast.Call):
-                continue
-            leaf = _attr_leaf(value.func)
-            if leaf not in _RNG_CTORS and leaf != "derive_rng":
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        return names
-
-    def _rng_uses(
-        self, call: ast.Call, rng_names: set[str]
-    ) -> list[tuple[str, int, int]]:
-        """RNG-bound names referenced anywhere in the call's arguments."""
-        uses: list[tuple[str, int, int]] = []
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            for node in ast.walk(arg):
-                if isinstance(node, ast.Name) and node.id in rng_names:
-                    uses.append((node.id, node.lineno, node.col_offset))
-        return uses

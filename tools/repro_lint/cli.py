@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="RULES",
-        help="comma-separated rule ids to run (e.g. RL001,RL004)",
+        help="comma-separated rule ids to run (e.g. RL001,RL301)",
     )
     parser.add_argument(
         "--list-rules",
