@@ -10,10 +10,12 @@ The table supports the two access paths the paper needs:
 * the **Redirector**'s hot path — translate an original-file extent
   into region extents (range lookup, served from memory with an LRU
   list of hot entries, §IV-A);
-* **durability** — every change is synchronously written through to a
-  :class:`~repro.kvstore.hashdb.HashDB` file so the mapping survives
-  power failures (§IV-A), and can be reloaded on the application's
-  next run.
+* **durability** — a file-backed table stages its changes and makes
+  them durable at :meth:`DRT.commit`, in one fsynced
+  :class:`~repro.kvstore.hashdb.HashDB` commit stamped with the plan
+  epoch, so a committed mapping survives power failures (§IV-A) and
+  can be reloaded on the application's next run, while a half-written
+  one cannot.
 
 Entry encoding matches the paper's §V-E2 sizing: the numeric payload of
 an entry (O_offset, Length, R_offset) packs into exactly ``6 * 4`` = 24
@@ -31,8 +33,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..contracts import twin_of
-from ..exceptions import RedirectionError
-from ..kvstore import HashDB, LRUCache
+from ..exceptions import KVStoreError, RedirectionError
+from ..kvstore import EpochDB, LRUCache
 
 __all__ = ["DRTEntry", "TranslatedExtent", "DRT", "ENTRY_NUMERIC_BYTES"]
 
@@ -82,7 +84,7 @@ class TranslatedExtent:
 
 
 class DRT:
-    """In-memory interval table with optional synchronous persistence."""
+    """In-memory interval table with optional durable persistence."""
 
     def __init__(
         self,
@@ -100,11 +102,15 @@ class DRT:
         self._hot: dict[str, int] = {}
         self._cache_hits = 0
         self._cache_misses = 0
-        self._db: HashDB | None = None
+        self._db: EpochDB | None = None
         if path is not None:
-            self._db = HashDB(path, sync=sync)
-            for key, value in self._db.items():
-                self._insert(self._decode(key, value), persist=False)
+            self._db = EpochDB(path, sync=sync)
+            try:
+                for key, value in self._db.records():
+                    self._insert(self._decode(key, value))
+            except BaseException:
+                self._db.close()
+                raise
 
     # -- encoding -------------------------------------------------------
 
@@ -121,21 +127,24 @@ class DRT:
 
     @staticmethod
     def _decode(key: bytes, value: bytes) -> DRTEntry:
+        if len(key) < _KEY.size or len(value) < _VALUE.size:
+            raise KVStoreError(f"DRT record {key!r} is too short")
         (o_offset,) = _KEY.unpack(key[: _KEY.size])
-        o_file = key[_KEY.size :].decode()
         length, r_offset = _VALUE.unpack(value[: _VALUE.size])
-        r_file = value[_VALUE.size :].decode()
-        return DRTEntry(
-            o_file=o_file,
-            o_offset=o_offset,
-            length=length,
-            r_file=r_file,
-            r_offset=r_offset,
-        )
+        try:
+            return DRTEntry(
+                o_file=key[_KEY.size :].decode(),
+                o_offset=o_offset,
+                length=length,
+                r_file=value[_VALUE.size :].decode(),
+                r_offset=r_offset,
+            )
+        except (UnicodeDecodeError, RedirectionError) as exc:
+            raise KVStoreError(f"undecodable DRT record {key!r}: {exc}") from exc
 
     # -- mutation -------------------------------------------------------
 
-    def _insert(self, entry: DRTEntry, persist: bool) -> None:
+    def _insert(self, entry: DRTEntry) -> None:
         starts = self._starts.setdefault(entry.o_file, [])
         entries = self._entries.setdefault(entry.o_file, [])
         idx = bisect_right(starts, entry.o_offset)
@@ -150,12 +159,25 @@ class DRT:
         starts.insert(idx, entry.o_offset)
         entries.insert(idx, entry)
         self._count += 1
-        if persist and self._db is not None:
-            self._db.put(self._encode_key(entry), self._encode_value(entry))
 
     def add(self, entry: DRTEntry) -> None:
-        """Insert an entry; synchronously persisted when backed by a file."""
-        self._insert(entry, persist=True)
+        """Insert an entry; staged for :meth:`commit` when backed by a
+        file."""
+        self._insert(entry)
+        if self._db is not None:
+            self._db.stage(self._encode_key(entry), self._encode_value(entry))
+
+    def commit(self, epoch: int) -> None:
+        """Make every staged entry durable in one commit stamped with
+        ``epoch``; an in-memory table writes nothing."""
+        if self._db is not None:
+            self._db.commit(epoch)
+
+    @property
+    def epoch(self) -> int:
+        """The epoch last committed to the backing file, 0 when none
+        was (or the table is in memory or closed)."""
+        return 0 if self._db is None else self._db.epoch
 
     # -- lookup ---------------------------------------------------------
 
@@ -411,7 +433,8 @@ class DRT:
         return self._count * ENTRY_NUMERIC_BYTES
 
     def close(self) -> None:
-        """Close the backing store, if any."""
+        """Close the backing store, if any, dropping uncommitted
+        entries from it; the table stays usable in memory."""
         if self._db is not None:
             self._db.close()
             self._db = None

@@ -18,6 +18,7 @@ service fan whole plans out through
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_SAMPLE_SEED
 from ..contracts import twin_of
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, KVStoreError
 from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
 from ..tracing.analysis import burst_ids_of, concurrency_of
@@ -283,10 +284,13 @@ class MHAPipeline:
         single-pass file partition.  Every file is reorganized (which
         writes its DRT entries) before the first region is searched;
         the RST then receives each region's pair in file and region
-        order.
+        order.  After the last search, file-backed tables commit: the
+        DRT, then the RST, each in one durable write stamped with the
+        plan epoch, one past the newest epoch either file held.
         """
         drt = DRT(self.drt_path) if self.drt_path else DRT()
         rst = RST(self.rst_path) if self.rst_path else RST()
+        epoch = 1 + max(drt.epoch, rst.epoch)
         reorder_plans: dict[str, ReorderPlan] = {}
         groupings: dict[str, GroupingResult] = {}
         decisions: dict[str, StripeDecision] = {}
@@ -305,6 +309,8 @@ class MHAPipeline:
                 decision = self.search(region)
                 decisions[region.name] = decision
                 rst.set(region.name, decision.pair)
+        drt.commit(epoch)
+        rst.commit(epoch)
 
         region_layouts = place_regions(self.spec, rst)
         redirector = Redirector(drt, region_layouts, original_layouts)
@@ -334,17 +340,29 @@ def load_plan(
     stripe pair, and hand back a working redirector.  The analysis
     artifacts (groupings, reorder plans, decisions) are not persisted
     and come back empty.
+
+    Raises :class:`~repro.exceptions.KVStoreError` unless both files
+    carry the same non-zero plan epoch: a file with no committed plan,
+    a crash between the DRT's commit and the RST's, or tables stamped
+    by two different plans.
     """
-    drt = DRT(drt_path)
-    rst = RST(rst_path)
-    region_layouts = place_regions(spec, rst)
-    original_layouts: dict[str, Layout] = {}
-    for entry in drt:
-        if entry.o_file not in original_layouts:
-            original_layouts[entry.o_file] = FixedStripeLayout(
-                servers=spec.server_ids, stripe=original_stripe, obj=entry.o_file
+    with ExitStack() as opened:
+        drt = opened.enter_context(DRT(drt_path))
+        rst = opened.enter_context(RST(rst_path))
+        if drt.epoch == 0 or drt.epoch != rst.epoch:
+            raise KVStoreError(
+                f"no plan committed to both {drt_path} and {rst_path} "
+                f"(DRT epoch {drt.epoch}, RST epoch {rst.epoch})"
             )
-    redirector = Redirector(drt, region_layouts, original_layouts)
+        region_layouts = place_regions(spec, rst)
+        original_layouts: dict[str, Layout] = {}
+        for entry in drt:
+            if entry.o_file not in original_layouts:
+                original_layouts[entry.o_file] = FixedStripeLayout(
+                    servers=spec.server_ids, stripe=original_stripe, obj=entry.o_file
+                )
+        redirector = Redirector(drt, region_layouts, original_layouts)
+        opened.pop_all()
     return MHAPlan(
         drt=drt,
         rst=rst,

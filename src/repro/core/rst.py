@@ -4,7 +4,8 @@
 Region Stripe Table (RST), which is managed by a Meta-Data Server".
 Each record maps a region (storage object / file name) to its optimized
 ``<h, s>`` stripe pair.  Like the DRT it is persisted through the
-Berkeley-DB stand-in with synchronous write-through (§IV-A).
+Berkeley-DB stand-in, durable at :meth:`RST.commit`: one fsynced commit
+per plan, stamped with the plan epoch (§IV-A).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from ..exceptions import RedirectionError
-from ..kvstore import HashDB
+from ..exceptions import KVStoreError, RedirectionError
+from ..kvstore import EpochDB
 
 __all__ = ["StripePair", "RST"]
 
@@ -39,23 +40,49 @@ class StripePair:
         return f"<{self.h}, {self.s}>"
 
 
+def _decode(key: bytes, value: bytes) -> tuple[str, StripePair]:
+    if len(value) != _VALUE.size:
+        raise KVStoreError(f"RST record {key!r}: value is {len(value)} bytes")
+    try:
+        return key.decode(), StripePair(*_VALUE.unpack(value))
+    except (UnicodeDecodeError, RedirectionError) as exc:
+        raise KVStoreError(f"undecodable RST record {key!r}: {exc}") from exc
+
+
 class RST:
     """region/file name -> :class:`StripePair`, optionally persistent."""
 
     def __init__(self, path: str | Path | None = None, sync: bool = True) -> None:
         self._table: dict[str, StripePair] = {}
-        self._db: HashDB | None = None
+        self._db: EpochDB | None = None
         if path is not None:
-            self._db = HashDB(path, sync=sync)
-            for key, value in self._db.items():
-                h, s = _VALUE.unpack(value)
-                self._table[key.decode()] = StripePair(h, s)
+            self._db = EpochDB(path, sync=sync)
+            try:
+                for key, value in self._db.records():
+                    region, pair = _decode(key, value)
+                    self._table[region] = pair
+            except BaseException:
+                self._db.close()
+                raise
 
     def set(self, region: str, pair: StripePair) -> None:
-        """Record (and persist) the stripe pair for ``region``."""
-        self._table[region] = pair
+        """Record the stripe pair for ``region``; staged for
+        :meth:`commit` when backed by a file."""
         if self._db is not None:
-            self._db.put(region.encode(), _VALUE.pack(pair.h, pair.s))
+            self._db.stage(region.encode(), _VALUE.pack(pair.h, pair.s))
+        self._table[region] = pair
+
+    def commit(self, epoch: int) -> None:
+        """Make every staged pair durable in one commit stamped with
+        ``epoch``; an in-memory table writes nothing."""
+        if self._db is not None:
+            self._db.commit(epoch)
+
+    @property
+    def epoch(self) -> int:
+        """The epoch last committed to the backing file, 0 when none
+        was (or the table is in memory or closed)."""
+        return 0 if self._db is None else self._db.epoch
 
     def get(self, region: str) -> StripePair:
         """The stripe pair for ``region``; raises if unknown."""
@@ -74,6 +101,8 @@ class RST:
         return iter(sorted(self._table.items()))
 
     def close(self) -> None:
+        """Close the backing store, if any, dropping uncommitted pairs
+        from it; the table stays usable in memory."""
         if self._db is not None:
             self._db.close()
             self._db = None

@@ -1,6 +1,6 @@
 """Persistent key-value substrate (the paper's Berkeley DB role)."""
 
 from .cache import LRUCache
-from .hashdb import HashDB
+from .hashdb import EpochDB, HashDB
 
-__all__ = ["HashDB", "LRUCache"]
+__all__ = ["EpochDB", "HashDB", "LRUCache"]

@@ -12,6 +12,14 @@ Two formats live here:
   rows 64-byte aligned so :func:`numpy.memmap` can map them read-only.
   Million-request traces stream from the page cache instead of
   materializing ``TraceRecord`` objects.
+
+A damaged file of either format loads as a valid trace or raises
+:class:`~repro.exceptions.TraceError`, never another exception: a text
+file cut inside a row, undecodable bytes, or a binary header whose
+counts and lengths disagree with the file are all rejected.  Neither
+format carries a checksum, so some damage still loads as a valid but
+different trace: a text file cut exactly at a line end, or a flipped
+bit inside a row's values or a file name.
 """
 
 from __future__ import annotations
@@ -58,11 +66,23 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Read a trace from a CSV file written by :func:`save_trace`."""
+    """Read a trace from a CSV file written by :func:`save_trace`.
+
+    Every row, the last included, must end with its line terminator:
+    a file cut inside its last row is torn and raises
+    :class:`~repro.exceptions.TraceError` instead of loading that row
+    altered or short.
+    """
     path = Path(path)
     records: list[TraceRecord] = []
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: undecodable text: {exc}") from exc
+        if text and not text.endswith("\n"):
+            raise TraceError(f"{path}: torn last line (no line terminator)")
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             header = next(reader)
         except StopIteration:
@@ -145,7 +165,10 @@ def _parse_names(blob: bytes, n_files: int, path: Path) -> tuple[str, ...]:
         pos += 4
         if pos + length > len(blob):
             raise TraceError(f"{path}: truncated file-name table")
-        names.append(blob[pos : pos + length].decode("utf-8"))
+        try:
+            names.append(blob[pos : pos + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: undecodable file name: {exc}") from exc
         pos += length
     if pos != len(blob):
         raise TraceError(f"{path}: trailing bytes in file-name table")
@@ -194,6 +217,8 @@ def load_trace_mmap(path: str | Path) -> ColumnarTrace:
         if len(head) != len(_MAGIC) + _HEADER.size or head[: len(_MAGIC)] != _MAGIC:
             raise TraceError(f"{path}: not a binary columnar trace")
         n_records, n_files, blob_len = _HEADER.unpack(head[len(_MAGIC) :])
+        if blob_len > size - len(head):
+            raise TraceError(f"{path}: file-name table overruns the file")
         blob = fh.read(blob_len)
         if len(blob) != blob_len:
             raise TraceError(f"{path}: truncated file-name table")

@@ -201,6 +201,7 @@ class TestPersistence:
         with DRT(path) as drt:
             drt.add(entry(0, 100, 500))
             drt.add(entry(300, 50, 0, r_file="rB"))
+            drt.commit(1)
         with DRT(path) as drt:
             assert len(drt) == 2
             out = drt.translate("f", 0, 100)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import RST, StripePair
-from repro.exceptions import RedirectionError
+from repro.exceptions import KVStoreError, RedirectionError
 
 
 class TestStripePair:
@@ -55,6 +55,14 @@ class TestRST:
         with RST(path) as rst:
             rst.set("region0", StripePair(12288, 98304))
             rst.set("region1", StripePair(0, 4096))
+            rst.commit(1)
         with RST(path) as rst:
             assert rst.get("region0") == StripePair(12288, 98304)
             assert rst.get("region1") == StripePair(0, 4096)
+
+    def test_empty_region_name_is_rejected_on_file(self, tmp_path):
+        # the empty key holds the table's epoch stamp
+        with RST(tmp_path / "rst.db") as rst:
+            with pytest.raises(KVStoreError):
+                rst.set("", StripePair(0, 4096))
+            assert "" not in rst

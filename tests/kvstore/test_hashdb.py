@@ -119,6 +119,30 @@ class TestDurability:
         with pytest.raises(KVStoreError):
             HashDB(path)
 
+    def test_log_without_commit_records_rejected(self, tmp_path):
+        # the previous format had no commit records: it would replay as empty
+        path = tmp_path / "db"
+        path.write_bytes(b"RKV1" + bytes(16))
+        with pytest.raises(KVStoreError):
+            HashDB(path)
+
+    def test_opening_a_damaged_log_leaves_it_unchanged(self, tmp_path):
+        path = tmp_path / "db"
+        with HashDB(path) as db:
+            for i in range(100):
+                db.put(b"key%03d" % i, b"value%03d" % i)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 4] ^= 0x10
+        path.write_bytes(bytes(data))
+        with HashDB(path) as db:
+            intact = dict(db.items())
+        assert 0 < len(intact) < 100
+        assert path.read_bytes() == bytes(data)
+        with HashDB(path) as db:
+            db.put(b"after", b"durable")
+        with HashDB(path) as db:
+            assert dict(db.items()) == {**intact, b"after": b"durable"}
+
     def test_compaction_preserves_contents(self, tmp_path):
         path = tmp_path / "db"
         with HashDB(path) as db:
@@ -151,6 +175,24 @@ class TestDurability:
             assert synced[-1] is True  # the rename, after the file's data
             assert False in synced
 
+    def test_compacted_log_is_one_commit(self, tmp_path):
+        path = tmp_path / "db"
+        with HashDB(path) as db:
+            db.put_all([(b"a", b"1"), (b"b", b"2")])
+            db.delete(b"a")
+            db.compact()
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            try:
+                with HashDB(path) as db:
+                    assert dict(db.items()) == {}
+            except KVStoreError:
+                assert cut < 4  # the magic itself is cut
+        path.write_bytes(data)
+        with HashDB(path) as db:
+            assert dict(db.items()) == {b"b": b"2"}
+
     def test_writes_after_compaction_survive(self, tmp_path):
         path = tmp_path / "db"
         with HashDB(path) as db:
@@ -159,6 +201,48 @@ class TestDurability:
             db.put(b"b", b"2")
         with HashDB(path) as db:
             assert db[b"a"] == b"1" and db[b"b"] == b"2"
+
+
+class TestBatchCommit:
+    def test_bad_pair_writes_nothing(self, tmp_path):
+        path = tmp_path / "db"
+        with HashDB(path) as db:
+            size = path.stat().st_size
+            with pytest.raises(KVStoreError):
+                db.put_all([(b"a", b"1"), ("b", b"2")])  # type: ignore[list-item]
+            assert b"a" not in db
+            assert path.stat().st_size == size
+
+    def test_one_fsync_per_commit(self, tmp_path, monkeypatch):
+        with HashDB(tmp_path / "db") as db:
+            calls = []
+            monkeypatch.setattr(os, "fsync", calls.append)
+            db.put_all([(b"k%d" % i, b"v") for i in range(50)])
+            db.close()
+        assert len(calls) == 1
+
+    def test_cut_log_replays_as_last_whole_commit(self, tmp_path):
+        path = tmp_path / "db"
+        commits = []  # (end offset, table after the commit)
+        with HashDB(path) as db:
+            for ops in ([(b"a", b"1"), (b"b", b"2")], [(b"a", b"3"), (b"c", b"4")]):
+                db.put_all(ops)
+                commits.append((path.stat().st_size, dict(db.items())))
+            db.delete(b"b")
+            commits.append((path.stat().st_size, dict(db.items())))
+        data = path.read_bytes()
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            if cut < 4:  # the magic itself is cut
+                with pytest.raises(KVStoreError):
+                    HashDB(path)
+                continue
+            expected = {}
+            for end, table in commits:
+                if end <= cut:
+                    expected = table
+            with HashDB(path) as db:
+                assert dict(db.items()) == expected, f"cut at {cut}"
 
 
 class TestHypothesisRoundTrip:
