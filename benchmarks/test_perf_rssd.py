@@ -8,8 +8,11 @@ Timing is the shared best-of-3 wall clock; the grid engine must clear a
 
 A second, wide region is shaped like the dominant region of the
 ``plan-large`` end-to-end workload (1,536 contiguous 256 KB writes in
-bursts of 21): its phases time the burst-mode kernel where the request
-axis is long, and assert only that both engines agree.
+bursts of 21): its phases time the burst-mode search where the request
+axis is long.  There the grid engine's lower bound rules out all but
+one kernel block of candidates, while on the random region (128
+requests over 13 op/length-band groups) the bound is skipped and every
+candidate is scored.  Both counts are deterministic and asserted.
 
 Results are written to ``BENCH_rssd.json`` (override with the
 ``REPRO_BENCH_OUT`` environment variable) through the
@@ -39,6 +42,11 @@ MIN_SPEEDUP = 5.0
 #: the wide region: contiguous R_MAX writes issued in bursts of 21
 WIDE_REQUESTS = 1536
 WIDE_BURST = 21
+#: candidates the grid engine scores on the wide region: one kernel
+#: block of GRID_CHUNK_ELEMS // WIDE_REQUESTS candidates
+WIDE_EVALUATED = 21
+#: candidates in each region's search grid (64 steps on each axis)
+CANDIDATES = 2144
 BENCH = "rssd-search"
 BENCH_OUT = "BENCH_rssd.json"
 
@@ -65,7 +73,7 @@ def make_wide_region():
 
 def time_engines(report, best_of, phase, region, burst):
     """Time both engines on ``region``, report ``scalar-``/``grid-<phase>``
-    and return the grid-over-scalar speedup."""
+    and return the grid-over-scalar speedup and the grid decision."""
     params = CostModelParams.from_cluster(ClusterSpec())
     offsets, lengths, is_read, conc, bursts = region
     kwargs = dict(step=4 * KiB, max_axis_candidates=64)
@@ -93,16 +101,20 @@ def time_engines(report, best_of, phase, region, burst):
     )
     speedup = t_scalar / t_grid
     print(
-        f"\n{phase}: {grid.candidates} candidates, "
-        f"scalar {t_scalar * 1e3:.1f} ms, grid {t_grid * 1e3:.1f} ms, "
-        f"speedup {speedup:.1f}x"
+        f"\n{phase}: {grid.candidates} candidates, grid scored "
+        f"{grid.evaluated}, scalar {t_scalar * 1e3:.1f} ms, "
+        f"grid {t_grid * 1e3:.1f} ms, speedup {speedup:.1f}x"
     )
-    return speedup
+    return speedup, grid
 
 
 @pytest.mark.parametrize("mode", ["batch", "burst"])
 def test_grid_engine_speedup(report, mode, best_of):
-    speedup = time_engines(report, best_of, mode, make_region(), mode == "burst")
+    speedup, grid = time_engines(
+        report, best_of, mode, make_region(), mode == "burst"
+    )
+    # too few requests per op/length-band group: no bound, full grid
+    assert grid.evaluated == grid.candidates == CANDIDATES
     assert speedup >= MIN_SPEEDUP, (
         f"{mode} grid engine only {speedup:.1f}x faster than scalar "
         f"(need >= {MIN_SPEEDUP}x)"
@@ -110,5 +122,9 @@ def test_grid_engine_speedup(report, mode, best_of):
 
 
 def test_wide_burst_region(report, best_of):
-    # no speedup floor: this phase tracks the kernel's wall time
-    time_engines(report, best_of, "burst-wide", make_wide_region(), burst=True)
+    # no speedup floor: this phase tracks the search's wall time
+    _, grid = time_engines(
+        report, best_of, "burst-wide", make_wide_region(), burst=True
+    )
+    assert grid.candidates == CANDIDATES
+    assert grid.evaluated == WIDE_EVALUATED

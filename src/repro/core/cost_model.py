@@ -47,7 +47,11 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..devices.base import READ, WRITE
-from ..layouts.extents import max_server_bytes_grid, per_server_bytes_batch
+from ..layouts.extents import (
+    max_server_bytes_grid,
+    per_server_bytes_batch,
+    server_totals_grid,
+)
 from .params import CostModelParams
 
 __all__ = [
@@ -57,6 +61,8 @@ __all__ = [
     "burst_costs",
     "batch_costs_grid",
     "burst_costs_grid",
+    "burst_cost_bounds",
+    "burst_bound_slack",
     "grid_chunks",
 ]
 
@@ -465,6 +471,105 @@ def burst_costs_grid(
             np.maximum(block_worst, startups + loads, out=block_worst)
         worst[chunk] = block_worst.T
     return worst
+
+
+def burst_cost_bounds(
+    params: CostModelParams,
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    is_read: np.ndarray,
+    h_arr: np.ndarray,
+    s_arr: np.ndarray,
+) -> np.ndarray:
+    """A lower bound on each candidate's summed burst costs, shape ``(G,)``.
+
+    :func:`burst_costs` charges burst ``b`` its slowest server,
+    ``max_σ T_bσ``, where ``T_bσ`` is the burst's startups on ``σ``
+    plus its bytes there times ``t + β``.  A sum of maxima is at least
+    the maximum of the sums, so ``Σ_b max_σ T_bσ >= max_σ Σ_b T_bσ``,
+    and ``Σ_b T_bσ`` needs only server ``σ``'s totals over the region:
+    the requests that touch it and the bytes it receives.
+    :func:`~repro.layouts.extents.server_totals_grid` gives both, once
+    per op, and the bound is the largest of
+
+    * HServer: ``touches·(α_h + λ) + bytes·(t + β_h)``;
+    * SServer: the same terms per op, with ``α_sr``/``β_sr`` for reads
+      and ``α_sw``/``β_sw`` for writes.
+
+    The kernel's touch counts can only fall short and every startup is
+    non-negative, so the bound stays below the cost.  It holds in exact
+    arithmetic; :func:`burst_bound_slack` covers the rounding of both
+    sides.  The constants are the ones :func:`burst_costs_grid` uses.
+    Non-finite parameters give zero bounds, which rule nothing out.
+
+    Candidates are handled in blocks of distinct cycles sized by
+    :func:`grid_chunks`, so no kernel temporary exceeds
+    :data:`GRID_CHUNK_ELEMS` elements.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    is_read = np.asarray(is_read, dtype=bool)
+    h_arr = np.asarray(h_arr, dtype=np.int64)
+    s_arr = np.asarray(s_arr, dtype=np.int64)
+    M, N, lam = params.M, params.N, params.net_latency
+    G = h_arr.shape[0]
+    bound = np.zeros(G, dtype=np.float64)
+    terms = (params.t, params.alpha_h, params.beta_h, params.alpha_sr,
+             params.beta_sr, params.alpha_sw, params.beta_sw, lam)
+    if G == 0 or offsets.size == 0 or not np.isfinite(terms).all():
+        return bound
+    ops = [
+        (offsets[mask], lengths[mask], alpha + lam, params.t + beta)
+        for mask, alpha, beta in (
+            (is_read, params.alpha_sr, params.beta_sr),
+            (~is_read, params.alpha_sw, params.beta_sw),
+        )
+        if mask.any()
+    ]
+    cycles, row = np.unique(M * h_arr + N * s_arr, return_inverse=True)
+    for block in grid_chunks(cycles.shape[0], offsets.shape[0]):
+        pick = np.flatnonzero((row >= block.start) & (row < block.stop))
+        h_bytes = h_touches = s_time = 0
+        for offs, lens, s_startup, s_load in ops:
+            nbytes, touches = server_totals_grid(
+                offs, lens, M, N, h_arr[pick], s_arr[pick]
+            )
+            h_bytes = h_bytes + nbytes[:, :M]
+            h_touches = h_touches + touches[:, :M]
+            s_time = s_time + (touches[:, M:] * s_startup + nbytes[:, M:] * s_load)
+        h_time = (
+            h_touches * (params.alpha_h + lam) + h_bytes * (params.t + params.beta_h)
+        )
+        bound[pick] = np.concatenate([h_time, s_time], axis=1).max(axis=1)
+    return bound
+
+
+def burst_bound_slack(n_requests: int, n_bursts: int) -> float:
+    """Relative slack ``δ`` for comparing :func:`burst_cost_bounds` with
+    summed :func:`burst_costs_grid` rows.
+
+    If ``bound·(1 − δ)`` exceeds a computed sum ``S*``, the candidate's
+    own computed sum exceeds ``S*`` by more than one rounding each way,
+    so it also stays strictly above ``S*`` once both are multiplied by
+    the same factor.  Derivation, with ``u = 2⁻⁵³``, every term
+    non-negative, and each rounding moving a value by a factor within
+    ``[1 − u, 1 + u]``:
+
+    * a burst's cost rounds each ``bytes·(t + β)`` product once, sums
+      at most ``K`` terms and adds the startups: at most ``K + 1``
+      roundings on any term's path.  Summing ``B`` bursts adds
+      ``B − 1``.  The computed sum is at least ``(1 − u)^(K+B)`` times
+      the exact one;
+    * the bound is at most four roundings above the exact bound (the
+      integer conversion, one product, two sums), and forming
+      ``bound·(1 − δ)`` adds two;
+    * strict separation after a common scaling costs two more.
+
+    So ``(1 − u)^(K+B+1) >= (1 − δ)(1 + u)^7`` suffices, which holds
+    for ``δ >= (K + B + 8)·u + 49u²``.  ``δ = (K + B + 8)·2u`` leaves
+    ``(K + B + 8)·u`` to spare.
+    """
+    return (n_requests + n_bursts + 8) * 2.0**-52
 
 
 def request_cost(

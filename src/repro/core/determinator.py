@@ -32,10 +32,13 @@ import numpy as np
 
 from ..config import DEFAULT_SAMPLE_SEED
 from ..exceptions import ConfigurationError
+from ..layouts.extents import length_bands
 from ..units import KiB
 from .cost_model import (
     batch_costs,
     batch_costs_grid,
+    burst_bound_slack,
+    burst_cost_bounds,
     burst_costs,
     burst_costs_grid,
     grid_chunks,
@@ -43,7 +46,12 @@ from .cost_model import (
 from .params import CostModelParams
 from .rst import StripePair
 
-__all__ = ["StripeDecision", "determine_stripes", "search_bounds"]
+__all__ = [
+    "StripeDecision",
+    "check_search_settings",
+    "determine_stripes",
+    "search_bounds",
+]
 
 #: Algorithm 2's default step (user-configurable)
 DEFAULT_STEP = 4 * KiB
@@ -57,6 +65,22 @@ DEFAULT_STEP = 4 * KiB
 #: paper's literal constant.
 BOUND_THRESHOLD_UNIT = 128 * KiB
 
+#: the search engines :func:`determine_stripes` accepts
+ENGINES = ("grid", "scalar")
+#: the bound policies :func:`search_bounds` accepts
+BOUND_POLICIES = ("adaptive", "average")
+
+#: fewest requests per (op, power-of-two length band) group for which
+#: the burst-mode grid search computes its lower bound.  The bound costs
+#: a few lookups per candidate, server and group, the grid kernel work
+#: per candidate and server grows with the requests, so thin groups do
+#: not pay.  Measured per search, bound on against off (2-vCPU VM): the
+#: RSSD microbench's random region (128 requests, 13 groups) took 1.4x
+#: as long; fig07's multi-block regions of 30 and 34 one-group requests
+#: 1.1-1.2x, of 82 on a 560-candidate grid 1.1x, and of 78 and 159
+#: 0.6-0.8x.  The crossover lies between 34 and 78.
+MIN_GROUP_REQUESTS = 64
+
 
 @dataclass(frozen=True)
 class StripeDecision:
@@ -67,6 +91,9 @@ class StripeDecision:
     candidates: int
     bound_h: int
     bound_s: int
+    #: candidates the cost kernel scored; below ``candidates`` only when
+    #: the grid engine's lower bound ruled the rest out
+    evaluated: int
 
     @property
     def h(self) -> int:
@@ -102,6 +129,87 @@ def search_bounds(
     b_s = max(b_s, step)
     b_h = max(b_h, 0)
     return b_h, b_s
+
+
+def check_search_settings(
+    engine: str = "grid",
+    step: int = DEFAULT_STEP,
+    bound_policy: str = "adaptive",
+    max_eval_requests: int = 4096,
+    max_axis_candidates: int = 64,
+) -> None:
+    """Raise :class:`ConfigurationError` for RSSD settings no search can
+    run with.  :func:`determine_stripes` checks its own arguments here
+    before any array work; the pipeline and scheme constructors call it
+    too, so a bad setting fails before any file is touched."""
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown search engine {engine!r}; expected 'grid' or 'scalar'"
+        )
+    if step <= 0:
+        raise ConfigurationError(f"step must be > 0, got {step}")
+    if bound_policy not in BOUND_POLICIES:
+        raise ConfigurationError(
+            f"unknown bound policy {bound_policy!r}; expected 'adaptive' or 'average'"
+        )
+    if max_eval_requests < 1:
+        raise ConfigurationError(
+            f"max_eval_requests must be >= 1, got {max_eval_requests}"
+        )
+    if max_axis_candidates < 1:
+        raise ConfigurationError(
+            f"max_axis_candidates must be >= 1, got {max_axis_candidates}"
+        )
+
+
+def _bound_pays(lengths: np.ndarray, is_read: np.ndarray, n_candidates: int) -> bool:
+    """Whether a burst-mode grid search computes its lower bound: the
+    grid spans more than one kernel block, and the region has at least
+    :data:`MIN_GROUP_REQUESTS` requests per (op, length band) group."""
+    if len(grid_chunks(n_candidates, lengths.shape[0])) < 2:
+        return False
+    groups = np.unique(2 * length_bands(lengths) + is_read).shape[0]
+    return lengths.shape[0] >= MIN_GROUP_REQUESTS * groups
+
+
+def _pruned_burst_costs(
+    params: CostModelParams,
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    is_read: np.ndarray,
+    burst_ids: np.ndarray,
+    h_arr: np.ndarray,
+    s_arr: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Summed burst costs of every candidate that could still win.
+
+    Scores candidates with :func:`burst_costs_grid` in blocks of
+    :func:`grid_chunks` size, in stable ascending order of
+    :func:`burst_cost_bounds`, and stops before the first block whose
+    smallest bound, times ``1 − δ`` (:func:`burst_bound_slack`),
+    exceeds the best sum found.  Each skipped candidate's sum is then
+    strictly above that best, even after scaling, so it is returned as
+    ``inf`` and the first minimum is the full grid's.  Returns the
+    ``(G,)`` sums and the number of candidates scored.
+    """
+    G, K = h_arr.shape[0], offsets.shape[0]
+    bound = burst_cost_bounds(params, offsets, lengths, is_read, h_arr, s_arr)
+    order = np.argsort(bound, kind="stable")
+    keep = 1.0 - burst_bound_slack(K, np.unique(burst_ids).shape[0])
+    sums = np.full(G, np.inf)
+    best = np.inf
+    scored = 0
+    for block in grid_chunks(G, K):
+        pick = order[block]
+        if bound[pick[0]] * keep > best:
+            break
+        sums[pick] = burst_costs_grid(
+            params, offsets, lengths, is_read, burst_ids, h_arr[pick], s_arr[pick]
+        ).sum(axis=1)
+        # np.minimum keeps a NaN, and a NaN best never stops the loop
+        best = np.minimum(best, sums[pick].min())
+        scored += pick.shape[0]
+    return sums, scored
 
 
 def _dedupe(
@@ -192,7 +300,19 @@ def determine_stripes(
     and produce bit-identical costs, so they return the same winning
     pair; the scalar path is kept as the reference implementation and
     for the equivalence tests.
+
+    In burst mode the grid engine skips candidates that provably cannot
+    win once the grid spans several kernel blocks and the region has at
+    least :data:`MIN_GROUP_REQUESTS` requests per (op, length band)
+    group: :func:`~repro.core.cost_model.burst_cost_bounds` gives each
+    candidate an exact lower bound, and candidates are scored in
+    ascending-bound order until no remaining bound can beat the best
+    cost found.  The pair, its cost bits and ``candidates`` are those of
+    the full grid; ``evaluated`` counts the candidates scored.
     """
+    check_search_settings(
+        engine, step, bound_policy, max_eval_requests, max_axis_candidates
+    )
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     is_read = np.asarray(is_read, dtype=bool)
@@ -201,12 +321,6 @@ def determine_stripes(
         raise ConfigurationError("request arrays must share one shape")
     if offsets.size == 0:
         raise ConfigurationError("cannot determine stripes for an empty region")
-    if step <= 0:
-        raise ConfigurationError(f"step must be > 0, got {step}")
-    if max_eval_requests < 1:
-        raise ConfigurationError(
-            f"max_eval_requests must be >= 1, got {max_eval_requests}"
-        )
     if (lengths <= 0).any():
         raise ConfigurationError("request lengths must be positive")
 
@@ -246,11 +360,18 @@ def determine_stripes(
                 * weight_scale
             )
 
-        def evaluate_grid(h_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
+        def evaluate_grid(
+            h_arr: np.ndarray, s_arr: np.ndarray
+        ) -> tuple[np.ndarray, int]:
+            if _bound_pays(lengths, is_read, h_arr.shape[0]):
+                sums, scored = _pruned_burst_costs(
+                    params, offsets, lengths, is_read, burst_ids, h_arr, s_arr
+                )
+                return sums * weight_scale, scored
             per_burst = burst_costs_grid(
                 params, offsets, lengths, is_read, burst_ids, h_arr, s_arr
             )
-            return per_burst.sum(axis=1) * weight_scale
+            return per_burst.sum(axis=1) * weight_scale, h_arr.shape[0]
 
     else:
         offs, lens, reads, conc, weights = _dedupe(
@@ -268,23 +389,19 @@ def determine_stripes(
         def evaluate(h: int, s: int) -> float:
             return _weighted_cost(params, offs, lens, reads, conc, weights, h, s)
 
-        def evaluate_grid(h_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
+        def evaluate_grid(
+            h_arr: np.ndarray, s_arr: np.ndarray
+        ) -> tuple[np.ndarray, int]:
             costs = np.empty(h_arr.shape[0], dtype=np.float64)
             for chunk in grid_chunks(h_arr.shape[0], offs.shape[0]):
                 per_request = batch_costs_grid(
                     params, offs, lens, reads, conc, h_arr[chunk], s_arr[chunk]
                 )
                 costs[chunk] = (per_request * weights).sum(axis=1)
-            return costs
+            return costs, h_arr.shape[0]
 
     best_pair: StripePair | None = None
     best_cost = np.inf
-    if engine not in ("grid", "scalar"):
-        raise ConfigurationError(
-            f"unknown search engine {engine!r}; expected 'grid' or 'scalar'"
-        )
-    if max_axis_candidates <= 0:
-        raise ConfigurationError("max_axis_candidates must be >= 1")
     # coarsen the grid (in multiples of `step`) for very large bounds
     h_step = step * max(1, -(-(b_h // step) // max_axis_candidates))
     s_step = step * max(1, -(-(b_s // step) // max_axis_candidates))
@@ -304,12 +421,12 @@ def determine_stripes(
         for h in h_values:
             s_start = max(h, s_step) if allow_equal_stripes else h + s_step
             pairs.extend((h, s) for s in range(s_start, b_s + 1, s_step))
-    candidates = len(pairs)
+    candidates = evaluated = len(pairs)
 
     if pairs and engine == "grid":
         h_arr = np.array([p[0] for p in pairs], dtype=np.int64)
         s_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-        costs = evaluate_grid(h_arr, s_arr)
+        costs, evaluated = evaluate_grid(h_arr, s_arr)
         idx = int(np.argmin(costs))  # first minimum, like the loop's strict <
         best_cost = float(costs[idx])
         best_pair = StripePair(*pairs[idx])
@@ -330,6 +447,7 @@ def determine_stripes(
             best_pair = StripePair(step, 2 * step)
         best_cost = evaluate(best_pair.h, best_pair.s)
         candidates += 1
+        evaluated += 1
 
     return StripeDecision(
         pair=best_pair,
@@ -337,6 +455,7 @@ def determine_stripes(
         candidates=candidates,
         bound_h=b_h,
         bound_s=b_s,
+        evaluated=evaluated,
     )
 
 

@@ -40,7 +40,12 @@ from ..tracing.columnar import (
 )
 from ..tracing.record import Trace, TraceRecord
 from ..units import KiB
-from .determinator import DEFAULT_STEP, StripeDecision, determine_stripes
+from .determinator import (
+    DEFAULT_STEP,
+    StripeDecision,
+    check_search_settings,
+    determine_stripes,
+)
 from .drt import DRT, DRTEntry
 from .features import extract_features, extract_features_columnar
 from .grouping import DEFAULT_MAX_GROUPS, GroupingResult, group_requests, suggest_k
@@ -143,6 +148,12 @@ class MHAPipeline:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         if spatial < 0:
             raise ConfigurationError(f"spatial must be >= 0, got {spatial}")
+        check_search_settings(
+            engine=engine,
+            step=step,
+            bound_policy=bound_policy,
+            max_eval_requests=max_eval_requests,
+        )
         self.spec = spec
         self.params = CostModelParams.from_cluster(spec)
         self.max_groups = max_groups

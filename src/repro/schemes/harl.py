@@ -22,7 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..core.determinator import DEFAULT_STEP, determine_stripes
+from ..core.determinator import (
+    DEFAULT_STEP,
+    check_search_settings,
+    determine_stripes,
+)
 from ..core.params import CostModelParams
 from ..core.rst import StripePair
 from ..layouts.base import Layout
@@ -62,6 +66,7 @@ class HARLScheme(Scheme):
             raise ValueError(
                 f"max_eval_requests must be >= 1, got {max_eval_requests}"
             )
+        check_search_settings(engine=engine, step=step)
         self.num_regions = num_regions
         self.step = step
         self.max_eval_requests = max_eval_requests

@@ -39,7 +39,11 @@ from repro.faults import (
 from repro.faults.state import CliffState, Scrub, ServerFaultState, Window
 from repro.layouts import FixedStripeLayout
 from repro.layouts.batch import merge_fragments
-from repro.layouts.extents import max_server_bytes_grid, per_server_bytes_batch
+from repro.layouts.extents import (
+    max_server_bytes_grid,
+    per_server_bytes_batch,
+    server_totals_grid,
+)
 from repro.core.features import extract_features, extract_features_columnar
 from repro.core.pipeline import MHAPipeline
 from repro.pfs import HybridPFS, replay_trace
@@ -836,6 +840,48 @@ def _extents_max_grid(contract):
                 assert np.array_equal(sm[g], sb.max(axis=1))
             else:
                 assert not sm[g].any()
+
+    return test
+
+
+@harness("extents_totals_grid")
+def _extents_totals_grid(contract):
+    @given(
+        seed=_seeds,
+        which=st.integers(min_value=0, max_value=len(SPECS) - 1),
+        n_lengths=st.integers(min_value=1, max_value=4),
+        empty=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test(seed, which, n_lengths, empty):
+        spec = SPECS[which]
+        M, N = spec.num_hservers, spec.num_sservers
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 64))
+        offsets = rng.integers(0, 1 << 22, K)
+        # up to 2 MiB: many requests outgrow the smaller cycles
+        lengths = rng.choice(rng.integers(1, 1 << 21, n_lengths), K)
+        if empty:
+            lengths[rng.random(K) < 0.25] = rng.integers(-4 * KiB, 1)
+        h_arr, s_arr = _candidate_grid(rng)
+        # HServer-free, dead (zero cycle) and equal-stripe candidates
+        h_arr = np.r_[h_arr, 0, 0, 8 * KiB]
+        s_arr = np.r_[s_arr, 4 * KiB, 0, 8 * KiB]
+        nbytes, touches = server_totals_grid(offsets, lengths, M, N, h_arr, s_arr)
+        bands = {}
+        for length in lengths[lengths > 0].tolist():
+            bands.setdefault(length.bit_length(), set()).add(length)
+        one_length_per_band = all(len(b) == 1 for b in bands.values())
+        for g in range(h_arr.shape[0]):
+            hb, sb = per_server_bytes_batch(
+                offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
+            )
+            per_request = np.concatenate([hb, sb], axis=1)
+            assert np.array_equal(nbytes[g], per_request.sum(axis=0))
+            exact = (per_request > 0).sum(axis=0)
+            assert (touches[g] <= exact).all()
+            if one_length_per_band:
+                assert np.array_equal(touches[g], exact)
 
     return test
 

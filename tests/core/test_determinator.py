@@ -6,7 +6,9 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core import CostModelParams, determine_stripes, search_bounds
 from repro.core.determinator import BOUND_THRESHOLD_UNIT
+from repro.core.pipeline import MHAPipeline
 from repro.exceptions import ConfigurationError
+from repro.schemes.harl import HARLScheme
 from repro.units import KiB
 
 
@@ -285,6 +287,7 @@ class TestDegenerateClusters:
         )
         assert (decision.h, decision.s) == (step, 2 * step)
         assert decision.candidates == 1  # the fallback itself
+        assert decision.evaluated == 1
         assert np.isfinite(decision.cost) and decision.cost > 0
 
     def test_fallback_pair_respects_h_zero(self, params):
@@ -299,3 +302,36 @@ class TestDegenerateClusters:
         # row is empty too; either way the decision stays legal
         assert decision.s >= step
         assert decision.h in (0, step)
+
+
+class TestSearchSettingsRejectedEarly:
+    """A bad RSSD setting fails where it enters: on construction of the
+    pipeline or scheme, not inside ``plan()`` or ``build()`` after every
+    file has been reorganized."""
+
+    BAD = [
+        ({"engine": "simd"}, "engine"),
+        ({"step": 0}, "step"),
+        ({"bound_policy": "nope"}, "bound policy"),
+        ({"max_eval_requests": 0}, "max_eval_requests"),
+        ({"max_axis_candidates": 0}, "max_axis_candidates"),
+    ]
+
+    @pytest.mark.parametrize("kw, name", BAD[:4])
+    def test_pipeline_rejects_on_construction(self, kw, name):
+        with pytest.raises(ConfigurationError, match=name):
+            MHAPipeline(ClusterSpec(), **kw)
+
+    @pytest.mark.parametrize("kw, name", BAD[:2])
+    def test_harl_rejects_on_construction(self, kw, name):
+        with pytest.raises(ConfigurationError, match=name):
+            HARLScheme(**kw)
+
+    @pytest.mark.parametrize("kw, name", BAD)
+    def test_search_checks_settings_before_its_arrays(self, params, kw, name):
+        # the arrays are malformed too, but the setting is reported first
+        with pytest.raises(ConfigurationError, match=name):
+            determine_stripes(
+                params, np.array([0]), np.array([1, 2]), np.array([True]),
+                np.array([1]), **kw,
+            )
