@@ -41,14 +41,10 @@ def test_h_zero_ablation(once):
     offsets = np.arange(count, dtype=np.int64) * 16 * KiB
     lengths = np.full(count, 16 * KiB, dtype=np.int64)
     is_read = np.zeros(count, dtype=bool)
-    conc = np.full(count, 16, dtype=np.int64)
     bursts = np.repeat(np.arange(2), 16)
-    free = determine_stripes(
-        params, offsets, lengths, is_read, conc, burst_ids=bursts
-    )
+    free = determine_stripes(params, offsets, lengths, is_read, bursts)
     forced = determine_stripes(
-        params, offsets, lengths, is_read, conc, burst_ids=bursts,
-        allow_h_zero=False,
+        params, offsets, lengths, is_read, bursts, allow_h_zero=False
     )
     print(f"free search: {free.pair} cost {free.cost * 1e3:.3f}ms")
     print(f"h>0 forced:  {forced.pair} cost {forced.cost * 1e3:.3f}ms")

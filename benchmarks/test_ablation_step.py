@@ -18,14 +18,12 @@ def test_step_ablation(once):
     offsets = np.arange(count, dtype=np.int64) * 96 * KiB
     lengths = np.full(count, 96 * KiB, dtype=np.int64)
     is_read = np.zeros(count, dtype=bool)
-    conc = np.full(count, 8, dtype=np.int64)
     bursts = np.repeat(np.arange(2), 8)
 
     def sweep():
         return {
             step: determine_stripes(
-                params, offsets, lengths, is_read, conc,
-                step=step, burst_ids=bursts,
+                params, offsets, lengths, is_read, bursts, step=step
             )
             for step in (4 * KiB, 8 * KiB, 16 * KiB, 32 * KiB)
         }

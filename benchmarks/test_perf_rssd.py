@@ -2,7 +2,7 @@
 
 One synthetic region, 64 candidates per axis (the adaptive bounds put
 ``B_h = B_s = r_max = 256 KB`` on the default cluster, i.e. 64 nonzero
-4 KB steps on each axis), searched by both engines in both cost modes.
+4 KB steps on each axis), searched by both engines.
 Timing is the shared best-of-3 wall clock; the grid engine must clear a
 5x speedup over the scalar reference on the same candidate set.
 
@@ -21,7 +21,6 @@ gates against ``benchmarks/baselines/BENCH_rssd.json``.
 """
 
 import numpy as np
-import pytest
 
 from harness.bench import PhaseResult
 
@@ -57,32 +56,27 @@ def make_region(seed: int = 7):
     lengths = rng.integers(4 * KiB, R_MAX, NUM_REQUESTS)
     lengths[0] = R_MAX  # pin r_max so the bounds are deterministic
     is_read = rng.random(NUM_REQUESTS) < 0.5
-    conc = rng.integers(1, 16, NUM_REQUESTS)
+    rng.integers(1, 16, NUM_REQUESTS)  # unused, but drawn: later draws depend on it
     bursts = rng.integers(0, NUM_REQUESTS // 4, NUM_REQUESTS)
-    return offsets, lengths, is_read, conc, bursts
+    return offsets, lengths, is_read, bursts
 
 
 def make_wide_region():
     offsets = np.arange(WIDE_REQUESTS, dtype=np.int64) * R_MAX
     lengths = np.full(WIDE_REQUESTS, R_MAX, dtype=np.int64)
     is_read = np.zeros(WIDE_REQUESTS, dtype=bool)
-    conc = np.full(WIDE_REQUESTS, WIDE_BURST, dtype=np.int64)
     bursts = np.arange(WIDE_REQUESTS) // WIDE_BURST
-    return offsets, lengths, is_read, conc, bursts
+    return offsets, lengths, is_read, bursts
 
 
-def time_engines(report, best_of, phase, region, burst):
+def time_engines(report, best_of, phase, region):
     """Time both engines on ``region``, report ``scalar-``/``grid-<phase>``
     and return the grid-over-scalar speedup and the grid decision."""
     params = CostModelParams.from_cluster(ClusterSpec())
-    offsets, lengths, is_read, conc, bursts = region
-    kwargs = dict(step=4 * KiB, max_axis_candidates=64)
-    if burst:
-        kwargs["burst_ids"] = bursts
 
     def search(engine):
         return determine_stripes(
-            params, offsets, lengths, is_read, conc, engine=engine, **kwargs
+            params, *region, step=4 * KiB, max_axis_candidates=64, engine=engine
         )
 
     t_scalar, scalar = best_of(lambda: search("scalar"))
@@ -108,23 +102,18 @@ def time_engines(report, best_of, phase, region, burst):
     return speedup, grid
 
 
-@pytest.mark.parametrize("mode", ["batch", "burst"])
-def test_grid_engine_speedup(report, mode, best_of):
-    speedup, grid = time_engines(
-        report, best_of, mode, make_region(), mode == "burst"
-    )
+def test_grid_engine_speedup(report, best_of):
+    speedup, grid = time_engines(report, best_of, "burst", make_region())
     # too few requests per op/length-band group: no bound, full grid
     assert grid.evaluated == grid.candidates == CANDIDATES
     assert speedup >= MIN_SPEEDUP, (
-        f"{mode} grid engine only {speedup:.1f}x faster than scalar "
+        f"grid engine only {speedup:.1f}x faster than scalar "
         f"(need >= {MIN_SPEEDUP}x)"
     )
 
 
 def test_wide_burst_region(report, best_of):
     # no speedup floor: this phase tracks the search's wall time
-    _, grid = time_engines(
-        report, best_of, "burst-wide", make_wide_region(), burst=True
-    )
+    _, grid = time_engines(report, best_of, "burst-wide", make_wide_region())
     assert grid.candidates == CANDIDATES
     assert grid.evaluated == WIDE_EVALUATED

@@ -2,7 +2,7 @@
 
 PRs 1 and 4 introduced *performance twins* — a vectorized or event-free
 fast path promising bit-identical results to a scalar reference path
-(``batch_costs_grid`` vs :func:`~repro.core.cost_model.batch_costs`,
+(``burst_costs_grid`` vs :func:`~repro.core.cost_model.burst_costs`,
 :func:`~repro.pfs.flat.replay_flat` vs the event engine, batched
 mapping vs per-record mapping).  Those promises are *contracts*, and
 this module makes them first-class: every fast-path entry point is

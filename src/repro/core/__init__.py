@@ -6,7 +6,7 @@ placement, runtime redirection, and the five-phase pipeline tying them
 together.
 """
 
-from .cost_model import batch_costs, region_cost, request_cost
+from .cost_model import region_cost, request_cost, request_costs
 from .determinator import (
     DEFAULT_STEP,
     StripeDecision,
@@ -43,7 +43,7 @@ from .verify import PlanReport, verify_plan
 
 __all__ = [
     "CostModelParams",
-    "batch_costs",
+    "request_costs",
     "request_cost",
     "region_cost",
     "FeatureSet",

@@ -14,26 +14,35 @@ sub-request sizes there.  Writes swap in ``α_sw``/``β_sw`` on the
 SServers.  The request completes when the slowest involved server
 finishes — the ``max``.
 
-**Concurrency** (the paper's extension over HARL's model, §III-F): a
-request issued in a burst of ``c`` similar concurrent requests shares
-its servers with its burst-mates, so the time server ``i`` takes to
-reach this request's data includes the burst's load there.  HPC bursts
-*tile* the file — concurrent requests sit at distinct, size-aligned
-offsets — so over a striping cycle of ``C = M·h + N·s`` bytes the
-burst's ``c·l`` bytes split across servers proportionally to their
-window widths, and the number of burst requests whose extent crosses
-server ``i``'s window (each one a startup the server pays) is the
-window count ``c·l·ceil(w_i/l) / C``.  On each server the request
-itself touches,
+**Concurrency** (the paper's extension over HARL's model, §III-F) is
+modelled two ways:
 
-``p_i = clip(c · l · ceil(w_i / l) / C,  1,  c)`` and
-``s_i = max(bytes_i,  c · l · w_i / C)``.
+* **exact bursts** (:func:`burst_costs`, and its grid twin
+  :func:`burst_costs_grid`) — requests sharing a burst id were issued
+  together; each server's time for the burst counts its real startups
+  and bytes, and the burst completes at the slowest server.  This is
+  the RSSD search's objective.
+* **statistical bursts** (:func:`request_costs`) — a request issued in
+  a burst of ``c`` similar concurrent requests shares its servers with
+  its burst-mates.  HPC bursts *tile* the file — concurrent requests
+  sit at distinct, size-aligned offsets — so over a striping cycle of
+  ``C = M·h + N·s`` bytes the burst's ``c·l`` bytes split across
+  servers proportionally to their window widths, and the number of
+  burst requests whose extent crosses server ``i``'s window (each one
+  a startup the server pays) is the window count
+  ``c·l·ceil(w_i/l) / C``.  On each server the request itself touches,
 
-(For small stripes every burst request touches every server and this
-degenerates to ``p_i = c`` with the full burst share; for large
-stripes it correctly credits the layout for spreading concurrent
-requests across different servers.)  The same formulas with ``c = 1``
-reduce exactly to the paper's per-request Eq. 2.
+  ``p_i = clip(c · l · ceil(w_i / l) / C,  1,  c)`` and
+  ``s_i = max(bytes_i,  c · l · w_i / C)``.
+
+  (For small stripes every burst request touches every server and
+  this degenerates to ``p_i = c`` with the full burst share; for large
+  stripes it credits the layout for spreading concurrent requests
+  across different servers.)  The online gate prices windows of
+  traffic with it.
+
+Both reduce exactly to the paper's per-request Eq. 2: ``c = 1`` in the
+statistical model, singleton bursts in the exact one.
 
 Implementation notes: per-server byte counts come from the closed-form
 extent arithmetic in :mod:`repro.layouts.extents`, so evaluating a
@@ -47,19 +56,14 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..devices.base import READ, WRITE
-from ..layouts.extents import (
-    max_server_bytes_grid,
-    per_server_bytes_batch,
-    server_totals_grid,
-)
+from ..layouts.extents import per_server_bytes_batch, server_totals_grid
 from .params import CostModelParams
 
 __all__ = [
     "request_cost",
-    "batch_costs",
+    "request_costs",
     "region_cost",
     "burst_costs",
-    "batch_costs_grid",
     "burst_costs_grid",
     "burst_cost_bounds",
     "burst_bound_slack",
@@ -91,7 +95,7 @@ def _effective_stripes(params: CostModelParams, h: int, s: int) -> tuple[int, in
     return h_eff, s_eff
 
 
-def batch_costs(
+def request_costs(
     params: CostModelParams,
     offsets: np.ndarray,
     lengths: np.ndarray,
@@ -202,7 +206,7 @@ def burst_costs(
 
     This is the cost model evaluated against the trace's **actual**
     simultaneous request groups instead of the statistical burst
-    approximation in :func:`batch_costs`: requests sharing a burst id
+    approximation in :func:`request_costs`: requests sharing a burst id
     were issued together, so each server's time for the burst is
     ``p_i·(α + λ) + Σ bytes·(t + β_op)`` with ``p_i`` the *counted*
     number of burst members touching it and the byte sum taken over the
@@ -264,106 +268,6 @@ def burst_costs(
         t_s = starts + loads
         worst = np.maximum(worst, t_s.max(axis=1))
     return worst
-
-
-@twin_of(
-    "repro.core.cost_model:batch_costs",
-    param_map={"h": "h_arr", "s": "s_arr"},
-    harness="batch_costs_grid",
-)
-def batch_costs_grid(
-    params: CostModelParams,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    is_read: np.ndarray,
-    concurrency: np.ndarray,
-    h_arr: np.ndarray,
-    s_arr: np.ndarray,
-) -> np.ndarray:
-    """:func:`batch_costs` broadcast over ``G`` candidate pairs at once.
-
-    ``h_arr`` / ``s_arr`` are 1-D arrays of candidate stripe sizes; the
-    result has shape ``(G, K)`` and row ``g`` is bit-identical to
-    ``batch_costs(params, ..., h_arr[g], s_arr[g])`` — every arithmetic
-    operation is the same elementwise expression with one extra
-    broadcast axis, so the vectorized RSSD search selects exactly the
-    pair the scalar search would.
-
-    Memory is ``O(G * K)`` floats; callers evaluating large grids chunk
-    the candidate axis with :func:`grid_chunks` (the determinator does).
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    is_read = np.asarray(is_read, dtype=bool)
-    concurrency = np.maximum(np.asarray(concurrency, dtype=np.int64), 1)
-    h_arr = np.asarray(h_arr, dtype=np.int64)
-    s_arr = np.asarray(s_arr, dtype=np.int64)
-    h_eff = h_arr if params.M > 0 else np.zeros_like(h_arr)
-    s_eff = s_arr if params.N > 0 else np.zeros_like(s_arr)
-
-    h_own, s_own = max_server_bytes_grid(
-        offsets, lengths, params.M, params.N, h_eff, s_eff
-    )
-    G, K = h_arr.shape[0], offsets.shape[0]
-    costs = np.zeros((G, K), dtype=np.float64)
-    if G == 0 or K == 0:
-        return costs
-    conc_f = concurrency.astype(np.float64)
-    empty = lengths <= 0
-    length_f = np.where(empty, 1, lengths).astype(np.float64)
-    cycle = (params.M * h_eff + params.N * s_eff).astype(np.float64)
-    # candidates with an empty cycle touch no server at all: every
-    # width below is 0, so a stand-in cycle of 1 keeps their costs 0
-    cyc_col = np.where(cycle > 0.0, cycle, 1.0)[:, None]  # (G, 1)
-    cl = conc_f * length_f  # (K,)
-    conc_gate = (conc_f > 1)[None, :]
-
-    def class_time(
-        width: np.ndarray,
-        own_max: np.ndarray,
-        alpha: float | np.ndarray,
-        beta: float | np.ndarray,
-    ) -> np.ndarray:
-        """Grid form of the scalar path's per-class completion bound.
-
-        ``width`` is the per-candidate stripe of this server class
-        (shape ``(G,)``), ``own_max`` the ``(G, K)`` byte count of each
-        request's most-loaded server in the class; the result is the
-        ``(G, K)`` per-request bound.  Every term matches
-        :func:`batch_costs` operand for operand, with one algebraic
-        reduction: the scalar path computes the own-server bound per
-        server and then maxes, but within one class all servers share
-        ``p``, ``share``, ``α`` and ``β``, and the bound is monotone
-        (exactly, in IEEE arithmetic — multiplication and addition by
-        non-negative terms preserve order) in the byte count, so maxing
-        the byte counts *first* yields the bit-same result while
-        keeping every temporary at ``(G, K)`` instead of
-        ``(G, K, M_class)``.
-        """
-        width_col = width.astype(np.float64)[:, None]  # (G, 1)
-        windows = np.ceil(width_col / length_f[None, :])  # (G, K)
-        p_raw = cl[None, :] * windows / cyc_col  # (G, K)
-        p_mean = np.clip(p_raw, 1.0, conc_f[None, :])
-        p = np.ceil(p_mean - 1e-9)
-        share = (cl[None, :] * width_col / cyc_col) * (p / p_mean)
-        share = share * conc_gate
-        involved = own_max > 0
-        t_own = involved * (p * alpha + np.maximum(own_max, share) * (params.t + beta))
-        t_burst = (p_raw >= 1.0) * conc_gate * (p * alpha + share * (params.t + beta))
-        return np.maximum(t_own, t_burst)
-
-    lam = params.net_latency
-    if params.M > 0:
-        costs = np.maximum(
-            costs,
-            class_time(h_eff, h_own, params.alpha_h + lam, params.beta_h),
-        )
-    if params.N > 0:
-        beta = np.where(is_read, params.beta_sr, params.beta_sw)[None, :]
-        alpha = np.where(is_read, params.alpha_sr, params.alpha_sw)[None, :]
-        costs = np.maximum(costs, class_time(s_eff, s_own, alpha + lam, beta))
-    costs[:, empty] = 0.0
-    return costs
 
 
 @twin_of(
@@ -584,7 +488,7 @@ def request_cost(
     """Scalar convenience wrapper: the cost of one request (Eq. 2)."""
     if op not in (READ, WRITE):
         raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-    costs = batch_costs(
+    costs = request_costs(
         params,
         np.array([offset]),
         np.array([length]),
@@ -605,8 +509,9 @@ def region_cost(
     h: int,
     s: int,
 ) -> float:
-    """Total access cost of a region's requests (Algorithm 2's
-    ``Reg_cost``): the sum of per-request costs under ``<h, s>``."""
+    """Total access cost of a region's requests under ``<h, s>``: the
+    sum of :func:`request_costs`.  With every ``concurrency`` at 1 this
+    is Algorithm 2's per-request ``Reg_cost``."""
     return float(
-        batch_costs(params, offsets, lengths, is_read, concurrency, h, s).sum()
+        request_costs(params, offsets, lengths, is_read, concurrency, h, s).sum()
     )

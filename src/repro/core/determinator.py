@@ -35,8 +35,6 @@ from ..exceptions import ConfigurationError
 from ..layouts.extents import length_bands
 from ..units import KiB
 from .cost_model import (
-    batch_costs,
-    batch_costs_grid,
     burst_bound_slack,
     burst_cost_bounds,
     burst_costs,
@@ -212,38 +210,12 @@ def _pruned_burst_costs(
     return sums, scored
 
 
-def _dedupe(
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    is_read: np.ndarray,
-    concurrency: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse identical (offset, length, op, concurrency) requests.
-
-    Regular HPC patterns repeat the same request tuple many times; the
-    cost model is deterministic per tuple, so evaluating each distinct
-    tuple once and weighting by multiplicity computes the exact same
-    ``Reg_cost`` far faster.
-    """
-    stacked = np.stack(
-        [offsets, lengths, is_read.astype(np.int64), concurrency], axis=1
-    )
-    uniq, counts = np.unique(stacked, axis=0, return_counts=True)
-    return (
-        uniq[:, 0],
-        uniq[:, 1],
-        uniq[:, 2].astype(bool),
-        uniq[:, 3],
-        counts.astype(np.float64),
-    )
-
-
 def determine_stripes(
     params: CostModelParams,
     offsets: np.ndarray,
     lengths: np.ndarray,
     is_read: np.ndarray,
-    concurrency: np.ndarray,
+    burst_ids: np.ndarray,
     step: int = DEFAULT_STEP,
     bound_policy: str = "adaptive",
     max_eval_requests: int = 4096,
@@ -252,22 +224,18 @@ def determine_stripes(
     allow_equal_stripes: bool = True,
     max_axis_candidates: int = 64,
     threshold_unit: int = BOUND_THRESHOLD_UNIT,
-    burst_ids: np.ndarray | None = None,
     engine: str = "grid",
 ) -> StripeDecision:
     """Run RSSD over one region's requests.
 
-    With ``burst_ids`` (one id per request; requests sharing an id were
-    issued simultaneously) the search evaluates the **exact** burst
-    completion times of :func:`repro.core.cost_model.burst_costs` and
-    ``Reg_cost`` is their sum — for singleton bursts this is literally
-    Algorithm 2 summing Eq. 2 over the requests.  Without ids, the
-    statistical burst approximation of ``batch_costs`` is used with the
-    per-request ``concurrency`` values.
+    ``burst_ids`` holds one id per request; requests sharing an id were
+    issued simultaneously.  Each candidate's ``Reg_cost`` is the sum of
+    the **exact** burst completion times of
+    :func:`repro.core.cost_model.burst_costs` — for singleton bursts
+    this is literally Algorithm 2 summing Eq. 2 over the requests.
 
-    ``max_eval_requests`` bounds the number of *distinct* request
-    tuples (or, in burst mode, the number of bursts) evaluated per
-    candidate pair: beyond it, a seeded uniform sample (with
+    ``max_eval_requests`` bounds the number of bursts evaluated per
+    candidate pair: beyond it, a seeded uniform sample of bursts (with
     re-weighting) approximates ``Reg_cost``.  Since a region holds
     requests the grouping deemed similar, sampling error is small; set
     it very large to force the exact search.
@@ -290,21 +258,18 @@ def determine_stripes(
     paper leaves to the user (§III-F).
 
     ``engine`` selects the search implementation: ``"grid"`` (default)
-    evaluates the whole ``<h, s>`` candidate grid at once — one
-    :func:`~repro.core.cost_model.burst_costs_grid` call, which blocks
-    the candidate axis itself, or a loop of
-    :func:`repro.core.cost_model.batch_costs_grid` calls over
-    :func:`~repro.core.cost_model.grid_chunks` — while
-    ``"scalar"`` is the literal Algorithm 2 loop evaluating one
-    candidate at a time.  Both walk the identical candidate sequence
-    and produce bit-identical costs, so they return the same winning
-    pair; the scalar path is kept as the reference implementation and
-    for the equivalence tests.
+    evaluates the whole ``<h, s>`` candidate grid at once with
+    :func:`~repro.core.cost_model.burst_costs_grid`, which blocks the
+    candidate axis itself, while ``"scalar"`` is the literal Algorithm 2
+    loop evaluating one candidate at a time.  Both walk the identical
+    candidate sequence and produce bit-identical costs, so they return
+    the same winning pair; the scalar path is kept as the reference
+    implementation for the equivalence tests and the RSSD microbench.
 
-    In burst mode the grid engine skips candidates that provably cannot
-    win once the grid spans several kernel blocks and the region has at
-    least :data:`MIN_GROUP_REQUESTS` requests per (op, length band)
-    group: :func:`~repro.core.cost_model.burst_cost_bounds` gives each
+    The grid engine skips candidates that provably cannot win once the
+    grid spans several kernel blocks and the region has at least
+    :data:`MIN_GROUP_REQUESTS` requests per (op, length band) group:
+    :func:`~repro.core.cost_model.burst_cost_bounds` gives each
     candidate an exact lower bound, and candidates are scored in
     ascending-bound order until no remaining bound can beat the best
     cost found.  The pair, its cost bits and ``candidates`` are those of
@@ -316,9 +281,9 @@ def determine_stripes(
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     is_read = np.asarray(is_read, dtype=bool)
-    concurrency = np.asarray(concurrency, dtype=np.int64)
-    if not (offsets.shape == lengths.shape == is_read.shape == concurrency.shape):
-        raise ConfigurationError("request arrays must share one shape")
+    burst_ids = np.asarray(burst_ids)
+    if not (offsets.shape == lengths.shape == is_read.shape == burst_ids.shape):
+        raise ConfigurationError("request arrays and burst_ids must share one shape")
     if offsets.size == 0:
         raise ConfigurationError("cannot determine stripes for an empty region")
     if (lengths <= 0).any():
@@ -330,75 +295,31 @@ def determine_stripes(
         params, r_max, mean_size, step, bound_policy, threshold_unit
     )
 
-    if burst_ids is not None:
-        burst_ids = np.asarray(burst_ids)
-        if burst_ids.shape != offsets.shape:
-            raise ConfigurationError("burst_ids must match the request arrays")
-        uniq = np.unique(burst_ids)
-        weight_scale = 1.0
-        if uniq.size > max_eval_requests:
-            rng = np.random.default_rng(seed)
-            chosen = rng.choice(uniq, size=max_eval_requests, replace=False)
-            mask = np.isin(burst_ids, chosen)
-            offsets, lengths, is_read, burst_ids = (
-                offsets[mask], lengths[mask], is_read[mask], burst_ids[mask],
-            )
-            weight_scale = uniq.size / max_eval_requests
-
-        # group requests by burst id up front (stable, so within-burst
-        # order — and therefore accumulation order — is preserved); the
-        # scalar engine's per-candidate evaluations then skip the gather
-        if not np.all(burst_ids[:-1] <= burst_ids[1:]):
-            order = np.argsort(burst_ids, kind="stable")
-            offsets, lengths, is_read, burst_ids = (
-                offsets[order], lengths[order], is_read[order], burst_ids[order],
-            )
-
-        def evaluate(h: int, s: int) -> float:
-            return float(
-                burst_costs(params, offsets, lengths, is_read, burst_ids, h, s).sum()
-                * weight_scale
-            )
-
-        def evaluate_grid(
-            h_arr: np.ndarray, s_arr: np.ndarray
-        ) -> tuple[np.ndarray, int]:
-            if _bound_pays(lengths, is_read, h_arr.shape[0]):
-                sums, scored = _pruned_burst_costs(
-                    params, offsets, lengths, is_read, burst_ids, h_arr, s_arr
-                )
-                return sums * weight_scale, scored
-            per_burst = burst_costs_grid(
-                params, offsets, lengths, is_read, burst_ids, h_arr, s_arr
-            )
-            return per_burst.sum(axis=1) * weight_scale, h_arr.shape[0]
-
-    else:
-        offs, lens, reads, conc, weights = _dedupe(
-            offsets, lengths, is_read, concurrency
+    uniq = np.unique(burst_ids)
+    weight_scale = 1.0
+    if uniq.size > max_eval_requests:
+        rng = np.random.default_rng(seed)
+        chosen = rng.choice(uniq, size=max_eval_requests, replace=False)
+        mask = np.isin(burst_ids, chosen)
+        offsets, lengths, is_read, burst_ids = (
+            offsets[mask], lengths[mask], is_read[mask], burst_ids[mask],
         )
-        if offs.shape[0] > max_eval_requests:
-            rng = np.random.default_rng(seed)
-            pick = rng.choice(offs.shape[0], size=max_eval_requests, replace=False)
-            scale = weights.sum() / weights[pick].sum()
-            offs, lens, reads, conc = (
-                offs[pick], lens[pick], reads[pick], conc[pick],
-            )
-            weights = weights[pick] * scale
+        weight_scale = uniq.size / max_eval_requests
 
-        def evaluate(h: int, s: int) -> float:
-            return _weighted_cost(params, offs, lens, reads, conc, weights, h, s)
+    # group requests by burst id up front (stable, so within-burst
+    # order — and therefore accumulation order — is preserved); the
+    # scalar engine's per-candidate evaluations then skip the gather
+    if not np.all(burst_ids[:-1] <= burst_ids[1:]):
+        order = np.argsort(burst_ids, kind="stable")
+        offsets, lengths, is_read, burst_ids = (
+            offsets[order], lengths[order], is_read[order], burst_ids[order],
+        )
 
-        def evaluate_grid(
-            h_arr: np.ndarray, s_arr: np.ndarray
-        ) -> tuple[np.ndarray, int]:
-            costs = np.empty(h_arr.shape[0], dtype=np.float64)
-            for chunk in grid_chunks(h_arr.shape[0], offs.shape[0]):
-                per_request = batch_costs_grid(
-                    params, offs, lens, reads, conc, h_arr[chunk], s_arr[chunk]
-                )
-                costs[chunk] = (per_request * weights).sum(axis=1)
-            return costs, h_arr.shape[0]
+    def evaluate(h: int, s: int) -> float:
+        return float(
+            burst_costs(params, offsets, lengths, is_read, burst_ids, h, s).sum()
+            * weight_scale
+        )
 
     best_pair: StripePair | None = None
     best_cost = np.inf
@@ -426,7 +347,15 @@ def determine_stripes(
     if pairs and engine == "grid":
         h_arr = np.array([p[0] for p in pairs], dtype=np.int64)
         s_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-        costs, evaluated = evaluate_grid(h_arr, s_arr)
+        if _bound_pays(lengths, is_read, len(pairs)):
+            sums, evaluated = _pruned_burst_costs(
+                params, offsets, lengths, is_read, burst_ids, h_arr, s_arr
+            )
+        else:
+            sums = burst_costs_grid(
+                params, offsets, lengths, is_read, burst_ids, h_arr, s_arr
+            ).sum(axis=1)
+        costs = sums * weight_scale
         idx = int(np.argmin(costs))  # first minimum, like the loop's strict <
         best_cost = float(costs[idx])
         best_pair = StripePair(*pairs[idx])
@@ -457,17 +386,3 @@ def determine_stripes(
         bound_s=b_s,
         evaluated=evaluated,
     )
-
-
-def _weighted_cost(
-    params: CostModelParams,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    is_read: np.ndarray,
-    concurrency: np.ndarray,
-    weights: np.ndarray,
-    h: int,
-    s: int,
-) -> float:
-    costs = batch_costs(params, offsets, lengths, is_read, concurrency, h, s)
-    return float((costs * weights).sum())

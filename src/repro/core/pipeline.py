@@ -30,12 +30,12 @@ from ..contracts import twin_of
 from ..exceptions import ConfigurationError, KVStoreError
 from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
-from ..tracing.analysis import burst_ids_of, concurrency_of
+from ..tracing.analysis import burst_ids_of
 from ..tracing.columnar import (
     ColumnarTrace,
     as_columnar_trace,
+    burst_ids_columnar,
     collapse_by_last_group,
-    concurrency_and_burst_ids,
     identity_classes,
 )
 from ..tracing.record import Trace, TraceRecord
@@ -109,7 +109,7 @@ class MHAPipeline:
     step:
         RSSD stripe-search granularity (Algorithm 2; default 4 KB).
     gap:
-        Phase-detection time gap for concurrency analysis (trace time
+        Phase-detection time gap for burst analysis (trace time
         units).
     bound_policy:
         ``"adaptive"`` (MHA) or ``"average"`` (HARL-style bounds, for
@@ -121,10 +121,6 @@ class MHAPipeline:
         Optional persistence locations (Berkeley-DB stand-in files).
     max_eval_requests / seed:
         Cost-evaluation sampling bound and RNG seed (determinism).
-    engine:
-        RSSD search engine (``"grid"`` vectorized / ``"scalar"``
-        reference loop); see
-        :func:`repro.core.determinator.determine_stripes`.
     """
 
     def __init__(
@@ -142,14 +138,12 @@ class MHAPipeline:
         rst_path: str | Path | None = None,
         max_eval_requests: int = 4096,
         seed: int = DEFAULT_SAMPLE_SEED,
-        engine: str = "grid",
     ) -> None:
         if k is not None and k <= 0:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         if spatial < 0:
             raise ConfigurationError(f"spatial must be >= 0, got {spatial}")
         check_search_settings(
-            engine=engine,
             step=step,
             bound_policy=bound_policy,
             max_eval_requests=max_eval_requests,
@@ -167,7 +161,6 @@ class MHAPipeline:
         self.rst_path = rst_path
         self.max_eval_requests = max_eval_requests
         self.seed = seed
-        self.engine = engine
 
     def _original_layout(self, file: str) -> Layout:
         return FixedStripeLayout(
@@ -176,20 +169,14 @@ class MHAPipeline:
 
     def search(self, region: RegionPlan) -> StripeDecision:
         """Algorithm 2 (RSSD) over one region's requests, with the
-        pipeline's step, bound policy, sample bound, seed and engine."""
-        offsets, lengths, is_read, concurrency, burst_ids = region.request_arrays()
+        pipeline's step, bound policy, sample bound and seed."""
         return determine_stripes(
             self.params,
-            offsets,
-            lengths,
-            is_read,
-            concurrency,
+            *region.request_arrays(),
             step=self.step,
             bound_policy=self.bound_policy,
             max_eval_requests=self.max_eval_requests,
             seed=self.seed,
-            burst_ids=burst_ids,
-            engine=self.engine,
         )
 
     def plan_file(
@@ -209,27 +196,21 @@ class MHAPipeline:
             len(sub), distinct, self.max_groups
         )
         grouping = group_requests(features, k=k, seed=self.seed)
-        # Per-group concurrency: once migrated, a region only ever
-        # receives its own group's requests, so the burst size that
-        # matters for its stripe decision is the number of
-        # *same-group* requests issued simultaneously.  (Schemes
-        # without grouping cannot make this distinction — that
-        # sharper cost estimate is part of what reordering buys.)
-        conc: dict[TraceRecord, int] = {}
+        # Per-group bursts: once migrated, a region only ever receives
+        # its own group's requests, so the bursts that matter for its
+        # stripe decision are the *same-group* requests issued
+        # simultaneously.  (Schemes without grouping cannot make this
+        # distinction — that sharper cost estimate is part of what
+        # reordering buys.)
         bursts: dict[TraceRecord, int] = {}
         next_burst = 0
         for g in range(grouping.k):
             members = Trace(sub[int(i)] for i in grouping.members(g))
-            conc.update(
-                concurrency_of(members, gap=self.gap, spatial=self.spatial)
-            )
             ids = burst_ids_of(members, gap=self.gap, spatial=self.spatial)
             for record, local_id in ids.items():
                 bursts[record] = next_burst + local_id
             next_burst += (max(ids.values()) + 1) if ids else 0
-        plan = reorganize(
-            sub, grouping, conc, o_file=file, drt=drt, bursts=bursts
-        )
+        plan = reorganize(sub, grouping, o_file=file, drt=drt, bursts=bursts)
         return plan, grouping
 
     @twin_of(
@@ -249,10 +230,10 @@ class MHAPipeline:
         Identical outputs (plan and grouping): the feature
         matrix is the :func:`extract_features_columnar` twin's, the
         grouping runs the exact same array k-means, and the per-group
-        concurrency/burst assignment reproduces the reference's
-        dict-update semantics — including the cross-group collapse a
-        duplicate record triggers when later groups overwrite earlier
-        ones (reachable in the ``n <= k`` one-request-per-group branch).
+        burst assignment reproduces the reference's dict-update
+        semantics — including the cross-group collapse a duplicate
+        record triggers when later groups overwrite earlier ones
+        (reachable in the ``n <= k`` one-request-per-group branch).
         """
         features = extract_features_columnar(sub, gap=self.gap, spatial=self.spatial)
         distinct = int(np.unique(features.points, axis=0).shape[0]) if len(sub) else 1
@@ -261,31 +242,23 @@ class MHAPipeline:
         )
         grouping = group_requests(features, k=k, seed=self.seed)
         n = len(sub)
-        conc_arr = np.ones(n, dtype=np.int64)
         burst_arr = np.full(n, -1, dtype=np.int64)
         next_burst = 0
         for g in range(grouping.k):
             member_indices = grouping.members(g)
-            members = sub.take(member_indices)
-            conc_g, ids_g = concurrency_and_burst_ids(
-                members, gap=self.gap, spatial=self.spatial
+            ids_g = burst_ids_columnar(
+                sub.take(member_indices), gap=self.gap, spatial=self.spatial
             )
-            conc_arr[member_indices] = conc_g
             burst_arr[member_indices] = next_burst + ids_g
             next_burst += int(ids_g.max()) + 1 if ids_g.size else 0
         inverse, n_classes = identity_classes(sub)
         if n_classes < n:
-            # duplicate records spanning groups: the reference's dicts
-            # keep the last group's value — collapse the same way
-            conc_arr = collapse_by_last_group(
-                conc_arr, grouping.labels, inverse, n_classes
-            )
+            # duplicate records spanning groups: the reference's dict
+            # keeps the last group's value — collapse the same way
             burst_arr = collapse_by_last_group(
                 burst_arr, grouping.labels, inverse, n_classes
             )
-        plan = reorganize_arrays(
-            sub, grouping, conc_arr, o_file=file, drt=drt, bursts=burst_arr
-        )
+        plan = reorganize_arrays(sub, grouping, o_file=file, drt=drt, bursts=burst_arr)
         return plan, grouping
 
     def plan(self, trace: "Trace | ColumnarTrace") -> MHAPlan:

@@ -85,9 +85,12 @@ def estimate_migration_time(
     same bytes, the copy pipeline is bound by the slower (read) side,
     and each DRT extent costs one average startup on each side.
 
-    Deliberately coarse — an upper-bound sanity figure for reports, not
-    a simulation (use :func:`repro.pfs.storage.migrate` with a replay
-    for that).
+    Deliberately coarse, and not an upper bound: it spreads the bytes
+    evenly over every server, with no queueing and no write-side
+    transfer time.  On 24 IOR plans (8 ranks, 16 KiB to 256+512 KiB
+    requests, reads and writes) it came to 0.15–0.22× of the makespan
+    of :func:`repro.pfs.migration.simulate_migration`.  For a simulated
+    copy, use :class:`repro.online.migrator.LiveMigrationScheduler`.
     """
     params = CostModelParams.from_cluster(spec)
     total_bytes = sum(entry.length for entry in drt)

@@ -58,7 +58,6 @@ class RegionRequest:
     offset: int
     length: int
     op: str
-    concurrency: int
     burst: int = -1
 
     @property
@@ -77,22 +76,19 @@ class RegionPlan:
 
     def request_arrays(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The determinator's input:
-        (offsets, lengths, is_read, concurrency, burst_ids)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The determinator's input: (offsets, lengths, is_read, burst_ids)."""
         k = len(self.requests)
         offsets = np.empty(k, dtype=np.int64)
         lengths = np.empty(k, dtype=np.int64)
         is_read = np.empty(k, dtype=bool)
-        conc = np.empty(k, dtype=np.int64)
         bursts = np.empty(k, dtype=np.int64)
         for i, r in enumerate(self.requests):
             offsets[i] = r.offset
             lengths[i] = r.length
             is_read[i] = r.is_read
-            conc[i] = r.concurrency
             bursts[i] = r.burst if r.burst >= 0 else -(i + 1)  # singleton
-        return offsets, lengths, is_read, conc, bursts
+        return offsets, lengths, is_read, bursts
 
     def max_request(self) -> int:
         """Largest resident request fragment (``r_max`` for RSSD)."""
@@ -121,7 +117,6 @@ def region_name(o_file: str, group: int) -> str:
 def reorganize(
     trace: Trace,
     grouping: GroupingResult,
-    concurrency: Mapping[TraceRecord, int],
     o_file: str | None = None,
     drt: DRT | None = None,
     bursts: Mapping[TraceRecord, int] | None = None,
@@ -136,9 +131,6 @@ def reorganize(
         Must touch a single file.
     grouping:
         Output of :func:`repro.core.grouping.group_requests`.
-    concurrency:
-        Per-record concurrency mapping from
-        :func:`repro.tracing.analysis.concurrency_of`.
     o_file:
         Original file name; defaults to the trace's single file.
     drt:
@@ -192,7 +184,6 @@ def reorganize(
     # Phase 2 — express every request in region coordinates via the DRT.
     by_name = {r.name: r for r in regions}
     for record in trace:
-        conc = concurrency.get(record, 1)
         burst = bursts.get(record, -1) if bursts else -1
         # accumulate this record's fragments per region, merging extents
         # that stay contiguous within the same region
@@ -206,7 +197,6 @@ def reorganize(
                     offset=prev.offset,
                     length=prev.length + extent.length,
                     op=record.op,
-                    concurrency=conc,
                     burst=burst,
                 )
             else:
@@ -216,7 +206,6 @@ def reorganize(
                     offset=extent.offset,
                     length=extent.length,
                     op=record.op,
-                    concurrency=conc,
                     burst=burst,
                 )
         for name, fragment in pending.items():
@@ -231,15 +220,14 @@ def reorganize(
 def reorganize_arrays(
     trace: ColumnarTrace,
     grouping: GroupingResult,
-    concurrency: np.ndarray,
     o_file: str | None = None,
     drt: DRT | None = None,
     bursts: np.ndarray | None = None,
 ) -> ReorderPlan:
     """:func:`reorganize` over a columnar trace — same plan, no records.
 
-    ``concurrency``/``bursts`` are index-aligned per-request arrays
-    (the columnar stand-ins for the reference's record-keyed mappings).
+    ``bursts`` is an index-aligned per-request array (the columnar
+    stand-in for the reference's record-keyed mapping).
     The output :class:`ReorderPlan` — regions, requests, DRT entries,
     migrated bytes — is identical to the record path's, and phase 2
     goes through :meth:`~repro.core.drt.DRT.translate_many`, whose
@@ -296,12 +284,10 @@ def reorganize_arrays(
 
     # Phase 2 — express every request in region coordinates via the DRT.
     by_name = {r.name: r for r in regions}
-    conc_list = concurrency.tolist()
     burst_list = bursts.tolist() if bursts is not None else None
     translated = drt.translate_many(o_file, off, d["size"])
     for k, extents in enumerate(translated):
         op = OP_NAMES[op_list[k]]
-        conc = conc_list[k]
         burst = burst_list[k] if burst_list is not None else -1
         pending: dict[str, RegionRequest] = {}
         for extent in extents:
@@ -313,7 +299,6 @@ def reorganize_arrays(
                     offset=prev.offset,
                     length=prev.length + extent.length,
                     op=op,
-                    concurrency=conc,
                     burst=burst,
                 )
             else:
@@ -323,7 +308,6 @@ def reorganize_arrays(
                     offset=extent.offset,
                     length=extent.length,
                     op=op,
-                    concurrency=conc,
                     burst=burst,
                 )
         for name, fragment in pending.items():

@@ -403,8 +403,8 @@ def fig14_redirection_overhead(
         result.add(row, "overhead%", 100.0 * (redirected_us / direct_us - 1.0))
         result.add(row, "lru_hit%", 100.0 * redirector.drt.cache_hit_rate)
     result.note(
-        "overhead%% is the added mapping cost of the DRT lookup path; "
-        "lru_hit%% is the share of lookups served by the hot-entry probe"
+        "overhead% is the added mapping cost of the DRT lookup path; "
+        "lru_hit% is the share of lookups served by the hot-entry probe"
     )
     return result
 

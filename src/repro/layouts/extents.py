@@ -23,7 +23,6 @@ __all__ = [
     "windows_touched",
     "per_server_bytes",
     "per_server_bytes_batch",
-    "max_server_bytes_grid",
     "length_bands",
     "server_totals_grid",
 ]
@@ -139,81 +138,6 @@ def per_server_bytes_batch(
         h_bytes[empty] = 0
         s_bytes[empty] = 0
     return h_bytes, s_bytes
-
-
-@twin_of(
-    "repro.layouts.extents:per_server_bytes_batch",
-    kind="reduction",
-    param_map={"h": "h_arr", "s": "s_arr"},
-    harness="extents_max_grid",
-)
-def max_server_bytes_grid(
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    M: int,
-    N: int,
-    h_arr: np.ndarray,
-    s_arr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class *maximum* per-server byte count over a candidate grid.
-
-    Returns ``(h_max, s_max)`` of shape ``(G, K)`` — for each candidate
-    pair and request, the byte count of the most-loaded HServer and
-    SServer.  Row ``g`` equals
-    ``per_server_bytes_batch(..., h_arr[g], s_arr[g])[0].max(axis=1)``
-    (and ``[1]`` likewise), but the per-server counts are folded into a
-    running maximum, so no ``(G, K, M)`` tensor is ever materialized.
-    Integer arithmetic throughout — exactly the scalar path's values.
-
-    This is the kernel of the vectorized *batch* cost path, where the
-    per-class completion bound only depends on the most-loaded server a
-    request touches.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    h_arr = np.asarray(h_arr, dtype=np.int64)
-    s_arr = np.asarray(s_arr, dtype=np.int64)
-    if offsets.shape != lengths.shape or offsets.ndim != 1:
-        raise ValueError("offsets and lengths must be equal-shape 1-D arrays")
-    if h_arr.shape != s_arr.shape or h_arr.ndim != 1:
-        raise ValueError("h_arr and s_arr must be equal-shape 1-D arrays")
-    G, K = h_arr.shape[0], offsets.shape[0]
-    h_eff = h_arr if M > 0 else np.zeros_like(h_arr)
-    s_eff = s_arr if N > 0 else np.zeros_like(s_arr)
-    cycle = M * h_eff + N * s_eff
-    h_max = np.zeros((G, K), dtype=np.int64)
-    s_max = np.zeros((G, K), dtype=np.int64)
-    if G == 0 or K == 0 or not (cycle > 0).any():
-        return h_max, s_max
-
-    cyc = np.where(cycle > 0, cycle, 1)[:, None]
-    full_e, rem_e = np.divmod((offsets + lengths)[None, :], cyc)
-    full_o, rem_o = np.divmod(offsets[None, :], cyc)
-    # degenerate (length <= 0) extents yield non-positive counts, which
-    # the zero-initialized running max already clamps away
-
-    if M > 0:
-        w = h_eff[:, None]
-        base = full_e * w - full_o * w
-        for i in range(M):
-            a = i * w
-            np.maximum(
-                h_max,
-                base + np.clip(rem_e - a, 0, w) - np.clip(rem_o - a, 0, w),
-                out=h_max,
-            )
-    if N > 0:
-        start0 = (M * h_eff)[:, None]
-        w = s_eff[:, None]
-        base = full_e * w - full_o * w
-        for j in range(N):
-            a = start0 + j * w
-            np.maximum(
-                s_max,
-                base + np.clip(rem_e - a, 0, w) - np.clip(rem_o - a, 0, w),
-                out=s_max,
-            )
-    return h_max, s_max
 
 
 def length_bands(lengths: np.ndarray) -> np.ndarray:

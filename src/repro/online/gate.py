@@ -7,14 +7,16 @@ gate evaluates both sides with the machinery the optimizer itself
 uses:
 
 * **benefit** — the Eq. 2 cost model
-  (:func:`repro.core.cost_model.batch_costs`) prices every window
+  (:func:`repro.core.cost_model.request_costs`) prices every window
   request twice, once mapped through the old plan and once through the
   candidate plan; the difference is the modelled I/O time saved per
   window of traffic, extrapolated over a configurable ``horizon`` of
   future traffic (assuming the window's pattern persists — exactly the
   stationarity bet the off-line pipeline makes);
-* **cost** — :func:`repro.core.placer.estimate_migration_time` bounds
-  the background copy of every extent the replan wants to move.
+* **cost** — :func:`repro.core.placer.estimate_migration_time` gives a
+  closed-form estimate (not a bound: it can fall well short of a
+  simulated copy) of the background copy of every extent the replan
+  wants to move.
 
 A relayout is admitted when ``benefit(horizon) > safety ×
 migration_time``.  Rejections are cheap by design: the drift detector
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..core.cost_model import batch_costs
+from ..core.cost_model import request_costs
 from ..core.drt import DRTEntry
 from ..core.params import CostModelParams
 from ..core.pipeline import DEFAULT_ORIGINAL_STRIPE, MHAPlan
@@ -79,7 +81,7 @@ def modelled_trace_cost(
         is_read = np.array([r[2] for r in rows], dtype=bool)
         concurrency = np.array([r[3] for r in rows], dtype=np.int64)
         total += float(
-            batch_costs(params, offsets, lengths, is_read, concurrency, h, s).sum()
+            request_costs(params, offsets, lengths, is_read, concurrency, h, s).sum()
         )
     return total
 

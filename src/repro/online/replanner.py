@@ -63,9 +63,8 @@ class IncrementalReplanner:
     ----------
     pipeline:
         The off-line pipeline whose parameters (grouping cap, RSSD
-        step, bound policy, seed, engine) the re-planner mirrors — a
-        replan is the off-line optimization scoped down to the drifted
-        files.
+        step, bound policy, seed) the re-planner mirrors — a replan is
+        the off-line optimization scoped down to the drifted files.
     reuse_tolerance:
         Centroid distance under which an un-drifted old region's
         decision is reused without a search; 0 disables reuse.

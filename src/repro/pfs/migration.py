@@ -1,7 +1,7 @@
 """Simulated execution of the placement phase's data migration.
 
 :func:`repro.core.placer.estimate_migration_time` gives a closed-form
-upper bound; this module *measures* the one-off migration on the
+estimate; this module *measures* the one-off migration on the
 discrete-event simulator instead: one migrator process per original
 file sweeps its DRT extents in offset order, reading each extent
 through the original layout and writing it through its region layout

@@ -9,7 +9,7 @@ Fidelity notes:
 * HARL "uses the average request size as the upper bounds for the
   potential stripe sizes" (§III-F), i.e. the ``"average"`` bound
   policy;
-* all schemes share the concurrency-aware cost evaluation, so the
+* all schemes share the burst-aware cost evaluation, so the
   MHA-over-HARL delta isolates what the paper presents as the
   contribution: request grouping + data reordering + adaptive search
   bounds (§V-A: HARL "takes both access pattern and server
@@ -37,7 +37,7 @@ from ..tracing.columnar import (
     OP_NAMES,
     ColumnarTrace,
     as_columnar_trace,
-    concurrency_and_burst_ids,
+    burst_ids_columnar,
 )
 from ..tracing.record import Trace
 from ..units import KiB
@@ -58,7 +58,6 @@ class HARLScheme(Scheme):
         step: int = DEFAULT_STEP,
         max_eval_requests: int = 4096,
         seed: int = 0,
-        engine: str = "grid",
     ) -> None:
         if num_regions <= 0:
             raise ValueError(f"num_regions must be >= 1, got {num_regions}")
@@ -66,12 +65,11 @@ class HARLScheme(Scheme):
             raise ValueError(
                 f"max_eval_requests must be >= 1, got {max_eval_requests}"
             )
-        check_search_settings(engine=engine, step=step)
+        check_search_settings(step=step)
         self.num_regions = num_regions
         self.step = step
         self.max_eval_requests = max_eval_requests
         self.seed = seed
-        self.engine = engine
 
     def _region_bounds(
         self, extent_end: int, max_request: int = 0
@@ -104,7 +102,7 @@ class HARLScheme(Scheme):
         layouts: dict[str, Layout] = {}
         for file, indices in columns.file_partition().items():
             sub = columns.take(indices).sorted_by_offset()
-            conc, bursts = concurrency_and_burst_ids(sub)
+            bursts = burst_ids_columnar(sub)
             data = sub.data
             offsets = data["offset"]
             ends = offsets + data["size"]
@@ -125,13 +123,11 @@ class HARLScheme(Scheme):
                         lo[inside] - start,
                         hi[inside] - lo[inside],
                         is_read[inside],
-                        conc[inside],
+                        bursts[inside],
                         step=self.step,
                         bound_policy="average",
                         max_eval_requests=self.max_eval_requests,
                         seed=self.seed,
-                        burst_ids=bursts[inside],
-                        engine=self.engine,
                     ).pair
                     layout = VariedStripeLayout(
                         spec.hserver_ids, spec.sserver_ids, h=pair.h, s=pair.s, obj=obj

@@ -22,12 +22,7 @@ from repro import contracts
 from repro.cluster import ClusterSpec
 from repro.core import cost_model
 from repro.core import DRT, DRTEntry, Redirector, StripePair, build_region_layout
-from repro.core.cost_model import (
-    batch_costs,
-    batch_costs_grid,
-    burst_costs,
-    burst_costs_grid,
-)
+from repro.core.cost_model import burst_costs, burst_costs_grid
 from repro.core import CostModelParams
 from repro.faults import (
     BackgroundScrub,
@@ -39,11 +34,7 @@ from repro.faults import (
 from repro.faults.state import CliffState, Scrub, ServerFaultState, Window
 from repro.layouts import FixedStripeLayout
 from repro.layouts.batch import merge_fragments
-from repro.layouts.extents import (
-    max_server_bytes_grid,
-    per_server_bytes_batch,
-    server_totals_grid,
-)
+from repro.layouts.extents import per_server_bytes_batch, server_totals_grid
 from repro.core.features import extract_features, extract_features_columnar
 from repro.core.pipeline import MHAPipeline
 from repro.pfs import HybridPFS, replay_trace
@@ -229,9 +220,9 @@ def _random_region(rng, max_len=1 << 18):
     offsets = rng.integers(0, 1 << 21, K)
     lengths = rng.integers(1, max_len, K)
     is_read = rng.random(K) < 0.5
-    conc = rng.integers(1, 16, K)
+    rng.integers(1, 16, K)  # unused, but drawn: later draws depend on it
     bursts = rng.integers(0, max(1, K // 3), K)
-    return offsets, lengths, is_read, conc, bursts
+    return offsets, lengths, is_read, bursts
 
 
 def _candidate_grid(rng, G=16):
@@ -817,33 +808,6 @@ def _saw_dispatch(contract):
 # ---------------------------------------------------------------- array kernels
 
 
-@harness("extents_max_grid")
-def _extents_max_grid(contract):
-    @given(seed=_seeds, which=st.integers(min_value=0, max_value=len(SPECS) - 1))
-    @settings(max_examples=15, deadline=None)
-    def test(seed, which):
-        spec = SPECS[which]
-        M, N = spec.num_hservers, spec.num_sservers
-        rng = np.random.default_rng(seed)
-        offsets, lengths, _, _, _ = _random_region(rng)
-        h_arr, s_arr = _candidate_grid(rng)
-        hm, sm = max_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
-        for g in range(h_arr.shape[0]):
-            hb, sb = per_server_bytes_batch(
-                offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
-            )
-            if M:
-                assert np.array_equal(hm[g], hb.max(axis=1))
-            else:
-                assert not hm[g].any()
-            if N:
-                assert np.array_equal(sm[g], sb.max(axis=1))
-            else:
-                assert not sm[g].any()
-
-    return test
-
-
 @harness("extents_totals_grid")
 def _extents_totals_grid(contract):
     @given(
@@ -886,26 +850,6 @@ def _extents_totals_grid(contract):
     return test
 
 
-@harness("batch_costs_grid")
-def _batch_costs_grid(contract):
-    @given(seed=_seeds, which=st.integers(min_value=0, max_value=len(SPECS) - 1))
-    @settings(max_examples=10, deadline=None)
-    def test(seed, which):
-        spec = SPECS[which]
-        params = CostModelParams.from_cluster(spec)
-        rng = np.random.default_rng(seed)
-        offsets, lengths, is_read, conc, _ = _random_region(rng)
-        h_arr, s_arr = _candidate_grid(rng)
-        grid = batch_costs_grid(params, offsets, lengths, is_read, conc, h_arr, s_arr)
-        for g in range(h_arr.shape[0]):
-            row = batch_costs(
-                params, offsets, lengths, is_read, conc, int(h_arr[g]), int(s_arr[g])
-            )
-            assert np.array_equal(grid[g], row)
-
-    return test
-
-
 @harness("burst_costs_grid")
 def _burst_costs_grid(contract):
     @given(
@@ -922,7 +866,7 @@ def _burst_costs_grid(contract):
         if wide:
             offsets, lengths, is_read, bursts = _wide_burst_region(rng)
         else:
-            offsets, lengths, is_read, _, bursts = _random_region(rng)
+            offsets, lengths, is_read, bursts = _random_region(rng)
         h_arr, s_arr = _candidate_grid(rng)
         # a few candidates per internal block (ragged tail for 3 and 5),
         # or the default budget

@@ -6,9 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
-from repro.core import CostModelParams, batch_costs, region_cost, request_cost
+from repro.core import CostModelParams, region_cost, request_cost, request_costs
 from repro.core.cost_model import burst_costs
 from repro.units import KiB
+
+
+#: the cluster shapes of tests/core/test_grid_equivalence.py
+SPECS = [
+    ClusterSpec(),
+    ClusterSpec(num_hservers=3, num_sservers=3),
+    ClusterSpec(num_sservers=0),
+    ClusterSpec(num_hservers=0, num_sservers=2),
+]
 
 
 @pytest.fixture
@@ -75,12 +84,16 @@ class TestRequestCost:
 
 
 class TestBatchCosts:
+    """``request_costs``: the statistical model over a batch of requests."""
+
     def test_matches_scalar(self, params):
         offsets = np.array([0, 128 * KiB, 1 * KiB])
         lengths = np.array([64 * KiB, 256 * KiB, 512])
         is_read = np.array([True, False, True])
         conc = np.array([1, 4, 2])
-        batch = batch_costs(params, offsets, lengths, is_read, conc, 32 * KiB, 96 * KiB)
+        batch = request_costs(
+            params, offsets, lengths, is_read, conc, 32 * KiB, 96 * KiB
+        )
         for i in range(3):
             got = request_cost(
                 params,
@@ -99,7 +112,9 @@ class TestBatchCosts:
         is_read = np.array([True, True])
         conc = np.array([1, 1])
         total = region_cost(params, offsets, lengths, is_read, conc, 16 * KiB, 48 * KiB)
-        each = batch_costs(params, offsets, lengths, is_read, conc, 16 * KiB, 48 * KiB)
+        each = request_costs(
+            params, offsets, lengths, is_read, conc, 16 * KiB, 48 * KiB
+        )
         assert total == pytest.approx(each.sum())
 
     @given(
@@ -111,7 +126,7 @@ class TestBatchCosts:
     @settings(max_examples=100, deadline=None)
     def test_costs_always_positive_and_finite(self, h, s, length, conc):
         params = CostModelParams.from_cluster(ClusterSpec())
-        cost = batch_costs(
+        cost = request_costs(
             params,
             np.array([0]),
             np.array([length]),
@@ -124,16 +139,27 @@ class TestBatchCosts:
 
 
 class TestBurstCosts:
-    def test_singleton_bursts_equal_eq2(self, params):
-        offsets = np.array([0, 256 * KiB])
-        lengths = np.array([64 * KiB, 128 * KiB])
-        is_read = np.array([True, False])
-        ids = np.array([0, 1])
-        per_burst = burst_costs(params, offsets, lengths, is_read, ids, 32 * KiB, 96 * KiB)
-        per_req = batch_costs(
-            params, offsets, lengths, is_read, np.array([1, 1]), 32 * KiB, 96 * KiB
-        )
-        assert per_burst == pytest.approx(per_req)
+    def test_singleton_bursts_equal_eq2(self):
+        """One request per burst is the paper's per-request Eq. 2, which
+        is ``request_costs`` at c = 1: bit for bit, on random regions
+        and candidates over every cluster shape."""
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            params = CostModelParams.from_cluster(SPECS[trial % len(SPECS)])
+            K = int(rng.integers(1, 48))
+            offsets = rng.integers(0, 1 << 21, K)
+            lengths = rng.integers(1, 1 << 18, K)
+            is_read = rng.random(K) < 0.5
+            ids = rng.permutation(K) * 3 + 1  # shuffled, sparse, all distinct
+            h = int(rng.integers(0, 64)) * 4 * KiB
+            s = max(int(rng.integers(1, 64)) * 4 * KiB, h)
+            per_burst = burst_costs(params, offsets, lengths, is_read, ids, h, s)
+            per_req = request_costs(
+                params, offsets, lengths, is_read, np.ones(K, dtype=np.int64), h, s
+            )
+            # burst_costs orders its bursts by id
+            rank = np.argsort(np.argsort(ids))
+            assert np.array_equal(per_burst[rank], per_req), f"trial {trial}"
 
     def test_burst_completes_at_slowest_server(self, params):
         # two requests in one burst landing on the same HServer: the

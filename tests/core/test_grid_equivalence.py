@@ -3,9 +3,9 @@
 
 The vectorized engine only reorganizes the same IEEE operations
 (broadcast axes, exact integer kernels, order-preserving reductions),
-so there is no tolerance anywhere in this file: winning pairs, costs,
-per-candidate cost rows and per-server byte counts are compared with
-``==`` / ``array_equal``.
+so there is no tolerance anywhere in this file: winning pairs, costs
+and per-candidate cost rows are compared with ``==`` /
+``array_equal``.
 """
 
 import tracemalloc
@@ -15,14 +15,8 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import CostModelParams, cost_model, determine_stripes
-from repro.core.cost_model import (
-    batch_costs,
-    batch_costs_grid,
-    burst_costs,
-    burst_costs_grid,
-)
+from repro.core.cost_model import burst_costs, burst_costs_grid
 from repro.exceptions import ConfigurationError
-from repro.layouts.extents import max_server_bytes_grid, per_server_bytes_batch
 from repro.units import KiB
 
 SPECS = [
@@ -38,9 +32,9 @@ def random_region(rng, max_len=1 << 18):
     offsets = rng.integers(0, 1 << 21, K)
     lengths = rng.integers(1, max_len, K)
     is_read = rng.random(K) < 0.5
-    conc = rng.integers(1, 16, K)
+    rng.integers(1, 16, K)  # unused, but drawn: later draws depend on it
     bursts = rng.integers(0, max(1, K // 3), K)
-    return offsets, lengths, is_read, conc, bursts
+    return offsets, lengths, is_read, bursts
 
 
 def candidate_grid(rng, G=24):
@@ -50,51 +44,14 @@ def candidate_grid(rng, G=24):
 
 
 class TestKernelEquivalence:
-    """The grid extent/cost kernels row-for-row against the scalar ones."""
-
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_max_server_bytes_grid_is_fused_max(self, spec):
-        rng = np.random.default_rng(2)
-        M, N = spec.num_hservers, spec.num_sservers
-        offsets, lengths, _, _, _ = random_region(rng)
-        h_arr, s_arr = candidate_grid(rng)
-        hm, sm = max_server_bytes_grid(offsets, lengths, M, N, h_arr, s_arr)
-        for g in range(h_arr.shape[0]):
-            hb, sb = per_server_bytes_batch(
-                offsets, lengths, M, N, int(h_arr[g]), int(s_arr[g])
-            )
-            if M > 0:
-                assert np.array_equal(hm[g], hb.max(axis=1))
-            else:
-                assert not hm[g].any()
-            if N > 0:
-                assert np.array_equal(sm[g], sb.max(axis=1))
-            else:
-                assert not sm[g].any()
-
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_batch_costs_grid_rows_match_scalar(self, spec):
-        rng = np.random.default_rng(3)
-        params = CostModelParams.from_cluster(spec)
-        for _ in range(3):
-            offsets, lengths, is_read, conc, _ = random_region(rng)
-            h_arr, s_arr = candidate_grid(rng)
-            grid = batch_costs_grid(
-                params, offsets, lengths, is_read, conc, h_arr, s_arr
-            )
-            for g in range(h_arr.shape[0]):
-                row = batch_costs(
-                    params, offsets, lengths, is_read, conc,
-                    int(h_arr[g]), int(s_arr[g]),
-                )
-                assert np.array_equal(grid[g], row)
+    """The grid burst-cost kernel row-for-row against the scalar one."""
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_burst_costs_grid_rows_match_scalar(self, spec):
         rng = np.random.default_rng(4)
         params = CostModelParams.from_cluster(spec)
         for _ in range(3):
-            offsets, lengths, is_read, _, bursts = random_region(rng)
+            offsets, lengths, is_read, bursts = random_region(rng)
             h_arr, s_arr = candidate_grid(rng)
             grid = burst_costs_grid(
                 params, offsets, lengths, is_read, bursts, h_arr, s_arr
@@ -133,41 +90,45 @@ class TestKernelEquivalence:
         offsets = np.array([0, 4096])
         lengths = np.array([0, 8192])
         is_read = np.array([True, False])
-        conc = np.array([4, 4])
+        bursts = np.array([0, 1])
         h_arr = np.array([4096, 8192])
         s_arr = np.array([8192, 8192])
-        grid = batch_costs_grid(params, offsets, lengths, is_read, conc, h_arr, s_arr)
+        grid = burst_costs_grid(params, offsets, lengths, is_read, bursts, h_arr, s_arr)
         assert (grid[:, 0] == 0).all()
         assert (grid[:, 1] > 0).all()
 
     def test_empty_grid_and_empty_requests(self):
         params = CostModelParams.from_cluster(ClusterSpec())
         none = np.array([], dtype=np.int64)
-        out = batch_costs_grid(params, none, none, none.astype(bool), none, none, none)
-        assert out.shape == (0, 0)
         out = burst_costs_grid(params, none, none, none.astype(bool), none, none, none)
         assert out.shape == (0, 0)
 
 
+def burst_ids(mode, bursts):
+    """The region's drawn burst ids, or one burst per request (Algorithm
+    2's literal per-request Eq. 2 sum)."""
+    return bursts if mode == "burst" else np.arange(bursts.shape[0])
+
+
 class TestSearchEquivalence:
     """Seeded property-style sweep: the two engines return the identical
-    ``StripeDecision`` on random regions, in both cost modes."""
+    ``StripeDecision`` on random regions, with drawn and with singleton
+    bursts."""
 
-    @pytest.mark.parametrize("mode", ["batch", "burst"])
+    @pytest.mark.parametrize("mode", ["burst", "singleton"])
     def test_engines_agree_on_random_regions(self, mode):
         rng = np.random.default_rng(42)
         for trial in range(24):
             spec = SPECS[trial % len(SPECS)]
             params = CostModelParams.from_cluster(spec)
-            offsets, lengths, is_read, conc, bursts = random_region(rng)
+            offsets, lengths, is_read, bursts = random_region(rng)
+            bursts = burst_ids(mode, bursts)
             kw = dict(
                 step=4096,
                 max_eval_requests=48,
                 seed=trial,
                 max_axis_candidates=16,
             )
-            if mode == "burst":
-                kw["burst_ids"] = bursts
             if trial % 5 == 0:
                 kw["bound_policy"] = "average"
             if trial % 7 == 0:
@@ -175,35 +136,32 @@ class TestSearchEquivalence:
             if trial % 11 == 0:
                 kw["allow_h_zero"] = False
             a = determine_stripes(
-                params, offsets, lengths, is_read, conc, engine="grid", **kw
+                params, offsets, lengths, is_read, bursts, engine="grid", **kw
             )
             b = determine_stripes(
-                params, offsets, lengths, is_read, conc, engine="scalar", **kw
+                params, offsets, lengths, is_read, bursts, engine="scalar", **kw
             )
             assert a.pair == b.pair, f"trial {trial}: {a.pair} != {b.pair}"
             assert a.cost == b.cost  # bit-identical, no approx
             assert a.candidates == b.candidates
             assert (a.bound_h, a.bound_s) == (b.bound_h, b.bound_s)
 
-    @pytest.mark.parametrize("mode", ["batch", "burst"])
+    @pytest.mark.parametrize("mode", ["burst", "singleton"])
     def test_engines_agree_across_chunk_boundaries(self, monkeypatch, mode):
         """Blocked grid evaluation must not depend on the block size."""
         params = CostModelParams.from_cluster(ClusterSpec())
         rng = np.random.default_rng(9)
-        offsets, lengths, is_read, conc, bursts = random_region(rng)
-        kw = {"burst_ids": bursts} if mode == "burst" else {}
-        baseline = determine_stripes(params, offsets, lengths, is_read, conc, **kw)
+        offsets, lengths, is_read, bursts = random_region(rng)
+        bursts = burst_ids(mode, bursts)
+        baseline = determine_stripes(params, offsets, lengths, is_read, bursts)
         reference = determine_stripes(
-            params, offsets, lengths, is_read, conc, engine="scalar", **kw
+            params, offsets, lengths, is_read, bursts, engine="scalar"
         )
-        # the random requests are distinct, so both modes evaluate all K
         K = offsets.shape[0]
         assert baseline.candidates % 7 != 0  # 7 per block leaves a ragged tail
         for budget in (1, 7 * K):  # one candidate per block, then seven
             monkeypatch.setattr(cost_model, "GRID_CHUNK_ELEMS", budget)
-            blocked = determine_stripes(
-                params, offsets, lengths, is_read, conc, **kw
-            )
+            blocked = determine_stripes(params, offsets, lengths, is_read, bursts)
             assert blocked.pair == baseline.pair == reference.pair
             assert blocked.cost == baseline.cost == reference.cost
 

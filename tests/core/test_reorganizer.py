@@ -5,7 +5,7 @@ import pytest
 from repro.core import group_requests, reorganize
 from repro.core.features import extract_features
 from repro.exceptions import ConfigurationError
-from repro.tracing import Trace, TraceRecord, burst_ids_of, concurrency_of
+from repro.tracing import Trace, TraceRecord, burst_ids_of
 
 
 def rec(offset, size, ts=0.0, rank=0, op="write"):
@@ -16,9 +16,8 @@ def build(records, k=2, seed=0):
     trace = Trace(records).sorted_by_offset()
     features = extract_features(trace)
     grouping = group_requests(features, k=k, seed=seed)
-    conc = concurrency_of(trace)
     bursts = burst_ids_of(trace)
-    return trace, grouping, reorganize(trace, grouping, conc, bursts=bursts)
+    return trace, grouping, reorganize(trace, grouping, bursts=bursts)
 
 
 class TestRegions:
@@ -75,16 +74,15 @@ class TestRegions:
     def test_request_arrays_shape(self):
         records = [rec(i * 100, 100, ts=float(i)) for i in range(4)]
         _, _, plan = build(records, k=1)
-        offsets, lengths, is_read, conc, bursts = plan.regions[0].request_arrays()
-        assert offsets.shape == lengths.shape == is_read.shape == conc.shape
-        assert bursts.shape == offsets.shape
+        offsets, lengths, is_read, bursts = plan.regions[0].request_arrays()
+        assert offsets.shape == lengths.shape == is_read.shape == bursts.shape
         assert (lengths == 100).all()
         assert not is_read.any()
 
     def test_burst_ids_carried(self):
         records = [rec(i * 100, 100, ts=0.0, rank=i) for i in range(4)]
         _, _, plan = build(records, k=1)
-        _, _, _, _, bursts = plan.regions[0].request_arrays()
+        _, _, _, bursts = plan.regions[0].request_arrays()
         assert len(set(bursts.tolist())) == 1  # one burst
 
     def test_untouched_bytes_stay_unmapped(self):
@@ -100,7 +98,7 @@ class TestValidation:
         features = extract_features(Trace([rec(0, 100), rec(200, 100)]))
         grouping = group_requests(features, k=1)
         with pytest.raises(ConfigurationError):
-            reorganize(trace, grouping, {})
+            reorganize(trace, grouping)
 
     def test_multi_file_trace_rejected(self):
         records = [
@@ -111,4 +109,4 @@ class TestValidation:
         features = extract_features(trace)
         grouping = group_requests(features, k=1)
         with pytest.raises(ConfigurationError):
-            reorganize(trace, grouping, {})
+            reorganize(trace, grouping)

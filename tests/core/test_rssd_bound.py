@@ -1,4 +1,4 @@
-"""The RSSD lower bound and the pruned burst-mode search.
+"""The RSSD lower bound and the pruned grid search.
 
 ``burst_cost_bounds`` must stay below every candidate's summed burst
 costs, and the grid engine, which skips candidates whose bound cannot
@@ -96,9 +96,8 @@ def test_pruned_search_matches_scalar(
     params, region, per_block, axis, min_group, max_eval
 ):
     offsets, lengths, is_read, bursts = region
-    conc = np.ones_like(offsets)
     # a small max_eval_requests samples bursts, so costs carry a weight
-    kw = dict(burst_ids=bursts, max_axis_candidates=axis, max_eval_requests=max_eval)
+    kw = dict(max_axis_candidates=axis, max_eval_requests=max_eval)
     # a few candidates per kernel block, so that small grids span
     # several blocks, and thresholds low enough that most of these
     # regions run the bound: both only decide when it runs
@@ -107,12 +106,12 @@ def test_pruned_search_matches_scalar(
     cost_model.GRID_CHUNK_ELEMS = per_block * offsets.shape[0]
     determinator.MIN_GROUP_REQUESTS = min_group
     try:
-        grid = determine_stripes(params, offsets, lengths, is_read, conc, **kw)
+        grid = determine_stripes(params, offsets, lengths, is_read, bursts, **kw)
     finally:
         cost_model.GRID_CHUNK_ELEMS = budget
         determinator.MIN_GROUP_REQUESTS = threshold
     scalar = determine_stripes(
-        params, offsets, lengths, is_read, conc, engine="scalar", **kw
+        params, offsets, lengths, is_read, bursts, engine="scalar", **kw
     )
     assert grid.pair == scalar.pair
     assert grid.cost == scalar.cost  # bit-identical, no tolerance
@@ -135,10 +134,8 @@ class TestPlanLargeShapedRegion:
     params = CostModelParams.from_cluster(ClusterSpec())
 
     def search(self, engine, **kw):
-        offsets, lengths, is_read, bursts = _plan_large_shaped()
         return determine_stripes(
-            self.params, offsets, lengths, is_read, np.ones_like(offsets),
-            burst_ids=bursts, engine=engine, **kw,
+            self.params, *_plan_large_shaped(), engine=engine, **kw
         )
 
     def test_pruned_search_scores_fewer_candidates_and_matches_scalar(self):
@@ -154,11 +151,4 @@ class TestPlanLargeShapedRegion:
     def test_one_block_grid_scores_every_candidate(self, engine):
         decision = self.search(engine, max_axis_candidates=4)
         assert len(grid_chunks(decision.candidates, 512)) == 1
-        assert decision.evaluated == decision.candidates
-
-    def test_batch_mode_scores_every_candidate(self):
-        offsets, lengths, is_read, _ = _plan_large_shaped()
-        decision = determine_stripes(
-            self.params, offsets, lengths, is_read, np.full_like(offsets, 24)
-        )
         assert decision.evaluated == decision.candidates

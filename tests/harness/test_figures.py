@@ -88,6 +88,8 @@ class TestFigureSmoke:
             spec, proc_counts=(2,), total_mib=1, repeats=1
         )
         assert r.value("2 procs", "redirected") > 0
+        # notes are stored verbatim, not %-formatted
+        assert r.notes and not any("%%" in note for note in r.notes)
 
     def test_registry_complete(self):
         assert set(ALL_FIGURES) == {

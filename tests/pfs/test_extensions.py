@@ -119,8 +119,8 @@ class TestStragglerInjection:
         offsets = np.arange(8, dtype=np.int64) * 256 * KiB
         lengths = np.full(8, 256 * KiB, dtype=np.int64)
         is_read = np.zeros(8, dtype=bool)
-        conc = np.full(8, 8, dtype=np.int64)
-        healthy = determine_stripes(params, offsets, lengths, is_read, conc)
+        bursts = np.zeros(8, dtype=np.int64)  # one burst of 8
+        healthy = determine_stripes(params, offsets, lengths, is_read, bursts)
         # HServers measured 4x slower during re-profiling
         from dataclasses import replace
 
@@ -128,6 +128,6 @@ class TestStragglerInjection:
             params, alpha_h=4 * params.alpha_h, beta_h=4 * params.beta_h
         )
         degraded = determine_stripes(
-            degraded_params, offsets, lengths, is_read, conc
+            degraded_params, offsets, lengths, is_read, bursts
         )
         assert degraded.h <= healthy.h  # load shifts off the slow class

@@ -152,10 +152,7 @@ class TestSchemeOptimalityAgainstSimulator:
         lengths = np.full(count, length, dtype=np.int64)
         bursts = np.repeat(np.arange(count // conc), conc)
         decision = determine_stripes(
-            params, offsets, lengths,
-            np.zeros(count, dtype=bool),
-            np.full(count, conc, dtype=np.int64),
-            burst_ids=bursts,
+            params, offsets, lengths, np.zeros(count, dtype=bool), bursts
         )
 
         def simulate_pair(h, s):

@@ -3,7 +3,7 @@ their per-record reference implementations.
 
 The references score one AAL candidate stripe at a time with the
 scalar ``burst_costs`` over per-record arrays, and clip HARL's regions
-record by record with the record-path burst and concurrency maps.
+record by record with the record-path burst map.
 Decisions, and the arrays HARL hands to each region search, must match
 with ``==``.
 """
@@ -24,7 +24,7 @@ from repro.layouts.varied import VariedStripeLayout
 from repro.schemes import AALScheme, HARLScheme
 from repro.schemes.default import DEFAULT_STRIPE
 from repro.tracing import Trace
-from repro.tracing.analysis import burst_ids_of, concurrency_of
+from repro.tracing.analysis import burst_ids_of
 from repro.tracing.columnar import ColumnarTrace
 from repro.units import KiB, MiB
 from repro.workloads import IORWorkload
@@ -58,17 +58,16 @@ def aal_reference_stripe(scheme, spec, trace):
 def harl_reference_tasks(scheme, spec, trace):
     """``(label, task)`` per touched region, the requests clipped record
     by record; a task is ``(params, offsets, lengths, is_read,
-    concurrency, burst_ids, search options)``."""
+    burst_ids, search options)``."""
     params = CostModelParams.from_cluster(spec)
     tasks = []
     for file in trace.files():
         sub = trace.for_file(file).sorted_by_offset()
-        conc_map = concurrency_of(sub)
         burst_map = burst_ids_of(sub)
         _, extent_end = sub.extent()
         bounds = scheme._region_bounds(extent_end, sub.max_size())
         for idx, (start, end) in enumerate(bounds):
-            offsets, lengths, is_read, conc, bursts = [], [], [], [], []
+            offsets, lengths, is_read, bursts = [], [], [], []
             for i, record in enumerate(sub):
                 lo = max(record.offset, start)
                 hi = min(record.end, end)
@@ -76,7 +75,6 @@ def harl_reference_tasks(scheme, spec, trace):
                     offsets.append(lo - start)
                     lengths.append(hi - lo)
                     is_read.append(record.op == "read")
-                    conc.append(conc_map.get(record, 1))
                     bursts.append(burst_map.get(record, -(i + 1)))
             if not offsets:
                 continue
@@ -87,14 +85,12 @@ def harl_reference_tasks(scheme, spec, trace):
                     np.array(offsets, dtype=np.int64),
                     np.array(lengths, dtype=np.int64),
                     np.array(is_read, dtype=bool),
-                    np.array(conc, dtype=np.int64),
                     np.array(bursts, dtype=np.int64),
                     dict(
                         step=scheme.step,
                         bound_policy="average",
                         max_eval_requests=scheme.max_eval_requests,
                         seed=scheme.seed,
-                        engine=scheme.engine,
                     ),
                 ),
             ))
@@ -105,10 +101,8 @@ def harl_reference_decisions(scheme, spec, trace):
     """HARL's former decisions: one serial search per reference task."""
     decisions = {}
     for label, task in harl_reference_tasks(scheme, spec, trace):
-        params, offsets, lengths, is_read, conc, bursts, options = task
-        pair = determine_stripes(
-            params, offsets, lengths, is_read, conc, burst_ids=bursts, **options
-        ).pair
+        *arrays, options = task
+        pair = determine_stripes(*arrays, **options).pair
         layout = VariedStripeLayout(spec.hserver_ids, spec.sserver_ids, pair.h, pair.s)
         decisions[label] = StripePair(layout.h, layout.s)
     return decisions
@@ -200,9 +194,9 @@ class TestHARLColumnarClipping:
         assert list(scheme.decisions) == [label for label, _ in expected]
         assert len(searched) == len(expected)
         for (args, kwargs), (_, want) in zip(searched, expected):
-            bursts = kwargs.pop("burst_ids")
-            assert args[0] == want[0] and kwargs == want[6]
-            for a, b in zip((*args[1:], bursts), want[1:6]):
+            assert args[0] == want[0] and kwargs == want[5]
+            assert len(args) == 5
+            for a, b in zip(args[1:], want[1:5]):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 

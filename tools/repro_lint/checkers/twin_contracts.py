@@ -1,7 +1,7 @@
 """RL101–RL104 — twin contracts: fast paths must equal their references.
 
 The repo's performance kernels come in *twins*: a vectorized or
-event-free fast path (``replay_flat``, ``batch_costs_grid``,
+event-free fast path (``replay_flat``, ``burst_costs_grid``,
 ``translate_many``, …) promising results identical to a scalar
 reference path.  ``repro.contracts.twin_of`` declares each pair and
 exactly how the two signatures relate; these rules verify the
