@@ -14,6 +14,7 @@ size ("the increasingly amortized disk seek time", §V-B).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 __all__ = ["Device", "OpType", "READ", "WRITE"]
@@ -70,7 +71,20 @@ class Device(abc.ABC):
         """Unit-data transfer time for the cost model (Table I beta)."""
 
 
-def _check_positive(**kwargs: float) -> None:
+def _check_channels(channels: int) -> None:
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
+
+
+def _check_times(**kwargs: float) -> None:
+    """Times: finite and non-negative."""
     for key, value in kwargs.items():
-        if value < 0:
-            raise ValueError(f"{key} must be non-negative, got {value}")
+        if not (0 <= value < math.inf):
+            raise ValueError(f"{key} must be finite and non-negative, got {value}")
+
+
+def _check_rates(**kwargs: float) -> None:
+    """Bandwidths: finite and positive."""
+    for key, value in kwargs.items():
+        if not (0 < value < math.inf):
+            raise ValueError(f"{key} must be finite and > 0, got {value}")

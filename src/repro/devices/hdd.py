@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..units import MiB
-from .base import Device, OpType, _check_positive
+from .base import Device, OpType, _check_channels, _check_rates, _check_times
 
 __all__ = ["HDD"]
 
@@ -53,12 +53,12 @@ class HDD(Device):
     bandwidth: float = 60.0 * MiB
 
     def __post_init__(self) -> None:
-        _check_positive(
+        _check_channels(self.channels)
+        _check_times(
             seek_time=self.seek_time,
             sequential_startup=self.sequential_startup,
         )
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        _check_rates(bandwidth=self.bandwidth)
 
     def startup_time(self, op: OpType, sequential: bool) -> float:
         return self.sequential_startup if sequential else self.seek_time

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..units import MiB
-from .base import Device, OpType, READ, _check_positive
+from .base import READ, Device, OpType, _check_channels, _check_rates, _check_times
 
 __all__ = ["SSD"]
 
@@ -32,11 +32,13 @@ class SSD(Device):
     write_bandwidth: float = 310.0 * MiB
 
     def __post_init__(self) -> None:
-        _check_positive(
+        _check_channels(self.channels)
+        _check_times(
             read_startup=self.read_startup, write_startup=self.write_startup
         )
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ValueError("SSD bandwidths must be > 0")
+        _check_rates(
+            read_bandwidth=self.read_bandwidth, write_bandwidth=self.write_bandwidth
+        )
 
     def startup_time(self, op: OpType, sequential: bool) -> float:
         # Flash has no mechanical positioning: sequentiality does not

@@ -366,7 +366,9 @@ def fig14_redirection_overhead(
     The paper's Fig. 14 shows bandwidth with and without redirection;
     since redirection costs no *simulated* time here, the honest
     equivalent is the real wall-clock cost of the lookup path per
-    request — reported as lookup time and overhead ratio.
+    request — reported as lookup time and overhead ratio, for the
+    per-record ``map_request`` path and for the batch ``merged_runs``
+    path the flat replay kernel premaps through.
     """
     spec = spec or ClusterSpec()
     result = FigureResult(
@@ -381,17 +383,20 @@ def fig14_redirection_overhead(
             total_size=total_mib * MiB,
         )
         trace = workload.trace(WRITE)
+        file = trace.files()[0]
         redirector = identity_redirector(spec, trace)
-        direct = LayoutView(
-            {trace.files()[0]: redirector.layout_for(trace.files()[0])}
-        )
+        direct = LayoutView({file: redirector.layout_for(file)})
+        columns = ColumnarTrace.from_trace(trace).data
 
-        def time_view(view) -> float:
+        def time_view(view, batch: bool = False) -> float:
             best = float("inf")
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                for record in trace:
-                    view.map_request(record.file, record.offset, record.size)
+                if batch:
+                    view.merged_runs(file, columns["offset"], columns["size"])
+                else:
+                    for record in trace:
+                        view.map_request(record.file, record.offset, record.size)
                 best = min(best, time.perf_counter() - t0)
             return best / len(trace) * 1e6  # us per request
 
@@ -402,9 +407,15 @@ def fig14_redirection_overhead(
         result.add(row, "redirected", redirected_us)
         result.add(row, "overhead%", 100.0 * (redirected_us / direct_us - 1.0))
         result.add(row, "lru_hit%", 100.0 * redirector.drt.cache_hit_rate)
+        # a redirector of its own, so lru_hit% counts the per-record loop
+        fresh = identity_redirector(spec, trace)
+        result.add(row, "dir_batch", time_view(direct, batch=True))
+        result.add(row, "redir_batch", time_view(fresh, batch=True))
     result.note(
         "overhead% is the added mapping cost of the DRT lookup path; "
-        "lru_hit% is the share of lookups served by the hot-entry probe"
+        "lru_hit% is the share of lookups served by the hot-entry probe "
+        "in the per-record loop; dir_batch and redir_batch time "
+        "merged_runs, the batch path the flat replay kernel premaps through"
     )
     return result
 

@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "MergedRuns",
+    "RunColumns",
     "RunsBuilder",
     "merge_fragments",
     "merged_runs_of",
@@ -97,6 +98,11 @@ def merge_fragments(fragments: Iterable[SubRequest]) -> list[SubRequest]:
     ]
 
 
+#: one request's merged runs as columns: servers, objects, object
+#: offsets, lengths and first logical offsets
+RunColumns = tuple[list[int], list[str], list[int], list[int], list[int]]
+
+
 @dataclass
 class MergedRuns:
     """Columnar merged sub-requests for a batch of extents.
@@ -136,6 +142,33 @@ class MergedRuns:
             )
             for j in range(lo, hi)
         ]
+
+    def take(self, extents: Sequence[int], n_fragments: int) -> "MergedRuns":
+        """The batch whose extent ``i`` has extent ``extents[i]``'s runs.
+
+        ``n_fragments`` is the new batch's pre-merge fragment count,
+        which only the caller knows: this batch holds a total, not a
+        count per extent.
+        """
+        index = np.asarray(extents, dtype=np.intp).reshape(-1)
+        bounds = np.asarray(self.starts, dtype=np.intp)
+        lo = bounds[index]
+        counts = bounds[index + 1] - lo
+        starts = np.zeros(index.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=starts[1:])
+        # run j of the new batch is run runs[j] of this one
+        runs = np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1])
+        return MergedRuns(
+            servers=np.asarray(self.servers, dtype=np.int64)[runs].tolist(),
+            objs=np.asarray(self.objs, dtype=object)[runs].tolist(),
+            offsets=np.asarray(self.offsets, dtype=np.int64)[runs].tolist(),
+            lengths=np.asarray(self.lengths, dtype=np.int64)[runs].tolist(),
+            first_logicals=np.asarray(self.first_logicals, dtype=np.int64)[
+                runs
+            ].tolist(),
+            starts=starts.tolist(),
+            n_fragments=n_fragments,
+        )
 
 
 def runs_from_fragments(

@@ -10,6 +10,7 @@ NIC by the PFS simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..units import MiB
@@ -36,10 +37,12 @@ class Link:
     name: str = "link"
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
+        if not (0 < self.bandwidth < math.inf):
+            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        if not (0 <= self.latency < math.inf):
+            raise ValueError(
+                f"latency must be finite and non-negative, got {self.latency}"
+            )
 
     @property
     def unit_transfer_time(self) -> float:

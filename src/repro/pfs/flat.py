@@ -36,8 +36,9 @@ event engine exactly:
 **Feedback views.**  The kernel gives a view the event engine's two
 hooks.  A view with ``dispatch_runs`` (the straggler-aware dispatcher,
 whose event-engine form is ``dispatch_request``) is asked at issue time
-which runs to submit, in which order, given the request's premapped
-runs.  A view with ``observe_latency`` learns from every run's completion, in
+which runs to submit, in which order: it gets the premapped batch and
+the request's index, and returns the runs as columns.  A view with
+``observe_latency`` learns from every run's completion, in
 event order: each merged run gets its own ready-heap entry keyed
 ``(finish, seq)``, popping it calls ``observe_latency(server, finish -
 issued, finish)``, and the request completes when its last run pops —
@@ -244,18 +245,15 @@ def replay_flat(
         if dispatch is None:
             servers, objs, offs, lens = srv_col, obj_col, off_col, len_col
         else:
-            picked = dispatch(
+            servers, objs, offs, lens, _ = dispatch(
                 op,
                 names[file_col[i]],
                 int(offset_col[i]),
                 int(size_col[i]),
-                runs.subrequests(i),
+                runs,
+                i,
             )
-            servers = [f.server for f in picked]
-            objs = [f.obj for f in picked]
-            offs = [f.offset for f in picked]
-            lens = [f.length for f in picked]
-            lo, hi = 0, len(picked)
+            lo, hi = 0, len(servers)
         not_before = 0.0
         if nodes is not None:
             total = 0

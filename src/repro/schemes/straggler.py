@@ -45,7 +45,13 @@ from ..contracts import twin_of
 from ..core.drt import DRT, DRTEntry
 from ..exceptions import ConfigurationError
 from ..layouts.base import SubRequest
-from ..layouts.batch import MergedRuns, RunsBuilder, merge_fragments
+from ..layouts.batch import (
+    MergedRuns,
+    RunColumns,
+    RunsBuilder,
+    merge_fragments,
+    runs_from_fragments,
+)
 from ..tracing.record import Trace
 from .base import Scheme
 from .catalog import make_scheme
@@ -357,7 +363,7 @@ class StragglerAwareView:
 
     @twin_of(
         "repro.schemes.straggler:StragglerAwareView.dispatch_request",
-        twin_only=("premapped",),
+        twin_only=("premapped", "item"),
         harness="saw_dispatch",
     )
     def dispatch_runs(
@@ -366,24 +372,52 @@ class StragglerAwareView:
         file: str,
         offset: int,
         length: int,
-        premapped: list[SubRequest],
-    ) -> list[SubRequest]:
-        """:meth:`dispatch_request` for a request already mapped.
+        premapped: MergedRuns,
+        item: int,
+    ) -> RunColumns:
+        """:meth:`dispatch_request` for a request already mapped, as
+        columns.
 
-        ``premapped`` holds the request's merged runs from
-        :meth:`merged_runs`; they stay valid while no redirect covers
-        the request.  They are returned in dispatch order unless a
-        redirect covers the request now, or the request is a write with
-        a run on a straggler while budget remains; such requests go
-        through :meth:`dispatch_request`.
+        ``premapped`` is the batch :meth:`merged_runs` mapped and
+        ``item`` the request's index in it; its runs stay valid while
+        no redirect covers the request.  Returns the runs to submit as
+        ``(servers, objs, offsets, lengths, first_logicals)`` columns,
+        in dispatch order.  A request that a redirect covers now, or a
+        write with a run on a straggler while budget remains, goes
+        through :meth:`dispatch_request` instead, the only path that
+        builds :class:`SubRequest` objects.
         """
+        lo = premapped.starts[item]
+        hi = premapped.starts[item + 1]
+        servers = premapped.servers
         if self._drt.overlaps(file, offset, length) or (
             op == "write"
             and self.replicated_bytes < self.replication_budget
-            and not self.stragglers().isdisjoint(f.server for f in premapped)
+            and not self.stragglers().isdisjoint(servers[lo:hi])
         ):
-            return self.dispatch_request(op, file, offset, length)
-        return self._ordered(premapped)
+            picked = runs_from_fragments(
+                self.dispatch_request(op, file, offset, length), already_merged=True
+            )
+            return (
+                picked.servers,
+                picked.objs,
+                picked.offsets,
+                picked.lengths,
+                picked.first_logicals,
+            )
+        order: Sequence[int] = range(lo, hi)
+        if hi - lo > 1:
+            now = self._now
+            estimate = self.ewma.estimate
+            # stable, like :meth:`_ordered`
+            order = sorted(order, key=lambda j: -estimate(servers[j], now))
+        return (
+            [servers[j] for j in order],
+            [premapped.objs[j] for j in order],
+            [premapped.offsets[j] for j in order],
+            [premapped.lengths[j] for j in order],
+            [premapped.first_logicals[j] for j in order],
+        )
 
     def _ordered(self, merged: list[SubRequest]) -> list[SubRequest]:
         """Dispatch order: slowest estimated server first (stable, so

@@ -623,14 +623,23 @@ _drt_shapes = st.lists(
     max_size=8,
 )
 
-_probe_batches = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=640 * KiB),
-        st.integers(min_value=0, max_value=128 * KiB),
-    ),
-    min_size=0,
-    max_size=10,
+_probes = st.tuples(
+    st.integers(min_value=0, max_value=640 * KiB),
+    st.integers(min_value=0, max_value=128 * KiB),
 )
+
+_probe_batches = st.lists(_probes, min_size=0, max_size=10)
+
+
+@st.composite
+def _repeating(draw, items, max_size=12):
+    """A list drawn from a pool of at most four ``items``, so that
+    entries repeat (a profiled application's subsequent runs)."""
+    pool = draw(st.lists(items, min_size=1, max_size=4))
+    picks = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_size)
+    )
+    return [pool[p] for p in picks]
 
 
 @harness("drt_translate")
@@ -667,8 +676,8 @@ def _build_redirector(spec):
 
 @harness("redirector_runs")
 def _redirector_runs(contract):
-    @given(probes=_probe_batches)
-    @settings(max_examples=30, deadline=None)
+    @given(probes=_probe_batches | _repeating(_probes))
+    @settings(max_examples=40, deadline=None)
     def test(probes):
         spec = ClusterSpec(num_hservers=2, num_sservers=2)
         batched, scalar = _build_redirector(spec), _build_redirector(spec)
@@ -681,6 +690,7 @@ def _redirector_runs(contract):
                 scalar.map_request("f", o, l)
             )
         assert batched.stats == scalar.stats
+        assert runs.n_fragments == scalar.stats.fragments
 
     return test
 
@@ -758,31 +768,47 @@ def _saw_runs(contract):
     return test
 
 
-_dispatch_steps = st.lists(
-    st.tuples(
-        st.sampled_from(["read", "write"]),
+@st.composite
+def _dispatch_requests(draw):
+    """Steps of ``(op, offset, length, observation)``: the extents come
+    free or from a small pool, and an optional ``(server, latency * 4)``
+    observation precedes each request."""
+    extents = st.tuples(
         st.integers(min_value=0, max_value=512 * KiB),
         st.integers(min_value=1, max_value=96 * KiB),
-        # an observation before the request: (server, latency * 4)
-        st.none()
-        | st.tuples(
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=1, max_value=40),
-        ),
-    ),
-    min_size=1,
-    max_size=14,
-)
+    )
+    picked = draw(
+        st.lists(extents, min_size=1, max_size=14) | _repeating(extents, 14)
+    )
+    seen = st.none() | st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=40),
+    )
+    return [
+        (draw(st.sampled_from(["read", "write"])), o, l, draw(seen))
+        for o, l in picked
+    ]
+
+
+def _columns(fragments):
+    """A :class:`SubRequest` list's fields as ``dispatch_runs`` columns."""
+    return (
+        [f.server for f in fragments],
+        [f.obj for f in fragments],
+        [f.offset for f in fragments],
+        [f.length for f in fragments],
+        [f.logical_offset for f in fragments],
+    )
 
 
 @harness("saw_dispatch")
 def _saw_dispatch(contract):
     @given(
-        steps=_dispatch_steps,
+        steps=_dispatch_requests(),
         slow=st.integers(min_value=0, max_value=3),
         budget=_budgets,
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test(steps, slow, budget):
         spec = ClusterSpec(num_hservers=2, num_sservers=2)
         ref, twin = _saw_view(spec, slow, budget), _saw_view(spec, slow, budget)
@@ -796,8 +822,8 @@ def _saw_dispatch(contract):
                 ref.observe_latency(server, lat4 / 4.0, 2.0 + k)
                 twin.observe_latency(server, lat4 / 4.0, 2.0 + k)
             want = ref.dispatch_request(op, "f", o, l)
-            got = twin.dispatch_runs(op, "f", o, l, premap.subrequests(k))
-            assert got == want
+            got = twin.dispatch_runs(op, "f", o, l, premap, k)
+            assert got == _columns(want)
         assert twin.replicated_bytes == ref.replicated_bytes
         assert twin.redirected_fragments == ref.redirected_fragments
         assert list(twin._drt) == list(ref._drt)

@@ -1,5 +1,7 @@
 """Tests for the HDD/SSD device models."""
 
+import math
+
 import pytest
 
 from repro.devices import HDD, SSD, READ, WRITE, fit_affine, measure_device
@@ -117,3 +119,44 @@ class TestCalibration:
     def test_bad_op_rejected(self):
         with pytest.raises(ValueError):
             measure_device(HDD(), "append")
+
+
+BAD_TIMES = [-1.0, math.nan, math.inf]
+BAD_RATES = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestConstructionValidation:
+    """Invalid parameters fail on construction, not mid-replay."""
+
+    @pytest.mark.parametrize("device", [HDD, SSD])
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_channels_below_one_rejected(self, device, channels):
+        with pytest.raises(ValueError, match="channels"):
+            device(channels=channels)
+
+    @pytest.mark.parametrize("field", ["seek_time", "sequential_startup"])
+    @pytest.mark.parametrize("value", BAD_TIMES)
+    def test_hdd_times_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HDD(**{field: value})
+
+    @pytest.mark.parametrize("value", BAD_RATES)
+    def test_hdd_bandwidth_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="bandwidth"):
+            HDD(bandwidth=value)
+
+    @pytest.mark.parametrize("field", ["read_startup", "write_startup"])
+    @pytest.mark.parametrize("value", BAD_TIMES)
+    def test_ssd_times_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SSD(**{field: value})
+
+    @pytest.mark.parametrize("field", ["read_bandwidth", "write_bandwidth"])
+    @pytest.mark.parametrize("value", BAD_RATES)
+    def test_ssd_bandwidths_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SSD(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        assert HDD(seek_time=0.0, sequential_startup=0.0, bandwidth=1.0).channels == 1
+        assert SSD(channels=1, read_startup=0.0, write_startup=0.0).channels == 1

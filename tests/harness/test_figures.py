@@ -8,6 +8,8 @@ refactor can't silently break the harness.
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.core.pipeline import identity_redirector
+from repro.devices import WRITE
 from repro.harness import (
     ALL_FIGURES,
     fig07_ior_mixed_sizes,
@@ -21,6 +23,8 @@ from repro.harness import (
     fig13b_cholesky,
     fig14_redirection_overhead,
 )
+from repro.units import KiB, MiB
+from repro.workloads import IORWorkload
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +89,21 @@ class TestFigureSmoke:
 
     def test_fig14(self, spec):
         r = fig14_redirection_overhead(
-            spec, proc_counts=(2,), total_mib=1, repeats=1
+            spec, proc_counts=(2,), total_mib=1, repeats=2
         )
-        assert r.value("2 procs", "redirected") > 0
+        # both mapping paths, per record and batched, in us per request
+        for column in ("direct", "redirected", "dir_batch", "redir_batch"):
+            assert r.value("2 procs", column) > 0
+        # lru_hit% counts the per-record loop alone: the same two passes
+        # on a fresh identity redirector give the same rate
+        trace = IORWorkload(
+            num_processes=2, request_sizes=[4 * KiB, 64 * KiB], total_size=1 * MiB
+        ).trace(WRITE)
+        redirector = identity_redirector(spec, trace)
+        for _ in range(2):
+            for record in trace:
+                redirector.map_request(record.file, record.offset, record.size)
+        assert r.value("2 procs", "lru_hit%") == 100.0 * redirector.drt.cache_hit_rate
         # notes are stored verbatim, not %-formatted
         assert r.notes and not any("%%" in note for note in r.notes)
 

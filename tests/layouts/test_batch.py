@@ -6,12 +6,14 @@ and the MHA redirector's ``merged_runs`` — is checked
 fragment-for-fragment against the scalar path it replaces.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.core import DRT, DRTEntry, Redirector, StripePair, build_region_layout
+from repro.core.redirector import distinct_extents
 from repro.layouts import (
     FixedStripeLayout,
     Region,
@@ -154,6 +156,15 @@ class TestRunsBuilder:
         assert built.subrequests(0) == merge_fragments(fragments)
         assert built.n_fragments == len(fragments)
 
+    def test_take_repeats_extents(self):
+        source = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
+        taken = source.take([1, 0, 1], n_fragments=11)
+        assert taken.n_extents == 3
+        assert taken.subrequests(0) == taken.subrequests(2) == source.subrequests(1)
+        assert taken.subrequests(1) == source.subrequests(0)
+        assert taken.n_fragments == 11
+        assert source.take([], n_fragments=0) == MergedRuns([], [], [], [], [], [0], 0)
+
     def test_runs_from_fragments_already_merged(self):
         fragments = merge_fragments(fixed().map_extent(0, 12 * KiB))
         runs = runs_from_fragments(fragments, already_merged=True)
@@ -222,3 +233,40 @@ class TestRedirectorBatching:
                 scalar.map_request("f", o, l)
             )
         assert batched.stats == scalar.stats
+
+    def test_repeated_requests_map_once_and_count_each(self, monkeypatch):
+        offsets = self.OFFSETS * 3 + [70 * KiB]
+        lengths = self.LENGTHS * 3 + [8 * KiB]
+        batched, scalar = self.make(), self.make()
+        seen = []
+        translate_many = DRT.translate_many
+
+        def spy(drt, o_file, offs, lens):
+            seen.append(list(zip(list(offs), list(lens))))
+            return translate_many(drt, o_file, offs, lens)
+
+        monkeypatch.setattr(DRT, "translate_many", spy)
+        runs = batched.merged_runs("f", offsets, lengths)
+        # distinct extents once each, in order of first occurrence
+        assert seen == [list(zip(self.OFFSETS, self.LENGTHS))]
+        for k, (o, l) in enumerate(zip(offsets, lengths)):
+            assert runs.subrequests(k) == merge_fragments(
+                scalar.map_request("f", o, l)
+            )
+        assert batched.stats == scalar.stats
+        assert runs.n_fragments == scalar.stats.fragments
+
+
+class TestDistinctExtents:
+    def test_first_occurrence_order_and_inverse(self):
+        offsets = np.array([5, 0, 5, 0, 5, 9])
+        lengths = np.array([1, 2, 1, 3, 1, 2])
+        first, inverse = distinct_extents(offsets, lengths)
+        assert first.tolist() == [0, 1, 3, 5]
+        assert inverse.tolist() == [0, 1, 0, 2, 0, 3]
+
+    @pytest.mark.parametrize(
+        "offsets, lengths", [([], []), ([4], [1]), ([0, 0, 1], [1, 2, 1])]
+    )
+    def test_no_repeats_is_none(self, offsets, lengths):
+        assert distinct_extents(np.array(offsets), np.array(lengths)) is None

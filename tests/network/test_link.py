@@ -1,5 +1,7 @@
 """Tests for the network link model."""
 
+import math
+
 import pytest
 
 from repro.network import GIGABIT_ETHERNET, Link
@@ -27,6 +29,19 @@ class TestLink:
             Link(bandwidth=0)
         with pytest.raises(ValueError):
             Link(latency=-1)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            Link(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("latency", [math.nan, math.inf])
+    def test_latency_must_be_finite(self, latency):
+        with pytest.raises(ValueError, match="latency"):
+            Link(latency=latency)
+
+    def test_zero_latency_accepted(self):
+        assert Link(latency=0.0).transfer_time(1) > 0
 
     def test_gige_constant_close_to_line_rate(self):
         # payload rate below the 125 MB/s theoretical line rate

@@ -5,17 +5,20 @@ and must be *float-bit-identical* to the event engine on everything a
 replay measures — so every equality here is exact, never approximate.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.pfs.replay as replay_mod
 from repro.cluster import ClusterSpec
+from repro.core import DRT
 from repro.layouts import FixedStripeLayout
 from repro.pfs import HybridPFS, replay_trace, run_workload
 from repro.schemes import build_view, scheme_names
 from repro.schemes.base import LayoutView
 from repro.tracing import Trace, TraceRecord, as_columnar_trace
+from repro.tracing.columnar import OP_NAMES, ColumnarTrace
 from repro.units import KiB, MiB
 from repro.workloads import IORWorkload
 from repro.workloads.base import PHASE_GAP
@@ -327,6 +330,83 @@ class TestFaultEquivalence:
         assert faulted.makespan > healthy.makespan
         assert faulted.makespan >= 1.0  # deferred past the outage
         assert faulted.total_bytes == healthy.total_bytes
+
+
+class TestRepeatedExtents:
+    """An application's subsequent runs revisit the extents its profiled
+    run touched: the premap maps each distinct extent once."""
+
+    PASSES = 20
+
+    def tiled(self):
+        """A small IOR profile and the profile tiled ``PASSES`` times,
+        alternating write and read passes."""
+        profile = IORWorkload(
+            num_processes=4,
+            request_sizes=[16 * KiB, 64 * KiB],
+            total_size=2 * MiB,
+            seed=5,
+            file="f",
+        ).columnar("write")
+        base = profile.data
+        period = float(base["timestamp"].max()) + PHASE_GAP
+        tiles = []
+        for p in range(self.PASSES):
+            tile = base.copy()
+            tile["op"] = OP_NAMES.index("write" if p % 2 == 0 else "read")
+            tile["timestamp"] += p * period
+            tiles.append(tile)
+        return profile, ColumnarTrace(np.concatenate(tiles), profile.interned_files)
+
+    @pytest.mark.parametrize("scheme", ["MHA", "MHA+SAW"])
+    def test_premap_translates_each_distinct_extent_once(self, scheme, monkeypatch):
+        spec = ClusterSpec()
+        profile, replay = self.tiled()
+        view = build_view(scheme, spec, profile)
+        batches = []
+        translate_many = DRT.translate_many
+
+        def spy(drt, o_file, offsets, lengths):
+            pairs = zip(np.asarray(offsets).tolist(), np.asarray(lengths).tolist())
+            batches.append(list(pairs))
+            return translate_many(drt, o_file, offsets, lengths)
+
+        monkeypatch.setattr(DRT, "translate_many", spy)
+        metrics = run_workload(spec, view, replay)
+        assert metrics.engine == "flat"
+        distinct = set(
+            zip(profile.data["offset"].tolist(), profile.data["size"].tolist())
+        )
+        assert len(distinct) * self.PASSES == len(replay)
+        (premapped,) = batches
+        assert len(premapped) == len(set(premapped)) == len(distinct)
+        assert set(premapped) == distinct
+
+    def test_saw_replay_matches_event_engine(self):
+        from repro.faults import BackgroundScrub, FaultPlan
+
+        spec = ClusterSpec()
+        slow = spec.sserver_ids[0]
+        profile, replay = self.tiled()
+        views = []
+
+        def view_of():
+            views.append(build_view("MHA+SAW", spec, profile, min_samples=2))
+            return views[-1]
+
+        event, flat = run_both(
+            spec,
+            view_of,
+            replay,
+            keep_latencies=True,
+            # one SServer scrubs throughout, so SAW redirects writes off it
+            fault_plan=FaultPlan(
+                (BackgroundScrub(server=slow, period=1.0, duty=1.0, factor=4.0),)
+            ),
+        )
+        assert_identical(event, flat)
+        event_view, flat_view = views
+        assert flat_view.redirected_fragments == event_view.redirected_fragments > 0
 
 
 class TestMemory:

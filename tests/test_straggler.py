@@ -188,6 +188,49 @@ class TestRedirection:
         assert [f.server for f in runs] == [1, 3, 2, 0]
 
 
+class TestDispatchRuns:
+    """The flat kernel's form of ``dispatch_request``: premapped runs
+    in, columns out, ``SubRequest`` objects only on a fallback."""
+
+    def _premapped(self, view, requests):
+        return view.merged_runs(
+            "f", [o for o, _ in requests], [l for _, l in requests]
+        )
+
+    def test_premapped_runs_dispatched_slowest_first(self, monkeypatch):
+        view = _view(min_samples=1, threshold=100.0)  # classify nothing
+        for server, latency in enumerate([1.0, 4.0, 2.0, 3.0]):
+            view.observe_latency(server, latency, 1.0)
+        premap = self._premapped(view, [(0, 16 * KiB), (0, 64 * KiB)])
+
+        def fallback(*args):
+            raise AssertionError("premapped runs should have been kept")
+
+        monkeypatch.setattr(view, "dispatch_request", fallback)
+        servers, objs, offsets, lengths, firsts = view.dispatch_runs(
+            "write", "f", 0, 64 * KiB, premap, 1
+        )
+        assert servers == [1, 3, 2, 0]
+        assert objs == ["f"] * 4
+        assert offsets == [0] * 4
+        assert lengths == [16 * KiB] * 4
+        assert firsts == [16 * KiB, 48 * KiB, 32 * KiB, 0]
+        assert view.dispatch_runs("read", "f", 0, 16 * KiB, premap, 0) == (
+            [0], ["f"], [0], [16 * KiB], [0]
+        )
+
+    def test_write_on_straggler_falls_back(self):
+        view = _view()
+        TestRedirection()._hot(view)
+        premap = self._premapped(view, [(0, 64 * KiB)])
+        servers, _, _, lengths, _ = view.dispatch_runs(
+            "write", "f", 0, 64 * KiB, premap, 0
+        )
+        assert 0 not in servers
+        assert sum(lengths) == 64 * KiB
+        assert view.redirected_fragments == 1
+
+
 class TestScheme:
     def test_build_and_name(self):
         scheme = StragglerAwareScheme()
