@@ -219,19 +219,24 @@ class DRT:
         self._cache.put((o_file, entry.o_offset), entry)
         self._hot[o_file] = entry.o_offset
 
-    def overlaps(self, o_file: str, offset: int, length: int) -> bool:
-        """Whether any entry maps a byte of ``[offset, offset+length)``.
+    def overlaps(self, o_file: str, offset: int, length: int) -> int:
+        """How many entries map a byte of ``[offset, offset+length)``.
 
-        One bisect over the file's sorted entry starts: entries never
-        overlap, so the last one starting before the extent's end is the
-        only candidate.  Unlike :meth:`translate` it leaves the
-        hot-entry list and its hit/miss counters untouched.
+        Entries never overlap one another, so those overlapping the
+        extent are the ones starting after ``offset`` and before its
+        end, plus the last one starting at or before ``offset`` when it
+        reaches past ``offset``: two bisects over the file's sorted
+        entry starts.  Unlike :meth:`translate` it leaves the hot-entry
+        list and its hit/miss counters untouched.
         """
         starts = self._starts.get(o_file)
         if not starts or length <= 0:
-            return False
-        idx = bisect_left(starts, offset + length)
-        return idx > 0 and self._entries[o_file][idx - 1].o_end > offset
+            return 0
+        hi = bisect_left(starts, offset + length)
+        lo = bisect_right(starts, offset, 0, hi)
+        if lo and self._entries[o_file][lo - 1].o_end > offset:
+            lo -= 1
+        return hi - lo
 
     def entry_at(self, o_file: str, offset: int) -> DRTEntry | None:
         """The entry covering byte ``offset`` of ``o_file``, if any.

@@ -44,6 +44,7 @@ __all__ = [
     "merge_fragments",
     "merged_runs_of",
     "periodic_merged_runs",
+    "run_columns",
     "runs_from_fragments",
 ]
 
@@ -101,6 +102,17 @@ def merge_fragments(fragments: Iterable[SubRequest]) -> list[SubRequest]:
 #: one request's merged runs as columns: servers, objects, object
 #: offsets, lengths and first logical offsets
 RunColumns = tuple[list[int], list[str], list[int], list[int], list[int]]
+
+
+def run_columns(runs: Sequence[SubRequest]) -> RunColumns:
+    """Merged runs as :data:`RunColumns`, in the order given."""
+    return (
+        [f.server for f in runs],
+        [f.obj for f in runs],
+        [f.offset for f in runs],
+        [f.length for f in runs],
+        [f.logical_offset for f in runs],
+    )
 
 
 @dataclass
@@ -171,19 +183,11 @@ class MergedRuns:
         )
 
 
-def runs_from_fragments(
-    fragments: Sequence[SubRequest], *, already_merged: bool = False
-) -> MergedRuns:
+def runs_from_fragments(fragments: Sequence[SubRequest]) -> MergedRuns:
     """A single-extent :class:`MergedRuns` from an explicit fragment list."""
-    merged = list(fragments) if already_merged else merge_fragments(fragments)
+    merged = merge_fragments(fragments)
     return MergedRuns(
-        servers=[f.server for f in merged],
-        objs=[f.obj for f in merged],
-        offsets=[f.offset for f in merged],
-        lengths=[f.length for f in merged],
-        first_logicals=[f.logical_offset for f in merged],
-        starts=[0, len(merged)],
-        n_fragments=len(fragments),
+        *run_columns(merged), starts=[0, len(merged)], n_fragments=len(fragments)
     )
 
 

@@ -29,13 +29,19 @@ Both replay engines drive the view.  Its mapping depends on latency
 observations accumulated during the replay, so neither may map a
 request before it issues; the flat kernel premaps every request once
 through :meth:`StragglerAwareView.merged_runs` and re-checks each at
-issue time with :meth:`StragglerAwareView.dispatch_runs`, which keeps
-the premapped runs unless a redirect covers the request or a write
-could be redirected.
+issue time with :meth:`StragglerAwareView.dispatch_runs`.  That keeps
+the premapped runs while no redirect covers the request, and serves a
+covered request from a memo of covered extents: redirects are only
+ever added and never overlap, so an extent's mapping stays the same
+while the number of redirects overlapping it does.  Writes that could
+be redirected take the event engine's path,
+:meth:`StragglerAwareView.dispatch_request`.
 """
 
 from __future__ import annotations
 
+import math
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +56,7 @@ from ..layouts.batch import (
     RunColumns,
     RunsBuilder,
     merge_fragments,
-    runs_from_fragments,
+    run_columns,
 )
 from ..tracing.record import Trace
 from .base import Scheme
@@ -80,6 +86,36 @@ DEFAULT_REPLICATION_FRACTION = 0.5
 _OVERFLOW_PREFIX = "~saw"
 
 
+def _check_ewma(alpha: float, half_life: float | None) -> None:
+    """The EWMA settings: ``alpha`` in (0, 1], ``half_life`` ``None`` or
+    finite and positive."""
+    if not 0 < alpha <= 1:
+        raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
+    if half_life is not None and not 0 < half_life < math.inf:
+        raise ConfigurationError(
+            f"half_life must be None or finite and > 0, got {half_life}"
+        )
+
+
+def _check_classifier(threshold: float, min_samples: int) -> None:
+    """The straggler test's settings: ``threshold`` finite and >= 1,
+    ``min_samples`` an int >= 1 (NaN or infinite thresholds would
+    silently classify nothing)."""
+    if not 1 <= threshold < math.inf:
+        raise ConfigurationError(
+            f"threshold must be finite and >= 1, got {threshold}"
+        )
+    # bool is an int subclass; reject it
+    if (
+        isinstance(min_samples, bool)
+        or not isinstance(min_samples, Integral)
+        or min_samples < 1
+    ):
+        raise ConfigurationError(
+            f"min_samples must be an int >= 1, got {min_samples!r}"
+        )
+
+
 class LatencyEWMA:
     """Per-server latency estimates: EWMA update plus staleness decay.
 
@@ -100,10 +136,7 @@ class LatencyEWMA:
     ) -> None:
         if num_servers <= 0:
             raise ConfigurationError("num_servers must be > 0")
-        if not 0 < alpha <= 1:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        if half_life is not None and half_life <= 0:
-            raise ConfigurationError(f"half_life must be > 0, got {half_life}")
+        _check_ewma(alpha, half_life)
         self.alpha = alpha
         self.half_life = half_life
         self._mean = [0.0] * num_servers
@@ -172,10 +205,7 @@ class StragglerAwareView:
         threshold: float = DEFAULT_STRAGGLER_THRESHOLD,
         min_samples: int = DEFAULT_MIN_SAMPLES,
     ) -> None:
-        if threshold < 1:
-            raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
-        if min_samples < 1:
-            raise ConfigurationError(f"min_samples must be >= 1, got {min_samples}")
+        _check_classifier(threshold, min_samples)
         if replication_budget < 0:
             raise ConfigurationError("replication_budget must be >= 0")
         self.inner = inner
@@ -191,6 +221,12 @@ class StragglerAwareView:
         self._drt = DRT()
         self._overflow_server: dict[str, int] = {}
         self._overflow_cursor: dict[str, int] = {}
+        # covered extents: (file, offset, length) -> (redirects
+        # overlapping the extent, its read-semantics merged runs, its
+        # base-view fragments)
+        self._covered: dict[
+            tuple[str, int, int], tuple[int, list[SubRequest], list[SubRequest]]
+        ] = {}
         # latest completion time observed — "now" for estimate decay
         self._now = 0.0
 
@@ -252,18 +288,30 @@ class StragglerAwareView:
             logical_offset=piece.logical_offset,
         )
 
-    def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
-        """Read-semantics mapping: steer through existing redirects,
-        fall through to the base scheme elsewhere; never redirects."""
+    def _map(
+        self, file: str, offset: int, length: int
+    ) -> tuple[list[SubRequest], list[int]]:
+        """Translate a request through the redirect table and map the
+        pieces no redirect covers through the base view.
+
+        Returns the fragments and the positions of the base view's
+        among them, the only ones a write may redirect.
+        """
         fragments: list[SubRequest] = []
+        base: list[int] = []
         for piece in self._drt.translate(file, offset, length):
             if piece.mapped:
                 fragments.append(self._overflow_fragment(piece))
             else:
-                fragments.extend(
-                    self.inner.map_request(file, piece.offset, piece.length)
-                )
-        return fragments
+                mapped = self.inner.map_request(file, piece.offset, piece.length)
+                base.extend(range(len(fragments), len(fragments) + len(mapped)))
+                fragments.extend(mapped)
+        return fragments, base
+
+    def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
+        """Read-semantics mapping: steer through existing redirects,
+        fall through to the base scheme elsewhere; never redirects."""
+        return self._map(file, offset, length)[0]
 
     @twin_of(
         "repro.schemes.straggler:StragglerAwareView.map_request",
@@ -341,25 +389,58 @@ class StragglerAwareView:
         server while the replication budget lasts; reads (and writes
         of already-redirected extents) are steered through the DRT.
         """
-        if op != "write":
-            return self._ordered(merge_fragments(self.map_request(file, offset, length)))
-        stragglers = self.stragglers()
-        target = self._pick_target(stragglers) if stragglers else None
-        fragments: list[SubRequest] = []
-        for piece in self._drt.translate(file, offset, length):
-            if piece.mapped:
-                fragments.append(self._overflow_fragment(piece))
-                continue
-            for frag in self.inner.map_request(file, piece.offset, piece.length):
-                if (
-                    target is not None
-                    and frag.server in stragglers
-                    and self.replication_budget - self.replicated_bytes >= frag.length
-                ):
-                    fragments.append(self._redirect(file, frag, target))
-                else:
-                    fragments.append(frag)
+        fragments, base = self._map(file, offset, length)
+        if op == "write":
+            stragglers = self.stragglers()
+            target = self._pick_target(stragglers) if stragglers else None
+            if target is not None:
+                for j in base:
+                    frag = fragments[j]
+                    if (
+                        frag.server in stragglers
+                        and self.replication_budget - self.replicated_bytes
+                        >= frag.length
+                    ):
+                        fragments[j] = self._redirect(file, frag, target)
         return self._ordered(merge_fragments(fragments))
+
+    def _covered_runs(
+        self, op: str, file: str, offset: int, length: int, covering: int
+    ) -> list[SubRequest]:
+        """:meth:`dispatch_request` for a request that ``covering``
+        redirects overlap, served from the memo of covered extents.
+
+        An entry, keyed by ``(file, offset, length)``, holds the
+        extent's read-semantics merged runs and its base-view
+        fragments, tagged with the overlap count it was built at.
+        Redirects are only ever added and never overlap, so the
+        extent's mapping changes exactly when that count does, and a
+        stale entry is rebuilt.  Reads take the memoized runs, and so
+        do writes none of whose base fragments can be redirected now:
+        there is no healthy target, none sits on a straggler, or the
+        budget left is below each one's length.  A write that will
+        redirect goes through :meth:`dispatch_request`.
+        """
+        key = (file, offset, length)
+        memo = self._covered.get(key)
+        if memo is None or memo[0] != covering:
+            fragments, base = self._map(file, offset, length)
+            memo = (
+                covering,
+                merge_fragments(fragments),
+                [fragments[j] for j in base],
+            )
+            self._covered[key] = memo
+        _, merged, base = memo
+        if op == "write" and self.replicated_bytes < self.replication_budget:
+            left = self.replication_budget - self.replicated_bytes
+            stragglers = self.stragglers()
+            if (
+                any(f.server in stragglers and f.length <= left for f in base)
+                and self._pick_target(stragglers) is not None
+            ):
+                return self.dispatch_request(op, file, offset, length)
+        return self._ordered(merged)
 
     @twin_of(
         "repro.schemes.straggler:StragglerAwareView.dispatch_request",
@@ -382,29 +463,25 @@ class StragglerAwareView:
         ``item`` the request's index in it; its runs stay valid while
         no redirect covers the request.  Returns the runs to submit as
         ``(servers, objs, offsets, lengths, first_logicals)`` columns,
-        in dispatch order.  A request that a redirect covers now, or a
-        write with a run on a straggler while budget remains, goes
-        through :meth:`dispatch_request` instead, the only path that
-        builds :class:`SubRequest` objects.
+        in dispatch order.  A request that a redirect covers now takes
+        its runs from the memo of covered extents (see
+        :meth:`_covered_runs`), and a write with a run on a straggler
+        while budget remains goes through :meth:`dispatch_request`;
+        only memo misses and that fallback build :class:`SubRequest`
+        objects.
         """
         lo = premapped.starts[item]
         hi = premapped.starts[item + 1]
         servers = premapped.servers
-        if self._drt.overlaps(file, offset, length) or (
+        covering = self._drt.overlaps(file, offset, length)
+        if covering:
+            return run_columns(self._covered_runs(op, file, offset, length, covering))
+        if (
             op == "write"
             and self.replicated_bytes < self.replication_budget
             and not self.stragglers().isdisjoint(servers[lo:hi])
         ):
-            picked = runs_from_fragments(
-                self.dispatch_request(op, file, offset, length), already_merged=True
-            )
-            return (
-                picked.servers,
-                picked.objs,
-                picked.offsets,
-                picked.lengths,
-                picked.first_logicals,
-            )
+            return run_columns(self.dispatch_request(op, file, offset, length))
         order: Sequence[int] = range(lo, hi)
         if hi - lo > 1:
             now = self._now
@@ -451,9 +528,12 @@ class StragglerAwareScheme(Scheme):
         replication_fraction: float = DEFAULT_REPLICATION_FRACTION,
         base_kwargs: dict | None = None,
     ) -> None:
-        if replication_fraction < 0:
+        _check_ewma(alpha, half_life)
+        _check_classifier(threshold, min_samples)
+        if not 0 <= replication_fraction < math.inf:
             raise ConfigurationError(
-                f"replication_fraction must be >= 0, got {replication_fraction}"
+                "replication_fraction must be finite and >= 0, "
+                f"got {replication_fraction}"
             )
         self.base = base
         self.alpha = alpha

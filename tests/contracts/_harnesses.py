@@ -790,6 +790,27 @@ def _dispatch_requests(draw):
     ]
 
 
+@st.composite
+def _rewrite(draw, slow):
+    """Steps that write one extent twice, each time followed by reads
+    of extents overlapping it.  Before the second write a server other
+    than ``slow`` turns slow too (a ``(server, 40)`` observation), so
+    that write redirects fragments the first left in place: redirects
+    land on extents the reads already saw covered."""
+    o = draw(st.integers(min_value=0, max_value=512 * KiB))
+    l = draw(st.integers(min_value=48 * KiB, max_value=96 * KiB))
+    overlapping = st.tuples(
+        st.integers(min_value=max(0, o - 48 * KiB), max_value=o + l - 1),
+        st.integers(min_value=1, max_value=96 * KiB),
+    ).filter(lambda e: e[0] + e[1] > o)
+    reads = [
+        ("read", ro, rl, None) for ro, rl in draw(st.lists(overlapping, max_size=3))
+    ]
+    reads.append(("read", o, l, None))
+    other = (slow + draw(st.integers(min_value=1, max_value=3))) % 4
+    return [("write", o, l, None), *reads, ("write", o, l, (other, 40)), *reads]
+
+
 def _columns(fragments):
     """A :class:`SubRequest` list's fields as ``dispatch_runs`` columns."""
     return (
@@ -804,12 +825,18 @@ def _columns(fragments):
 @harness("saw_dispatch")
 def _saw_dispatch(contract):
     @given(
-        steps=_dispatch_requests(),
-        slow=st.integers(min_value=0, max_value=3),
+        case=st.integers(min_value=0, max_value=3).flatmap(
+            lambda slow: st.tuples(
+                st.just(slow), _rewrite(slow), _dispatch_requests()
+            )
+        ),
         budget=_budgets,
     )
     @settings(max_examples=50, deadline=None)
-    def test(steps, slow, budget):
+    def test(case, budget):
+        slow, rewrite, steps = case
+        # the rewrite runs first, while the whole budget remains
+        steps = rewrite + steps
         spec = ClusterSpec(num_hservers=2, num_sservers=2)
         ref, twin = _saw_view(spec, slow, budget), _saw_view(spec, slow, budget)
         # premapped once, before any redirect — as the flat kernel does

@@ -84,17 +84,46 @@ class TestTranslate:
         assert self.make().translate("f", 0, 0) == []
 
     def test_overlaps_matches_translate(self):
-        """``overlaps`` is exactly "some translated piece is mapped",
-        including extents ending or starting on an entry boundary, and
-        leaves the hot-entry counters alone."""
+        """``overlaps`` counts the translated pieces that are mapped (one
+        per entry the extent touches), including extents ending or
+        starting on an entry boundary, and leaves the hot-entry counters
+        alone."""
         drt = self.make()
         for offset in range(0, 320, 10):
             for length in (0, 1, 10, 50, 100, 150, 300):
-                want = any(e.mapped for e in drt.translate("f", offset, length))
+                pieces = drt.translate("f", offset, length)
+                want = sum(e.mapped for e in pieces)
                 hits, misses = drt.cache_hits, drt.cache_misses
                 assert drt.overlaps("f", offset, length) == want, (offset, length)
                 assert (drt.cache_hits, drt.cache_misses) == (hits, misses)
-        assert not drt.overlaps("other", 0, 1000)
+        assert drt.overlaps("other", 0, 1000) == 0
+
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(0, 50), st.integers(1, 50)), max_size=8
+        ),
+        probes=st.lists(
+            st.tuples(st.integers(0, 500), st.integers(0, 200)), max_size=12
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_overlaps_counts_entries(self, shapes, probes):
+        """``overlaps`` equals a brute-force count of the entries sharing
+        a byte with the extent."""
+        drt = DRT()
+        cursor = 0
+        for gap, length in shapes:
+            cursor += gap
+            drt.add(entry(cursor, length, cursor))
+            cursor += length
+        entries = list(drt)
+        for offset, length in probes:
+            # an empty extent has no byte to share
+            want = sum(
+                length > 0 and e.o_offset < offset + length and offset < e.o_end
+                for e in entries
+            )
+            assert drt.overlaps("f", offset, length) == want
 
     def test_entry_at(self):
         drt = self.make()

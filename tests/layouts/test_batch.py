@@ -25,7 +25,7 @@ from repro.layouts.batch import (
     RunsBuilder,
     merge_fragments,
     merged_runs_of,
-    runs_from_fragments,
+    run_columns,
 )
 from repro.schemes.base import LayoutView
 from repro.units import KiB
@@ -165,11 +165,15 @@ class TestRunsBuilder:
         assert taken.n_fragments == 11
         assert source.take([], n_fragments=0) == MergedRuns([], [], [], [], [], [0], 0)
 
-    def test_runs_from_fragments_already_merged(self):
+    def test_run_columns(self):
         fragments = merge_fragments(fixed().map_extent(0, 12 * KiB))
-        runs = runs_from_fragments(fragments, already_merged=True)
+        runs = MergedRuns(
+            *run_columns(fragments),
+            starts=[0, len(fragments)],
+            n_fragments=len(fragments),
+        )
         assert runs.subrequests(0) == fragments
-        assert runs.n_fragments == len(fragments)
+        assert run_columns([]) == ([], [], [], [], [])
 
 
 class TestMergeFragments:

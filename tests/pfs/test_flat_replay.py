@@ -338,20 +338,20 @@ class TestRepeatedExtents:
 
     PASSES = 20
 
-    def tiled(self):
-        """A small IOR profile and the profile tiled ``PASSES`` times,
+    def tiled(self, processes=4, total=2 * MiB, passes=PASSES, seed=5):
+        """A small IOR profile and the profile tiled ``passes`` times,
         alternating write and read passes."""
         profile = IORWorkload(
-            num_processes=4,
+            num_processes=processes,
             request_sizes=[16 * KiB, 64 * KiB],
-            total_size=2 * MiB,
-            seed=5,
+            total_size=total,
+            seed=seed,
             file="f",
         ).columnar("write")
         base = profile.data
         period = float(base["timestamp"].max()) + PHASE_GAP
         tiles = []
-        for p in range(self.PASSES):
+        for p in range(passes):
             tile = base.copy()
             tile["op"] = OP_NAMES.index("write" if p % 2 == 0 else "read")
             tile["timestamp"] += p * period
@@ -407,6 +407,35 @@ class TestRepeatedExtents:
         assert_identical(event, flat)
         event_view, flat_view = views
         assert flat_view.redirected_fragments == event_view.redirected_fragments > 0
+
+    def test_saw_covered_extents_match_event_engine_under_faults(self):
+        """MHA+SAW under the chaos plan's slowdowns and scrubs: the
+        straggler set moves, so later write passes add redirects to
+        extents the flat kernel already served from its memo of covered
+        extents, which must then be rebuilt."""
+        from repro.harness.chaos import chaos_fault_plan
+
+        spec = ClusterSpec()
+        profile, replay = self.tiled(processes=16, total=8 * MiB, passes=12, seed=0)
+        assert len(replay) == 2460
+        views = []
+
+        def view_of():
+            views.append(build_view("MHA+SAW", spec, profile))
+            return views[-1]
+
+        event, flat = run_both(
+            spec,
+            view_of,
+            replay,
+            keep_latencies=True,
+            fault_plan=chaos_fault_plan(spec, 0.5),
+        )
+        assert flat[0].engine == "flat"
+        assert_identical(event, flat)
+        event_view, flat_view = views
+        assert flat_view.redirected_fragments == event_view.redirected_fragments > 0
+        assert flat_view.replicated_bytes == event_view.replicated_bytes
 
 
 class TestMemory:

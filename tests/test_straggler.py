@@ -1,5 +1,8 @@
 """Unit tests for the straggler-aware scheme (repro.schemes.straggler)."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
@@ -80,6 +83,8 @@ class TestLatencyEWMA:
             dict(num_servers=1, alpha=0.0),
             dict(num_servers=1, alpha=1.5),
             dict(num_servers=1, half_life=0.0),
+            dict(num_servers=1, half_life=math.nan),
+            dict(num_servers=1, half_life=math.inf),
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -257,3 +262,55 @@ class TestScheme:
             _view(min_samples=0)
         with pytest.raises(ConfigurationError):
             _view(budget=-1)
+
+    #: settings that would switch straggler detection off silently
+    #: (NaN or infinite threshold, NaN half-life), pass a fractional
+    #: sample count, or fail only inside ``build``
+    INVALID = [
+        dict(threshold=math.nan),
+        dict(threshold=math.inf),
+        dict(threshold=0.5),
+        dict(half_life=math.nan),
+        dict(half_life=math.inf),
+        dict(half_life=0.0),
+        dict(min_samples=2.5),
+        dict(min_samples=0),
+        dict(min_samples=True),
+        dict(alpha=math.nan),
+        dict(alpha=0.0),
+        dict(alpha=1.5),
+        dict(replication_fraction=math.nan),
+        dict(replication_fraction=math.inf),
+    ]
+
+    @pytest.mark.parametrize("kwargs", INVALID)
+    @pytest.mark.parametrize("scheme", ["SAW", "MHA+SAW"])
+    def test_invalid_settings_rejected_on_construction(self, scheme, kwargs):
+        with pytest.raises(ConfigurationError):
+            make_scheme(scheme, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(threshold=math.nan),
+            dict(threshold=math.inf),
+            dict(half_life=math.nan),
+            dict(half_life=math.inf),
+            dict(min_samples=2.5),
+        ],
+    )
+    def test_view_rejects_non_finite_settings(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            _view(**kwargs)
+
+    def test_boundary_settings_accepted(self):
+        scheme = StragglerAwareScheme(
+            alpha=1.0,
+            half_life=1e-3,
+            threshold=1.0,
+            min_samples=np.int64(1),
+            replication_fraction=0.0,
+        )
+        view = scheme.build(ClusterSpec(), Trace(_records()))
+        assert view.replication_budget == 0
+        assert view.min_samples == 1
