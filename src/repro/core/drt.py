@@ -5,11 +5,14 @@ and O_offset are the file name and the offset of the data in the
 original file, R_file and R_offset are the file name and the offset of
 the data in the reordered region.  Length is the size of the data."
 
-The table supports the two access paths the paper needs:
+The table supports the access paths the paper needs:
 
 * the **Redirector**'s hot path — translate an original-file extent
   into region extents (range lookup, served from memory with an LRU
   list of hot entries, §IV-A);
+* batch translation for the off-line planner and the flat replay's
+  premap — a whole batch of extents at once, through a sorted column
+  index per original file (:meth:`DRT.translate_many`);
 * **durability** — a file-backed table stages its changes and makes
   them durable at :meth:`DRT.commit`, in one fsynced
   :class:`~repro.kvstore.hashdb.HashDB` commit stamped with the plan
@@ -27,6 +30,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -35,14 +39,29 @@ import numpy as np
 from ..contracts import twin_of
 from ..exceptions import KVStoreError, RedirectionError
 from ..kvstore import EpochDB, LRUCache
+from .intervals import cut_extents
 
-__all__ = ["DRTEntry", "TranslatedExtent", "DRT", "ENTRY_NUMERIC_BYTES"]
+__all__ = [
+    "DRTEntry",
+    "TranslatedExtent",
+    "TranslatedColumns",
+    "DRT",
+    "ENTRY_NUMERIC_BYTES",
+    "UNMAPPED",
+]
 
 #: bytes of numeric payload per entry — the paper's "6 * 4 B" (§V-E2)
 ENTRY_NUMERIC_BYTES = 24
 
 _VALUE = struct.Struct("<QQ")  # length, r_offset  (r_file appended as text)
 _KEY = struct.Struct("<Q")  # o_offset (o_file prepended as text)
+
+#: file code of a translated piece no entry maps: it stays in the
+#: original file (:class:`TranslatedColumns`)
+UNMAPPED = -1
+
+_O_OFFSET = attrgetter("o_offset")
+_NO_ENTRIES = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True, order=True)
@@ -83,6 +102,59 @@ class TranslatedExtent:
     mapped: bool
 
 
+@dataclass(frozen=True, eq=False)
+class TranslatedColumns:
+    """A batch's translation as piece columns (:meth:`DRT.translate_many`).
+
+    Request ``k``'s pieces are ``[starts[k], starts[k+1])``, in
+    ascending logical order; they tile the request exactly as
+    :meth:`DRT.translate`'s fragments do, and a zero-length request has
+    none.  A piece's ``files`` code indexes ``names`` (the region file
+    holding it) or is :data:`UNMAPPED` when the piece stays in the
+    original file ``o_file``, at its logical offset.
+    """
+
+    o_file: str
+    names: tuple[str, ...]
+    starts: np.ndarray
+    files: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    logicals: np.ndarray
+
+    def extents(self, k: int) -> list[TranslatedExtent]:
+        """Request ``k``'s pieces as the fragments
+        :meth:`DRT.translate` returns for it."""
+        lo, hi = int(self.starts[k]), int(self.starts[k + 1])
+        return [
+            TranslatedExtent(
+                file=self.o_file if code == UNMAPPED else self.names[code],
+                offset=offset,
+                length=length,
+                logical_offset=logical,
+                mapped=code != UNMAPPED,
+            )
+            for code, offset, length, logical in zip(
+                self.files[lo:hi].tolist(),
+                self.offsets[lo:hi].tolist(),
+                self.lengths[lo:hi].tolist(),
+                self.logicals[lo:hi].tolist(),
+            )
+        ]
+
+
+@dataclass(frozen=True)
+class _FileColumns:
+    """One original file's entries as sorted columns: starts, ends,
+    region offsets and region-file codes (indexes into ``names``)."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    r_offsets: np.ndarray
+    codes: np.ndarray
+    names: tuple[str, ...]
+
+
 class DRT:
     """In-memory interval table with optional durable persistence."""
 
@@ -95,6 +167,9 @@ class DRT:
         # per original file: parallel sorted lists of entry starts & entries
         self._starts: dict[str, list[int]] = {}
         self._entries: dict[str, list[DRTEntry]] = {}
+        # per original file: the column index batch lookups search,
+        # dropped whenever the file's entries change
+        self._columns: dict[str, _FileColumns] = {}
         self._count = 0
         self._cache: LRUCache[tuple[str, int], DRTEntry] = LRUCache(cache_capacity)
         # per original file: o_offset of the most recently served entry —
@@ -106,8 +181,7 @@ class DRT:
         if path is not None:
             self._db = EpochDB(path, sync=sync)
             try:
-                for key, value in self._db.records():
-                    self._insert(self._decode(key, value))
+                self._merge([self._decode(k, v) for k, v in self._db.records()])
             except BaseException:
                 self._db.close()
                 raise
@@ -158,7 +232,29 @@ class DRT:
             )
         starts.insert(idx, entry.o_offset)
         entries.insert(idx, entry)
+        self._columns.pop(entry.o_file, None)
         self._count += 1
+
+    def _merge(self, entries: Sequence[DRTEntry]) -> None:
+        """Insert ``entries``, all or none: each file's table is sorted
+        once with its new entries and checked for overlaps once."""
+        by_file: dict[str, list[DRTEntry]] = {}
+        for entry in entries:
+            by_file.setdefault(entry.o_file, []).append(entry)
+        tables: dict[str, list[DRTEntry]] = {}
+        for o_file, new in by_file.items():
+            table = sorted([*self._entries.get(o_file, ()), *new], key=_O_OFFSET)
+            for prev, entry in zip(table, table[1:]):
+                if prev.o_end > entry.o_offset:
+                    raise RedirectionError(
+                        f"DRT entries overlap at {o_file}:{entry.o_offset}"
+                    )
+            tables[o_file] = table
+        for o_file, table in tables.items():
+            self._entries[o_file] = table
+            self._starts[o_file] = [e.o_offset for e in table]
+            self._columns.pop(o_file, None)
+        self._count += len(entries)
 
     def add(self, entry: DRTEntry) -> None:
         """Insert an entry; staged for :meth:`commit` when backed by a
@@ -166,6 +262,16 @@ class DRT:
         self._insert(entry)
         if self._db is not None:
             self._db.stage(self._encode_key(entry), self._encode_value(entry))
+
+    def add_all(self, entries: Sequence[DRTEntry]) -> None:
+        """:meth:`add` for a batch, all or none: raises
+        :class:`RedirectionError` and inserts nothing when an entry
+        overlaps another; staged for :meth:`commit` in the given
+        order."""
+        self._merge(entries)
+        if self._db is not None:
+            for entry in entries:
+                self._db.stage(self._encode_key(entry), self._encode_value(entry))
 
     def commit(self, epoch: int) -> None:
         """Make every staged entry durable in one commit stamped with
@@ -191,6 +297,10 @@ class DRT:
     def entries_for(self, o_file: str) -> list[DRTEntry]:
         """All entries of one original file, offset-sorted."""
         return list(self._entries.get(o_file, ()))
+
+    def files(self) -> list[str]:
+        """The original files the table maps, sorted."""
+        return sorted(f for f, entries in self._entries.items() if entries)
 
     def _probe(self, o_file: str, offset: int) -> DRTEntry | None:
         """A hot entry covering ``offset``, if the LRU list has one.
@@ -349,19 +459,49 @@ class DRT:
             idx = 0
         return self._translate_walk(o_file, offset, end, idx)
 
+    def _file_columns(self, o_file: str) -> _FileColumns | None:
+        """The file's column index, rebuilt in one pass when its
+        entries changed since the last batch lookup; ``None`` when the
+        table maps nothing of the file."""
+        columns = self._columns.get(o_file)
+        if columns is None:
+            entries = self._entries.get(o_file)
+            if not entries:
+                return None
+            n = len(entries)
+            names: dict[str, int] = {}
+            columns = _FileColumns(
+                starts=np.array(self._starts[o_file], dtype=np.int64),
+                ends=np.fromiter((e.o_end for e in entries), np.int64, n),
+                r_offsets=np.fromiter((e.r_offset for e in entries), np.int64, n),
+                codes=np.fromiter(
+                    (names.setdefault(e.r_file, len(names)) for e in entries),
+                    np.int64,
+                    n,
+                ),
+                names=tuple(names),
+            )
+            self._columns[o_file] = columns
+        return columns
+
     @twin_of(
         "repro.core.drt:DRT.translate",
+        kind="reduction",
         param_map={"offset": "offsets", "length": "lengths"},
         harness="drt_translate",
     )
     def translate_many(
         self, o_file: str, offsets: Sequence[int], lengths: Sequence[int]
-    ) -> list[list[TranslatedExtent]]:
-        """Batch :meth:`translate` over parallel offset/length arrays.
+    ) -> TranslatedColumns:
+        """Batch :meth:`translate` over parallel offset/length arrays,
+        as piece columns.
 
-        One vectorized ``searchsorted`` replaces the per-record bisect;
-        per-record results (and cache hit/miss accounting) are identical
-        to calling :meth:`translate` in sequence.
+        Request ``k``'s pieces equal ``translate(o_file, offsets[k],
+        lengths[k])``'s fragments.  The file's column index is cut at
+        every request with :func:`~repro.core.intervals.cut_extents`
+        (two ``searchsorted`` calls and a NumPy piece expansion).  The
+        hot-entry list and its hit/miss counters belong to the
+        per-record path (§IV-A) and are left untouched.
         """
         off = np.asarray(offsets, dtype=np.int64).reshape(-1)
         lng = np.asarray(lengths, dtype=np.int64).reshape(-1)
@@ -369,46 +509,39 @@ class DRT:
             raise RedirectionError(
                 f"offsets ({off.size}) and lengths ({lng.size}) must match"
             )
-        if off.size == 0:
-            return []
-        if int(off.min()) < 0 or int(lng.min()) < 0:
+        if off.size and (int(off.min()) < 0 or int(lng.min()) < 0):
             raise RedirectionError("offset and length must be non-negative")
-        starts = self._starts.get(o_file, [])
-        idx0 = np.maximum(
-            np.searchsorted(
-                np.asarray(starts, dtype=np.int64), off, side="right"
+        columns = self._file_columns(o_file)
+        if columns is None:
+            extent, _, begin, end = cut_extents(_NO_ENTRIES, _NO_ENTRIES, off, off + lng)
+            names: tuple[str, ...] = ()
+            files = np.full(extent.size, UNMAPPED, dtype=np.int64)
+            moved = begin
+        else:
+            extent, entry, begin, end = cut_extents(
+                columns.starts, columns.ends, off, off + lng
             )
-            - 1,
-            0,
-        ).tolist()
-        off_list = off.tolist()
-        lng_list = lng.tolist()
-        result: list[list[TranslatedExtent]] = []
-        for k in range(len(off_list)):
-            offset = off_list[k]
-            length = lng_list[k]
-            if length == 0:
-                result.append([])
-                continue
-            end = offset + length
-            entry = self._probe(o_file, offset)
-            if entry is not None and end <= entry.o_end:
-                self._cache_hits += 1
-                result.append(
-                    [
-                        TranslatedExtent(
-                            file=entry.r_file,
-                            offset=entry.r_offset + (offset - entry.o_offset),
-                            length=length,
-                            logical_offset=offset,
-                            mapped=True,
-                        )
-                    ]
-                )
-                continue
-            self._cache_misses += 1
-            result.append(self._translate_walk(o_file, offset, end, idx0[k]))
-        return result
+            names = columns.names
+            # entry -1 (unmapped) indexes the last entry; np.where
+            # discards it
+            mapped = entry >= 0
+            files = np.where(mapped, columns.codes[entry], UNMAPPED)
+            moved = np.where(
+                mapped,
+                columns.r_offsets[entry] + (begin - columns.starts[entry]),
+                begin,
+            )
+        starts = np.zeros(off.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(extent, minlength=off.size), out=starts[1:])
+        return TranslatedColumns(
+            o_file=o_file,
+            names=names,
+            starts=starts,
+            files=files,
+            offsets=moved,
+            lengths=end - begin,
+            logicals=begin,
+        )
 
     # -- stats / persistence ---------------------------------------------
 

@@ -18,6 +18,7 @@ service fan whole plans out through
 
 from __future__ import annotations
 
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -141,8 +142,16 @@ class MHAPipeline:
     ) -> None:
         if k is not None and k <= 0:
             raise ConfigurationError(f"k must be >= 1, got {k}")
+        if max_groups < 1:
+            raise ConfigurationError(f"max_groups must be >= 1, got {max_groups}")
+        if not 0 < gap < math.inf:
+            raise ConfigurationError(f"gap must be finite and > 0, got {gap}")
         if spatial < 0:
             raise ConfigurationError(f"spatial must be >= 0, got {spatial}")
+        if original_stripe <= 0:
+            raise ConfigurationError(
+                f"original_stripe must be > 0, got {original_stripe}"
+            )
         check_search_settings(
             step=step,
             bound_policy=bound_policy,
@@ -339,12 +348,12 @@ def load_plan(
                 f"(DRT epoch {drt.epoch}, RST epoch {rst.epoch})"
             )
         region_layouts = place_regions(spec, rst)
-        original_layouts: dict[str, Layout] = {}
-        for entry in drt:
-            if entry.o_file not in original_layouts:
-                original_layouts[entry.o_file] = FixedStripeLayout(
-                    servers=spec.server_ids, stripe=original_stripe, obj=entry.o_file
-                )
+        original_layouts: dict[str, Layout] = {
+            file: FixedStripeLayout(
+                servers=spec.server_ids, stripe=original_stripe, obj=file
+            )
+            for file in drt.files()
+        }
         redirector = Redirector(drt, region_layouts, original_layouts)
         opened.pop_all()
     return MHAPlan(

@@ -19,8 +19,8 @@ import numpy as np
 from ..contracts import twin_of
 from ..exceptions import RedirectionError
 from ..layouts.base import Layout, SubRequest
-from ..layouts.batch import MergedRuns, RunsBuilder, merged_runs_of
-from .drt import DRT, TranslatedExtent
+from ..layouts.batch import MergedRuns, merged_runs_of, runs_from_fragments
+from .drt import DRT, UNMAPPED, TranslatedExtent
 
 __all__ = ["Redirector", "RedirectorStats", "distinct_extents"]
 
@@ -76,6 +76,15 @@ class Redirector:
         except KeyError:
             raise RedirectionError(f"no original layout for file {file!r}") from None
 
+    def _region_layout(self, region: str) -> Layout:
+        """The layout of a region file the DRT points to."""
+        try:
+            return self._regions[region]
+        except KeyError:
+            raise RedirectionError(
+                f"DRT points to region {region!r} with no layout"
+            ) from None
+
     def _target_layout(
         self, file: str, extent: TranslatedExtent, weight: int = 1
     ) -> Layout:
@@ -83,12 +92,7 @@ class Redirector:
         ``weight`` times (once per request that repeats the extent)."""
         if extent.mapped:
             self.stats.translated_extents += weight
-            try:
-                return self._regions[extent.file]
-            except KeyError:
-                raise RedirectionError(
-                    f"DRT points to region {extent.file!r} with no layout"
-                ) from None
+            return self._region_layout(extent.file)
         self.stats.fallthrough_extents += weight
         return self.layout_for(file)
 
@@ -145,7 +149,7 @@ class Redirector:
         target layout and pushed through its vectorized kernel.
         Multi-piece extents take the exact object path.  Statistics
         count every request, as :meth:`map_request` does; the DRT's
-        hot-entry counters count distinct extents.
+        hot-entry counters are left to the per-record path.
         """
         off = np.asarray(offsets, dtype=np.int64).reshape(-1)
         lng = np.asarray(lengths, dtype=np.int64).reshape(-1)
@@ -155,54 +159,91 @@ class Redirector:
             )
         repeats = distinct_extents(off, lng)
         if repeats is None:
-            return self._distinct_runs(file, off, lng, np.ones(off.size, np.int64))
+            runs, owner, shifts = self._distinct_runs(
+                file, off, lng, np.ones(off.size, np.int64)
+            )
+            return runs.take(owner, runs.n_fragments, shifts)
         first, inverse = repeats
-        weights = np.bincount(inverse)
-        distinct = self._distinct_runs(file, off[first], lng[first], weights)
-        return distinct.take(inverse, distinct.n_fragments)
+        runs, owner, shifts = self._distinct_runs(
+            file, off[first], lng[first], np.bincount(inverse)
+        )
+        return runs.take(owner[inverse], runs.n_fragments, shifts[inverse])
 
     def _distinct_runs(
         self, file: str, off: np.ndarray, lng: np.ndarray, weights: np.ndarray
-    ) -> MergedRuns:
+    ) -> tuple[MergedRuns, np.ndarray, np.ndarray]:
         """Merged runs of distinct extents, extent ``k`` standing for
         ``weights[k]`` requests in the statistics and in
-        ``n_fragments``."""
-        extents_per = self._drt.translate_many(file, off, lng)
-        counts = weights.tolist()
-        self.stats.requests += sum(counts)
-        builder = RunsBuilder(len(extents_per))
-        # one kernel call per (layout, weight): the kernels report
-        # pre-merge fragments per call, not per extent
-        groups: dict[
-            tuple[int, int], tuple[Layout, list[int], list[int], list[int], list[int]]
-        ] = {}
-        for item, extents in enumerate(extents_per):
-            if not extents:
-                continue
-            weight = counts[item]
-            if len(extents) > 1:
-                fragments = self._assemble(file, extents, weight)
-                builder.place_fragments(item, fragments)  # counts them once
-                builder.add_fragments((weight - 1) * len(fragments))
-                continue
-            extent = extents[0]
-            layout = self._target_layout(file, extent, weight)
-            key = (id(layout), weight)
-            group = groups.get(key)
-            if group is None:
-                group = (layout, [], [], [], [])
-                groups[key] = group
-            group[1].append(item)
-            group[2].append(extent.offset)
-            group[3].append(extent.length)
-            group[4].append(extent.logical_offset - extent.offset)
-        for (_, weight), (layout, items, offs, lens, bases) in groups.items():
-            runs = merged_runs_of(layout, offs, lens)
-            self.stats.fragments += weight * runs.n_fragments
-            builder.add_fragments(weight * runs.n_fragments)
-            for k, item in enumerate(items):
-                builder.place(item, runs, k, bases[k])
-        return builder.build()
+        ``n_fragments``.
+
+        Returns ``(runs, owner, shifts)``: extent ``k``'s runs are
+        extent ``owner[k]`` of ``runs``, with ``shifts[k]`` to add to
+        their first logical offsets.  ``runs`` concatenates the
+        single-piece extents' kernel calls, one per (target file,
+        weight) because the kernels report pre-merge fragments per
+        call, not per extent, and then the multi-piece extents'
+        object-path runs.
+        """
+        pieces = self._drt.translate_many(file, off, lng)
+        self.stats.requests += int(weights.sum())
+        per_extent = np.diff(pieces.starts)
+        owner = np.zeros(off.size, dtype=np.int64)
+        shifts = np.zeros(off.size, dtype=np.int64)
+        parts: list[MergedRuns] = []
+        n_extents = 0
+        n_fragments = 0
+
+        single = np.flatnonzero(per_extent == 1)
+        piece = pieces.starts[single]
+        code = pieces.files[piece]
+        weight = weights[single]
+        mapped = code != UNMAPPED
+        self.stats.translated_extents += int(weight[mapped].sum())
+        self.stats.fallthrough_extents += int(weight[~mapped].sum())
+        order = np.lexsort((weight, code))
+        code = code[order]
+        weight = weight[order]
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = (code[1:] != code[:-1]) | (weight[1:] != weight[:-1])
+        bounds = [*np.flatnonzero(head).tolist(), order.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            c = int(code[lo])
+            layout = (
+                self.layout_for(file)
+                if c == UNMAPPED
+                else self._region_layout(pieces.names[c])
+            )
+            at = piece[order[lo:hi]]
+            runs = merged_runs_of(
+                layout, pieces.offsets[at].tolist(), pieces.lengths[at].tolist()
+            )
+            counted = int(weight[lo]) * runs.n_fragments
+            self.stats.fragments += counted
+            n_fragments += counted
+            parts.append(runs)
+            items = single[order[lo:hi]]
+            owner[items] = n_extents + np.arange(hi - lo)
+            shifts[items] = pieces.logicals[at] - pieces.offsets[at]
+            n_extents += hi - lo
+
+        for item in np.flatnonzero(per_extent > 1).tolist():
+            w = int(weights[item])
+            # _assemble counts the extent's pieces and fragments itself
+            fragments = self._assemble(file, pieces.extents(item), w)
+            n_fragments += w * len(fragments)
+            parts.append(runs_from_fragments(fragments))
+            owner[item] = n_extents
+            n_extents += 1
+
+        empty = per_extent == 0
+        if empty.any():
+            parts.append(MergedRuns([], [], [], [], [], [0, 0], 0))
+            owner[empty] = n_extents
+
+        runs = MergedRuns.concat(parts)
+        # the parts count an extent's fragments once, not per request
+        runs.n_fragments = n_fragments
+        return runs, owner, shifts
 
 
 def distinct_extents(

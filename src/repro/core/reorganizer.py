@@ -31,9 +31,9 @@ from ..devices.base import READ
 from ..exceptions import ConfigurationError
 from ..tracing.columnar import OP_NAMES, ColumnarTrace
 from ..tracing.record import Trace, TraceRecord
-from .drt import DRT, DRTEntry
+from .drt import DRT, UNMAPPED, DRTEntry
 from .grouping import GroupingResult
-from .intervals import IntervalSet
+from .intervals import IntervalSet, cut_extents
 
 __all__ = [
     "RegionRequest",
@@ -227,11 +227,21 @@ def reorganize_arrays(
     """:func:`reorganize` over a columnar trace — same plan, no records.
 
     ``bursts`` is an index-aligned per-request array (the columnar
-    stand-in for the reference's record-keyed mapping).
-    The output :class:`ReorderPlan` — regions, requests, DRT entries,
-    migrated bytes — is identical to the record path's, and phase 2
-    goes through :meth:`~repro.core.drt.DRT.translate_many`, whose
-    twin contract guarantees identical cache accounting too.
+    stand-in for the reference's record-keyed mapping).  The output
+    :class:`ReorderPlan` — regions, requests, DRT entries and their
+    order, migrated bytes — is identical to the record path's; the
+    DRT's hot-entry counters are not touched.
+
+    Phase 1 claims each group's bytes with NumPy.  In the group's
+    offset order, a record's bytes below the running maximum of the
+    earlier records' ends are already the group's, and
+    :func:`~repro.core.intervals.cut_extents` finds the gaps earlier
+    groups left in the rest; the claims are checked against this
+    call's own claims only, as the reference's fresh interval set
+    does, and the DRT rejects any that overlap its existing entries.
+    Phase 2 translates the whole trace with
+    :meth:`~repro.core.drt.DRT.translate_many` and merges each
+    request's contiguous pieces per region.
     """
     if len(grouping.labels) != len(trace):
         raise ConfigurationError(
@@ -250,68 +260,96 @@ def reorganize_arrays(
 
     d = trace.data
     off = d["offset"]
+    size = d["size"]
     ts = d["timestamp"]
-    off_list = off.tolist()
-    size_list = d["size"].tolist()
-    op_list = d["op"].tolist()
-
-    claimed = IntervalSet()
     regions = [
         RegionPlan(name=region_name(o_file, g), group=g)
         for g in range(grouping.k)
     ]
-    migrated = 0
 
     # Phase 1 — claim bytes group by group, offset order inside a group.
     # np.lexsort is stable, matching the reference's sorted() on the
     # (offset, timestamp) key over ascending member indices.
+    claimed_lo = np.empty(0, dtype=np.int64)
+    claimed_hi = np.empty(0, dtype=np.int64)
+    entries: list[DRTEntry] = []
     for region in regions:
-        member_indices = grouping.members(region.group)
-        order = np.lexsort((ts[member_indices], off[member_indices]))
-        for i in member_indices[order].tolist():
-            start = off_list[i]
-            for gap_start, gap_end in claimed.add(start, start + size_list[i]):
-                entry = DRTEntry(
-                    o_file=o_file,
-                    o_offset=gap_start,
-                    length=gap_end - gap_start,
-                    r_file=region.name,
-                    r_offset=region.size,
-                )
-                drt.add(entry)
-                region.size += entry.length
-                migrated += entry.length
+        members = grouping.members(region.group)
+        if not members.size:
+            continue
+        members = members[np.lexsort((ts[members], off[members]))]
+        lo = off[members]
+        hi = lo + size[members]
+        # earlier records of the group start no later than this one,
+        # so of its bytes they claimed exactly those below their
+        # highest end
+        reach = np.empty_like(hi)
+        reach[0] = lo[0]
+        np.maximum.accumulate(hi[:-1], out=reach[1:])
+        _, inside, gap_lo, gap_hi = cut_extents(
+            claimed_lo, claimed_hi, np.maximum(lo, reach), hi
+        )
+        gap = inside < 0
+        gap_lo = gap_lo[gap]
+        gap_hi = gap_hi[gap]
+        lengths = gap_hi - gap_lo
+        r_offsets = np.cumsum(lengths) - lengths
+        region.size = int(lengths.sum())
+        entries.extend(
+            DRTEntry(
+                o_file=o_file,
+                o_offset=start,
+                length=length,
+                r_file=region.name,
+                r_offset=r_offset,
+            )
+            for start, length, r_offset in zip(
+                gap_lo.tolist(), lengths.tolist(), r_offsets.tolist()
+            )
+        )
+        # claims never overlap, so sorting by start keeps ends sorted
+        claimed_lo = np.concatenate((claimed_lo, gap_lo))
+        claimed_hi = np.concatenate((claimed_hi, gap_hi))
+        order = np.argsort(claimed_lo, kind="stable")
+        claimed_lo = claimed_lo[order]
+        claimed_hi = claimed_hi[order]
+    drt.add_all(entries)
+    migrated = sum(r.size for r in regions)
 
-    # Phase 2 — express every request in region coordinates via the DRT.
-    by_name = {r.name: r for r in regions}
-    burst_list = bursts.tolist() if bursts is not None else None
-    translated = drt.translate_many(o_file, off, d["size"])
-    for k, extents in enumerate(translated):
-        op = OP_NAMES[op_list[k]]
-        burst = burst_list[k] if burst_list is not None else -1
-        pending: dict[str, RegionRequest] = {}
-        for extent in extents:
-            if not extent.mapped:
-                continue  # cannot happen here: every byte was claimed above
-            prev = pending.get(extent.file)
-            if prev is not None and prev.offset + prev.length == extent.offset:
-                pending[extent.file] = RegionRequest(
-                    offset=prev.offset,
-                    length=prev.length + extent.length,
-                    op=op,
-                    burst=burst,
-                )
-            else:
-                if prev is not None:
-                    by_name[extent.file].requests.append(prev)
-                pending[extent.file] = RegionRequest(
-                    offset=extent.offset,
-                    length=extent.length,
-                    op=op,
-                    burst=burst,
-                )
-        for name, fragment in pending.items():
-            by_name[name].requests.append(fragment)
+    # Phase 2 — express every request in region coordinates via the DRT:
+    # a stable sort by region keeps each region's pieces in request and
+    # logical order, and contiguous pieces of one request merge.
+    pieces = drt.translate_many(o_file, off, size)
+    position = {r.name: i for i, r in enumerate(regions)}
+    mapped = pieces.files != UNMAPPED  # every byte was claimed above
+    request = np.repeat(np.arange(len(trace)), np.diff(pieces.starts))[mapped]
+    region_of = np.array([position[name] for name in pieces.names], dtype=np.int64)
+    where = region_of[pieces.files[mapped]]
+    order = np.argsort(where, kind="stable")
+    where = where[order]
+    request = request[order]
+    starts = pieces.offsets[mapped][order]
+    lengths = pieces.lengths[mapped][order]
+    head = np.ones(where.size, dtype=bool)
+    head[1:] = (
+        (where[1:] != where[:-1])
+        | (request[1:] != request[:-1])
+        | (starts[:-1] + lengths[:-1] != starts[1:])
+    )
+    heads = np.flatnonzero(head)
+    if heads.size:
+        lengths = np.add.reduceat(lengths, heads)
+    request = request[heads]
+    ops = d["op"][request].tolist()
+    burst_ids = bursts[request].tolist() if bursts is not None else [-1] * heads.size
+    fragments = [
+        RegionRequest(offset=o, length=n, op=OP_NAMES[op], burst=b)
+        for o, n, op, b in zip(starts[heads].tolist(), lengths.tolist(), ops, burst_ids)
+    ]
+    bounds = np.zeros(len(regions) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(where[heads], minlength=len(regions)), out=bounds[1:])
+    for g, region in enumerate(regions):
+        region.requests = fragments[bounds[g] : bounds[g + 1]]
 
     regions = [r for r in regions if r.size > 0 or r.requests]
     return ReorderPlan(o_file=o_file, regions=regions, drt=drt, migrated_bytes=migrated)

@@ -155,8 +155,43 @@ class MergedRuns:
             for j in range(lo, hi)
         ]
 
-    def take(self, extents: Sequence[int], n_fragments: int) -> "MergedRuns":
-        """The batch whose extent ``i`` has extent ``extents[i]``'s runs.
+    @classmethod
+    def concat(cls, parts: Sequence["MergedRuns"]) -> "MergedRuns":
+        """The batch holding every part's extents, part after part;
+        its pre-merge fragment count is the parts' sum."""
+        servers: list[int] = []
+        objs: list[str] = []
+        offsets: list[int] = []
+        lengths: list[int] = []
+        firsts: list[int] = []
+        starts: list[int] = [0]
+        for part in parts:
+            shift = len(servers)
+            starts.extend(s + shift for s in part.starts[1:])
+            servers.extend(part.servers)
+            objs.extend(part.objs)
+            offsets.extend(part.offsets)
+            lengths.extend(part.lengths)
+            firsts.extend(part.first_logicals)
+        return cls(
+            servers=servers,
+            objs=objs,
+            offsets=offsets,
+            lengths=lengths,
+            first_logicals=firsts,
+            starts=starts,
+            n_fragments=sum(part.n_fragments for part in parts),
+        )
+
+    def take(
+        self,
+        extents: Sequence[int] | np.ndarray,
+        n_fragments: int,
+        shifts: np.ndarray | None = None,
+    ) -> "MergedRuns":
+        """The batch whose extent ``i`` has extent ``extents[i]``'s runs,
+        their first logical offsets moved by ``shifts[i]`` when given
+        (a region or DRT coordinate shift).
 
         ``n_fragments`` is the new batch's pre-merge fragment count,
         which only the caller knows: this batch holds a total, not a
@@ -170,14 +205,15 @@ class MergedRuns:
         np.cumsum(counts, out=starts[1:])
         # run j of the new batch is run runs[j] of this one
         runs = np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1])
+        firsts = np.asarray(self.first_logicals, dtype=np.int64)[runs]
+        if shifts is not None:
+            firsts += np.repeat(np.asarray(shifts, dtype=np.int64), counts)
         return MergedRuns(
             servers=np.asarray(self.servers, dtype=np.int64)[runs].tolist(),
             objs=np.asarray(self.objs, dtype=object)[runs].tolist(),
             offsets=np.asarray(self.offsets, dtype=np.int64)[runs].tolist(),
             lengths=np.asarray(self.lengths, dtype=np.int64)[runs].tolist(),
-            first_logicals=np.asarray(self.first_logicals, dtype=np.int64)[
-                runs
-            ].tolist(),
+            first_logicals=firsts.tolist(),
             starts=starts.tolist(),
             n_fragments=n_fragments,
         )

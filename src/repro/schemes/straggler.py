@@ -41,6 +41,7 @@ be redirected take the event engine's path,
 from __future__ import annotations
 
 import math
+from bisect import insort
 from numbers import Integral
 from typing import Sequence
 
@@ -105,6 +106,11 @@ def _check_classifier(threshold: float, min_samples: int) -> None:
         raise ConfigurationError(
             f"threshold must be finite and >= 1, got {threshold}"
         )
+    _check_min_samples(min_samples)
+
+
+def _check_min_samples(min_samples: int) -> None:
+    """``min_samples`` must be an int >= 1."""
     # bool is an int subclass; reject it
     if (
         isinstance(min_samples, bool)
@@ -125,7 +131,8 @@ class LatencyEWMA:
     *silence* — a server nobody has heard from recently drifts back
     toward "presumed healthy" and gets retried, which is what lets the
     dispatcher notice a straggler recovering.  ``half_life=None``
-    disables decay.
+    disables decay.  :meth:`sampled` lists the servers with at least
+    ``min_samples`` observations.
     """
 
     def __init__(
@@ -133,15 +140,21 @@ class LatencyEWMA:
         num_servers: int,
         alpha: float = DEFAULT_EWMA_ALPHA,
         half_life: float | None = None,
+        min_samples: int = 1,
     ) -> None:
         if num_servers <= 0:
             raise ConfigurationError("num_servers must be > 0")
         _check_ewma(alpha, half_life)
+        _check_min_samples(min_samples)
         self.alpha = alpha
         self.half_life = half_life
+        self.min_samples = min_samples
         self._mean = [0.0] * num_servers
         self._count = [0] * num_servers
         self._stamp = [0.0] * num_servers
+        # counts only grow, so a server joins once, when its count
+        # reaches min_samples
+        self._sampled: list[int] = []
 
     def __len__(self) -> int:
         return len(self._mean)
@@ -153,12 +166,19 @@ class LatencyEWMA:
         else:
             self._mean[server] += self.alpha * (latency - self._mean[server])
         self._count[server] += 1
+        if self._count[server] == self.min_samples:
+            insort(self._sampled, server)
         if now > self._stamp[server]:
             self._stamp[server] = now
 
     def count(self, server: int) -> int:
         """Observations folded into ``server``'s estimate so far."""
         return self._count[server]
+
+    def sampled(self) -> list[int]:
+        """The servers with at least ``min_samples`` observations, in
+        index order (the list itself: do not modify it)."""
+        return self._sampled
 
     def estimate(self, server: int, now: float) -> float:
         """The (possibly decayed) latency estimate at time ``now``."""
@@ -209,9 +229,10 @@ class StragglerAwareView:
         if replication_budget < 0:
             raise ConfigurationError("replication_budget must be >= 0")
         self.inner = inner
-        self.ewma = LatencyEWMA(num_servers, alpha=alpha, half_life=half_life)
+        self.ewma = LatencyEWMA(
+            num_servers, alpha=alpha, half_life=half_life, min_samples=min_samples
+        )
         self.threshold = threshold
-        self.min_samples = min_samples
         self.replication_budget = int(replication_budget)
         #: bytes redirected so far (never exceeds the budget)
         self.replicated_bytes = 0
@@ -229,6 +250,11 @@ class StragglerAwareView:
         ] = {}
         # latest completion time observed — "now" for estimate decay
         self._now = 0.0
+
+    @property
+    def min_samples(self) -> int:
+        """Observations a server needs before it can be classified."""
+        return self.ewma.min_samples
 
     # -- feedback --------------------------------------------------------
 
@@ -248,20 +274,17 @@ class StragglerAwareView:
         all sampled servers (at least two servers must be sampled — a
         lone estimate has nothing to be slow *relative to*).
         """
-        sampled = [
-            server
-            for server in range(self._num_servers)
-            if self.ewma.count(server) >= self.min_samples
-        ]
+        sampled = self.ewma.sampled()
         if len(sampled) < 2:
             return set()
-        estimates = {s: self.ewma.estimate(s, self._now) for s in sampled}
-        ordered = sorted(estimates.values())
-        median = ordered[(len(ordered) - 1) // 2]
+        now = self._now
+        estimate = self.ewma.estimate
+        estimates = [estimate(s, now) for s in sampled]
+        median = sorted(estimates)[(len(estimates) - 1) // 2]
         if median <= 0:
             return set()
         cut = self.threshold * median
-        return {s for s in sampled if estimates[s] > cut}
+        return {s for s, e in zip(sampled, estimates) if e > cut}
 
     def _pick_target(self, stragglers: set[int]) -> int | None:
         """The healthy server with the lowest estimate (ties: lowest

@@ -371,10 +371,9 @@ def _plan_file_columnar(contract):
         assert np.array_equal(twin_grouping.labels, ref_grouping.labels)
         assert twin_plan.migrated_bytes == ref_plan.migrated_bytes
         assert list(drt_twin) == list(drt_ref)
-        assert (drt_twin.cache_hits, drt_twin.cache_misses) == (
-            drt_ref.cache_hits,
-            drt_ref.cache_misses,
-        )
+        # the twin translates in batches, which leave the hot-entry
+        # counters to the per-record path
+        assert (drt_twin.cache_hits, drt_twin.cache_misses) == (0, 0)
         for twin_region, ref_region in zip(twin_plan.regions, ref_plan.regions):
             assert twin_region.name == ref_region.name
             assert twin_region.size == ref_region.size
@@ -644,20 +643,28 @@ def _repeating(draw, items, max_size=12):
 
 @harness("drt_translate")
 def _drt_translate(contract):
-    @given(shapes=_drt_shapes, probes=_probe_batches)
+    @given(
+        shapes=_drt_shapes,
+        probes=_probe_batches,
+        file=st.sampled_from(["f", "other"]),
+    )
     @settings(max_examples=30, deadline=None)
-    def test(shapes, probes):
+    def test(shapes, probes, file):
         batched, _ = _build_drt(shapes)
         scalar, _ = _build_drt(shapes)
-        offsets = [o for o, _ in probes]
-        lengths = [l for _, l in probes]
-        got = batched.translate_many("f", offsets, lengths)
-        want = [scalar.translate("f", o, l) for o, l in probes]
-        assert got == want
-        assert (batched.cache_hits, batched.cache_misses) == (
-            scalar.cache_hits,
-            scalar.cache_misses,
+        # a per-record lookup first, so the hot slot holds an entry
+        for o, l in probes[:1]:
+            batched.translate(file, o, l)
+        hot = (batched.cache_hits, batched.cache_misses, dict(batched._hot))
+        got = batched.translate_many(
+            file, [o for o, _ in probes], [l for _, l in probes]
         )
+        assert got.starts.size == len(probes) + 1
+        assert [got.extents(k) for k in range(len(probes))] == [
+            scalar.translate(file, o, l) for o, l in probes
+        ]
+        # batch lookups leave the hot-entry list and its counters alone
+        assert (batched.cache_hits, batched.cache_misses, dict(batched._hot)) == hot
 
     return test
 

@@ -209,19 +209,48 @@ class TestHotEntryCache:
         lengths = [50, 30, 200, 10, 300, 50, 20]
         got = batched.translate_many("f", offsets, lengths)
         want = [scalar.translate("f", o, l) for o, l in zip(offsets, lengths)]
-        assert got == want
-        # the per-record probe keeps counter parity with the scalar path
-        assert (batched.cache_hits, batched.cache_misses) == (
-            scalar.cache_hits,
-            scalar.cache_misses,
-        )
+        assert [got.extents(k) for k in range(len(offsets))] == want
+        # batch lookups are not §IV-A hot-entry lookups: no counter moves
+        assert (batched.cache_hits, batched.cache_misses) == (0, 0)
+        assert scalar.cache_hits > 0
+
+    def test_translate_many_columns(self):
+        """Piece columns of a mapped, a straddling and an empty request:
+        codes index ``names``, and unmapped pieces keep their logical
+        offset."""
+        out = self.make().translate_many("f", [10, 50, 5], [50, 200, 0])
+        assert out.starts.tolist() == [0, 1, 4, 4]
+        assert [out.names[c] if c >= 0 else None for c in out.files.tolist()] == [
+            "rA",
+            "rA",
+            None,
+            "rB",
+        ]
+        assert out.offsets.tolist() == [1010, 1050, 100, 0]
+        assert out.lengths.tolist() == [50, 50, 100, 50]
+        assert out.logicals.tolist() == [10, 50, 100, 200]
+
+    def test_translate_many_sees_later_entries(self):
+        """The column index is rebuilt once the file's entries change."""
+        drt = self.make()
+        assert not drt.translate_many("f", [120], [10]).extents(0)[0].mapped
+        drt.add(entry(100, 100, 7, r_file="rC"))
+        (piece,) = drt.translate_many("f", [120], [10]).extents(0)
+        assert (piece.file, piece.offset, piece.mapped) == ("rC", 27, True)
 
     def test_translate_many_unknown_file(self):
         drt = self.make()
         out = drt.translate_many("other", [0, 5], [10, 0])
-        assert len(out) == 2
-        assert not out[0][0].mapped
-        assert out[1] == []
+        assert out.starts.tolist() == [0, 1, 1]
+        assert not out.extents(0)[0].mapped
+        assert out.extents(1) == []
+
+    def test_translate_many_rejects_bad_batches(self):
+        drt = self.make()
+        with pytest.raises(RedirectionError):
+            drt.translate_many("f", [0, 1], [1])
+        with pytest.raises(RedirectionError):
+            drt.translate_many("f", [-1], [1])
 
 
 class TestPersistence:

@@ -1,10 +1,12 @@
 """Tests for the interval-set bookkeeping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IntervalSet
+from repro.core.intervals import cut_extents
 
 interval = st.tuples(
     st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=100)
@@ -107,3 +109,38 @@ class TestProperties:
         for g0, g1 in s.gaps_in(start, end):
             gap_points.update(range(g0, g1))
         assert gap_points == set(range(start, end)) - shadow
+
+
+class TestCutExtents:
+    @given(
+        st.lists(interval, max_size=12),
+        st.lists(interval, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pieces_match_the_interval_set(self, claims, extents):
+        """Pieces tile each extent in order; a gap piece is exactly a
+        gap :class:`IntervalSet` reports, and an inside piece is the
+        overlap with one interval."""
+        claimed = IntervalSet()
+        for start, end in claims:
+            claimed.add(start, end)
+        bounds = claimed.intervals()
+        starts = np.array([b[0] for b in bounds], dtype=np.int64)
+        ends = np.array([b[1] for b in bounds], dtype=np.int64)
+        lo = np.array([e[0] for e in extents], dtype=np.int64)
+        hi = np.array([e[1] for e in extents], dtype=np.int64)
+        extent, inside, begin, end = cut_extents(starts, ends, lo, hi)
+        for k, (e_lo, e_hi) in enumerate(extents):
+            mine = extent == k
+            pieces = list(zip(begin[mine].tolist(), end[mine].tolist()))
+            cursor = e_lo
+            for b, e in pieces:
+                assert b == cursor < e
+                cursor = e
+            assert cursor == e_hi or (not pieces and e_lo == e_hi)
+            gaps = [p for p, j in zip(pieces, inside[mine].tolist()) if j < 0]
+            assert gaps == claimed.gaps_in(e_lo, e_hi)
+            for (b, e), j in zip(pieces, inside[mine].tolist()):
+                if j >= 0:
+                    assert (b, e) == (max(e_lo, bounds[j][0]), min(e_hi, bounds[j][1]))
+        assert np.all(np.diff(extent) >= 0)

@@ -1,11 +1,13 @@
 """Integration tests for the five-phase MHA pipeline."""
 
+import math
+
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import MHAPipeline
+from repro.core import DRT, MHAPipeline
 from repro.core.pipeline import identity_redirector
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RedirectionError
 from repro.layouts import check_tiling
 from repro.tracing import Trace, TraceRecord
 from repro.units import KiB
@@ -105,6 +107,36 @@ class TestPlan:
     def test_negative_spatial_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             MHAPipeline(spec, spatial=-1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("gap", -1.0),
+            ("gap", 0.0),
+            ("gap", math.nan),
+            ("gap", math.inf),
+            ("max_groups", 0),
+            ("max_groups", -3),
+            ("original_stripe", 0),
+            ("original_stripe", -64 * KiB),
+        ],
+    )
+    def test_bad_setting_rejected_on_construction(self, spec, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            MHAPipeline(spec, **{name: value})
+
+    def test_replanning_into_the_same_tables_is_rejected(self, spec, tmp_path):
+        """Plan metadata is write-once: planning the same trace again
+        into the same files finds its extents already mapped."""
+        paths = {"drt_path": tmp_path / "drt.db", "rst_path": tmp_path / "rst.db"}
+        first = MHAPipeline(spec, seed=1, **paths).plan(mixed_trace())
+        entries = list(first.drt)
+        first.drt.close()
+        first.rst.close()
+        with pytest.raises(RedirectionError, match="overlap"):
+            MHAPipeline(spec, seed=1, **paths).plan(mixed_trace())
+        with DRT(paths["drt_path"]) as drt:
+            assert list(drt) == entries
 
     def test_max_groups_cap(self, spec):
         plan = MHAPipeline(spec, max_groups=2, seed=0).plan(mixed_trace())

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import group_requests, reorganize
+from repro.core import DRT, DRTEntry, group_requests, reorganize
 from repro.core.features import extract_features
-from repro.exceptions import ConfigurationError
-from repro.tracing import Trace, TraceRecord, burst_ids_of
+from repro.core.reorganizer import reorganize_arrays
+from repro.exceptions import ConfigurationError, RedirectionError
+from repro.tracing import ColumnarTrace, Trace, TraceRecord, burst_ids_of
 
 
 def rec(offset, size, ts=0.0, rank=0, op="write"):
@@ -90,6 +91,35 @@ class TestRegions:
         _, _, plan = build(records, k=1)
         out = plan.drt.translate("file", 500, 100)
         assert len(out) == 1 and not out[0].mapped
+
+
+class TestPrefilledTable:
+    """A table that already maps the file's extents rejects a second
+    reorganization of them: plan metadata is write-once."""
+
+    def records(self):
+        return [rec(i * 300, 200 + 50 * (i % 2), ts=float(i)) for i in range(8)]
+
+    def test_record_path_rejects_mapped_extents(self):
+        trace, grouping, plan = build(self.records())
+        with pytest.raises(RedirectionError, match="overlap"):
+            reorganize(trace, grouping, drt=plan.drt)
+
+    def test_columnar_path_rejects_mapped_extents(self):
+        trace, grouping, plan = build(self.records())
+        before = list(plan.drt)
+        with pytest.raises(RedirectionError, match="overlap"):
+            reorganize_arrays(ColumnarTrace.from_trace(trace), grouping, drt=plan.drt)
+        # all or nothing: no entry of the rejected plan went in
+        assert list(plan.drt) == before
+
+    def test_columnar_path_accepts_other_files(self):
+        trace, grouping, _ = build(self.records())
+        drt = DRT()
+        drt.add_all([DRTEntry("g", 300 * i, 100, "g.region0", 100 * i) for i in range(8)])
+        plan = reorganize_arrays(ColumnarTrace.from_trace(trace), grouping, drt=drt)
+        assert plan.regions == reorganize(trace, grouping).regions
+        assert len(drt) == 8 + len(plan.drt.entries_for(trace.files()[0]))
 
 
 class TestValidation:

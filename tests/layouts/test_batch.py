@@ -165,6 +165,33 @@ class TestRunsBuilder:
         assert taken.n_fragments == 11
         assert source.take([], n_fragments=0) == MergedRuns([], [], [], [], [], [0], 0)
 
+    def test_take_shifts_first_logicals(self):
+        source = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
+        taken = source.take([1, 0], n_fragments=5, shifts=np.array([100, 7]))
+        assert [f.logical_offset for f in taken.subrequests(0)] == [
+            f.logical_offset + 100 for f in source.subrequests(1)
+        ]
+        assert [f.logical_offset for f in taken.subrequests(1)] == [
+            f.logical_offset + 7 for f in source.subrequests(0)
+        ]
+        same = source.take([0, 1], n_fragments=9, shifts=np.zeros(2, np.int64))
+        assert same.subrequests(0) == source.subrequests(0)
+        assert same.subrequests(1) == source.subrequests(1)
+        assert same.n_fragments == 9
+
+    def test_concat_appends_extents(self):
+        a = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
+        b = merged_runs_of(fixed(), [4 * KiB], [40 * KiB])
+        both = MergedRuns.concat([a, b])
+        assert both.n_extents == 3
+        assert [both.subrequests(k) for k in range(3)] == [
+            a.subrequests(0),
+            a.subrequests(1),
+            b.subrequests(0),
+        ]
+        assert both.n_fragments == a.n_fragments + b.n_fragments
+        assert MergedRuns.concat([]) == MergedRuns([], [], [], [], [], [0], 0)
+
     def test_run_columns(self):
         fragments = merge_fragments(fixed().map_extent(0, 12 * KiB))
         runs = MergedRuns(

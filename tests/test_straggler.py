@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.exceptions import ConfigurationError
@@ -76,6 +78,12 @@ class TestLatencyEWMA:
         ewma.observe(2, 5.0, 0.0)
         assert ewma.estimates(0.0) == [0.0, 0.0, 5.0]
 
+    def test_sampled_servers_in_index_order(self):
+        ewma = LatencyEWMA(4, min_samples=2)
+        for server in (3, 1, 3, 0, 1, 3):
+            ewma.observe(server, 1.0, 0.0)
+        assert ewma.sampled() == [1, 3]
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -85,6 +93,8 @@ class TestLatencyEWMA:
             dict(num_servers=1, half_life=0.0),
             dict(num_servers=1, half_life=math.nan),
             dict(num_servers=1, half_life=math.inf),
+            dict(num_servers=1, min_samples=0),
+            dict(num_servers=1, min_samples=True),
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -129,6 +139,43 @@ class TestStragglerClassification:
     def test_all_straggling_no_target(self):
         view = _view()
         assert view._pick_target({0, 1, 2, 3}) is None
+
+    def test_direct_ewma_observations_classify(self):
+        """The sampled servers live in the EWMA, so observations that
+        bypass ``observe_latency`` count too."""
+        view = _view(min_samples=2, threshold=1.5)
+        for _ in range(2):
+            for server, latency in enumerate([10.0, 1.0, 1.0, 1.0]):
+                view.ewma.observe(server, latency, 1.0)
+        assert view.stragglers() == {0}
+
+    @given(
+        seen=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(1, 40), st.integers(0, 30)),
+            max_size=40,
+        ),
+        min_samples=st.integers(1, 3),
+        half_life=st.sampled_from([None, 2.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stragglers_match_a_full_scan(self, seen, min_samples, half_life):
+        """``stragglers()`` equals the classifier's definition evaluated
+        over every server after each observation."""
+        view = _view(num_servers=6, min_samples=min_samples, half_life=half_life)
+        for server, latency, finish in seen:
+            view.observe_latency(server, float(latency), float(finish))
+            sampled = [s for s in range(6) if view.ewma.count(s) >= min_samples]
+            estimates = [view.ewma.estimate(s, view._now) for s in sampled]
+            want = set()
+            if len(sampled) >= 2:
+                median = sorted(estimates)[(len(sampled) - 1) // 2]
+                if median > 0:
+                    want = {
+                        s
+                        for s, e in zip(sampled, estimates)
+                        if e > view.threshold * median
+                    }
+            assert view.stragglers() == want
 
 
 class TestRedirection:
