@@ -71,13 +71,14 @@ class CostModelParams:
         """Read the parameters off a cluster description.
 
         On the paper's testbed these come from a calibration profile of
-        the servers; our device models expose them directly (see
-        :mod:`repro.devices.calibrate` for the fitted-from-measurements
-        path).  The SSD startups are divided by the device's channel
-        count: the calibration workload runs many requests
-        concurrently, and flash internal parallelism overlaps their
-        startups, so the *average* per-request startup a profile
-        measures is the raw value amortized over the channels.
+        the servers.  A simulated data server charges every sub-request
+        ``device.alpha(op) / channels`` plus its transfer times, so the
+        device models give the exact values such a profile would fit.
+        The SSD startups are divided by the device's channel count: the
+        calibration workload runs many requests concurrently, and flash
+        internal parallelism overlaps their startups, so the *average*
+        per-request startup a profile measures is the raw value
+        amortized over the channels.
         """
         return cls(
             M=spec.num_hservers,

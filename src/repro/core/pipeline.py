@@ -279,34 +279,37 @@ class MHAPipeline:
         the RST then receives each region's pair in file and region
         order.  After the last search, file-backed tables commit: the
         DRT, then the RST, each in one durable write stamped with the
-        plan epoch, one past the newest epoch either file held.
+        plan epoch, one past the newest epoch either file held.  When
+        planning raises, both tables' files are closed.
         """
-        drt = DRT(self.drt_path) if self.drt_path else DRT()
-        rst = RST(self.rst_path) if self.rst_path else RST()
-        epoch = 1 + max(drt.epoch, rst.epoch)
-        reorder_plans: dict[str, ReorderPlan] = {}
-        groupings: dict[str, GroupingResult] = {}
-        decisions: dict[str, StripeDecision] = {}
-        original_layouts: dict[str, Layout] = {}
+        with ExitStack() as opened:
+            drt = opened.enter_context(DRT(self.drt_path) if self.drt_path else DRT())
+            rst = opened.enter_context(RST(self.rst_path) if self.rst_path else RST())
+            epoch = 1 + max(drt.epoch, rst.epoch)
+            reorder_plans: dict[str, ReorderPlan] = {}
+            groupings: dict[str, GroupingResult] = {}
+            decisions: dict[str, StripeDecision] = {}
+            original_layouts: dict[str, Layout] = {}
 
-        columns = as_columnar_trace(trace)
-        for file, indices in columns.file_partition().items():
-            sub = columns.take(indices).sorted_by_offset()
-            original_layouts[file] = self._original_layout(file)
-            reorder_plans[file], groupings[file] = self.plan_file_columnar(
-                file, sub, drt
-            )
+            columns = as_columnar_trace(trace)
+            for file, indices in columns.file_partition().items():
+                sub = columns.take(indices).sorted_by_offset()
+                original_layouts[file] = self._original_layout(file)
+                reorder_plans[file], groupings[file] = self.plan_file_columnar(
+                    file, sub, drt
+                )
 
-        for reorder_plan in reorder_plans.values():
-            for region in reorder_plan.regions:
-                decision = self.search(region)
-                decisions[region.name] = decision
-                rst.set(region.name, decision.pair)
-        drt.commit(epoch)
-        rst.commit(epoch)
+            for reorder_plan in reorder_plans.values():
+                for region in reorder_plan.regions:
+                    decision = self.search(region)
+                    decisions[region.name] = decision
+                    rst.set(region.name, decision.pair)
+            drt.commit(epoch)
+            rst.commit(epoch)
 
-        region_layouts = place_regions(self.spec, rst)
-        redirector = Redirector(drt, region_layouts, original_layouts)
+            region_layouts = place_regions(self.spec, rst)
+            redirector = Redirector(drt, region_layouts, original_layouts)
+            opened.pop_all()
         return MHAPlan(
             drt=drt,
             rst=rst,

@@ -1,7 +1,6 @@
 """Storage device models: HDD (HServer) and SSD (SServer) substrates."""
 
 from .base import Device, OpType, READ, WRITE
-from .calibrate import AffineFit, fit_affine, measure_device
 from .hdd import HDD
 from .ssd import SSD
 
@@ -12,7 +11,4 @@ __all__ = [
     "WRITE",
     "HDD",
     "SSD",
-    "AffineFit",
-    "fit_affine",
-    "measure_device",
 ]

@@ -40,11 +40,6 @@ class SSD(Device):
             read_bandwidth=self.read_bandwidth, write_bandwidth=self.write_bandwidth
         )
 
-    def startup_time(self, op: OpType, sequential: bool) -> float:
-        # Flash has no mechanical positioning: sequentiality does not
-        # change the (already small) command overhead.
-        return self.read_startup if op == READ else self.write_startup
-
     def transfer_time(self, op: OpType, nbytes: int) -> float:
         bw = self.read_bandwidth if op == READ else self.write_bandwidth
         return nbytes / bw

@@ -21,7 +21,6 @@ flips the hash).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
@@ -118,10 +117,8 @@ def chaos_fault_plan(
     lives).  The same ``(seed, models, intensity)`` triple always
     yields the same plan.
     """
-    if not (math.isfinite(intensity) and intensity >= 0):
-        raise ConfigurationError(
-            f"intensity must be finite and >= 0, got {intensity}"
-        )
+    if not 0 <= intensity <= 1:
+        raise ConfigurationError(f"intensity must be in [0, 1], got {intensity}")
     if intensity == 0:
         return FaultPlan(faults=(), seed=seed)
     hdd = list(spec.hserver_ids) or list(spec.server_ids)

@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 
+from ..exceptions import ReproError
 from ..units import MiB
 from .figures import ALL_FIGURES
 from .report import format_bars
@@ -253,8 +254,18 @@ def _serve_main(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run a figure or a subcommand; returns the exit status.  A setting
+    the library rejects (any :class:`ReproError`) prints one
+    ``repro-harness: error: ...`` line and returns 2, as argparse does
+    for a bad flag."""
+    try:
+        return _main(sys.argv[1:] if argv is None else argv)
+    except ReproError as exc:
+        print(f"repro-harness: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _main(argv: list[str]) -> int:
     if argv and argv[0] == "online":
         return _online_main(argv[1:])
     if argv and argv[0] == "chaos":

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from ..core.pipeline import MHAPipeline, MHAPlan
 from ..exceptions import ConfigurationError
 from ..tracing.record import Trace, TraceRecord
-from .drift import DriftDetector, DriftReport
-from .gate import CostBenefitGate, GateDecision
-from .replanner import IncrementalReplanner, ReplanOutcome
+from .drift import DriftDetector, DriftReport, _check_detector_settings
+from .gate import CostBenefitGate, GateDecision, _check_gate_settings
+from .replanner import IncrementalReplanner, ReplanOutcome, _check_reuse_tolerance
 from .sketch import StreamingSketch
 
 __all__ = ["ControllerConfig", "RelayoutAction", "RelayoutController"]
@@ -79,6 +79,12 @@ class ControllerConfig:
             )
         if self.cooldown < 0:
             raise ConfigurationError(f"cooldown must be >= 0, got {self.cooldown}")
+        # the settings handed on, through the checks their users run
+        _check_detector_settings(
+            self.drift_threshold, self.min_samples, self.unmapped_threshold
+        )
+        _check_gate_settings(self.horizon, self.safety)
+        _check_reuse_tolerance(self.reuse_tolerance)
 
 
 @dataclass

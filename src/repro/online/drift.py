@@ -92,6 +92,24 @@ class DriftReport:
         return "drift: " + " ".join(parts)
 
 
+def _check_detector_settings(
+    threshold: float, min_samples: int, unmapped_threshold: float
+) -> None:
+    """Raise :class:`ConfigurationError` unless ``threshold`` is finite
+    and > 0, ``min_samples`` finite and >= 1 and ``unmapped_threshold``
+    in (0, 1]."""
+    if not 0 < threshold < math.inf:
+        raise ConfigurationError(f"threshold must be finite and > 0, got {threshold}")
+    if not 1 <= min_samples < math.inf:
+        raise ConfigurationError(
+            f"min_samples must be finite and >= 1, got {min_samples}"
+        )
+    if not 0.0 < unmapped_threshold <= 1.0:
+        raise ConfigurationError(
+            f"unmapped_threshold must be in (0, 1], got {unmapped_threshold}"
+        )
+
+
 class DriftDetector:
     """Compares a :class:`StreamingSketch` against the active plan.
 
@@ -114,14 +132,7 @@ class DriftDetector:
         min_samples: int = 8,
         unmapped_threshold: float = 0.25,
     ) -> None:
-        if threshold <= 0:
-            raise ConfigurationError(f"threshold must be > 0, got {threshold}")
-        if min_samples <= 0:
-            raise ConfigurationError(f"min_samples must be >= 1, got {min_samples}")
-        if not 0.0 < unmapped_threshold <= 1.0:
-            raise ConfigurationError(
-                f"unmapped_threshold must be in (0, 1], got {unmapped_threshold}"
-            )
+        _check_detector_settings(threshold, min_samples, unmapped_threshold)
         self.threshold = threshold
         self.min_samples = min_samples
         self.unmapped_threshold = unmapped_threshold

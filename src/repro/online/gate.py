@@ -26,6 +26,7 @@ candidate leaves the active plan untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,6 +121,14 @@ class GateDecision:
         )
 
 
+def _check_gate_settings(horizon: float, safety: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``horizon`` and
+    ``safety`` are finite and > 0."""
+    for name, value in (("horizon", horizon), ("safety", safety)):
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+
+
 class CostBenefitGate:
     """Admits a candidate plan only when projected payback beats cost.
 
@@ -148,10 +157,7 @@ class CostBenefitGate:
         spatial: bool | int = True,
         original_stripe: int = DEFAULT_ORIGINAL_STRIPE,
     ) -> None:
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be > 0, got {horizon}")
-        if safety <= 0:
-            raise ConfigurationError(f"safety must be > 0, got {safety}")
+        _check_gate_settings(horizon, safety)
         self.spec = spec
         self.params = CostModelParams.from_cluster(spec)
         self.horizon = horizon

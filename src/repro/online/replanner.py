@@ -20,6 +20,7 @@ ones whose pairs are suspect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..core.determinator import StripeDecision
@@ -29,6 +30,7 @@ from ..core.placer import place_regions
 from ..core.redirector import Redirector
 from ..core.reorganizer import RegionPlan
 from ..core.rst import RST
+from ..exceptions import ConfigurationError
 from ..layouts.base import Layout
 from ..tracing.columnar import as_columnar_trace
 from ..tracing.record import Trace
@@ -56,6 +58,15 @@ class ReplanOutcome:
         return entries
 
 
+def _check_reuse_tolerance(reuse_tolerance: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``reuse_tolerance`` is
+    finite and >= 0 (0 disables reuse)."""
+    if not 0 <= reuse_tolerance < math.inf:
+        raise ConfigurationError(
+            f"reuse_tolerance must be finite and >= 0, got {reuse_tolerance}"
+        )
+
+
 class IncrementalReplanner:
     """Builds candidate plans for the drifted subset of the namespace.
 
@@ -71,6 +82,7 @@ class IncrementalReplanner:
     """
 
     def __init__(self, pipeline: MHAPipeline, reuse_tolerance: float = 0.05) -> None:
+        _check_reuse_tolerance(reuse_tolerance)
         self.pipeline = pipeline
         self.reuse_tolerance = reuse_tolerance
 

@@ -13,7 +13,7 @@ in-flight request's finish time; requests themselves are pre-mapped in
 one batched pass through the view (:func:`mapped_runs`).
 
 **Bit-identity with the event engine.**  The kernel calls the *same*
-bound methods (``Device.startup_time`` / ``transfer_time``,
+bound methods (``Device.alpha`` / ``transfer_time``,
 ``Link.transfer_time``) in the same per-fragment order, and combines
 them with the same ``max``/``+`` arithmetic, so every float it produces
 equals the event engine's bit for bit.  Ordering decisions mirror the
@@ -182,8 +182,6 @@ def replay_flat(
     )
     link_time = pfs.spec.link.transfer_time
     srv_col = runs.servers
-    obj_col = runs.objs
-    off_col = runs.offsets
     len_col = runs.lengths
     starts_col = runs.starts
     use_barrier = phase_of is not None
@@ -243,9 +241,9 @@ def replay_flat(
             return
         op = ops[i]
         if dispatch is None:
-            servers, objs, offs, lens = srv_col, obj_col, off_col, len_col
+            servers, lens = srv_col, len_col
         else:
-            servers, objs, offs, lens, _ = dispatch(
+            servers, _, _, lens, _ = dispatch(
                 op,
                 names[file_col[i]],
                 int(offset_col[i]),
@@ -263,9 +261,7 @@ def replay_flat(
         best = -1.0
         best_seq = -1
         for j in range(lo, hi):
-            finish = submit[servers[j]](
-                op, objs[j], offs[j], lens[j], now, not_before=not_before
-            )
+            finish = submit[servers[j]](op, lens[j], now, not_before)
             if finish >= best:
                 best = finish
                 best_seq = seq

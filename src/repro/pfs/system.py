@@ -128,9 +128,7 @@ class HybridPFS:
             not_before = record.finish
         completions = []
         for f in merged:
-            done = self.server(f.server).submit(
-                op, f.obj, f.offset, f.length, not_before=not_before
-            )
+            done = self.server(f.server).submit(op, f.length, not_before=not_before)
             if observer is not None:
                 done.add_waiter(_observation(observer, f.server))
             completions.append(done)

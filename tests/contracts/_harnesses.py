@@ -136,8 +136,6 @@ _service_batches = st.lists(
 _sub_request_batches = st.lists(
     st.tuples(
         st.sampled_from(["read", "write"]),
-        st.sampled_from(["f", "g"]),
-        st.integers(min_value=0, max_value=48),  # offset in 8 KiB units
         st.integers(min_value=1, max_value=16),  # length in 8 KiB units
         st.integers(min_value=0, max_value=30),  # not_before * 4
     ),
@@ -557,11 +555,9 @@ def _server_submit(contract):
             # separate compilations: fault states carry mutable cursors
             ref.faults = _SERVER_FAULT_PLAN.compile(1)[0]
             twin.faults = _SERVER_FAULT_PLAN.compile(1)[0]
-        for op, obj, off, length, nb4 in batch:
-            ref.submit(op, obj, off * 8 * KiB, length * 8 * KiB, not_before=nb4 / 4.0)
-            twin.submit_flat(
-                op, obj, off * 8 * KiB, length * 8 * KiB, 0.0, not_before=nb4 / 4.0
-            )
+        for op, length, nb4 in batch:
+            ref.submit(op, length * 8 * KiB, not_before=nb4 / 4.0)
+            twin.submit_flat(op, length * 8 * KiB, 0.0, not_before=nb4 / 4.0)
         # one (finish - submit) entry per sub-request, in submit order
         assert twin.latency_log == ref.latency_log
         assert twin.stats == ref.stats

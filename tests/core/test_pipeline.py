@@ -7,7 +7,8 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core import DRT, MHAPipeline
 from repro.core.pipeline import identity_redirector
-from repro.exceptions import ConfigurationError, RedirectionError
+from repro.exceptions import ConfigurationError, KVStoreError, RedirectionError
+from repro.kvstore import HashDB
 from repro.layouts import check_tiling
 from repro.tracing import Trace, TraceRecord
 from repro.units import KiB
@@ -125,16 +126,32 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match=name):
             MHAPipeline(spec, **{name: value})
 
-    def test_replanning_into_the_same_tables_is_rejected(self, spec, tmp_path):
+    def test_replanning_into_the_same_tables_is_rejected(
+        self, spec, tmp_path, monkeypatch
+    ):
         """Plan metadata is write-once: planning the same trace again
-        into the same files finds its extents already mapped."""
+        into the same files finds its extents already mapped, and the
+        failed plan closes both logs."""
         paths = {"drt_path": tmp_path / "drt.db", "rst_path": tmp_path / "rst.db"}
         first = MHAPipeline(spec, seed=1, **paths).plan(mixed_trace())
         entries = list(first.drt)
         first.drt.close()
         first.rst.close()
+        logs = []
+        open_log = HashDB.__init__
+
+        def recording_init(db, *args, **kwargs):
+            open_log(db, *args, **kwargs)
+            logs.append(db)
+
+        monkeypatch.setattr(HashDB, "__init__", recording_init)
         with pytest.raises(RedirectionError, match="overlap"):
             MHAPipeline(spec, seed=1, **paths).plan(mixed_trace())
+        monkeypatch.undo()
+        assert sorted(db.path.name for db in logs) == ["drt.db", "rst.db"]
+        for db in logs:
+            with pytest.raises(KVStoreError, match="closed"):
+                db.put(b"probe", b"")
         with DRT(paths["drt_path"]) as drt:
             assert list(drt) == entries
 

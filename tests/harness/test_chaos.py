@@ -21,7 +21,7 @@ class TestChaosFaultPlan:
         assert len(plan) == 0
 
     def test_negative_intensity_rejected(self):
-        for bad in ("-0.5", "nan", "inf"):
+        for bad in ("-0.5", "1.5", "nan", "inf"):
             with pytest.raises(ConfigurationError, match=f"got {bad}"):
                 chaos_fault_plan(ClusterSpec(), float(bad))
 

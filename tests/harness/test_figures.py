@@ -135,3 +135,24 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--tenants", "0"],
+            ["online", "--processes", "0"],
+            ["chaos", "--intensities", "2", "--schemes", "DEF"],
+        ],
+        ids=["serve-tenants", "online-processes", "chaos-intensity"],
+    )
+    def test_rejected_setting_prints_one_line(self, argv, capsys):
+        """A setting the library rejects exits 2 with one stderr line,
+        as argparse does for a bad flag, and nothing runs."""
+        from repro.harness.cli import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro-harness: error: ")

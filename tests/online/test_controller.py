@@ -1,5 +1,7 @@
 """Tests for the relayout controller lifecycle and the legacy shim."""
 
+import math
+
 import pytest
 
 from repro.cluster import ClusterSpec
@@ -129,3 +131,28 @@ class TestRelayoutController:
             ControllerConfig(check_interval=0)
         with pytest.raises(ConfigurationError):
             ControllerConfig(cooldown=-1)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("drift_threshold", math.nan),
+            ("drift_threshold", math.inf),
+            ("drift_threshold", 0.0),
+            ("min_samples", 0),
+            ("unmapped_threshold", math.nan),
+            ("horizon", -1.0),
+            ("horizon", math.nan),
+            ("horizon", math.inf),
+            ("safety", math.nan),
+            ("safety", math.inf),
+            ("reuse_tolerance", math.nan),
+            ("reuse_tolerance", math.inf),
+            ("reuse_tolerance", -0.1),
+        ],
+    )
+    def test_config_rejects_settings_its_parts_reject(self, field, value):
+        """Settings handed on to the detector, gate and replanner fail
+        when the config is built, not when the controller is."""
+        # the detector calls ``drift_threshold`` plain ``threshold``
+        with pytest.raises(ConfigurationError, match=field.removeprefix("drift_")):
+            ControllerConfig(**{field: value})

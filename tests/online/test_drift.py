@@ -1,5 +1,7 @@
 """Tests for drift detection, including the no-false-replan property."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,18 @@ class TestDriftDetector:
             DriftDetector(min_samples=0)
         with pytest.raises(ConfigurationError):
             DriftDetector(unmapped_threshold=1.5)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("threshold", math.nan),
+            ("threshold", math.inf),
+            ("min_samples", math.inf),
+        ],
+    )
+    def test_settings_must_be_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DriftDetector(**{field: value})
 
 
 class TestNoFalseReplanProperty:

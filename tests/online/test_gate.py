@@ -1,5 +1,7 @@
 """Tests for the cost/benefit admission gate."""
 
+import math
+
 import pytest
 
 from repro.cluster import ClusterSpec
@@ -107,3 +109,9 @@ class TestCostBenefitGate:
             CostBenefitGate(spec, horizon=0)
         with pytest.raises(ConfigurationError):
             CostBenefitGate(spec, safety=0)
+
+    @pytest.mark.parametrize("field", ["horizon", "safety"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_settings_must_be_finite(self, spec, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            CostBenefitGate(spec, **{field: value})

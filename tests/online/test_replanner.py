@@ -1,9 +1,12 @@
 """Tests for the incremental re-planner."""
 
+import math
+
 import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import MHAPipeline
+from repro.exceptions import ConfigurationError
 from repro.online import (
     DriftDetector,
     IncrementalReplanner,
@@ -43,6 +46,11 @@ def drift_report_for(pipeline, plan, window):
 
 
 class TestIncrementalReplanner:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_reuse_tolerance_must_be_finite_and_non_negative(self, pipeline, value):
+        with pytest.raises(ConfigurationError, match="reuse_tolerance"):
+            IncrementalReplanner(pipeline, reuse_tolerance=value)
+
     def test_full_drift_rebuild_matches_offline_plan(self, spec, pipeline):
         """When every region of a file drifts, the replan must be the
         off-line plan of the window — same DRT, same stripe pairs, same

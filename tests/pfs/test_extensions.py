@@ -105,7 +105,7 @@ class TestStragglerInjection:
         pfs = HybridPFS(spec)
         pfs.servers[0].slowdown = 0.0
         with pytest.raises(ValueError):
-            pfs.servers[0].submit("read", "o", 0, 1024)
+            pfs.servers[0].submit("read", 1024)
 
     def test_mha_replan_routes_around_straggler(self):
         """Robustness extension: re-profiling on a degraded cluster and

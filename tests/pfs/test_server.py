@@ -9,31 +9,33 @@ from repro.simulate import Simulator
 from repro.units import KiB
 
 
-def make_server(device=None, stream_capacity=4):
+def make_server(device=None):
     sim = Simulator()
-    server = DataServer(
-        sim, 0, device or HDD(), GIGABIT_ETHERNET, stream_capacity=stream_capacity
-    )
+    server = DataServer(sim, 0, device or HDD(), GIGABIT_ETHERNET)
     return sim, server
 
 
 class TestService:
     def test_service_time_structure(self):
-        sim, server = make_server()
-        done = server.submit("read", "obj", 0, 64 * KiB)
-        sim.run()
-        hdd, link = HDD(), GIGABIT_ETHERNET
-        expected = (
-            hdd.startup_time("read", False)
-            + hdd.transfer_time("read", 64 * KiB)
-            + link.transfer_time(64 * KiB)
-        )
-        assert done.value.duration == pytest.approx(expected)
+        """Table I's affine law, bit for bit: the startup amortized over
+        the device's channels, then the device and link transfers."""
+        link = GIGABIT_ETHERNET
+        for device in (HDD(), SSD()):
+            for op in ("read", "write"):
+                sim, server = make_server(device=device)
+                done = server.submit(op, 64 * KiB)
+                sim.run()
+                expected = (
+                    device.alpha(op) / device.channels
+                    + device.transfer_time(op, 64 * KiB)
+                    + link.transfer_time(64 * KiB)
+                )
+                assert done.value.duration == expected, (device.name, op)
 
     def test_ssd_startup_amortized_by_channels(self):
         ssd = SSD()
         sim, server = make_server(device=ssd)
-        done = server.submit("write", "obj", 0, 4 * KiB)
+        done = server.submit("write", 4 * KiB)
         sim.run()
         expected = (
             ssd.write_startup / ssd.channels
@@ -44,22 +46,22 @@ class TestService:
 
     def test_fifo_queueing(self):
         sim, server = make_server()
-        c1 = server.submit("read", "obj", 0, 64 * KiB)
-        c2 = server.submit("read", "x", 0, 64 * KiB)
+        c1 = server.submit("read", 64 * KiB)
+        c2 = server.submit("read", 64 * KiB)
         sim.run()
         assert c2.value.start == pytest.approx(c1.value.finish)
 
     def test_busy_time_accumulates(self):
         sim, server = make_server()
-        server.submit("read", "obj", 0, 64 * KiB)
-        server.submit("write", "obj", 64 * KiB, 64 * KiB)
+        server.submit("read", 64 * KiB)
+        server.submit("write", 64 * KiB)
         sim.run()
         assert server.busy_time > 0
 
     def test_byte_accounting(self):
         sim, server = make_server()
-        server.submit("read", "obj", 0, 100)
-        server.submit("write", "obj", 100, 200)
+        server.submit("read", 100)
+        server.submit("write", 200)
         sim.run()
         assert server.stats.bytes_read == 100
         assert server.stats.bytes_written == 200
@@ -68,47 +70,8 @@ class TestService:
 
     def test_reset_stats(self):
         sim, server = make_server()
-        server.submit("read", "obj", 0, 100)
+        server.submit("read", 100)
         sim.run()
         server.reset_stats()
         assert server.busy_time == 0.0
         assert server.stats.sub_requests == 0
-
-
-class TestStreamTracking:
-    def test_sequential_continuation_detected(self):
-        hdd = HDD(seek_time=5e-3, sequential_startup=1e-3)
-        sim, server = make_server(device=hdd)
-        server.submit("read", "obj", 0, 4096)
-        server.submit("read", "obj", 4096, 4096)
-        sim.run()
-        assert server.stats.seeks == 1
-        assert server.stats.sequential_hits == 1
-
-    def test_multiple_streams_tracked(self):
-        sim, server = make_server(stream_capacity=4)
-        for obj in ("a", "b", "c"):
-            server.submit("read", obj, 0, 4096)
-        for obj in ("a", "b", "c"):
-            server.submit("read", obj, 4096, 4096)
-        sim.run()
-        assert server.stats.sequential_hits == 3
-
-    def test_stream_eviction_when_over_capacity(self):
-        sim, server = make_server(stream_capacity=2)
-        for obj in ("a", "b", "c"):  # c's insert evicts a's tail
-            server.submit("read", obj, 0, 4096)
-        server.submit("read", "a", 4096, 4096)  # tail evicted: a seek
-        sim.run()
-        assert server.stats.sequential_hits == 0
-
-    def test_zero_capacity_disables_tracking(self):
-        sim, server = make_server(stream_capacity=0)
-        server.submit("read", "obj", 0, 4096)
-        server.submit("read", "obj", 4096, 4096)
-        sim.run()
-        assert server.stats.sequential_hits == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            make_server(stream_capacity=-1)

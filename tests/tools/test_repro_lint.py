@@ -83,7 +83,7 @@ class TestRL002:
         assert "RL002" in rules_of(src, CORE)
 
     def test_raw_literal_in_sizes_tuple_flagged(self):
-        # the pre-fix calibrate.py pattern
+        # the pre-fix pattern of a device-probe sizes default
         src = "def f(sizes=(4096, 16384)):\n    return sizes\n"
         assert "RL002" in rules_of(src, CORE)
 
