@@ -12,7 +12,11 @@ bursts of 21): its phases time the burst-mode search where the request
 axis is long.  There the grid engine's lower bound rules out all but
 one kernel block of candidates, while on the random region (128
 requests over 13 op/length-band groups) the bound is skipped and every
-candidate is scored.  Both counts are deterministic and asserted.
+candidate is scored.  A third, scattered region (1,536 contiguous
+writes cycling 16/64/256 KB, each burst of 21 drawn from the whole
+region) leaves the pruned search several kernel blocks to score, so
+its phases time the search's per-block work.  All three counts are
+deterministic and asserted.
 
 Results are written to ``BENCH_rssd.json`` (override with the
 ``REPRO_BENCH_OUT`` environment variable) through the
@@ -44,6 +48,11 @@ WIDE_BURST = 21
 #: candidates the grid engine scores on the wide region: one kernel
 #: block of GRID_CHUNK_ELEMS // WIDE_REQUESTS candidates
 WIDE_EVALUATED = 21
+#: the scattered region's request sizes, in row order
+SCATTERED_SIZES = (16 * KiB, 64 * KiB, R_MAX)
+#: candidates the grid engine scores on the scattered region: 14 kernel
+#: blocks of 21
+SCATTERED_EVALUATED = 294
 #: candidates in each region's search grid (64 steps on each axis)
 CANDIDATES = 2144
 BENCH = "rssd-search"
@@ -66,6 +75,15 @@ def make_wide_region():
     lengths = np.full(WIDE_REQUESTS, R_MAX, dtype=np.int64)
     is_read = np.zeros(WIDE_REQUESTS, dtype=bool)
     bursts = np.arange(WIDE_REQUESTS) // WIDE_BURST
+    return offsets, lengths, is_read, bursts
+
+
+def make_scattered_region(seed: int = 7):
+    lengths = np.resize(np.array(SCATTERED_SIZES, dtype=np.int64), WIDE_REQUESTS)
+    offsets = np.cumsum(lengths) - lengths
+    is_read = np.zeros(WIDE_REQUESTS, dtype=bool)
+    rng = np.random.default_rng(seed)
+    bursts = rng.permutation(np.arange(WIDE_REQUESTS) // WIDE_BURST)
     return offsets, lengths, is_read, bursts
 
 
@@ -117,3 +135,13 @@ def test_wide_burst_region(report, best_of):
     _, grid = time_engines(report, best_of, "burst-wide", make_wide_region())
     assert grid.candidates == CANDIDATES
     assert grid.evaluated == WIDE_EVALUATED
+
+
+def test_scattered_burst_region(report, best_of):
+    # no speedup floor: this phase tracks the per-block work of a search
+    # that scores several kernel blocks
+    _, grid = time_engines(
+        report, best_of, "burst-scattered", make_scattered_region()
+    )
+    assert grid.candidates == CANDIDATES
+    assert grid.evaluated == SCATTERED_EVALUATED

@@ -19,9 +19,11 @@ modelled two ways:
 
 * **exact bursts** (:func:`burst_costs`, and its grid twin
   :func:`burst_costs_grid`) — requests sharing a burst id were issued
-  together; each server's time for the burst counts its real startups
-  and bytes, and the burst completes at the slowest server.  This is
-  the RSSD search's objective.
+  together.  Per burst and server, ``p_i`` (the members touching the
+  server) and ``s_i`` (their bytes there) are summed exactly in
+  integers, Eq. 2 prices them once as ``p_i·(α + λ) + s_i·(t + β)``,
+  and the burst completes at the slowest server.  This is the RSSD
+  search's objective.
 * **statistical bursts** (:func:`request_costs`) — a request issued in
   a burst of ``c`` similar concurrent requests shares its servers with
   its burst-mates.  HPC bursts *tile* the file — concurrent requests
@@ -65,10 +67,20 @@ __all__ = [
     "region_cost",
     "burst_costs",
     "burst_costs_grid",
+    "BurstCostKernel",
     "burst_cost_bounds",
     "burst_bound_slack",
     "grid_chunks",
 ]
+
+#: block width, in candidates, from which the grid kernel sums each
+#: segment (a burst, or a burst's reads or writes) with its own
+#: ``np.add.reduce`` call instead of one ``np.add.reduceat`` per
+#: server.  ``reduceat`` pays per (segment, column) about what a slice
+#: reduction pays per segment; the two met between 64 and 128
+#: candidates on every region shape measured (2-vCPU VM, 11 to 1,541
+#: requests in 5 to 73 bursts).
+WIDE_BLOCK = 96
 
 #: cap on the elements of one ``(K, block)`` grid-kernel temporary.  The
 #: candidate axis is cut into blocks of ``GRID_CHUNK_ELEMS // K``
@@ -207,20 +219,23 @@ def burst_costs(
     This is the cost model evaluated against the trace's **actual**
     simultaneous request groups instead of the statistical burst
     approximation in :func:`request_costs`: requests sharing a burst id
-    were issued together, so each server's time for the burst is
-    ``p_i·(α + λ) + Σ bytes·(t + β_op)`` with ``p_i`` the *counted*
-    number of burst members touching it and the byte sum taken over the
-    members' real extents — and the burst completes at the slowest
-    server (Eq. 2's ``max``, lifted from one request to one burst).
-    For a trace of singleton bursts this is exactly Eq. 2 per request.
+    were issued together, so each server's time for the burst is Eq. 2
+    with ``p_i`` the *counted* number of burst members touching it and
+    ``s_i`` the bytes of their real extents there — and the burst
+    completes at the slowest server (Eq. 2's ``max``, lifted from one
+    request to one burst).  Per (burst, server) that is
+    ``P·(α_h + λ) + L·(t + β_h)`` on an HServer and, on an SServer, the
+    same term for the burst's reads plus the term for its writes, with
+    ``α_sr``/``β_sr`` and ``α_sw``/``β_sw``.  For a trace of singleton
+    bursts this is exactly Eq. 2 per request.
 
     Returns one completion time per distinct burst id, ordered by
     ``np.unique(burst_ids)``.
 
-    The per-server scatter-sum is a stable sort by burst id followed by
-    ``np.add.reduceat`` along the request axis — the exact accumulation
-    primitive (and order) of :func:`burst_costs_grid`, which is what
-    keeps the scalar and grid search engines bit-identical.
+    ``P`` and ``L`` are int64 sums, exact in any order, so the costs do
+    not depend on the order of requests within a burst, and
+    :func:`burst_costs_grid`, which forms the same products and sums
+    from the same integers, is bit-identical to this function.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -236,38 +251,181 @@ def burst_costs(
     worst = np.zeros(B, dtype=np.float64)
     if B == 0:
         return worst
-    # stable order by burst id; traces whose requests already arrive
-    # burst-grouped (the common case after the determinator pre-sorts)
-    # skip the gather copies entirely
-    if np.all(inverse[:-1] <= inverse[1:]):
-        sorted_already = True
-        sorted_inverse = inverse
-    else:
-        sorted_already = False
-        order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
+    # traces whose requests already arrive burst-grouped (the common
+    # case after the determinator pre-sorts) skip the gather copies
+    grouped = bool(np.all(inverse[:-1] <= inverse[1:]))
+    order = slice(None) if grouped else np.argsort(inverse, kind="stable")
     # np.unique guarantees every id in [0, B) occurs, so each segment
     # start exists and reduceat sees B non-empty segments
-    seg_starts = np.searchsorted(sorted_inverse, np.arange(B))
+    seg_starts = np.searchsorted(inverse[order], np.arange(B))
 
-    def segment_sum(vals: np.ndarray) -> np.ndarray:
-        if not sorted_already:
-            vals = vals[order]
-        return np.add.reduceat(vals, seg_starts, axis=0)
+    def eq2(nbytes: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+        """``(B, n)`` Eq. 2 times of ``(K, n)`` per-request byte counts."""
+        rows = nbytes[order]
+        touches = np.add.reduceat(rows > 0, seg_starts, axis=0, dtype=np.int64)
+        load = np.add.reduceat(rows, seg_starts, axis=0, dtype=np.int64)
+        return touches * (alpha + lam) + load * (params.t + beta)
 
     if params.M > 0 and h_eff > 0:
-        loads = segment_sum(h_bytes * (params.t + params.beta_h))
-        counts = segment_sum((h_bytes > 0).astype(np.float64))
-        t_h = counts * (params.alpha_h + lam) + loads
+        t_h = eq2(h_bytes, params.alpha_h, params.beta_h)
         worst = np.maximum(worst, t_h.max(axis=1))
     if params.N > 0 and s_eff > 0:
-        beta = np.where(is_read, params.beta_sr, params.beta_sw)[:, None]
-        alpha = np.where(is_read, params.alpha_sr, params.alpha_sw)[:, None]
-        loads = segment_sum(s_bytes * (params.t + beta))
-        starts = segment_sum((s_bytes > 0) * (alpha + lam))
-        t_s = starts + loads
+        reads = is_read[:, None]
+        t_s = eq2(s_bytes * reads, params.alpha_sr, params.beta_sr) + eq2(
+            s_bytes * ~reads, params.alpha_sw, params.beta_sw
+        )
         worst = np.maximum(worst, t_s.max(axis=1))
     return worst
+
+
+class BurstCostKernel:
+    """One search's state for :func:`burst_costs_grid`.
+
+    Built once per region, it holds the requests ordered by (burst,
+    op), reads before writes, the row starts of each burst and of each
+    (burst, op) segment, and the kernel's ``(K, block)`` buffers.
+    :meth:`costs` scores one block of candidates in those buffers, so a
+    search that scores many blocks allocates (and page-faults) its
+    temporaries once.  ``chunks`` are :func:`grid_chunks`' blocks of the
+    search's ``n_candidates``.
+    """
+
+    def __init__(
+        self,
+        params: CostModelParams,
+        offsets: np.ndarray,
+        lengths: np.ndarray,
+        is_read: np.ndarray,
+        burst_ids: np.ndarray,
+        n_candidates: int,
+    ) -> None:
+        offsets = np.asarray(offsets, dtype=np.int64)
+        # a non-positive length maps no byte, like the scalar path's zeroed rows
+        lengths = np.maximum(np.asarray(lengths, dtype=np.int64), 0)
+        is_read = np.asarray(is_read, dtype=bool)
+        _, inverse = np.unique(np.asarray(burst_ids), return_inverse=True)
+        K = offsets.shape[0]
+        key = 2 * inverse + ~is_read  # reads sort before writes
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        # only non-empty segments: reduceat gives a row, not 0, for an
+        # empty one
+        seg_starts = np.flatnonzero(np.diff(key, prepend=-1))
+        burst_segs = np.flatnonzero(np.diff(key[seg_starts] // 2, prepend=-1))
+        seg_read = key[seg_starts] % 2 == 0
+        lam = params.net_latency
+
+        self.params = params
+        self.n_bursts = burst_segs.shape[0]
+        self.chunks = grid_chunks(n_candidates, K)
+        self.starts = offsets[order][:, None]
+        self.ends = self.starts + lengths[order][:, None]
+        # per server class (keyed by "is an HServer"): the row starts
+        # and row ranges of its segments, which are bursts on HServers
+        # and (burst, op) pairs on SServers, and Eq. 2's coefficients
+        self._segments = {True: seg_starts[burst_segs], False: seg_starts}
+        self._ranges = {
+            hserver: list(zip(rows.tolist(), rows[1:].tolist() + [K]))
+            for hserver, rows in self._segments.items()
+        }
+        s_alpha = np.where(seg_read, params.alpha_sr, params.alpha_sw)[:, None]
+        s_beta = np.where(seg_read, params.beta_sr, params.beta_sw)[:, None]
+        self._coefficients = {
+            True: (params.alpha_h + lam, params.t + params.beta_h),
+            False: (s_alpha + lam, params.t + s_beta),
+        }
+        #: each burst's first (burst, op) segment, when some burst has both
+        mixed = burst_segs.shape[0] < seg_starts.shape[0]
+        self._mixed = burst_segs if mixed else None
+        block = min(n_candidates, self.chunks[0].stop) if self.chunks else 0
+        size, segs = K * block, seg_starts.shape[0] * block
+        self._ints = [np.empty(size, dtype=np.int64) for _ in range(7)]
+        self._pair = np.empty(2 * size, dtype=np.int64)
+        self._sums = np.empty(2 * segs, dtype=np.int64)
+        self._floats = [np.empty(segs, dtype=np.float64) for _ in range(3)]
+        self._out = np.empty(self.n_bursts * block, dtype=np.float64)
+
+    def costs(self, h: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Per-burst costs of ``n`` candidates ``<h[g], s[g]>``, shape
+        ``(n, B)``, with ``n`` at most one chunk.  The result is a view
+        of the workspace that the next call overwrites.
+
+        Two ``divmod`` calls give each request's whole cycles and its
+        start and end residues.  Each server, in cycle order, then peels
+        its window off both residues (``take = min(rest, width)``,
+        ``rest -= take``), so its bytes are ``cycles·width + take_end −
+        take_start``, with ``cycles·width`` formed once per server
+        class.  The bytes and the touches are summed exactly per burst
+        (HServer) or per (burst, op) segment (SServer), and Eq. 2 prices
+        the sums once.
+        """
+        params = self.params
+        K, n, B = self.starts.shape[0], h.shape[0], self.n_bursts
+        hi, lo, rest_e, rest_s, take_e, take_s, width = (
+            flat[: K * n].reshape(K, n) for flat in self._ints
+        )
+        pair = self._pair[: 2 * K * n].reshape(2, K, n)
+        nbytes, touched = pair
+        cycle = params.M * h + params.N * s
+        # dead candidates (cycle == 0) have zero-width windows on every
+        # server, so any positive stand-in cycle leaves their bytes at 0
+        cyc = np.where(cycle > 0, cycle, 1)
+        np.divmod(self.ends, cyc, out=(hi, rest_e))
+        np.divmod(self.starts, cyc, out=(lo, rest_s))
+        cycles = np.subtract(hi, lo, out=lo)
+        worst, term, other = (
+            flat[: self._segments[False].shape[0] * n].reshape(-1, n)
+            for flat in self._floats
+        )
+        worst = worst[:B]
+        worst.fill(0.0)
+        # HServers, then SServers: the cycle order of the windows.  The
+        # widths are written out in full, so that no operation in the
+        # server loop broadcasts
+        for hserver, servers, stripe, cycle_bytes in (
+            (True, params.M, h, hi),
+            (False, params.N, s, lo),
+        ):
+            if servers == 0:
+                continue
+            np.copyto(width, stripe)
+            np.multiply(cycles, width, out=cycle_bytes)
+            startup, load_time = self._coefficients[hserver]
+            for _ in range(servers):
+                np.minimum(rest_e, width, out=take_e)
+                np.subtract(rest_e, take_e, out=rest_e)
+                np.minimum(rest_s, width, out=take_s)
+                np.subtract(rest_s, take_s, out=rest_s)
+                np.add(cycle_bytes, take_e, out=nbytes)
+                np.subtract(nbytes, take_s, out=nbytes)
+                np.greater(nbytes, 0, out=touched)
+                load, count = self._segment_sums(pair, hserver)
+                rows = load.shape[0]
+                t = np.multiply(count, startup, out=term[:rows])
+                t += np.multiply(load, load_time, out=other[:rows])
+                if not hserver and self._mixed is not None:
+                    # a burst with both ops: its read term plus its write term
+                    t = np.add.reduceat(t, self._mixed, axis=0, out=other[:B])
+                np.maximum(worst, t, out=worst)
+        out = self._out[: n * B].reshape(n, B)
+        np.copyto(out, worst.T)
+        return out
+
+    def _segment_sums(self, pair: np.ndarray, hserver: bool) -> np.ndarray:
+        """Exact int64 sums of ``pair``'s ``(2, K, n)`` bytes and touches
+        over one server class's segments, shape ``(2, segments, n)``.
+
+        ``reduceat`` costs about the same per (segment, column) as a
+        slice ``reduce`` costs per segment, so blocks of at least
+        :data:`WIDE_BLOCK` candidates sum one segment per call."""
+        rows = self._segments[hserver]
+        n = pair.shape[2]
+        sums = self._sums[: 2 * rows.shape[0] * n].reshape(2, rows.shape[0], n)
+        if n < WIDE_BLOCK:
+            return np.add.reduceat(pair, rows, axis=1, dtype=np.int64, out=sums)
+        for i, (a, b) in enumerate(self._ranges[hserver]):
+            np.add.reduce(pair[:, a:b], axis=1, out=sums[:, i])
+        return sums
 
 
 @twin_of(
@@ -287,93 +445,25 @@ def burst_costs_grid(
     """:func:`burst_costs` evaluated for ``G`` candidate pairs at once.
 
     Returns shape ``(G, B)`` — row ``g`` is bit-identical to
-    ``burst_costs(params, ..., h_arr[g], s_arr[g])``.
+    ``burst_costs(params, ..., h_arr[g], s_arr[g])``: both sum each
+    (burst, server, op)'s touches and bytes exactly in int64 and form
+    ``P·(α + λ) + L·(t + β)`` from them with the same operations, read
+    term before write term.
 
-    The kernel streams.  It groups the requests by burst id once (a
-    stable sort, so within a burst the requests keep their order) and
-    cuts the candidate axis with :func:`grid_chunks`.  For each block it
-    handles one server at a time: that server's ``(K, block)`` byte
-    counts are reduced to per-burst loads and start counts with the
-    same ``np.add.reduceat(..., axis=0)`` that :func:`burst_costs`
-    applies to its ``(K, M)`` counts, and folded into a running
-    per-burst maximum.  ``reduceat`` sums each column of a segment in
-    an order fixed by the segment alone, whatever the number of
-    columns, and ``max`` is exact, so the server-by-server fold gives
-    the scalar path's floats.
-
+    The kernel streams: one :class:`BurstCostKernel` scores the
+    candidate axis in :func:`grid_chunks` blocks, one server at a time,
+    folding each server's per-burst times into a running maximum.
     Memory is ``O(K * block + G * B)``: no ``(G, K, M + N)`` tensor
     exists, so callers pass their whole candidate grid in one call.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    # a non-positive length maps no byte, like the scalar path's zeroed rows
-    lengths = np.maximum(np.asarray(lengths, dtype=np.int64), 0)
-    is_read = np.asarray(is_read, dtype=bool)
-    burst_ids = np.asarray(burst_ids)
     h_arr = np.asarray(h_arr, dtype=np.int64)
     s_arr = np.asarray(s_arr, dtype=np.int64)
-    # an absent server class contributes nothing to the cycle and is
-    # never looped over, so its stripes need no zeroing
-    M, N = params.M, params.N
-
-    _, inverse = np.unique(burst_ids, return_inverse=True)
     G = h_arr.shape[0]
-    B = int(inverse.max()) + 1 if inverse.size else 0
-    worst = np.zeros((G, B), dtype=np.float64)
-    if G == 0 or B == 0:
-        return worst
-
-    # the determinator pre-sorts its requests by burst id, so this
-    # gather is usually skipped
-    if not np.all(inverse[:-1] <= inverse[1:]):
-        order = np.argsort(inverse, kind="stable")
-        inverse, offsets, lengths, is_read = (
-            inverse[order], offsets[order], lengths[order], is_read[order],
-        )
-    # np.unique guarantees every id in [0, B) occurs, so each segment
-    # start exists and reduceat sees B non-empty segments
-    seg_starts = np.searchsorted(inverse, np.arange(B))
-    K = offsets.shape[0]
-    ends = (offsets + lengths)[:, None]
-    starts = offsets[:, None]
-    lam = params.net_latency
-    h_load = params.t + params.beta_h
-    h_startup = params.alpha_h + lam
-    s_load = (params.t + np.where(is_read, params.beta_sr, params.beta_sw))[:, None]
-    s_startup = (np.where(is_read, params.alpha_sr, params.alpha_sw) + lam)[:, None]
-
-    for chunk in grid_chunks(G, K):
-        h_w = h_arr[chunk][None, :]  # (1, block)
-        s_w = s_arr[chunk][None, :]
-        cycle = M * h_w + N * s_w
-        # dead candidates (cycle == 0) have zero-width windows on every
-        # server, so any positive stand-in cycle leaves their bytes at 0
-        cyc = np.where(cycle > 0, cycle, 1)
-        full_e, rem_e = np.divmod(ends, cyc)  # (K, block)
-        full_o, rem_o = np.divmod(starts, cyc)
-        cycles = full_e - full_o
-
-        def server_bytes(start: np.ndarray, width: np.ndarray) -> np.ndarray:
-            """``(K, block)`` bytes in the window ``[start, start + width)``."""
-            return (
-                cycles * width
-                + np.clip(rem_e - start, 0, width)
-                - np.clip(rem_o - start, 0, width)
-            )
-
-        block_worst = np.zeros((B, h_w.shape[1]), dtype=np.float64)
-        for i in range(M):
-            nbytes = server_bytes(i * h_w, h_w)
-            loads = np.add.reduceat(nbytes * h_load, seg_starts, axis=0)
-            counts = np.add.reduceat(
-                (nbytes > 0).astype(np.float64), seg_starts, axis=0
-            )
-            np.maximum(block_worst, counts * h_startup + loads, out=block_worst)
-        for j in range(N):
-            nbytes = server_bytes(M * h_w + j * s_w, s_w)
-            loads = np.add.reduceat(nbytes * s_load, seg_starts, axis=0)
-            startups = np.add.reduceat((nbytes > 0) * s_startup, seg_starts, axis=0)
-            np.maximum(block_worst, startups + loads, out=block_worst)
-        worst[chunk] = block_worst.T
+    kernel = BurstCostKernel(params, offsets, lengths, is_read, burst_ids, G)
+    worst = np.zeros((G, kernel.n_bursts), dtype=np.float64)
+    if kernel.n_bursts:
+        for chunk in kernel.chunks:
+            worst[chunk] = kernel.costs(h_arr[chunk], s_arr[chunk])
     return worst
 
 
@@ -459,19 +549,23 @@ def burst_bound_slack(n_requests: int, n_bursts: int) -> float:
     non-negative, and each rounding moving a value by a factor within
     ``[1 − u, 1 + u]``:
 
-    * a burst's cost rounds each ``bytes·(t + β)`` product once, sums
-      at most ``K`` terms and adds the startups: at most ``K + 1``
-      roundings on any term's path.  Summing ``B`` bursts adds
-      ``B − 1``.  The computed sum is at least ``(1 − u)^(K+B)`` times
-      the exact one;
+    * a burst's cost on a server is formed from exact integer sums
+      ``P`` and ``L`` (their float conversions are exact below 2⁵³):
+      one rounding for each product, one for their sum, and on an
+      SServer one more to add the write term to the read term, so at
+      most three roundings on any term's path; the maximum over
+      servers is exact.  Summing ``B`` bursts adds ``B − 1``.  The
+      computed sum is at least ``(1 − u)^(B+2)`` times the exact one;
     * the bound is at most four roundings above the exact bound (the
       integer conversion, one product, two sums), and forming
       ``bound·(1 − δ)`` adds two;
     * strict separation after a common scaling costs two more.
 
-    So ``(1 − u)^(K+B+1) >= (1 − δ)(1 + u)^7`` suffices, which holds
-    for ``δ >= (K + B + 8)·u + 49u²``.  ``δ = (K + B + 8)·2u`` leaves
-    ``(K + B + 8)·u`` to spare.
+    So ``(1 − u)^(B+3) >= (1 − δ)(1 + u)^7`` suffices.  By Bernoulli's
+    inequality the left side divided by ``(1 + u)^7`` is at least
+    ``1 − (B + 10)·u``, so ``δ >= (B + 10)·u`` does.  ``δ = (K + B +
+    8)·2u``, kept from when a burst's cost summed one rounded product
+    per request, covers that with ``(2K + B + 6)·u`` to spare.
     """
     return (n_requests + n_bursts + 8) * 2.0**-52
 

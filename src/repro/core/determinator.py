@@ -35,6 +35,7 @@ from ..exceptions import ConfigurationError
 from ..layouts.extents import length_bands
 from ..units import KiB
 from .cost_model import (
+    BurstCostKernel,
     burst_bound_slack,
     burst_cost_bounds,
     burst_costs,
@@ -181,10 +182,11 @@ def _pruned_burst_costs(
 ) -> tuple[np.ndarray, int]:
     """Summed burst costs of every candidate that could still win.
 
-    Scores candidates with :func:`burst_costs_grid` in blocks of
-    :func:`grid_chunks` size, in stable ascending order of
-    :func:`burst_cost_bounds`, and stops before the first block whose
-    smallest bound, times ``1 − δ`` (:func:`burst_bound_slack`),
+    Scores candidates in blocks of :func:`grid_chunks` size, in stable
+    ascending order of :func:`burst_cost_bounds`, through one
+    :class:`BurstCostKernel` (the kernel of :func:`burst_costs_grid`,
+    whose buffers every block reuses), and stops before the first block
+    whose smallest bound, times ``1 − δ`` (:func:`burst_bound_slack`),
     exceeds the best sum found.  Each skipped candidate's sum is then
     strictly above that best, even after scaling, so it is returned as
     ``inf`` and the first minimum is the full grid's.  Returns the
@@ -193,17 +195,17 @@ def _pruned_burst_costs(
     G, K = h_arr.shape[0], offsets.shape[0]
     bound = burst_cost_bounds(params, offsets, lengths, is_read, h_arr, s_arr)
     order = np.argsort(bound, kind="stable")
-    keep = 1.0 - burst_bound_slack(K, np.unique(burst_ids).shape[0])
+    kernel = BurstCostKernel(params, offsets, lengths, is_read, burst_ids, G)
+    keep = 1.0 - burst_bound_slack(K, kernel.n_bursts)
     sums = np.full(G, np.inf)
     best = np.inf
     scored = 0
-    for block in grid_chunks(G, K):
+    for block in kernel.chunks:
         pick = order[block]
         if bound[pick[0]] * keep > best:
             break
-        sums[pick] = burst_costs_grid(
-            params, offsets, lengths, is_read, burst_ids, h_arr[pick], s_arr[pick]
-        ).sum(axis=1)
+        # contiguous (block, B) rows: the sums' bits are the full grid's
+        sums[pick] = kernel.costs(h_arr[pick], s_arr[pick]).sum(axis=1)
         # np.minimum keeps a NaN, and a NaN best never stops the loop
         best = np.minimum(best, sums[pick].min())
         scored += pick.shape[0]
@@ -306,9 +308,9 @@ def determine_stripes(
         )
         weight_scale = uniq.size / max_eval_requests
 
-    # group requests by burst id up front (stable, so within-burst
-    # order — and therefore accumulation order — is preserved); the
-    # scalar engine's per-candidate evaluations then skip the gather
+    # group requests by burst id up front, so that the scalar engine's
+    # per-candidate evaluations skip the gather (the costs do not
+    # depend on the order of requests within a burst)
     if not np.all(burst_ids[:-1] <= burst_ids[1:]):
         order = np.argsort(burst_ids, kind="stable")
         offsets, lengths, is_read, burst_ids = (

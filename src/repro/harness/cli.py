@@ -24,6 +24,25 @@ from .report import format_bars
 __all__ = ["main"]
 
 
+def _count(minimum: int = 1):
+    """An argparse ``type`` for a count flag: an integer of at least
+    ``minimum``.  A bad value fails at parse time, and argparse names
+    the flag: ``argument --tenants: must be >= 1, got 0``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _online_main(argv: list[str]) -> int:
     """The ``online`` subcommand: checkpoint -> IOR phase shift served
     by the live relayout controller."""
@@ -39,7 +58,7 @@ def _online_main(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--processes", type=int, default=8, help="IOR ranks after the shift"
+        "--processes", type=_count(), default=8, help="IOR ranks after the shift"
     )
     parser.add_argument(
         "--total-mib",
@@ -49,7 +68,7 @@ def _online_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--passes",
-        type=int,
+        type=_count(2),
         default=3,
         help="IOR passes after the shift (pass 1 trips the detector)",
     )
@@ -142,7 +161,7 @@ def _chaos_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_count(),
         default=1,
         help="worker processes per intensity (default 1 = serial)",
     )
@@ -195,7 +214,7 @@ def _serve_main(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--tenants", type=int, default=1000, help="fleet size (default 1000)"
+        "--tenants", type=_count(), default=1000, help="fleet size (default 1000)"
     )
     parser.add_argument(
         "--hot-fraction",
@@ -205,7 +224,7 @@ def _serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--max-active",
-        type=int,
+        type=_count(),
         default=64,
         help="admission slots: tenants concurrently in flight",
     )
@@ -223,7 +242,7 @@ def _serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_count(),
         default=1,
         help="build-shard worker processes (default 1 = serial)",
     )
@@ -300,7 +319,7 @@ def _main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_count(),
         default=1,
         help="worker processes per figure (default 1 = serial)",
     )

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 from ..cluster import ClusterSpec
 from ..core.pipeline import MHAPipeline
+from ..exceptions import ConfigurationError
 from ..pfs.replay import RunMetrics, replay_trace
 from ..pfs.system import HybridPFS
 from ..tracing.record import Trace
@@ -192,6 +193,8 @@ def phase_shift_experiment(
     and the gate correctly rejects those — ``seed=0`` under the
     ``repro.determinism`` streams is one).
     """
+    if passes < 2:
+        raise ConfigurationError(f"passes must be >= 2, got {passes}")
     spec = spec or ClusterSpec()
     pipeline = MHAPipeline(spec, seed=seed)
 
@@ -207,8 +210,6 @@ def phase_shift_experiment(
     # Phase B: the shifted pattern, replayed ``passes`` times over the
     # same file (pass 1 trips the detector, the rest run over/after the
     # migration).
-    if passes < 2:
-        raise ValueError(f"passes must be >= 2, got {passes}")
     phase_b = IORWorkload(
         num_processes=ior_processes,
         request_sizes=list(ior_sizes),

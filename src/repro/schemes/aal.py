@@ -32,6 +32,7 @@ import numpy as np
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_SAMPLE_SEED
 from ..core.cost_model import burst_costs_grid
+from ..core.determinator import check_search_settings
 from ..determinism import SeedDomain, derive_rng
 from ..core.params import CostModelParams
 from ..layouts.fixed import FixedStripeLayout
@@ -55,12 +56,7 @@ class AALScheme(Scheme):
     name = "AAL"
 
     def __init__(self, step: int = 4 * KiB, max_eval_requests: int = 4096) -> None:
-        if step <= 0:
-            raise ValueError(f"step must be > 0, got {step}")
-        if max_eval_requests < 1:
-            raise ValueError(
-                f"max_eval_requests must be >= 1, got {max_eval_requests}"
-            )
+        check_search_settings(step=step, max_eval_requests=max_eval_requests)
         self.step = step
         self.max_eval_requests = max_eval_requests
         #: per-file stripe decisions of the last build

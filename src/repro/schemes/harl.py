@@ -29,6 +29,7 @@ from ..core.determinator import (
 )
 from ..core.params import CostModelParams
 from ..core.rst import StripePair
+from ..exceptions import ConfigurationError
 from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
 from ..layouts.region import Region, RegionLayout
@@ -59,13 +60,9 @@ class HARLScheme(Scheme):
         max_eval_requests: int = 4096,
         seed: int = 0,
     ) -> None:
-        if num_regions <= 0:
-            raise ValueError(f"num_regions must be >= 1, got {num_regions}")
-        if max_eval_requests < 1:
-            raise ValueError(
-                f"max_eval_requests must be >= 1, got {max_eval_requests}"
-            )
-        check_search_settings(step=step)
+        if num_regions < 1:
+            raise ConfigurationError(f"num_regions must be >= 1, got {num_regions}")
+        check_search_settings(step=step, max_eval_requests=max_eval_requests)
         self.num_regions = num_regions
         self.step = step
         self.max_eval_requests = max_eval_requests

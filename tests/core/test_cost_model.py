@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSpec
 from repro.core import CostModelParams, region_cost, request_cost, request_costs
 from repro.core.cost_model import burst_costs
+from repro.layouts.extents import per_server_bytes_batch
 from repro.units import KiB
 
 
@@ -138,7 +139,73 @@ class TestBatchCosts:
         assert np.isfinite(cost) and cost > 0
 
 
+def mixed_burst_region(rng, trial):
+    """Mixed-op requests in bursts of several members, with unsorted,
+    sparse burst ids, and a candidate; every third draw puts nothing on
+    the HServers (``h = 0``)."""
+    K = int(rng.integers(2, 64))
+    offsets = rng.integers(0, 1 << 22, K)
+    lengths = rng.integers(1, 1 << 18, K)
+    is_read = rng.random(K) < 0.5
+    ids = rng.integers(0, max(1, K // 4), K) * 5 + 2
+    h = 0 if trial % 3 == 0 else int(rng.integers(1, 64)) * 4 * KiB
+    s = max(int(rng.integers(1, 64)) * 4 * KiB, h)
+    return offsets, lengths, is_read, ids, h, s
+
+
 class TestBurstCosts:
+    def test_costs_ignore_request_order(self):
+        """Permuting a region's rows, each burst id moving with its row,
+        leaves every burst's cost bit-identical: the per-server touches
+        and bytes are summed exactly."""
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            params = CostModelParams.from_cluster(SPECS[trial % len(SPECS)])
+            offsets, lengths, is_read, ids, h, s = mixed_burst_region(rng, trial)
+            perm = rng.permutation(ids.shape[0])
+            base = burst_costs(params, offsets, lengths, is_read, ids, h, s)
+            moved = burst_costs(
+                params, offsets[perm], lengths[perm], is_read[perm], ids[perm], h, s
+            )
+            assert np.array_equal(base, moved), f"trial {trial}"
+
+    def test_costs_are_eq2_of_exact_sums(self):
+        """Each burst's cost is Eq. 2 evaluated directly: per server,
+        integer touches ``P`` and bytes ``L`` priced once as
+        ``P·(α + λ) + L·(t + β)``, an SServer's read term before its
+        write term, and the slowest server wins."""
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            params = CostModelParams.from_cluster(SPECS[trial % len(SPECS)])
+            offsets, lengths, is_read, ids, h, s = mixed_burst_region(rng, trial)
+            h_bytes, s_bytes = per_server_bytes_batch(
+                offsets, lengths, params.M, params.N,
+                h if params.M else 0, s if params.N else 0,
+            )
+            lam = params.net_latency
+            expected = []
+            for burst in np.unique(ids):
+                mine = ids == burst
+                hb = h_bytes[mine]
+                times = list(
+                    (hb > 0).sum(axis=0) * (params.alpha_h + lam)
+                    + hb.sum(axis=0) * (params.t + params.beta_h)
+                )
+                s_time = 0.0
+                for op, alpha, beta in (
+                    (is_read, params.alpha_sr, params.beta_sr),
+                    (~is_read, params.alpha_sw, params.beta_sw),
+                ):
+                    sb = s_bytes[mine & op]
+                    s_time = s_time + (
+                        (sb > 0).sum(axis=0) * (alpha + lam)
+                        + sb.sum(axis=0) * (params.t + beta)
+                    )
+                times.extend(np.broadcast_to(s_time, (params.N,)))
+                expected.append(max(times, default=0.0))
+            got = burst_costs(params, offsets, lengths, is_read, ids, h, s)
+            assert np.array_equal(got, expected), f"trial {trial}"
+
     def test_singleton_bursts_equal_eq2(self):
         """One request per burst is the paper's per-request Eq. 2, which
         is ``request_costs`` at c = 1: bit for bit, on random regions

@@ -139,11 +139,11 @@ class TestCLI:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "--tenants", "0"],
-            ["online", "--processes", "0"],
+            ["serve", "--hot-fraction", "2"],
+            ["online", "--horizon", "-1"],
             ["chaos", "--intensities", "2", "--schemes", "DEF"],
         ],
-        ids=["serve-tenants", "online-processes", "chaos-intensity"],
+        ids=["serve-hot-fraction", "online-horizon", "chaos-intensity"],
     )
     def test_rejected_setting_prints_one_line(self, argv, capsys):
         """A setting the library rejects exits 2 with one stderr line,
@@ -156,3 +156,38 @@ class TestCLI:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("repro-harness: error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--tenants", "0"],
+            ["serve", "--max-active", "0"],
+            ["serve", "--jobs", "0"],
+            ["online", "--processes", "0"],
+            ["online", "--passes", "1"],
+            ["chaos", "--jobs", "0"],
+            ["fig12b", "--jobs", "-1"],
+        ],
+        ids=[
+            "serve-tenants",
+            "serve-max-active",
+            "serve-jobs",
+            "online-processes",
+            "online-passes",
+            "chaos-jobs",
+            "figure-jobs",
+        ],
+    )
+    def test_count_flag_rejected_at_parse_time(self, argv, capsys):
+        """A count below its minimum exits 2 while the flags are parsed:
+        argparse names the flag and the value, and nothing runs."""
+        from repro.harness.cli import main
+
+        flag, value = argv[-2:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: must be >= " in captured.err
+        assert captured.err.rstrip().endswith(f"got {value}")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.harness.cli import main
 from repro.online import phase_shift_experiment
 from repro.units import MiB
@@ -44,7 +45,7 @@ class TestPhaseShiftExperiment:
         assert "ADMIT" in text
 
     def test_passes_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="passes"):
             phase_shift_experiment(passes=1)
 
 

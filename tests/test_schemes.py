@@ -95,8 +95,13 @@ class TestAAL:
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_invalid_max_eval_requests(self, bad):
-        with pytest.raises(ValueError, match="max_eval_requests"):
+        with pytest.raises(ConfigurationError, match="max_eval_requests"):
             AALScheme(max_eval_requests=bad)
+
+    @pytest.mark.parametrize("bad", [0, -4096])
+    def test_invalid_step(self, bad):
+        with pytest.raises(ConfigurationError, match="step"):
+            AALScheme(step=bad)
 
 
 class TestHARL:
@@ -121,12 +126,12 @@ class TestHARL:
         assert all(size >= 8 * 512 * KiB for size in sizes) or len(bounds) == 1
 
     def test_invalid_num_regions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="num_regions"):
             HARLScheme(num_regions=0)
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_invalid_max_eval_requests(self, bad):
-        with pytest.raises(ValueError, match="max_eval_requests"):
+        with pytest.raises(ConfigurationError, match="max_eval_requests"):
             HARLScheme(max_eval_requests=bad)
 
 
