@@ -1,20 +1,22 @@
 #!/usr/bin/env python
 """The full five-phase MHA workflow on a checkpointing application.
 
-This example follows the paper's deployment story end to end, using the
-simulated MPI-IO middleware the way an application would:
+This example follows the paper's deployment story end to end:
 
-1. **tracing** — the application's first run is profiled by the
-   I/O Collector hooked into the MPI-IO layer;
+1. **tracing** — the application's first run, on the default layout,
+   is profiled into a trace;
 2. **reordering + determination + placement** — the off-line pipeline
    groups the requests, migrates each group into a region, and picks
    per-region stripe pairs with the cost model;
-3. **redirection** — the application's next run executes *unchanged*;
-   the middleware redirects its requests through the DRT to the
-   optimized regions.
+3. **redirection** — the application's next run issues the same
+   requests unchanged; the redirector sends them through the DRT to
+   the optimized regions.
 
-The application is LANL-like: every loop writes a tiny header (16 B),
-a large payload (128 KiB - 16 B), and a checkpoint block (128 KiB).
+The application is LANL-like: every loop of every rank writes a tiny
+header (16 B), a large payload (128 KiB - 16 B), and a checkpoint block
+(128 KiB).  ``LANLWorkload`` generates that profile; both runs replay
+it, each through its file view, the interception point the paper hooks
+into MPI-IO's ADIO layer (§IV-B).
 
 Run::
 
@@ -22,56 +24,35 @@ Run::
 """
 
 from repro import ClusterSpec, MHAPipeline
-from repro.mpiio import MPIJob
-from repro.pfs import HybridPFS
+from repro.pfs import run_workload
 from repro.schemes import DEFScheme
-from repro.tracing import IOCollector
-from repro.units import KiB, MiB, format_bandwidth
+from repro.units import MiB, format_bandwidth
+from repro.workloads import LANLWorkload
 
 RANKS = 8
 LOOPS = 32
-HEADER = 16
-PAYLOAD = 128 * KiB - 16
-CHECKPOINT = 128 * KiB
-AREA = LOOPS * (HEADER + PAYLOAD + CHECKPOINT)
-
-
-def application(rank):
-    """The unmodified application: one generator per MPI rank."""
-    with rank.open("checkpoint.dat") as fh:
-        for loop in range(LOOPS):
-            base = rank.rank * AREA + loop * (HEADER + PAYLOAD + CHECKPOINT)
-            yield fh.write_at(base, HEADER)
-            yield fh.write_at(base + HEADER, PAYLOAD)
-            yield fh.write_at(base + HEADER + PAYLOAD, CHECKPOINT)
 
 
 def main() -> None:
     spec = ClusterSpec()
 
-    # ---- first run: default layout, collector attached (tracing phase)
-    pfs = HybridPFS(spec)
-    collector = IOCollector(clock=lambda: pfs.sim.now)
-    default_view = DEFScheme().build(spec, collector.trace())
-    job = MPIJob(pfs, default_view, size=RANKS, collector=collector)
-    first_makespan = job.run(application)
-    volume = collector.trace().total_bytes()
-    print(f"profiled run (DEF layout): {format_bandwidth(volume / first_makespan)}"
-          f" over {len(collector)} requests")
+    # ---- first run: default layout, profiled (tracing phase)
+    trace = LANLWorkload(num_processes=RANKS, loops=LOOPS, file="checkpoint.dat").trace(
+        "write"
+    )
+    first = run_workload(spec, DEFScheme().build(spec, trace), trace)
+    print(f"profiled run (DEF layout): {format_bandwidth(first.bandwidth)}"
+          f" over {len(trace)} requests")
 
     # ---- off-line optimization (reordering/determination/placement)
-    trace = collector.trace()
     plan = MHAPipeline(spec, seed=0).plan(trace)
     print(f"\n{plan.describe()}")
     print(f"data migrated into regions: {plan.migrated_bytes() // MiB} MiB")
 
-    # ---- subsequent run: same application, redirected transparently
-    pfs2 = HybridPFS(spec)
-    job2 = MPIJob(pfs2, plan.redirector, size=RANKS)
-    second_makespan = job2.run(application)
-    print(f"\noptimized run (MHA layout): "
-          f"{format_bandwidth(volume / second_makespan)}")
-    print(f"speedup: {first_makespan / second_makespan:.2f}x, with "
+    # ---- subsequent run: same requests, redirected transparently
+    second = run_workload(spec, plan.redirector, trace)
+    print(f"\noptimized run (MHA layout): {format_bandwidth(second.bandwidth)}")
+    print(f"speedup: {first.makespan / second.makespan:.2f}x, with "
           f"{plan.redirector.stats.requests} requests redirected through the DRT")
 
 

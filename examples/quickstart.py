@@ -5,8 +5,8 @@ The three steps of using this library:
 
 1. describe the hybrid cluster (``ClusterSpec``);
 2. obtain an application's I/O trace (here: a generated IOR-like
-   workload; real deployments would use the collector, see
-   ``checkpoint_reordering.py``);
+   workload, standing in for a profiled first run; see
+   ``checkpoint_reordering.py`` for the whole workflow);
 3. build each layout scheme from the trace and replay against the
    simulated PFS.
 

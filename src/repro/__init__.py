@@ -7,12 +7,13 @@ The package rebuilds, in pure Python, the paper's full stack:
   data reordering + DRT, RSSD stripe search + RST, placement,
   redirection, five-phase pipeline);
 * :mod:`repro.schemes` — MHA plus the DEF/AAL/HARL comparison schemes;
-* :mod:`repro.pfs`, :mod:`repro.mpiio`, :mod:`repro.devices`,
-  :mod:`repro.network`, :mod:`repro.simulate` — the simulated testbed
-  (hybrid OrangeFS-like PFS, MPI-IO middleware, HDD/SSD/GigE models,
-  discrete-event engine);
-* :mod:`repro.tracing`, :mod:`repro.kvstore` — the IOSIG-like tracer
-  and the Berkeley-DB-like store backing the DRT/RST;
+* :mod:`repro.pfs`, :mod:`repro.devices`, :mod:`repro.network`,
+  :mod:`repro.simulate` — the simulated testbed (hybrid OrangeFS-like
+  PFS whose file views are the MPI-IO interception point,
+  HDD/SSD/GigE models, discrete-event engine);
+* :mod:`repro.tracing`, :mod:`repro.kvstore` — IOSIG's trace record
+  schema, trace files and analysis, and the Berkeley-DB-like store
+  backing the DRT/RST;
 * :mod:`repro.workloads`, :mod:`repro.harness` — the paper's workloads
   (IOR, HPIO, BTIO, LANL, LU, Cholesky) and one entry point per
   evaluation figure.
@@ -32,7 +33,7 @@ Quick start::
 """
 
 from .cluster import ClusterSpec
-from .core import MHAPipeline, MHAPlan, load_plan, verify_plan
+from .core import MHAPipeline, MHAPlan, load_plan
 from .harness import compare_schemes, run_scheme
 from .pfs import (
     DataClient,
@@ -41,7 +42,6 @@ from .pfs import (
     migrate,
     replay_trace,
     run_workload,
-    simulate_migration,
 )
 from .schemes import (
     AALScheme,
@@ -52,7 +52,7 @@ from .schemes import (
     make_scheme,
     scheme_names,
 )
-from .tracing import IOCollector, Trace, TraceRecord
+from .tracing import Trace, TraceRecord
 
 __version__ = "1.0.0"
 
@@ -61,12 +61,10 @@ __all__ = [
     "MHAPipeline",
     "MHAPlan",
     "load_plan",
-    "verify_plan",
     "HybridPFS",
     "RunMetrics",
     "DataClient",
     "migrate",
-    "simulate_migration",
     "replay_trace",
     "run_workload",
     "DEFScheme",
@@ -80,6 +78,5 @@ __all__ = [
     "run_scheme",
     "Trace",
     "TraceRecord",
-    "IOCollector",
     "__version__",
 ]

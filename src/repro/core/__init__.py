@@ -39,7 +39,6 @@ from .placer import (
 from .redirector import Redirector, RedirectorStats
 from .reorganizer import RegionPlan, RegionRequest, ReorderPlan, reorganize
 from .rst import RST, StripePair
-from .verify import PlanReport, verify_plan
 
 __all__ = [
     "CostModelParams",
@@ -79,6 +78,4 @@ __all__ = [
     "MHAPlan",
     "identity_redirector",
     "load_plan",
-    "PlanReport",
-    "verify_plan",
 ]

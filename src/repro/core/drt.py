@@ -182,6 +182,9 @@ class DRT:
             self._db = EpochDB(path, sync=sync)
             try:
                 self._merge([self._decode(k, v) for k, v in self._db.records()])
+            except RedirectionError as exc:  # committed entries overlap
+                self._db.close()
+                raise KVStoreError(f"{path}: {exc}") from exc
             except BaseException:
                 self._db.close()
                 raise
@@ -542,6 +545,49 @@ class DRT:
             lengths=end - begin,
             logicals=begin,
         )
+
+    def packed_regions(self) -> set[str]:
+        """The region files the entries target, once each is checked to
+        be packed: its targets tile ``[0, end)``, with no hole and no
+        byte written twice.
+
+        Reads every original file's column index, the one
+        :meth:`translate_many` and the replay's premap search, so the
+        check leaves those built.  Raises :class:`KVStoreError` naming
+        the first region that is not packed.
+        """
+        names: dict[str, int] = {}
+        codes, starts, lengths = [], [], []
+        for o_file in self._entries:
+            columns = self._file_columns(o_file)
+            if columns is None:
+                continue
+            recode = np.array(
+                [names.setdefault(name, len(names)) for name in columns.names],
+                dtype=np.int64,
+            )
+            codes.append(recode[columns.codes])
+            starts.append(columns.r_offsets)
+            lengths.append(columns.ends - columns.starts)
+        if not names:
+            return set()
+        code = np.concatenate(codes)
+        start = np.concatenate(starts)
+        order = np.lexsort((start, code))
+        code, start = code[order], start[order]
+        end = start + np.concatenate(lengths)[order]
+        # a region's first target starts at 0, every other one where
+        # the region's previous target ends
+        expected = np.zeros_like(start)
+        expected[1:] = np.where(code[1:] == code[:-1], end[:-1], 0)
+        bad = np.flatnonzero(start != expected)
+        if bad.size:
+            i = int(bad[0])
+            region = list(names)[int(code[i])]
+            at, want = int(start[i]), int(expected[i])
+            problem = f"a hole at {want}" if at > want else f"bytes written twice at {at}"
+            raise KVStoreError(f"DRT targets of region {region!r} leave {problem}")
+        return set(names)
 
     # -- stats / persistence ---------------------------------------------
 

@@ -1,8 +1,8 @@
 """Process-parallel execution of independent coarse-grained tasks.
 
-A comparison runs one independent task per scheme, a sweep one per
-(point, scheme) cell, the chaos experiment one per fault cell and the
-tenancy service one per tenant build.  This module provides the one
+A comparison runs one independent task per scheme, the chaos
+experiment one per fault cell and the tenancy service one per tenant
+build.  This module provides the one
 executor abstraction they share (region searches are too small to pay
 for a worker process and run in the calling process):
 

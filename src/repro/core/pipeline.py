@@ -4,15 +4,15 @@
 
 :class:`MHAPipeline` is the off-line optimizer run between the
 application's profiled first run and its subsequent runs: it consumes
-the collector's trace and produces an :class:`MHAPlan` holding the DRT,
+the profiled trace and produces an :class:`MHAPlan` holding the DRT,
 the RST, every region's layout and the runtime
 :class:`~repro.core.redirector.Redirector`.
 
 The whole workflow runs in the calling process.  A region's RSSD search
 is too short to repay a worker process (on Fig. 7 and on a 12-region
 plan, a pool per plan ran slower than the serial loop), so process
-parallelism stays one level up: comparisons, sweeps and the tenancy
-service fan whole plans out through
+parallelism stays one level up: comparisons, the chaos experiment and
+the tenancy service fan whole plans out through
 :func:`repro.core.parallel.parallel_map`.
 """
 
@@ -57,7 +57,13 @@ from .redirector import Redirector
 from .reorganizer import RegionPlan, ReorderPlan, reorganize, reorganize_arrays
 from .rst import RST
 
-__all__ = ["MHAPlan", "MHAPipeline", "identity_redirector", "load_plan"]
+__all__ = [
+    "MHAPlan",
+    "MHAPipeline",
+    "check_tables",
+    "identity_redirector",
+    "load_plan",
+]
 
 #: stripe size of the original (pre-optimization) file layout — the PFS
 #: default the application was deployed with
@@ -338,9 +344,10 @@ def load_plan(
     and come back empty.
 
     Raises :class:`~repro.exceptions.KVStoreError` unless both files
-    carry the same non-zero plan epoch: a file with no committed plan,
-    a crash between the DRT's commit and the RST's, or tables stamped
-    by two different plans.
+    carry the same non-zero plan epoch (a file with no committed plan,
+    a crash between the DRT's commit and the RST's, and tables stamped
+    by two different plans fail this) and the tables pass
+    :func:`check_tables`.
     """
     with ExitStack() as opened:
         drt = opened.enter_context(DRT(drt_path))
@@ -350,6 +357,7 @@ def load_plan(
                 f"no plan committed to both {drt_path} and {rst_path} "
                 f"(DRT epoch {drt.epoch}, RST epoch {rst.epoch})"
             )
+        check_tables(drt, rst)
         region_layouts = place_regions(spec, rst)
         original_layouts: dict[str, Layout] = {
             file: FixedStripeLayout(
@@ -366,6 +374,24 @@ def load_plan(
         original_layouts=original_layouts,
         redirector=redirector,
     )
+
+
+def check_tables(drt: DRT, rst: RST) -> None:
+    """Raise :class:`~repro.exceptions.KVStoreError` unless the tables
+    hold one consistent plan: every region the DRT targets is packed
+    (:meth:`DRT.packed_regions`), and the DRT targets exactly the
+    regions the RST lists.  The DRT itself rejects overlapping entries.
+    """
+    targeted = drt.packed_regions()
+    listed = {region for region, _ in rst}
+    if targeted - listed:
+        raise KVStoreError(
+            f"regions {sorted(targeted - listed)} have DRT entries but no RST pair"
+        )
+    if listed - targeted:
+        raise KVStoreError(
+            f"RST lists regions {sorted(listed - targeted)} that no DRT entry targets"
+        )
 
 
 def identity_redirector(

@@ -87,10 +87,13 @@ def estimate_migration_time(
 
     Deliberately coarse, and not an upper bound: it spreads the bytes
     evenly over every server, with no queueing and no write-side
-    transfer time.  On 24 IOR plans (8 ranks, 16 KiB to 256+512 KiB
-    requests, reads and writes) it came to 0.15–0.22× of the makespan
-    of :func:`repro.pfs.migration.simulate_migration`.  For a simulated
-    copy, use :class:`repro.online.migrator.LiveMigrationScheduler`.
+    transfer time.  On 24 IOR plans (8 ranks, 16 MiB, seed 0, reads
+    and writes, with size mixes (KiB) 16, 32, 64, 128, 256, 16+64,
+    16+256, 32+128, 64+128, 64+512, 128+256 and 256+512) it came to
+    0.14–0.32× the makespan of
+    :class:`repro.online.migrator.LiveMigrationScheduler` copying the
+    plan unthrottled on an idle cluster, which is how to simulate the
+    copy.
     """
     params = CostModelParams.from_cluster(spec)
     total_bytes = sum(entry.length for entry in drt)

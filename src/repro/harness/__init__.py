@@ -16,7 +16,6 @@ from .figures import (
     fig14_redirection_overhead,
 )
 from .report import FigureResult, bandwidth_mib, format_bars, format_table
-from .sweep import SweepPoint, sweep
 
 __all__ = [
     "ChaosReport",
@@ -30,8 +29,6 @@ __all__ = [
     "FigureResult",
     "format_table",
     "format_bars",
-    "SweepPoint",
-    "sweep",
     "bandwidth_mib",
     "ALL_FIGURES",
     "fig07_ior_mixed_sizes",

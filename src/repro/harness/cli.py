@@ -17,6 +17,7 @@ import sys
 import time
 
 from ..exceptions import ReproError
+from ..schemes import SCHEMES
 from ..units import MiB
 from .figures import ALL_FIGURES
 from .report import format_bars
@@ -41,6 +42,22 @@ def _count(minimum: int = 1):
         return value
 
     return parse
+
+
+def _schemes(text: str) -> tuple[str, ...]:
+    """An argparse ``type`` for ``--schemes``: comma-separated scheme
+    names, upper-cased, each one the scheme catalog holds.  A bad list
+    fails at parse time, and argparse names the flag: ``argument
+    --schemes: unknown scheme 'NOPE' ...``."""
+    names = tuple(name.strip().upper() for name in text.split(",") if name.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected scheme names, got {text!r}")
+    for name in names:
+        if name not in SCHEMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown scheme {name!r}; choose from {sorted(SCHEMES)}"
+            )
+    return names
 
 
 def _online_main(argv: list[str]) -> int:
@@ -141,7 +158,8 @@ def _chaos_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--schemes",
-        default=",".join(CHAOS_SCHEMES),
+        type=_schemes,
+        default=CHAOS_SCHEMES,
         help="comma-separated schemes (registry names)",
     )
     parser.add_argument(
@@ -177,9 +195,7 @@ def _chaos_main(argv: list[str]) -> int:
         intensities=tuple(
             float(i.strip()) for i in args.intensities.split(",") if i.strip()
         ),
-        schemes=tuple(
-            s.strip().upper() for s in args.schemes.split(",") if s.strip()
-        ),
+        schemes=args.schemes,
         models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
         seed=args.seed,
         horizon=args.horizon,
@@ -303,6 +319,7 @@ def _main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--schemes",
+        type=_schemes,
         default=None,
         help="comma-separated scheme subset (e.g. DEF,MHA)",
     )
@@ -328,7 +345,7 @@ def _main(argv: list[str]) -> int:
     wanted = sorted(ALL_FIGURES) if "all" in args.figures else args.figures
     kwargs = {}
     if args.schemes:
-        kwargs["schemes"] = tuple(s.strip().upper() for s in args.schemes.split(","))
+        kwargs["schemes"] = args.schemes
     if args.engine:
         kwargs["engine"] = args.engine
     kwargs["n_jobs"] = args.jobs

@@ -1,7 +1,6 @@
 """Hybrid parallel file system simulator (the OrangeFS-testbed role)."""
 
 from .mds import MetaDataServer
-from .migration import MigrationMetrics, simulate_migration
 from .replay import FileView, RunMetrics, replay_trace, run_workload
 from .server import DataServer, ServerStats
 from .storage import DataClient, ObjectStore, migrate
@@ -18,8 +17,6 @@ __all__ = [
     "DataClient",
     "ObjectStore",
     "migrate",
-    "MigrationMetrics",
-    "simulate_migration",
     "replay_trace",
     "run_workload",
 ]

@@ -37,7 +37,8 @@ event engine exactly:
 hooks.  A view with ``dispatch_runs`` (the straggler-aware dispatcher,
 whose event-engine form is ``dispatch_request``) is asked at issue time
 which runs to submit, in which order: it gets the premapped batch and
-the request's index, and returns the runs as columns.  A view with
+the request's index, and returns the runs' servers and lengths as
+columns, all a run's service time depends on.  A view with
 ``observe_latency`` learns from every run's completion, in
 event order: each merged run gets its own ready-heap entry keyed
 ``(finish, seq)``, popping it calls ``observe_latency(server, finish -
@@ -243,7 +244,7 @@ def replay_flat(
         if dispatch is None:
             servers, lens = srv_col, len_col
         else:
-            servers, _, _, lens, _ = dispatch(
+            servers, lens = dispatch(
                 op,
                 names[file_col[i]],
                 int(offset_col[i]),

@@ -52,13 +52,7 @@ from ..contracts import twin_of
 from ..core.drt import DRT, DRTEntry
 from ..exceptions import ConfigurationError
 from ..layouts.base import SubRequest
-from ..layouts.batch import (
-    MergedRuns,
-    RunColumns,
-    RunsBuilder,
-    merge_fragments,
-    run_columns,
-)
+from ..layouts.batch import MergedRuns, RunsBuilder, merge_fragments
 from ..tracing.record import Trace
 from .base import Scheme
 from .catalog import make_scheme
@@ -478,46 +472,42 @@ class StragglerAwareView:
         length: int,
         premapped: MergedRuns,
         item: int,
-    ) -> RunColumns:
+    ) -> tuple[list[int], list[int]]:
         """:meth:`dispatch_request` for a request already mapped, as
-        columns.
+        the two columns a run's service time depends on.
 
         ``premapped`` is the batch :meth:`merged_runs` mapped and
         ``item`` the request's index in it; its runs stay valid while
         no redirect covers the request.  Returns the runs to submit as
-        ``(servers, objs, offsets, lengths, first_logicals)`` columns,
-        in dispatch order.  A request that a redirect covers now takes
-        its runs from the memo of covered extents (see
-        :meth:`_covered_runs`), and a write with a run on a straggler
-        while budget remains goes through :meth:`dispatch_request`;
-        only memo misses and that fallback build :class:`SubRequest`
-        objects.
+        ``(servers, lengths)`` columns, in dispatch order.  A request
+        that a redirect covers now takes its runs from the memo of
+        covered extents (see :meth:`_covered_runs`), and a write with a
+        run on a straggler while budget remains goes through
+        :meth:`dispatch_request`; only memo misses and that fallback
+        build :class:`SubRequest` objects.
         """
         lo = premapped.starts[item]
         hi = premapped.starts[item + 1]
         servers = premapped.servers
         covering = self._drt.overlaps(file, offset, length)
         if covering:
-            return run_columns(self._covered_runs(op, file, offset, length, covering))
+            return _server_lengths(
+                self._covered_runs(op, file, offset, length, covering)
+            )
         if (
             op == "write"
             and self.replicated_bytes < self.replication_budget
             and not self.stragglers().isdisjoint(servers[lo:hi])
         ):
-            return run_columns(self.dispatch_request(op, file, offset, length))
+            return _server_lengths(self.dispatch_request(op, file, offset, length))
         order: Sequence[int] = range(lo, hi)
         if hi - lo > 1:
             now = self._now
             estimate = self.ewma.estimate
             # stable, like :meth:`_ordered`
             order = sorted(order, key=lambda j: -estimate(servers[j], now))
-        return (
-            [servers[j] for j in order],
-            [premapped.objs[j] for j in order],
-            [premapped.offsets[j] for j in order],
-            [premapped.lengths[j] for j in order],
-            [premapped.first_logicals[j] for j in order],
-        )
+        lengths = premapped.lengths
+        return [servers[j] for j in order], [lengths[j] for j in order]
 
     def _ordered(self, merged: list[SubRequest]) -> list[SubRequest]:
         """Dispatch order: slowest estimated server first (stable, so
@@ -527,6 +517,11 @@ class StragglerAwareView:
         now = self._now
         estimate = self.ewma.estimate
         return sorted(merged, key=lambda f: -estimate(f.server, now))
+
+
+def _server_lengths(runs: list[SubRequest]) -> tuple[list[int], list[int]]:
+    """Runs as :meth:`StragglerAwareView.dispatch_runs` columns."""
+    return [run.server for run in runs], [run.length for run in runs]
 
 
 class StragglerAwareScheme(Scheme):

@@ -9,7 +9,6 @@ from .analysis import (
     split_phases,
     trace_statistics,
 )
-from .collector import IOCollector
 from .columnar import (
     TRACE_DTYPE,
     ColumnarTrace,
@@ -32,7 +31,6 @@ from .tracefile import (
 __all__ = [
     "Trace",
     "TraceRecord",
-    "IOCollector",
     "Phase",
     "TraceStats",
     "split_phases",

@@ -42,7 +42,7 @@ def split_phases(trace: Trace, gap: float = 0.5) -> list[Phase]:
     """Segment a trace into phases at timestamp gaps larger than ``gap``.
 
     Records are first time-ordered.  ``gap`` is in the trace's own time
-    unit (simulated seconds for collector-produced traces).
+    unit (the generators stamp phases ``PHASE_GAP`` seconds apart).
     """
     if gap <= 0:
         raise ValueError(f"gap must be > 0, got {gap}")

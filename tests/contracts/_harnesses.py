@@ -815,14 +815,9 @@ def _rewrite(draw, slow):
 
 
 def _columns(fragments):
-    """A :class:`SubRequest` list's fields as ``dispatch_runs`` columns."""
-    return (
-        [f.server for f in fragments],
-        [f.obj for f in fragments],
-        [f.offset for f in fragments],
-        [f.length for f in fragments],
-        [f.logical_offset for f in fragments],
-    )
+    """A :class:`SubRequest` list's servers and lengths, the columns
+    ``dispatch_runs`` returns."""
+    return [f.server for f in fragments], [f.length for f in fragments]
 
 
 @harness("saw_dispatch")

@@ -1,13 +1,16 @@
 """Tests for restoring a plan from its persisted metadata (load_plan)
-and for the simulated migration."""
+and for its one-off migration, copied by the live scheduler on an idle
+cluster."""
 
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import MHAPipeline, load_plan, verify_plan
-from repro.pfs import run_workload, simulate_migration
+from repro.core import MHAPipeline, load_plan
+from repro.pfs import run_workload
+from repro.tracing import Trace
 from repro.units import KiB, MiB
 from repro.workloads import IORWorkload, LANLWorkload
+from tests.plan_checks import audit_plan, migrate_offline
 
 
 @pytest.fixture
@@ -67,36 +70,32 @@ class TestLoadPlan:
         plan.drt.close()
         plan.rst.close()
         restored = load_plan(spec, tmp_path / "drt.db", tmp_path / "rst.db")
-        report = verify_plan(restored, trace)
-        assert report.ok, str(report)
+        audit_plan(restored, trace)
 
 
 class TestSimulatedMigration:
     def test_migration_moves_every_drt_byte(self, spec):
         trace = LANLWorkload(num_processes=4, loops=8).trace("write")
         plan = MHAPipeline(spec, seed=0).plan(trace)
-        metrics = simulate_migration(spec, plan)
-        assert metrics.bytes_moved == plan.migrated_bytes()
-        assert metrics.extents == len(plan.drt)
-        assert metrics.makespan > 0
-        assert metrics.bandwidth > 0
+        report = migrate_offline(spec, plan)
+        assert report.bytes_moved == plan.migrated_bytes()
+        assert report.extents == len(plan.drt)
+        assert report.complete
+        assert report.makespan > 0
 
     def test_migration_time_within_sanity_bounds(self, spec, trace):
         plan = MHAPipeline(spec, seed=0).plan(trace)
-        migration = simulate_migration(spec, plan)
+        migration = migrate_offline(spec, plan)
         production = run_workload(spec, plan.redirector, trace)
         # the one-off copy reads + writes every byte: same order of
         # magnitude as one production run, not dozens of them
-        assert migration.makespan < 20 * production.makespan
+        assert 0 < migration.makespan < 20 * production.makespan
 
     def test_empty_plan_migrates_nothing(self, spec):
-        from repro.tracing import Trace
-
         plan = MHAPipeline(spec, seed=0).plan(Trace([]))
-        metrics = simulate_migration(spec, plan)
-        assert metrics.bytes_moved == 0
-        assert metrics.makespan == 0.0
-        assert metrics.bandwidth == 0.0
+        report = migrate_offline(spec, plan)
+        assert report.bytes_moved == 0
+        assert report.makespan == 0.0
 
 
 class TestLoadPlanRoundTripInvariants:
@@ -133,38 +132,38 @@ class TestLoadPlanRoundTripInvariants:
             spec, seed=0, drt_path=tmp_path / "drt.db", rst_path=tmp_path / "rst.db"
         )
         original = pipeline.plan(trace)
-        m1 = simulate_migration(spec, original)
+        m1 = migrate_offline(spec, original)
         original.drt.close()
         original.rst.close()
         restored = load_plan(spec, tmp_path / "drt.db", tmp_path / "rst.db")
-        m2 = simulate_migration(spec, restored)
+        m2 = migrate_offline(spec, restored)
         assert m1.bytes_moved == m2.bytes_moved
         assert m1.extents == m2.extents
+        assert m1.flip_times == m2.flip_times
         assert m1.makespan == m2.makespan
 
 
 class TestMigrationMetricInvariants:
     def test_bytes_moved_equals_drt_extent_sum(self, spec, trace):
         plan = MHAPipeline(spec, seed=0).plan(trace)
-        metrics = simulate_migration(spec, plan)
-        assert metrics.bytes_moved == sum(e.length for e in plan.drt)
+        report = migrate_offline(spec, plan)
+        assert report.bytes_moved == sum(e.length for e in plan.drt)
         # the DRT claims each reordered byte exactly once, so the copy
         # volume also equals the plan's own accounting
-        assert metrics.bytes_moved == plan.migrated_bytes()
+        assert report.bytes_moved == plan.migrated_bytes()
 
-    def test_bandwidth_is_bytes_over_makespan(self, spec, trace):
+    def test_makespan_is_last_flip(self, spec, trace):
         plan = MHAPipeline(spec, seed=0).plan(trace)
-        metrics = simulate_migration(spec, plan)
-        assert metrics.makespan > 0
-        assert metrics.bandwidth == pytest.approx(
-            metrics.bytes_moved / metrics.makespan
-        )
+        report = migrate_offline(spec, plan)
+        assert set(report.flip_times) == set(plan.region_layouts)
+        assert report.started_at == 0.0
+        assert report.finished_at == max(report.flip_times.values()) > 0
 
     def test_bandwidth_bounded_by_cluster_capability(self, spec, trace):
         """Effective copy bandwidth can never exceed the aggregate
         device ceiling (1/beta bytes per second per server)."""
         plan = MHAPipeline(spec, seed=0).plan(trace)
-        metrics = simulate_migration(spec, plan)
+        report = migrate_offline(spec, plan)
         ceiling = sum(
             1.0
             / min(
@@ -172,4 +171,4 @@ class TestMigrationMetricInvariants:
             )
             for s in spec.server_ids
         )
-        assert metrics.bandwidth <= ceiling
+        assert report.bytes_moved / report.makespan <= ceiling

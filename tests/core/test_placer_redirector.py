@@ -1,5 +1,7 @@
 """Tests for the Placer and the I/O Redirector."""
 
+import re
+
 import pytest
 
 from repro.cluster import ClusterSpec
@@ -9,13 +11,18 @@ from repro.core import (
     RST,
     Redirector,
     StripePair,
+    MHAPipeline,
     build_region_layout,
+    estimate_migration_time,
     migration_schedule,
     place_regions,
 )
 from repro.exceptions import RedirectionError
 from repro.layouts import FixedStripeLayout, check_tiling
-from repro.units import KiB
+from repro.pfs import run_workload
+from repro.units import KiB, MiB
+from repro.workloads import IORWorkload
+from tests.plan_checks import migrate_offline
 
 
 @pytest.fixture
@@ -114,3 +121,65 @@ class TestRedirector:
     def test_layout_for(self, spec):
         r = self.make(spec)
         assert r.layout_for("f").obj == "f"
+
+
+class TestMigrationEstimate:
+    def test_zero_for_empty_plan(self):
+        spec = ClusterSpec()
+        assert estimate_migration_time(spec, DRT()) == 0.0
+
+    def test_scales_with_volume(self):
+        spec = ClusterSpec()
+        small = IORWorkload(
+            num_processes=4, request_sizes=64 * KiB, total_size=1 * MiB
+        ).trace("write")
+        large = IORWorkload(
+            num_processes=4, request_sizes=64 * KiB, total_size=4 * MiB
+        ).trace("write")
+        t_small = estimate_migration_time(
+            spec, MHAPipeline(spec, seed=0).plan(small).drt
+        )
+        t_large = estimate_migration_time(
+            spec, MHAPipeline(spec, seed=0).plan(large).drt
+        )
+        assert t_large > 2 * t_small
+
+    def test_one_off_cost_is_modest(self):
+        """The paper's premise: off-line migration once is acceptable.
+        The one-off sweep should be within a small multiple of one
+        optimized run of the same volume."""
+        spec = ClusterSpec()
+        trace = IORWorkload(
+            num_processes=8, request_sizes=128 * KiB, total_size=8 * MiB
+        ).trace("write")
+        plan = MHAPipeline(spec, seed=0).plan(trace)
+        migration = estimate_migration_time(spec, plan.drt)
+        run = run_workload(spec, plan.redirector, trace)
+        assert migration < 10 * run.makespan
+
+    def test_documented_band_holds_against_the_live_scheduler(self):
+        """The estimate's docstring gives its ratio to the live
+        scheduler's idle, unthrottled copy over 24 IOR plans; every one
+        of those plans lies in that band."""
+        low, high = map(
+            float,
+            re.search(
+                r"came to\s+(\d\.\d+)–(\d\.\d+)×", estimate_migration_time.__doc__
+            ).groups(),
+        )
+        spec = ClusterSpec()
+        mixes = [[16], [32], [64], [128], [256], [16, 64], [16, 256], [32, 128]]
+        mixes += [[64, 128], [64, 512], [128, 256], [256, 512]]
+        for sizes in mixes:
+            for op in ("read", "write"):
+                trace = IORWorkload(
+                    num_processes=8,
+                    request_sizes=[k * KiB for k in sizes],
+                    total_size=16 * MiB,
+                    seed=0,
+                ).trace(op)
+                plan = MHAPipeline(spec, seed=0).plan(trace)
+                ratio = estimate_migration_time(spec, plan.drt) / (
+                    migrate_offline(spec, plan).makespan
+                )
+                assert low <= ratio <= high, (sizes, op, ratio)

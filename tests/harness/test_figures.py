@@ -191,3 +191,48 @@ class TestCLI:
         assert captured.out == ""
         assert f"error: argument {flag}: must be >= " in captured.err
         assert captured.err.rstrip().endswith(f"got {value}")
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["fig07", "--schemes", "DEF,MHA,NOPE"], "'NOPE'"),
+            (["fig12b", "--schemes", " , "], "' , '"),
+            (["chaos", "--schemes", "def,NOPE"], "'NOPE'"),
+            (["chaos", "--schemes", ""], "''"),
+        ],
+        ids=["figure-unknown", "figure-empty", "chaos-unknown", "chaos-empty"],
+    )
+    def test_schemes_rejected_at_parse_time(self, argv, named, capsys, monkeypatch):
+        """A scheme list the catalog cannot resolve exits 2 while the
+        flags are parsed, naming ``--schemes`` and the bad value, before
+        any comparison or chaos cell starts."""
+        from repro.harness import chaos, figures
+        from repro.harness.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before --schemes was checked")
+
+        monkeypatch.setattr(figures, "compare_schemes", never)
+        monkeypatch.setattr(chaos, "chaos_experiment", never)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --schemes: " in captured.err
+        assert named in captured.err
+
+    def test_schemes_are_resolved_case_insensitively(self, monkeypatch):
+        from repro.harness import figures
+        from repro.harness.cli import main
+
+        seen = []
+
+        def record(spec, trace, schemes, **kwargs):
+            seen.append(schemes)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(figures, "compare_schemes", record)
+        with pytest.raises(SystemExit):
+            main(["fig07", "--schemes", " def, mha+saw "])
+        assert seen == [("DEF", "MHA+SAW")]

@@ -259,25 +259,19 @@ class TestDispatchRuns:
             raise AssertionError("premapped runs should have been kept")
 
         monkeypatch.setattr(view, "dispatch_request", fallback)
-        servers, objs, offsets, lengths, firsts = view.dispatch_runs(
-            "write", "f", 0, 64 * KiB, premap, 1
-        )
+        servers, lengths = view.dispatch_runs("write", "f", 0, 64 * KiB, premap, 1)
         assert servers == [1, 3, 2, 0]
-        assert objs == ["f"] * 4
-        assert offsets == [0] * 4
         assert lengths == [16 * KiB] * 4
-        assert firsts == [16 * KiB, 48 * KiB, 32 * KiB, 0]
         assert view.dispatch_runs("read", "f", 0, 16 * KiB, premap, 0) == (
-            [0], ["f"], [0], [16 * KiB], [0]
+            [0],
+            [16 * KiB],
         )
 
     def test_write_on_straggler_falls_back(self):
         view = _view()
         TestRedirection()._hot(view)
         premap = self._premapped(view, [(0, 64 * KiB)])
-        servers, _, _, lengths, _ = view.dispatch_runs(
-            "write", "f", 0, 64 * KiB, premap, 0
-        )
+        servers, lengths = view.dispatch_runs("write", "f", 0, 64 * KiB, premap, 0)
         assert 0 not in servers
         assert sum(lengths) == 64 * KiB
         assert view.redirected_fragments == 1
