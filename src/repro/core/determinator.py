@@ -50,6 +50,7 @@ __all__ = [
     "check_search_settings",
     "determine_stripes",
     "search_bounds",
+    "stripe_candidates",
 ]
 
 #: Algorithm 2's default step (user-configurable)
@@ -212,6 +213,41 @@ def _pruned_burst_costs(
     return sums, scored
 
 
+def stripe_candidates(
+    M: int,
+    N: int,
+    b_h: int,
+    b_s: int,
+    h_step: int,
+    s_step: int,
+    allow_h_zero: bool = True,
+    allow_equal_stripes: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 2's ``<h, s>`` candidates as two int64 columns, h-major.
+
+    ``h`` steps from 0 (``h_step`` without ``allow_h_zero``) to ``b_h``,
+    keeping that first ``h`` alone when ``b_h`` is below it; for each
+    ``h``, ``s`` steps from ``max(h, s_step)`` (``h + s_step`` without
+    ``allow_equal_stripes``) to ``b_s``.  With no HServers (``M == 0``)
+    only ``h = 0`` exists; with no SServers (``N == 0``) ``s`` is 0 and
+    ``h`` steps from ``h_step`` to ``b_h`` rounded up to a step.
+    """
+    if N == 0:
+        h_arr = np.arange(h_step, b_h + h_step, h_step, dtype=np.int64)
+        return h_arr, np.zeros_like(h_arr)
+    h_start = 0 if allow_h_zero else h_step
+    h_values = np.arange(h_start, b_h + 1, h_step, dtype=np.int64)
+    if M == 0:
+        h_values = np.zeros(1, dtype=np.int64)
+    elif h_values.size == 0:
+        h_values = np.array([h_start], dtype=np.int64)
+    s_first = np.maximum(h_values, s_step) if allow_equal_stripes else h_values + s_step
+    counts = np.maximum((b_s - s_first) // s_step + 1, 0)
+    # each h's block of s values counts up from its s_first
+    in_block = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(h_values, counts), np.repeat(s_first, counts) + s_step * in_block
+
+
 def determine_stripes(
     params: CostModelParams,
     offsets: np.ndarray,
@@ -330,26 +366,15 @@ def determine_stripes(
     s_step = step * max(1, -(-(b_s // step) // max_axis_candidates))
 
     # enumerate the candidate sequence once, in Algorithm 2's loop
-    # order — both engines walk exactly this list, which (with their
+    # order — both engines walk exactly these columns, which (with their
     # bit-identical costs) pins down identical tie-breaking
-    h_start = 0 if allow_h_zero else h_step
-    if params.N == 0:
-        # degenerate homogeneous cluster: only HServer stripes exist
-        pairs = [(h, 0) for h in range(h_step, b_h + h_step, h_step)]
-    else:
-        h_values = list(range(h_start, b_h + 1, h_step)) if params.M > 0 else [0]
-        if params.M > 0 and not h_values:
-            h_values = [h_start]  # bound below one step: smallest legal h only
-        pairs = []
-        for h in h_values:
-            s_start = max(h, s_step) if allow_equal_stripes else h + s_step
-            pairs.extend((h, s) for s in range(s_start, b_s + 1, s_step))
-    candidates = evaluated = len(pairs)
+    h_arr, s_arr = stripe_candidates(
+        params.M, params.N, b_h, b_s, h_step, s_step, allow_h_zero, allow_equal_stripes
+    )
+    candidates = evaluated = int(h_arr.shape[0])
 
-    if pairs and engine == "grid":
-        h_arr = np.array([p[0] for p in pairs], dtype=np.int64)
-        s_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-        if _bound_pays(lengths, is_read, len(pairs)):
+    if candidates and engine == "grid":
+        if _bound_pays(lengths, is_read, candidates):
             sums, evaluated = _pruned_burst_costs(
                 params, offsets, lengths, is_read, burst_ids, h_arr, s_arr
             )
@@ -360,9 +385,9 @@ def determine_stripes(
         costs = sums * weight_scale
         idx = int(np.argmin(costs))  # first minimum, like the loop's strict <
         best_cost = float(costs[idx])
-        best_pair = StripePair(*pairs[idx])
-    elif pairs:
-        for h, s in pairs:
+        best_pair = StripePair(int(h_arr[idx]), int(s_arr[idx]))
+    elif candidates:
+        for h, s in zip(h_arr.tolist(), s_arr.tolist()):
             cost = evaluate(h, s)
             if cost < best_cost:
                 best_cost, best_pair = cost, StripePair(h, s)

@@ -60,6 +60,50 @@ def _schemes(text: str) -> tuple[str, ...]:
     return names
 
 
+def _names(choices: tuple[str, ...], what: str):
+    """An argparse ``type`` for a comma-separated list of names, each
+    one of ``choices``.  A bad list fails at parse time, and argparse
+    names the flag: ``argument --models: unknown chaos model 'NOPE'``."""
+
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(name.strip() for name in text.split(",") if name.strip())
+        if not names:
+            raise argparse.ArgumentTypeError(f"expected {what} names, got {text!r}")
+        for name in names:
+            if name not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {what} {name!r}; choose from {choices}"
+                )
+        return names
+
+    return parse
+
+
+def _intensities(text: str) -> tuple[float, ...]:
+    """An argparse ``type`` for ``--intensities``: comma-separated fault
+    intensities, each a number in [0, 1].  A bad list fails at parse
+    time, and argparse names the flag: ``argument --intensities:
+    intensity must be in [0, 1], got '2'``."""
+    values: list[float] = []
+    for item in (part.strip() for part in text.split(",")):
+        if not item:
+            continue
+        try:
+            value = float(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number, got {item!r}"
+            ) from None
+        if not 0.0 <= value <= 1.0:
+            raise argparse.ArgumentTypeError(
+                f"intensity must be in [0, 1], got {item!r}"
+            )
+        values.append(value)
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected fault intensities, got {text!r}")
+    return tuple(values)
+
+
 def _online_main(argv: list[str]) -> int:
     """The ``online`` subcommand: checkpoint -> IOR phase shift served
     by the live relayout controller."""
@@ -148,12 +192,14 @@ def _chaos_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--models",
-        default="slowdown,scrub",
+        type=_names(CHAOS_MODEL_NAMES, "chaos model"),
+        default=("slowdown", "scrub"),
         help=f"comma-separated fault models from {','.join(CHAOS_MODEL_NAMES)}",
     )
     parser.add_argument(
         "--intensities",
-        default=",".join(f"{i:g}" for i in DEFAULT_CHAOS_INTENSITIES),
+        type=_intensities,
+        default=DEFAULT_CHAOS_INTENSITIES,
         help="comma-separated fault intensities in [0, 1]",
     )
     parser.add_argument(
@@ -192,11 +238,9 @@ def _chaos_main(argv: list[str]) -> int:
 
     started = time.perf_counter()
     report = chaos_experiment(
-        intensities=tuple(
-            float(i.strip()) for i in args.intensities.split(",") if i.strip()
-        ),
+        intensities=args.intensities,
         schemes=args.schemes,
-        models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
+        models=args.models,
         seed=args.seed,
         horizon=args.horizon,
         engine=args.engine,

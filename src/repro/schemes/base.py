@@ -16,6 +16,7 @@ from ..contracts import twin_of
 from ..exceptions import LayoutError
 from ..layouts.base import Layout, SubRequest
 from ..layouts.batch import MergedRuns, merged_runs_of
+from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
 
 __all__ = ["LayoutView", "Scheme"]
@@ -61,7 +62,7 @@ class Scheme(abc.ABC):
     name: str = "?"
 
     @abc.abstractmethod
-    def build(self, spec: ClusterSpec, trace: Trace):
+    def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace):
         """Analyze ``trace`` for ``spec`` and return a file view."""
 
     def __repr__(self) -> str:

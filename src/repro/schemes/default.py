@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from ..cluster import ClusterSpec
 from ..layouts.fixed import FixedStripeLayout
+from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
 from ..units import KiB
 from .base import LayoutView, Scheme
@@ -29,7 +30,7 @@ class DEFScheme(Scheme):
             raise ValueError(f"stripe must be > 0, got {stripe}")
         self.stripe = stripe
 
-    def build(self, spec: ClusterSpec, trace: Trace) -> LayoutView:
+    def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:
         layouts = {
             file: FixedStripeLayout(spec.server_ids, self.stripe, obj=file)
             for file in trace.files()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..cluster import ClusterSpec
 from ..core.pipeline import MHAPipeline, MHAPlan
 from ..core.redirector import Redirector
+from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
 from .base import Scheme
 
@@ -29,7 +30,7 @@ class MHAScheme(Scheme):
         self.pipeline_kwargs = pipeline_kwargs
         self.plan: MHAPlan | None = None
 
-    def build(self, spec: ClusterSpec, trace: Trace) -> Redirector:
+    def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> Redirector:
         pipeline = MHAPipeline(spec, **self.pipeline_kwargs)
         self.plan = pipeline.plan(trace)
         return self.plan.redirector

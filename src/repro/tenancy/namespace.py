@@ -8,15 +8,15 @@ make per-tenant layout views composable into one routing view (a file
 belongs to exactly one tenant, so premapped per-file request runs
 remain valid after the global merge); disjoint ranks make per-tenant
 latency attribution a single integer division over
-``RunMetrics.latency_ranks``.
+``RunMetrics.latency_ranks``.  :func:`namespace_trace` applies both to
+a columnar trace: it rewrites the rank and pid columns and the interned
+file-name table, and leaves every other column as it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..exceptions import ConfigurationError
-from ..tracing.record import Trace, TraceRecord
+from ..tracing.columnar import ColumnarTrace
 
 __all__ = [
     "RANK_STRIDE",
@@ -56,29 +56,27 @@ def tenant_of_rank(rank: int, stride: int = RANK_STRIDE) -> int:
 
 
 def namespace_trace(
-    trace: Trace, tenant: int, *, stride: int = RANK_STRIDE
-) -> Trace:
+    trace: ColumnarTrace, tenant: int, *, stride: int = RANK_STRIDE
+) -> ColumnarTrace:
     """Rewrite a tenant-local trace into the global namespace.
 
-    Files gain the tenant prefix; ranks (and pids) shift into the
+    File names gain the tenant prefix; ranks (and pids) shift into the
     tenant's window.  Local ranks must fit the window — a generator
     using more than ``stride`` ranks is a configuration error, not a
     silent collision.
     """
-    base = rank_base(tenant, stride)
-    records: list[TraceRecord] = []
-    for record in trace:
-        if not 0 <= record.rank < stride:
-            raise ConfigurationError(
-                f"tenant {tenant} local rank {record.rank} outside the "
-                f"0..{stride - 1} namespace window"
-            )
-        records.append(
-            replace(
-                record,
-                rank=base + record.rank,
-                pid=base + record.rank,
-                file=tenant_file(tenant, record.file),
-            )
+    data = trace.data.copy()
+    local = data["rank"]
+    outside = (local < 0) | (local >= stride)
+    if outside.any():
+        raise ConfigurationError(
+            f"tenant {tenant} local rank {int(local[outside][0])} outside the "
+            f"0..{stride - 1} namespace window"
         )
-    return Trace(records)
+    local += rank_base(tenant, stride)
+    data["pid"] = local
+    return ColumnarTrace(
+        data,
+        tuple(tenant_file(tenant, file) for file in trace.interned_files),
+        validate=False,
+    )

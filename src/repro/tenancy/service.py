@@ -7,20 +7,24 @@
    explicit tuple of :class:`~repro.tenancy.spec.TenantSpec`),
    validated at config time (shares sum ≤ 1, dense ids).
 2. **Sharded builds** — :func:`~repro.tenancy.shard.build_tenants`
-   fans one pure task per tenant across processes: trace generation,
-   seeded Poisson arrival rewrite, namespacing, scheme build, columnar
-   premapping, SServer-quota enforcement.  ``MergedRuns`` is the
-   exchange format back to the coordinator.
+   generates one time-sorted columnar trace per tenant class, then
+   fans one pure task per tenant across processes: seeded Poisson
+   re-stamp of the timestamp column, namespacing of the rank, pid and
+   file-name columns, scheme build, per-file columnar premapping,
+   SServer-quota enforcement.  The tenant's
+   :class:`~repro.tracing.columnar.ColumnarTrace` and its
+   ``MergedRuns`` are the exchange format back to the coordinator.
 3. **Deterministic merge** — admission control
    (:func:`~repro.tenancy.admission.admission_offsets`), per-tenant
    token-bucket shaping at ``share × nominal`` rate, and SCFQ weighted
    fair queueing (:func:`~repro.tenancy.qos.wfq_emission`) assign
-   every record a strictly increasing emission timestamp.  Each stage
-   preserves within-tenant order, so the shards' premapped per-file
-   runs stay valid.
+   every row a strictly increasing emission timestamp, and one gather
+   of every build's rows in that order makes the fleet trace.  Each
+   stage preserves within-tenant order, so the shards' premapped
+   per-file runs stay valid.
 4. **One coupled replay** — a single :class:`~repro.pfs.system.HybridPFS`
    (per-tenant RST namespaces registered on its MDS) replays the merged
-   trace open-loop; cross-tenant interference happens where it
+   columnar trace open-loop; cross-tenant interference happens where it
    physically lives, in the shared server queues.
 5. **Attribution** — ``RunMetrics.latency_ranks`` plus the disjoint
    rank windows turn the shared latency stream back into per-tenant
@@ -36,7 +40,9 @@ sharded-vs-serial equivalence is property-tested in
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_ARRIVAL_SEED
@@ -52,7 +58,7 @@ from ..harness.report import (
 from ..layouts.batch import MergedRuns
 from ..pfs.replay import RunMetrics, replay_trace
 from ..pfs.system import HybridPFS
-from ..tracing.record import Trace
+from ..tracing.columnar import ColumnarTrace
 from ..units import MiB
 from .admission import admission_offsets
 from .namespace import RANK_STRIDE, tenant_of_rank
@@ -134,10 +140,15 @@ def _merge_emission(
     tenants: tuple[TenantSpec, ...],
     capacity: float,
     max_active: int,
-) -> tuple[Trace, list[float]]:
-    """Admission + shaping + WFQ: the merged, re-stamped trace."""
-    arrivals = [[r.timestamp for r in b.records] for b in builds]
-    sizes = [[r.size for r in b.records] for b in builds]
+) -> tuple[ColumnarTrace, list[float]]:
+    """Admission + shaping + WFQ: the merged, re-stamped trace.
+
+    The fleet trace is one gather of every build's rows in emission
+    order; each build's file codes are shifted past the names of the
+    builds before it, so the merged name table is their concatenation.
+    """
+    arrivals = [b.trace.data["timestamp"].tolist() for b in builds]
+    sizes = [b.trace.data["size"].tolist() for b in builds]
     offsets = admission_offsets(
         [a[0] if a else 0.0 for a in arrivals],
         [a[-1] if a else 0.0 for a in arrivals],
@@ -157,10 +168,20 @@ def _merge_emission(
     order = wfq_emission(
         releases, sizes, [t.weight for t in tenants], capacity
     )
-    stamped = [
-        replace(builds[i].records[k], timestamp=start) for i, k, start in order
-    ]
-    return Trace(stamped), offsets
+    rows = np.array([len(b.trace) for b in builds], dtype=np.int64)
+    first_row = np.cumsum(rows) - rows
+    names: list[str] = []
+    file_base = np.empty(len(builds), dtype=np.int32)
+    for i, build in enumerate(builds):
+        file_base[i] = len(names)
+        names.extend(build.trace.interned_files)
+    data = np.concatenate([b.trace.data for b in builds])
+    data["file"] += np.repeat(file_base, rows)
+    emitted = np.array(order, dtype=np.float64).reshape(-1, 3)
+    tenant_of = emitted[:, 0].astype(np.int64)
+    merged = data[first_row[tenant_of] + emitted[:, 1].astype(np.int64)]
+    merged["timestamp"] = emitted[:, 2]
+    return ColumnarTrace(merged, tuple(names), validate=False), offsets
 
 
 def serve_scenario(
@@ -183,7 +204,8 @@ def serve_scenario(
     admitted tenants; ``n_jobs`` shards the build phase across
     processes (results are bit-identical at any job count).  The
     merged fleet trace goes to :func:`~repro.pfs.replay.replay_trace`
-    as records, and the replay converts it to columnar on entry.
+    as a :class:`~repro.tracing.columnar.ColumnarTrace`, so the serve
+    path builds no trace record.
     ``rank_stride`` is the width of each tenant's rank window; the
     per-tenant and per-class latency tables both group by it.
     """

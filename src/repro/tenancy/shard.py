@@ -1,16 +1,22 @@
 """Sharded tenant builds: one picklable task per tenant.
 
-Everything a tenant needs before the shared replay — generating its
-trace, rewriting it onto its seeded arrival process, namespacing it,
-building its layout scheme, premapping every request into columnar
-:class:`~repro.layouts.batch.MergedRuns`, and enforcing its SServer
-quota — reads only that tenant's own inputs.  So the build phase
-shards perfectly: :func:`build_tenants` fans
+A tenant's trace depends on its class (``tenant_workload`` and
+``tenant_op`` read only ``klass``), its arrival stream and its
+namespace.  So :func:`build_tenants` generates one time-sorted
+:class:`~repro.tracing.columnar.ColumnarTrace` per tenant class in the
+coordinator, before any task exists, and hands it to every task of that
+class.  Everything else a tenant needs before the shared replay — its
+seeded arrival re-stamp, its namespace, its layout scheme, the premap
+of every file's requests into columnar
+:class:`~repro.layouts.batch.MergedRuns`, and its SServer quota — works
+on those columns and reads only that tenant's own inputs.  So the
+build phase shards perfectly: :func:`build_tenants` fans
 :func:`build_tenant` out over processes via
 :func:`repro.core.parallel.parallel_map`, and because each task is
 pure and deterministic and ``parallel_map`` preserves item order, the
 sharded result is bit-identical to the serial one (property-tested in
-``tests/tenancy/``).
+``tests/tenancy/``), and each class's generator runs once per call at
+any job count.
 
 The SServer quota is enforced here, at build time, the way a real
 deployment would: if a tenant's premapped placement puts more than
@@ -31,8 +37,8 @@ from ..core.parallel import parallel_map
 from ..effects import effects
 from ..layouts.batch import MergedRuns
 from ..schemes.registry import make_scheme
-from ..tracing.record import Trace, TraceRecord
-from ..workloads.arrivals import OpenArrivalWorkload
+from ..tracing.columnar import ColumnarTrace
+from ..workloads.arrivals import open_arrivals
 from .namespace import RANK_STRIDE, namespace_trace
 from .spec import TenantSpec, tenant_op, tenant_workload, validate_tenants
 
@@ -41,10 +47,15 @@ __all__ = ["TenantBuild", "TenantBuildTask", "build_tenant", "build_tenants"]
 
 @dataclass(frozen=True)
 class TenantBuildTask:
-    """The picklable unit of work one shard executes."""
+    """The picklable unit of work one shard executes.
+
+    ``trace`` is the tenant's class trace: tenant-local, time-sorted,
+    shared by every task of the class.
+    """
 
     spec: ClusterSpec
     tenant: TenantSpec
+    trace: ColumnarTrace
     arrival_seed: int = DEFAULT_ARRIVAL_SEED
     rank_stride: int = RANK_STRIDE
 
@@ -53,16 +64,16 @@ class TenantBuildTask:
 class TenantBuild:
     """One tenant's shard output — the merge phase's exchange format.
 
-    ``records`` are the tenant's namespaced, arrival-stamped trace in
-    time order; ``runs_by_file`` / ``requests_by_file`` are its
-    premapped per-file columnar runs and the matching request
-    sequences; ``rst_entries`` are its region-stripe decisions for the
-    MDS namespace (empty for schemes without an RST).
+    ``trace`` is the tenant's namespaced, arrival-stamped trace in time
+    order; ``runs_by_file`` / ``requests_by_file`` are its premapped
+    per-file columnar runs and the matching request sequences;
+    ``rst_entries`` are its region-stripe decisions for the MDS
+    namespace (empty for schemes without an RST).
     """
 
     tenant: int
     klass: str
-    records: tuple[TraceRecord, ...]
+    trace: ColumnarTrace
     runs_by_file: dict[str, MergedRuns]
     requests_by_file: dict[str, tuple[tuple[int, int], ...]]
     rst_entries: tuple[tuple[str, int, int], ...]
@@ -72,33 +83,31 @@ class TenantBuild:
 
     @property
     def requests(self) -> int:
-        return len(self.records)
+        return len(self.trace)
 
 
 def _premap(
-    spec: ClusterSpec, scheme_name: str, trace: Trace
+    spec: ClusterSpec, scheme_name: str, trace: ColumnarTrace
 ) -> tuple[
     dict[str, MergedRuns],
     dict[str, tuple[tuple[int, int], ...]],
     tuple[tuple[str, int, int], ...],
     int,
 ]:
-    """Build the scheme, batch-map every request, report SSD bytes."""
+    """Build the scheme, batch-map each file's requests, report SSD bytes."""
     scheme = make_scheme(scheme_name)
     view = scheme.build(spec, trace)
-    by_file: dict[str, list[tuple[int, int]]] = {}
-    for record in trace:
-        by_file.setdefault(record.file, []).append((record.offset, record.size))
+    offsets = trace.data["offset"]
+    sizes = trace.data["size"]
     runs_by_file: dict[str, MergedRuns] = {}
     requests_by_file: dict[str, tuple[tuple[int, int], ...]] = {}
     ssd_bytes = 0
     sserver_floor = spec.num_hservers
-    for file, pairs in by_file.items():
-        runs = view.merged_runs(
-            file, [p[0] for p in pairs], [p[1] for p in pairs]
-        )
+    for file, rows in trace.file_partition().items():
+        file_offsets, file_sizes = offsets[rows], sizes[rows]
+        runs = view.merged_runs(file, file_offsets, file_sizes)
         runs_by_file[file] = runs
-        requests_by_file[file] = tuple(pairs)
+        requests_by_file[file] = tuple(zip(file_offsets.tolist(), file_sizes.tolist()))
         for server, length in zip(runs.servers, runs.lengths):
             if server >= sserver_floor:
                 ssd_bytes += length
@@ -115,17 +124,15 @@ def _premap(
 def build_tenant(task: TenantBuildTask) -> TenantBuild:
     """One tenant's full shard pipeline (module-level: picklable)."""
     tenant = task.tenant
-    workload = OpenArrivalWorkload(
-        tenant_workload(tenant),
-        rate=tenant.rate,
+    arrived = open_arrivals(
+        task.trace,
+        tenant.rate,
         start=tenant.start,
         jitter=tenant.jitter,
         seed=task.arrival_seed,
         stream=tenant.tenant,
     )
-    trace = namespace_trace(
-        workload.trace(tenant_op(tenant)), tenant.tenant, stride=task.rank_stride
-    )
+    trace = namespace_trace(arrived, tenant.tenant, stride=task.rank_stride)
     runs, requests, rst_entries, ssd_bytes = _premap(
         task.spec, tenant.scheme, trace
     )
@@ -146,7 +153,7 @@ def build_tenant(task: TenantBuildTask) -> TenantBuild:
     return TenantBuild(
         tenant=tenant.tenant,
         klass=tenant.klass,
-        records=tuple(trace),
+        trace=trace,
         runs_by_file=runs,
         requests_by_file=requests,
         rst_entries=rst_entries,
@@ -166,14 +173,21 @@ def build_tenants(
 ) -> list[TenantBuild]:
     """Build every tenant, possibly across processes, in tenant order.
 
-    ``n_jobs=1`` (the default) stays serial.  Results are identical at
-    any job count.
+    Each tenant class in the fleet is generated once, here, as a
+    time-sorted columnar trace.  ``n_jobs=1`` (the default) stays
+    serial.  Results are identical at any job count.
     """
     validate_tenants(tenants)
+    class_traces: dict[str, ColumnarTrace] = {}
+    for tenant in tenants:
+        if tenant.klass not in class_traces:
+            local = tenant_workload(tenant).columnar(tenant_op(tenant))
+            class_traces[tenant.klass] = local.sorted_by_time()
     tasks = [
         TenantBuildTask(
             spec=spec,
             tenant=tenant,
+            trace=class_traces[tenant.klass],
             arrival_seed=arrival_seed,
             rank_stride=rank_stride,
         )

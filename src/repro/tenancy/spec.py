@@ -12,13 +12,15 @@ invocations always describe the same fleet; per-tenant *traffic*
 randomness comes later from the seeded arrival rewrite
 (:mod:`repro.workloads.arrivals`), keyed by tenant index.
 
-:func:`validate_tenants` is the config-time gate: tenant ids unique
-and dense, weights positive, shares in ``(0, 1]`` **summing to at most
-1** (the shaper hands out fractions of one cluster), quotas in
-``[0, 1]``, and schemes restricted to the static/flat-eligible
-families (the serve loop replays every tenant through one shared flat
-kernel; feedback schemes like SAW need the event engine and per-run
-state that cannot be premapped per shard).
+:class:`TenantSpec` checks its own fields on construction: weights and
+rates finite and positive, start and jitter finite and non-negative,
+shares in ``(0, 1]``, quotas in ``[0, 1]``, and schemes restricted to
+the static/flat-eligible families (the serve loop replays every tenant
+through one shared flat kernel; feedback schemes like SAW need the
+event engine and per-run state that cannot be premapped per shard).
+:func:`validate_tenants` is the config-time fleet gate: tenant ids
+unique and dense, and shares **summing to at most 1** (the shaper
+hands out fractions of one cluster).
 """
 
 from __future__ import annotations
@@ -86,8 +88,10 @@ class TenantSpec:
                 f"tenant scheme {self.scheme!r} not servable; "
                 f"choose from {SERVE_SCHEMES}"
             )
-        if self.weight <= 0.0:
-            raise ConfigurationError(f"weight must be > 0, got {self.weight}")
+        if not 0.0 < self.weight < math.inf:
+            raise ConfigurationError(
+                f"weight must be finite and > 0, got {self.weight}"
+            )
         if not 0.0 < self.share <= 1.0:
             raise ConfigurationError(
                 f"share must be in (0, 1], got {self.share}"
@@ -96,10 +100,11 @@ class TenantSpec:
             raise ConfigurationError(
                 f"sserver_quota must be in [0, 1], got {self.sserver_quota}"
             )
-        if self.rate <= 0.0:
-            raise ConfigurationError(f"rate must be > 0, got {self.rate}")
-        if self.start < 0.0 or self.jitter < 0.0:
-            raise ConfigurationError("start and jitter must be >= 0")
+        if not 0.0 < self.rate < math.inf:
+            raise ConfigurationError(f"rate must be finite and > 0, got {self.rate}")
+        for name, value in (("start", self.start), ("jitter", self.jitter)):
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def validate_tenants(tenants: tuple[TenantSpec, ...] | list[TenantSpec]) -> None:

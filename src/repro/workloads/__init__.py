@@ -1,6 +1,6 @@
 """Workload generators reproducing the paper's benchmarks and traces."""
 
-from .arrivals import OpenArrivalWorkload, poisson_arrival_times
+from .arrivals import OpenArrivalWorkload, open_arrivals, poisson_arrival_times
 from .base import PHASE_GAP, TraceBuilder, Workload
 from .btio import BTIOWorkload, CLASS_TOTALS
 from .checkpoint import CheckpointWorkload
@@ -15,6 +15,7 @@ __all__ = [
     "TraceBuilder",
     "PHASE_GAP",
     "OpenArrivalWorkload",
+    "open_arrivals",
     "poisson_arrival_times",
     "IORWorkload",
     "IORMixedProcsWorkload",

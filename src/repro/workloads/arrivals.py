@@ -4,25 +4,26 @@ Every generator in this package emits bulk-synchronous *phase* time
 (:data:`~repro.workloads.base.PHASE_GAP` between phases, ranks a hair
 apart within one).  A multi-tenant service instead sees an **open**
 request stream per tenant: requests arrive on their own clock whether
-or not earlier ones finished.  :class:`OpenArrivalWorkload` bridges the
-two without touching any generator — it wraps a workload and rewrites
-the timestamps of its time-ordered trace onto a seeded Poisson arrival
-process (exponential inter-arrival gaps at a target ``rate``, plus an
-optional uniformly jittered start offset so tenants launched together
-do not phase-lock).
+or not earlier ones finished.  :func:`open_arrivals` bridges the two
+without touching any generator: it copies a time-ordered columnar
+trace and overwrites its timestamp column with a seeded Poisson
+arrival process (exponential inter-arrival gaps at a target ``rate``,
+plus an optional uniformly jittered start offset so tenants launched
+together do not phase-lock).  :class:`OpenArrivalWorkload` wraps a
+workload in that rewrite; the tenant builds of :mod:`repro.tenancy`
+apply it to one shared class trace per tenant.
 
 Determinism contract: tenant ``k`` passes ``stream=k`` and the rewrite
 draws from ``derive_rng(SeedDomain.ARRIVALS, stream, base=seed)`` (the
 central lineage registry of :mod:`repro.determinism`), so each
 tenant's arrival stream is independent of every other's — and of every
-fault/sampling stream — yet byte-reproducible on any worker process.  Record *order* is preserved — arrival times are a
-strictly increasing rewrite of the ``sorted_by_time`` order — which is
-what lets premapped per-file request runs survive the rewrite.
+fault/sampling stream — yet byte-reproducible on any worker process.
+Row *order* is preserved — arrival times are a strictly increasing
+rewrite of the ``sorted_by_time`` order — which is what lets premapped
+per-file request runs survive the rewrite.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,10 +31,11 @@ from ..config import DEFAULT_ARRIVAL_SEED
 from ..determinism import SeedDomain, derive_rng
 from ..devices.base import OpType
 from ..exceptions import TraceError
+from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
 from .base import Workload
 
-__all__ = ["OpenArrivalWorkload", "poisson_arrival_times"]
+__all__ = ["OpenArrivalWorkload", "open_arrivals", "poisson_arrival_times"]
 
 
 def poisson_arrival_times(
@@ -63,15 +65,37 @@ def poisson_arrival_times(
     return [float(t) for t in times]
 
 
+def open_arrivals(
+    ordered: ColumnarTrace,
+    rate: float,
+    *,
+    start: float = 0.0,
+    jitter: float = 0.0,
+    seed: int = DEFAULT_ARRIVAL_SEED,
+    stream: int = 0,
+) -> ColumnarTrace:
+    """A copy of the time-ordered ``ordered`` on a Poisson clock.
+
+    Row ``k`` keeps every column but its timestamp, which becomes the
+    ``k``-th of :func:`poisson_arrival_times` (same arguments), so the
+    row order, and with it every within-rank order, is unchanged.
+    """
+    data = ordered.data.copy()
+    data["timestamp"] = poisson_arrival_times(
+        len(ordered), rate, start=start, jitter=jitter, seed=seed, stream=stream
+    )
+    return ColumnarTrace(data, ordered.interned_files, validate=False)
+
+
 class OpenArrivalWorkload(Workload):
     """Wrap a workload, replaying its requests on a Poisson clock.
 
     ``rate`` is the mean arrival rate (requests per simulated second);
     ``start``/``jitter`` place the tenant's first request at
     ``start + U[0, jitter)`` plus the first exponential gap.  The
-    wrapped trace is taken in ``sorted_by_time`` order and re-stamped,
-    so every within-rank (and within-tenant) ordering is preserved —
-    only the pacing changes.  Combine with
+    wrapped trace is taken in ``sorted_by_time`` order and re-stamped
+    by :func:`open_arrivals`, so every within-rank (and within-tenant)
+    ordering is preserved — only the pacing changes.  Combine with
     ``replay_trace(..., open_arrivals=True)`` to honour the new clock.
     """
 
@@ -100,19 +124,21 @@ class OpenArrivalWorkload(Workload):
     def name(self) -> str:  # type: ignore[override]
         return f"open({self.inner.name})"
 
-    def trace(self, op: OpType = "write") -> Trace:
-        ordered = self.inner.trace(op).sorted_by_time()
-        times = poisson_arrival_times(
-            len(ordered),
+    def columnar(self, *args: OpType | None) -> ColumnarTrace:
+        """The re-stamped trace on the columnar spine; ``args`` is
+        :meth:`trace`'s optional ``op``."""
+        (op,) = args or ("write",)
+        return open_arrivals(
+            self.inner.columnar(op).sorted_by_time(),
             self.rate,
             start=self.start,
             jitter=self.jitter,
             seed=self.seed,
             stream=self.stream,
         )
-        return Trace(
-            replace(record, timestamp=t) for record, t in zip(ordered, times)
-        )
+
+    def trace(self, op: OpType = "write") -> Trace:
+        return self.columnar(op).to_trace()
 
     def __repr__(self) -> str:
         return (

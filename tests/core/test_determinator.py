@@ -1,12 +1,16 @@
 """Tests for Algorithm 2 (RSSD stripe-size determination)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.core import CostModelParams, determine_stripes, search_bounds
 from repro.core.cost_model import request_costs
-from repro.core.determinator import BOUND_THRESHOLD_UNIT
+from repro.core.determinator import BOUND_THRESHOLD_UNIT, stripe_candidates
 from repro.core.pipeline import MHAPipeline
 from repro.exceptions import ConfigurationError
 from repro.schemes.harl import HARLScheme
@@ -297,6 +301,84 @@ class TestDegenerateClusters:
         # row is empty too; either way the decision stays legal
         assert decision.s >= step
         assert decision.h in (0, step)
+
+
+def reference_pairs(
+    M, N, b_h, b_s, h_step, s_step, allow_h_zero=True, allow_equal_stripes=True
+):
+    """Algorithm 2's candidate loop as nested Python loops over ``(h, s)``
+    tuples: the reference :func:`stripe_candidates` must reproduce."""
+    h_start = 0 if allow_h_zero else h_step
+    if N == 0:
+        return [(h, 0) for h in range(h_step, b_h + h_step, h_step)]
+    h_values = list(range(h_start, b_h + 1, h_step)) if M > 0 else [0]
+    if M > 0 and not h_values:
+        h_values = [h_start]
+    pairs = []
+    for h in h_values:
+        s_start = max(h, s_step) if allow_equal_stripes else h + s_step
+        pairs.extend((h, s) for s in range(s_start, b_s + 1, s_step))
+    return pairs
+
+
+def grid_pairs(*args, **kwargs):
+    h_arr, s_arr = stripe_candidates(*args, **kwargs)
+    assert h_arr.dtype == s_arr.dtype == np.int64
+    return list(zip(h_arr.tolist(), s_arr.tolist()))
+
+
+class TestCandidateGrid:
+    """The NumPy candidate grid equals the nested loop pair for pair."""
+
+    STEP = 4 * KiB
+    #: (b_h, b_s, h_step, s_step): the default grid, coarsened steps,
+    #: both bounds below one step, zero bounds, one bound below a step,
+    #: bounds off the step lattice
+    BOUNDS = [
+        (64 * KiB, 64 * KiB, STEP, STEP),
+        (1024 * KiB, 512 * KiB, 16 * KiB, 8 * KiB),
+        (2 * KiB, 3 * KiB, STEP, STEP),
+        (0, 0, STEP, STEP),
+        (64 * KiB, 2 * KiB, STEP, STEP),
+        (2 * KiB, 64 * KiB, STEP, STEP),
+        (63 * KiB + 1, 70 * KiB + 3, STEP, 3 * STEP),
+    ]
+
+    @pytest.mark.parametrize("bounds", BOUNDS)
+    @pytest.mark.parametrize("M,N", [(3, 2), (0, 2), (3, 0), (1, 1)])
+    def test_matches_nested_loop(self, bounds, M, N):
+        for h_zero, equal in itertools.product((True, False), repeat=2):
+            args = (M, N, *bounds)
+            options = dict(allow_h_zero=h_zero, allow_equal_stripes=equal)
+            assert grid_pairs(*args, **options) == reference_pairs(*args, **options)
+
+    @given(
+        M=st.integers(0, 4),
+        N=st.integers(0, 4),
+        b_h=st.integers(0, 300),
+        b_s=st.integers(0, 300),
+        h_step=st.integers(1, 40),
+        s_step=st.integers(1, 40),
+        h_zero=st.booleans(),
+        equal=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_nested_loop_property(
+        self, M, N, b_h, b_s, h_step, s_step, h_zero, equal
+    ):
+        args = (M, N, b_h, b_s, h_step, s_step)
+        options = dict(allow_h_zero=h_zero, allow_equal_stripes=equal)
+        assert grid_pairs(*args, **options) == reference_pairs(*args, **options)
+
+    def test_search_reports_the_grid(self, params):
+        offsets, lengths, is_read, bursts = uniform_requests(64 * KiB)
+        decision = determine_stripes(params, offsets, lengths, is_read, bursts)
+        pairs = reference_pairs(
+            params.M, params.N, decision.bound_h, decision.bound_s,
+            self.STEP, self.STEP,
+        )
+        assert decision.candidates == len(pairs)
+        assert (decision.h, decision.s) in pairs
 
 
 class TestSearchSettingsRejectedEarly:

@@ -141,9 +141,9 @@ class TestCLI:
         [
             ["serve", "--hot-fraction", "2"],
             ["online", "--horizon", "-1"],
-            ["chaos", "--intensities", "2", "--schemes", "DEF"],
+            ["chaos", "--horizon", "-1", "--schemes", "DEF"],
         ],
-        ids=["serve-hot-fraction", "online-horizon", "chaos-intensity"],
+        ids=["serve-hot-fraction", "online-horizon", "chaos-horizon"],
     )
     def test_rejected_setting_prints_one_line(self, argv, capsys):
         """A setting the library rejects exits 2 with one stderr line,
@@ -221,6 +221,65 @@ class TestCLI:
         assert captured.out == ""
         assert "error: argument --schemes: " in captured.err
         assert named in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["chaos", "--intensities", "0.5,abc"], "'abc'"),
+            (["chaos", "--intensities", "2"], "'2'"),
+            (["chaos", "--intensities", "0,nan"], "'nan'"),
+            (["chaos", "--intensities", " , "], "' , '"),
+            (["chaos", "--models", "NOPE"], "'NOPE'"),
+            (["chaos", "--models", "slowdown,scrub,NOPE"], "'NOPE'"),
+            (["chaos", "--models", ""], "''"),
+        ],
+        ids=[
+            "intensity-not-a-number",
+            "intensity-above-one",
+            "intensity-nan",
+            "intensities-empty",
+            "model-unknown",
+            "models-one-unknown",
+            "models-empty",
+        ],
+    )
+    def test_chaos_lists_rejected_at_parse_time(
+        self, argv, named, capsys, monkeypatch
+    ):
+        """A bad ``--intensities`` or ``--models`` list exits 2 while the
+        flags are parsed, naming the flag and the bad value, before any
+        chaos cell starts."""
+        from repro.harness import chaos
+        from repro.harness.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the chaos lists were checked")
+
+        monkeypatch.setattr(chaos, "chaos_experiment", never)
+        flag = argv[1]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: " in captured.err
+        assert named in captured.err
+
+    def test_chaos_lists_reach_the_experiment_parsed(self, monkeypatch):
+        from repro.harness import chaos
+        from repro.harness.cli import main
+
+        seen = {}
+
+        def record(**kwargs):
+            seen.update(kwargs)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(chaos, "chaos_experiment", record)
+        with pytest.raises(SystemExit):
+            main(["chaos", "--intensities", " 0, 0.25 ", "--models", "outage, scrub"])
+        assert seen["intensities"] == (0.0, 0.25)
+        assert seen["models"] == ("outage", "scrub")
 
     def test_schemes_are_resolved_case_insensitively(self, monkeypatch):
         from repro.harness import figures

@@ -11,13 +11,17 @@ from repro.tenancy import (
     tenant_of_file,
     tenant_of_rank,
 )
-from repro.tracing import Trace, TraceRecord
+from repro.tracing import ColumnarTrace, TraceRecord
 
 
 def rec(rank, file="f", ts=0.0):
     return TraceRecord(
         offset=0, timestamp=ts, rank=rank, size=1024, op="write", file=file
     )
+
+
+def columns(*records):
+    return ColumnarTrace.from_records(records)
 
 
 class TestNames:
@@ -39,8 +43,10 @@ class TestNames:
 
 class TestNamespaceTrace:
     def test_rewrites_files_ranks_and_pids(self):
-        trace = Trace([rec(0), rec(1, file="g", ts=1.0)])
+        trace = columns(rec(0), rec(1, file="g", ts=1.0))
         spaced = namespace_trace(trace, 7)
+        assert isinstance(spaced, ColumnarTrace)
+        assert spaced.interned_files == ("t0007/f", "t0007/g")
         assert [r.file for r in spaced] == ["t0007/f", "t0007/g"]
         assert [r.rank for r in spaced] == [rank_base(7), rank_base(7) + 1]
         assert [r.pid for r in spaced] == [rank_base(7), rank_base(7) + 1]
@@ -50,10 +56,12 @@ class TestNamespaceTrace:
 
     def test_rank_overflow_is_a_config_error(self):
         with pytest.raises(ConfigurationError, match="namespace window"):
-            namespace_trace(Trace([rec(RANK_STRIDE)]), 0)
+            namespace_trace(columns(rec(0), rec(RANK_STRIDE)), 0)
+        with pytest.raises(ConfigurationError, match="local rank -1"):
+            namespace_trace(columns(rec(-1)), 0)
 
     def test_namespaces_are_disjoint(self):
-        a = namespace_trace(Trace([rec(0)]), 3)
-        b = namespace_trace(Trace([rec(0)]), 4)
-        assert a[0].file != b[0].file
-        assert tenant_of_rank(a[0].rank) != tenant_of_rank(b[0].rank)
+        a = namespace_trace(columns(rec(0)), 3).record(0)
+        b = namespace_trace(columns(rec(0)), 4).record(0)
+        assert a.file != b.file
+        assert tenant_of_rank(a.rank) != tenant_of_rank(b.rank)

@@ -11,9 +11,13 @@ from repro.tenancy import (
     TenantSpec,
     build_tenants,
     make_tenants,
+    namespace_trace,
     serve_scenario,
     tenant_of_rank,
+    tenant_workload,
 )
+from repro.tenancy.spec import tenant_op
+from repro.workloads import OpenArrivalWorkload
 
 SPEC = ClusterSpec(num_hservers=2, num_sservers=2)
 N = 16
@@ -44,6 +48,25 @@ class TestDeterminism:
 
     def test_arrival_seed_changes_results(self):
         assert serve().digest() != serve(arrival_seed=99).digest()
+
+
+class TestClassTraces:
+    def test_builds_equal_per_tenant_generation(self):
+        """Each build's trace is what generating the tenant's own
+        workload, re-stamping and namespacing it would give."""
+        fleet = make_tenants(6)
+        builds = build_tenants(SPEC, fleet, arrival_seed=5, rank_stride=8)
+        for spec_t, build in zip(fleet, builds):
+            own = OpenArrivalWorkload(
+                tenant_workload(spec_t),
+                rate=spec_t.rate,
+                start=spec_t.start,
+                jitter=spec_t.jitter,
+                seed=5,
+                stream=spec_t.tenant,
+            ).columnar(tenant_op(spec_t))
+            assert build.trace == namespace_trace(own, spec_t.tenant, stride=8)
+            assert build.requests == len(own)
 
 
 class TestFairnessInvariants:

@@ -36,6 +36,16 @@ class TestTenantSpec:
             {"rate": 0.0},
             {"start": -1.0},
             {"jitter": -1.0},
+            # non-finite values: NaN fails every comparison, and an
+            # infinite jitter used to overflow deep inside the build
+            {"weight": math.nan},
+            {"weight": math.inf},
+            {"rate": math.nan},
+            {"rate": math.inf},
+            {"start": math.nan},
+            {"start": math.inf},
+            {"jitter": math.nan},
+            {"jitter": math.inf},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):

@@ -219,6 +219,67 @@ class TestParallelLedgerMerge:
             assert serial_snap[key]["draws"] == sharded_snap[key]["draws"]
 
 
+class TestSanitizedServe:
+    """A small fleet served under the sanitizer at one and two jobs.
+
+    Each tenant class is generated once per ``build_tenants`` call, in
+    the coordinator: the hot class's IOR generator derives and draws
+    its slot shuffle exactly once, and the ledgers of both job counts
+    agree.  A worker generating its own class trace would show up as
+    extra IOR derivations and draws in the merged ledger.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _armed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        reset_ledger()
+        yield
+        reset_ledger()
+
+    def test_jobs_agree_and_each_class_is_generated_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.cluster import ClusterSpec
+        from repro.tenancy import serve_scenario
+        from repro.workloads import CheckpointWorkload, IORWorkload
+
+        calls: Counter[str] = Counter()
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args):
+                calls[cls.__name__] += 1
+                return original(self, *args)
+
+            return counted
+
+        for cls in (IORWorkload, CheckpointWorkload):
+            for name in ("trace", "columnar"):
+                monkeypatch.setattr(cls, name, counting(cls, name))
+
+        digests, ledgers = [], []
+        for n_jobs in (1, 2):
+            reset_ledger()
+            calls.clear()
+            report = serve_scenario(
+                spec=ClusterSpec(num_hservers=2, num_sservers=2),
+                tenants=8,
+                max_active=4,
+                n_jobs=n_jobs,
+            )
+            assert {t.klass for t in report.tenants} == {"hot", "tail"}
+            assert calls == {"IORWorkload": 1, "CheckpointWorkload": 1}
+            digests.append(report.digest())
+            ledgers.append(ledger().snapshot())
+        assert digests[0] == digests[1]
+        assert compare_ledgers(*ledgers, "jobs1", "jobs2") == []
+        ior = f"{SeedDomain.IOR.value}|0"
+        for snapshot in ledgers:
+            assert snapshot[ior]["derivations"] == 1
+            assert snapshot[ior]["draws"] == 1
+
+
 class TestServeDigestPinned:
     """Regression pin for the registry migration (this PR).
 

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.exceptions import TraceError
+from repro.tracing import as_columnar_trace
 from repro.units import KiB, MiB
-from repro.workloads import IORWorkload, OpenArrivalWorkload, poisson_arrival_times
+from repro.workloads import (
+    CheckpointWorkload,
+    IORWorkload,
+    OpenArrivalWorkload,
+    poisson_arrival_times,
+)
 
 
 def inner():
@@ -63,6 +69,15 @@ class TestOpenArrivalWorkload:
         w4 = OpenArrivalWorkload(inner(), rate=100.0, stream=4)
         assert w3.trace("write") == w3.trace("write")
         assert w3.trace("write") != w4.trace("write")
+
+    def test_columnar_equals_the_record_trace(self):
+        for workload, op in ((inner(), "write"), (CheckpointWorkload(), None)):
+            wrapped = OpenArrivalWorkload(workload, rate=100.0, stream=3)
+            columns = wrapped.columnar(op)
+            assert columns == as_columnar_trace(wrapped.trace(op))
+            times = columns.data["timestamp"].tolist()
+            assert times == poisson_arrival_times(len(columns), 100.0, stream=3)
+        assert wrapped.columnar() == wrapped.columnar("write")
 
     def test_name_and_validation(self):
         wrapped = OpenArrivalWorkload(inner(), rate=5.0)
