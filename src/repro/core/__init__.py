@@ -37,7 +37,7 @@ from .placer import (
     place_regions,
 )
 from .redirector import Redirector, RedirectorStats
-from .reorganizer import RegionPlan, RegionRequest, ReorderPlan, reorganize
+from .reorganizer import RegionPlan, ReorderPlan, reorganize
 from .rst import RST, StripePair
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "RST",
     "StripePair",
     "RegionPlan",
-    "RegionRequest",
     "ReorderPlan",
     "reorganize",
     "StripeDecision",

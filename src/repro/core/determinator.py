@@ -33,6 +33,7 @@ import numpy as np
 from ..config import DEFAULT_SAMPLE_SEED
 from ..exceptions import ConfigurationError
 from ..layouts.extents import length_bands
+from ..numerics import unique_values
 from ..units import KiB
 from .cost_model import (
     BurstCostKernel,
@@ -168,7 +169,7 @@ def _bound_pays(lengths: np.ndarray, is_read: np.ndarray, n_candidates: int) -> 
     :data:`MIN_GROUP_REQUESTS` requests per (op, length band) group."""
     if len(grid_chunks(n_candidates, lengths.shape[0])) < 2:
         return False
-    groups = np.unique(2 * length_bands(lengths) + is_read).shape[0]
+    groups = unique_values(2 * length_bands(lengths) + is_read).shape[0]
     return lengths.shape[0] >= MIN_GROUP_REQUESTS * groups
 
 
@@ -333,7 +334,7 @@ def determine_stripes(
         params, r_max, mean_size, step, bound_policy, threshold_unit
     )
 
-    uniq = np.unique(burst_ids)
+    uniq = unique_values(burst_ids)
     weight_scale = 1.0
     if uniq.size > max_eval_requests:
         rng = np.random.default_rng(seed)

@@ -5,14 +5,20 @@ and O_offset are the file name and the offset of the data in the
 original file, R_file and R_offset are the file name and the offset of
 the data in the reordered region.  Length is the size of the data."
 
-The table supports the access paths the paper needs:
+Each original file's entries are one table of offset-sorted columns
+(entry starts and ends, region offsets, region-file codes) over a
+per-file name table.  The table supports the access paths the paper
+needs:
 
 * the **Redirector**'s hot path — translate an original-file extent
   into region extents (range lookup, served from memory with an LRU
-  list of hot entries, §IV-A);
-* batch translation for the off-line planner and the flat replay's
-  premap — a whole batch of extents at once, through a sorted column
-  index per original file (:meth:`DRT.translate_many`);
+  list of hot entries, §IV-A).  Per-record lookups and inserts bisect
+  and insert into the columns as Python int lists, several times
+  cheaper per call than NumPy's ``searchsorted`` and ``np.insert``;
+* batch translation and bulk insert — the planner's bulk insert
+  (:meth:`DRT.add_all`), a reload and the batch lookups
+  (:meth:`DRT.translate_many`) work on a NumPy copy of the columns,
+  rebuilt lazily after a per-record insert;
 * **durability** — a file-backed table stages its changes and makes
   them durable at :meth:`DRT.commit`, in one fsynced
   :class:`~repro.kvstore.hashdb.HashDB` commit stamped with the plan
@@ -27,10 +33,8 @@ bytes.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -39,6 +43,7 @@ import numpy as np
 from ..contracts import twin_of
 from ..exceptions import KVStoreError, RedirectionError
 from ..kvstore import EpochDB, LRUCache
+from ..numerics import unique_values
 from .intervals import cut_extents
 
 __all__ = [
@@ -53,15 +58,20 @@ __all__ = [
 #: bytes of numeric payload per entry — the paper's "6 * 4 B" (§V-E2)
 ENTRY_NUMERIC_BYTES = 24
 
-_VALUE = struct.Struct("<QQ")  # length, r_offset  (r_file appended as text)
-_KEY = struct.Struct("<Q")  # o_offset (o_file prepended as text)
+_U8 = np.dtype("<u8")
+_KEY_SIZE = _U8.itemsize
+_VALUE_SIZE = 2 * _U8.itemsize
 
 #: file code of a translated piece no entry maps: it stays in the
 #: original file (:class:`TranslatedColumns`)
 UNMAPPED = -1
 
-_O_OFFSET = attrgetter("o_offset")
 _NO_ENTRIES = np.empty(0, dtype=np.int64)
+
+#: a hot entry on the LRU list: (start, end, region file, region offset)
+_Hot = tuple[int, int, str, int]
+#: one file's entries as :meth:`DRT.add_all` takes them
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Sequence[str]]
 
 
 @dataclass(frozen=True, order=True)
@@ -155,6 +165,94 @@ class _FileColumns:
     names: tuple[str, ...]
 
 
+_NO_COLUMNS = _FileColumns(_NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES, ())
+
+
+class _Table:
+    """One original file's entries: the columns as int lists over the
+    name table ``names``, and ``index``, their NumPy copy, or ``None``
+    until a batch lookup needs it after a per-record insert."""
+
+    __slots__ = ("starts", "ends", "r_offsets", "codes", "names", "index")
+
+    def __init__(self, index: _FileColumns) -> None:
+        self.index: _FileColumns | None = index
+        self.starts: list[int] = index.starts.tolist()
+        self.ends: list[int] = index.ends.tolist()
+        self.r_offsets: list[int] = index.r_offsets.tolist()
+        self.codes: list[int] = index.codes.tolist()
+        self.names: list[str] = list(index.names)
+
+    def columns(self) -> _FileColumns:
+        if self.index is None:
+            lists = self.starts, self.ends, self.r_offsets, self.codes
+            arrays = (np.array(c, dtype=np.int64) for c in lists)
+            self.index = _FileColumns(*arrays, tuple(self.names))
+        return self.index
+
+
+def _records(o_file: str, columns: _Columns) -> list[tuple[bytes, bytes]]:
+    """The log records of one file's entries, in the given order.
+
+    A record's key is the entry's original offset (``<u8``), then the
+    original file's name; its value the length and the region offset,
+    then the region file's name.  The offset goes first: the packed
+    integer routinely contains NUL bytes, so no separator could safely
+    delimit a name placed before it.
+    """
+    starts, lengths, r_offsets, codes, names = columns
+    keys = starts.astype(_U8).tobytes()
+    values = np.column_stack((lengths, r_offsets)).astype(_U8).tobytes()
+    o_name = o_file.encode()
+    r_names = [name.encode() for name in names]
+    return [
+        (
+            keys[_KEY_SIZE * i : _KEY_SIZE * (i + 1)] + o_name,
+            values[_VALUE_SIZE * i : _VALUE_SIZE * (i + 1)] + r_names[code],
+        )
+        for i, code in enumerate(codes.tolist())
+    ]
+
+
+def _record_columns(
+    records: Sequence[tuple[bytes, bytes]],
+) -> Iterator[tuple[str, _Columns]]:
+    """Committed records as :meth:`DRT.add_all`'s columns, one
+    original file at a time.
+
+    The fixed-width prefixes decode through NumPy ``<u8`` in one pass
+    and each distinct name once.  Raises :class:`KVStoreError` for a
+    record too short to decode or a name that is not UTF-8; a number of
+    2**63 or more comes out negative, for ``add_all`` to reject.
+    """
+    keys, values = [key for key, _ in records], [value for _, value in records]
+    n = len(keys)
+    short = np.minimum(
+        np.fromiter(map(len, keys), np.int64, n) - _KEY_SIZE,
+        np.fromiter(map(len, values), np.int64, n) - _VALUE_SIZE,
+    )
+    if n and short.min() < 0:
+        raise KVStoreError(f"DRT record {keys[int(short.argmin())]!r} is too short")
+    o_raw = [key[_KEY_SIZE:] for key in keys]
+    r_raw = [value[_VALUE_SIZE:] for value in values]
+    o_codes = {raw: code for code, raw in enumerate(dict.fromkeys(o_raw))}
+    r_codes = {raw: code for code, raw in enumerate(dict.fromkeys(r_raw))}
+    try:
+        o_names = [raw.decode() for raw in o_codes]
+        r_names = [raw.decode() for raw in r_codes]
+    except UnicodeDecodeError as exc:
+        raise KVStoreError(f"undecodable DRT name {exc.object!r}: {exc}") from exc
+    starts = np.frombuffer(b"".join([key[:_KEY_SIZE] for key in keys]), _U8)
+    numbers = np.frombuffer(b"".join([v[:_VALUE_SIZE] for v in values]), _U8)
+    numbers = numbers.reshape(n, 2).astype(np.int64)
+    o_code = np.fromiter(map(o_codes.__getitem__, o_raw), np.int64, n)
+    r_code = np.fromiter(map(r_codes.__getitem__, r_raw), np.int64, n)
+    for code, o_file in enumerate(o_names):
+        rows = np.flatnonzero(o_code == code)
+        columns = numbers[rows, 0], numbers[rows, 1], r_code[rows], r_names
+        yield o_file, (starts[rows].astype(np.int64), *columns)
+
+
 class DRT:
     """In-memory interval table with optional durable persistence."""
 
@@ -164,14 +262,9 @@ class DRT:
         cache_capacity: int = 4096,
         sync: bool = True,
     ) -> None:
-        # per original file: parallel sorted lists of entry starts & entries
-        self._starts: dict[str, list[int]] = {}
-        self._entries: dict[str, list[DRTEntry]] = {}
-        # per original file: the column index batch lookups search,
-        # dropped whenever the file's entries change
-        self._columns: dict[str, _FileColumns] = {}
+        self._tables: dict[str, _Table] = {}
         self._count = 0
-        self._cache: LRUCache[tuple[str, int], DRTEntry] = LRUCache(cache_capacity)
+        self._cache: LRUCache[tuple[str, int], _Hot] = LRUCache(cache_capacity)
         # per original file: o_offset of the most recently served entry —
         # the probe key into the hot-entry list (§IV-A)
         self._hot: dict[str, int] = {}
@@ -179,102 +272,98 @@ class DRT:
         self._cache_misses = 0
         self._db: EpochDB | None = None
         if path is not None:
-            self._db = EpochDB(path, sync=sync)
+            db = EpochDB(path, sync=sync)
             try:
-                self._merge([self._decode(k, v) for k, v in self._db.records()])
-            except RedirectionError as exc:  # committed entries overlap
-                self._db.close()
+                # filled before the log is attached, so nothing is staged
+                for o_file, columns in _record_columns(list(db.records())):
+                    self.add_all(o_file, *columns)
+            except RedirectionError as exc:  # bad numbers or overlapping entries
+                db.close()
                 raise KVStoreError(f"{path}: {exc}") from exc
             except BaseException:
-                self._db.close()
+                db.close()
                 raise
-
-    # -- encoding -------------------------------------------------------
-
-    @staticmethod
-    def _encode_key(entry: DRTEntry) -> bytes:
-        # fixed-width offset first, then the file name: the packed
-        # integer routinely contains NUL bytes, so no separator could
-        # safely delimit a name placed before it
-        return _KEY.pack(entry.o_offset) + entry.o_file.encode()
-
-    @staticmethod
-    def _encode_value(entry: DRTEntry) -> bytes:
-        return _VALUE.pack(entry.length, entry.r_offset) + entry.r_file.encode()
-
-    @staticmethod
-    def _decode(key: bytes, value: bytes) -> DRTEntry:
-        if len(key) < _KEY.size or len(value) < _VALUE.size:
-            raise KVStoreError(f"DRT record {key!r} is too short")
-        (o_offset,) = _KEY.unpack(key[: _KEY.size])
-        length, r_offset = _VALUE.unpack(value[: _VALUE.size])
-        try:
-            return DRTEntry(
-                o_file=key[_KEY.size :].decode(),
-                o_offset=o_offset,
-                length=length,
-                r_file=value[_VALUE.size :].decode(),
-                r_offset=r_offset,
-            )
-        except (UnicodeDecodeError, RedirectionError) as exc:
-            raise KVStoreError(f"undecodable DRT record {key!r}: {exc}") from exc
+            self._db = db
 
     # -- mutation -------------------------------------------------------
-
-    def _insert(self, entry: DRTEntry) -> None:
-        starts = self._starts.setdefault(entry.o_file, [])
-        entries = self._entries.setdefault(entry.o_file, [])
-        idx = bisect_right(starts, entry.o_offset)
-        if idx > 0 and entries[idx - 1].o_end > entry.o_offset:
-            raise RedirectionError(
-                f"DRT entries overlap at {entry.o_file}:{entry.o_offset}"
-            )
-        if idx < len(entries) and entry.o_end > entries[idx].o_offset:
-            raise RedirectionError(
-                f"DRT entries overlap at {entry.o_file}:{entry.o_offset}"
-            )
-        starts.insert(idx, entry.o_offset)
-        entries.insert(idx, entry)
-        self._columns.pop(entry.o_file, None)
-        self._count += 1
-
-    def _merge(self, entries: Sequence[DRTEntry]) -> None:
-        """Insert ``entries``, all or none: each file's table is sorted
-        once with its new entries and checked for overlaps once."""
-        by_file: dict[str, list[DRTEntry]] = {}
-        for entry in entries:
-            by_file.setdefault(entry.o_file, []).append(entry)
-        tables: dict[str, list[DRTEntry]] = {}
-        for o_file, new in by_file.items():
-            table = sorted([*self._entries.get(o_file, ()), *new], key=_O_OFFSET)
-            for prev, entry in zip(table, table[1:]):
-                if prev.o_end > entry.o_offset:
-                    raise RedirectionError(
-                        f"DRT entries overlap at {o_file}:{entry.o_offset}"
-                    )
-            tables[o_file] = table
-        for o_file, table in tables.items():
-            self._entries[o_file] = table
-            self._starts[o_file] = [e.o_offset for e in table]
-            self._columns.pop(o_file, None)
-        self._count += len(entries)
 
     def add(self, entry: DRTEntry) -> None:
         """Insert an entry; staged for :meth:`commit` when backed by a
         file."""
-        self._insert(entry)
+        table = self._tables.get(entry.o_file)
+        if table is None:
+            table = self._tables[entry.o_file] = _Table(_NO_COLUMNS)
+        at = bisect_right(table.starts, entry.o_offset)
+        if (at and table.ends[at - 1] > entry.o_offset) or (
+            at < len(table.starts) and entry.o_end > table.starts[at]
+        ):
+            raise RedirectionError(
+                f"DRT entries overlap at {entry.o_file}:{entry.o_offset}"
+            )
+        if entry.r_file not in table.names:
+            table.names.append(entry.r_file)
+        table.starts.insert(at, entry.o_offset)
+        table.ends.insert(at, entry.o_end)
+        table.r_offsets.insert(at, entry.r_offset)
+        table.codes.insert(at, table.names.index(entry.r_file))
+        table.index = None
+        self._count += 1
         if self._db is not None:
-            self._db.stage(self._encode_key(entry), self._encode_value(entry))
+            one = np.array([entry.o_offset, entry.length, entry.r_offset, 0])
+            row = one[:1], one[1:2], one[2:3], one[3:], [entry.r_file]
+            self._db.stage(*_records(entry.o_file, row)[0])
 
-    def add_all(self, entries: Sequence[DRTEntry]) -> None:
-        """:meth:`add` for a batch, all or none: raises
-        :class:`RedirectionError` and inserts nothing when an entry
-        overlaps another; staged for :meth:`commit` in the given
-        order."""
-        self._merge(entries)
+    def add_all(
+        self,
+        o_file: str,
+        o_offsets: np.ndarray,
+        lengths: np.ndarray,
+        r_offsets: np.ndarray,
+        r_codes: np.ndarray,
+        r_names: Sequence[str],
+    ) -> None:
+        """:meth:`add` for a batch of one original file's entries, as
+        columns: entry ``i`` maps ``lengths[i]`` bytes at
+        ``o_offsets[i]`` to ``r_offsets[i]`` of ``r_names[r_codes[i]]``.
+
+        All or none: raises :class:`RedirectionError` and inserts
+        nothing when an entry is invalid or overlaps another.  The
+        merge, sort and overlap check run in NumPy; the batch is staged
+        for :meth:`commit` in the given order.
+        """
+        given = o_offsets, lengths, r_offsets, r_codes
+        starts, length, moved, codes = (np.asarray(c, dtype=np.int64) for c in given)
+        if not starts.size:
+            return
+        ends = starts + length  # an end past 2**63 wraps negative
+        if min(int(starts.min()), int(moved.min()), int(ends.min())) < 0:
+            raise RedirectionError("DRT offsets must be non-negative")
+        if int(length.min()) <= 0:
+            raise RedirectionError(f"DRT length must be > 0, got {int(length.min())}")
+        table = self._tables.get(o_file)
+        old = _NO_COLUMNS if table is None else table.columns()
+        # the region files the batch uses, as codes into the file's names
+        names = list(old.names)
+        recode = np.zeros(len(r_names), dtype=np.int64)
+        for code in unique_values(codes).tolist():
+            if r_names[code] not in names:
+                names.append(r_names[code])
+            recode[code] = names.index(r_names[code])
+        olds = old.starts, old.ends, old.r_offsets, old.codes
+        news = starts, ends, moved, recode[codes]
+        merged = [np.concatenate(pair) for pair in zip(olds, news)]
+        order = np.argsort(merged[0], kind="stable")
+        columns = _FileColumns(*(column[order] for column in merged), tuple(names))
+        clash = np.flatnonzero(columns.ends[:-1] > columns.starts[1:])
+        if clash.size:
+            at = columns.starts[clash[0] + 1]
+            raise RedirectionError(f"DRT entries overlap at {o_file}:{at}")
+        self._tables[o_file] = _Table(columns)
+        self._count += starts.size
         if self._db is not None:
-            for entry in entries:
-                self._db.stage(self._encode_key(entry), self._encode_value(entry))
+            batch = starts, length, moved, codes, r_names
+            for key, value in _records(o_file, batch):
+                self._db.stage(key, value)
 
     def commit(self, epoch: int) -> None:
         """Make every staged entry durable in one commit stamped with
@@ -294,18 +383,32 @@ class DRT:
         return self._count
 
     def __iter__(self) -> Iterator[DRTEntry]:
-        for file in sorted(self._entries):
-            yield from self._entries[file]
+        for file in sorted(self._tables):
+            yield from self.entries_for(file)
 
     def entries_for(self, o_file: str) -> list[DRTEntry]:
         """All entries of one original file, offset-sorted."""
-        return list(self._entries.get(o_file, ()))
+        table = self._tables.get(o_file) or _Table(_NO_COLUMNS)
+        columns = table.starts, table.ends, table.r_offsets, table.codes
+        return [
+            DRTEntry(o_file, start, end - start, table.names[code], r_offset)
+            for start, end, r_offset, code in zip(*columns)
+        ]
+
+    def columns_for(self, o_file: str) -> _Columns:
+        """All entries of one original file, offset-sorted, as
+        :meth:`add_all`'s columns ``(o_offsets, lengths, r_offsets,
+        r_codes, r_names)``: read-only, as the table's own arrays are
+        among them."""
+        table = self._tables.get(o_file)
+        c = _NO_COLUMNS if table is None else table.columns()
+        return c.starts, c.ends - c.starts, c.r_offsets, c.codes, c.names
 
     def files(self) -> list[str]:
         """The original files the table maps, sorted."""
-        return sorted(f for f, entries in self._entries.items() if entries)
+        return sorted(self._tables)
 
-    def _probe(self, o_file: str, offset: int) -> DRTEntry | None:
+    def _probe(self, o_file: str, offset: int) -> _Hot | None:
         """A hot entry covering ``offset``, if the LRU list has one.
 
         Two O(1) chances before the bisect walk: the file's most
@@ -319,18 +422,21 @@ class DRT:
         """
         key = self._hot.get(o_file)
         if key is not None:
-            entry = self._cache.get((o_file, key))
-            if entry is not None and entry.o_offset <= offset < entry.o_end:
-                return entry
-        entry = self._cache.get((o_file, offset))
-        if entry is not None and offset < entry.o_end:
+            hot = self._cache.get((o_file, key))
+            if hot is not None and hot[0] <= offset < hot[1]:
+                return hot
+        hot = self._cache.get((o_file, offset))
+        if hot is not None and offset < hot[1]:
             self._hot[o_file] = offset
-            return entry
+            return hot
         return None
 
-    def _remember(self, o_file: str, entry: DRTEntry) -> None:
-        self._cache.put((o_file, entry.o_offset), entry)
-        self._hot[o_file] = entry.o_offset
+    def _remember(self, o_file: str, table: _Table, i: int) -> _Hot:
+        start = table.starts[i]
+        hot = (start, table.ends[i], table.names[table.codes[i]], table.r_offsets[i])
+        self._cache.put((o_file, start), hot)
+        self._hot[o_file] = start
+        return hot
 
     def overlaps(self, o_file: str, offset: int, length: int) -> int:
         """How many entries map a byte of ``[offset, offset+length)``.
@@ -342,12 +448,12 @@ class DRT:
         entry starts.  Unlike :meth:`translate` it leaves the hot-entry
         list and its hit/miss counters untouched.
         """
-        starts = self._starts.get(o_file)
-        if not starts or length <= 0:
+        table = self._tables.get(o_file)
+        if table is None or length <= 0:
             return 0
-        hi = bisect_left(starts, offset + length)
-        lo = bisect_right(starts, offset, 0, hi)
-        if lo and self._entries[o_file][lo - 1].o_end > offset:
+        hi = bisect_left(table.starts, offset + length)
+        lo = bisect_right(table.starts, offset, 0, hi)
+        if lo and table.ends[lo - 1] > offset:
             lo -= 1
         return hi - lo
 
@@ -358,77 +464,18 @@ class DRT:
         file's most recently served entry answers repeated/sequential
         lookups without touching the sorted table.
         """
-        entry = self._probe(o_file, offset)
-        if entry is not None:
+        hot = self._probe(o_file, offset)
+        if hot is not None:
             self._cache_hits += 1
-            return entry
-        self._cache_misses += 1
-        starts = self._starts.get(o_file)
-        if not starts:
-            return None
-        idx = bisect_right(starts, offset) - 1
-        if idx < 0:
-            return None
-        entry = self._entries[o_file][idx]
-        if offset < entry.o_end:
-            self._remember(o_file, entry)
-            return entry
-        return None
-
-    def _translate_walk(
-        self, o_file: str, offset: int, end: int, idx: int
-    ) -> list[TranslatedExtent]:
-        """The slow translation path: walk entries from sorted index
-        ``idx`` (pre-clamped to >= 0); caches the last entry served."""
-        result: list[TranslatedExtent] = []
-        entries = self._entries.get(o_file, [])
-        served: DRTEntry | None = None
-        cursor = offset
-        while cursor < end:
-            entry = entries[idx] if idx < len(entries) else None
-            if entry is not None and entry.o_end <= cursor:
-                idx += 1
-                continue
-            if entry is None or entry.o_offset >= end:
-                # no further mapping: the rest stays in the original file
-                result.append(
-                    TranslatedExtent(
-                        file=o_file,
-                        offset=cursor,
-                        length=end - cursor,
-                        logical_offset=cursor,
-                        mapped=False,
-                    )
-                )
-                break
-            if cursor < entry.o_offset:
-                take = entry.o_offset - cursor
-                result.append(
-                    TranslatedExtent(
-                        file=o_file,
-                        offset=cursor,
-                        length=take,
-                        logical_offset=cursor,
-                        mapped=False,
-                    )
-                )
-                cursor += take
-            take = min(entry.o_end, end) - cursor
-            result.append(
-                TranslatedExtent(
-                    file=entry.r_file,
-                    offset=entry.r_offset + (cursor - entry.o_offset),
-                    length=take,
-                    logical_offset=cursor,
-                    mapped=True,
-                )
-            )
-            served = entry
-            cursor += take
-            idx += 1
-        if served is not None:
-            self._remember(o_file, served)
-        return result
+        else:
+            self._cache_misses += 1
+            table = self._tables.get(o_file) or _Table(_NO_COLUMNS)
+            i = bisect_right(table.starts, offset) - 1
+            if i < 0 or offset >= table.ends[i]:
+                return None
+            hot = self._remember(o_file, table, i)
+        start, end, r_file, r_offset = hot
+        return DRTEntry(o_file, start, end - start, r_file, r_offset)
 
     def translate(self, o_file: str, offset: int, length: int) -> list[TranslatedExtent]:
         """Split ``[offset, offset+length)`` of the original file into
@@ -436,56 +483,51 @@ class DRT:
 
         Fragments are returned in ascending ``logical_offset`` order and
         tile the request exactly.  Requests fully inside the file's hot
-        entry are answered from the cache probe without a bisect.
+        entry are answered from the cache probe without a bisect; the
+        others walk the file's entries from the last one starting at or
+        before ``offset``, and the last entry served becomes hot.
         """
         if offset < 0 or length < 0:
             raise RedirectionError("offset and length must be non-negative")
         if length == 0:
             return []
         end = offset + length
-        entry = self._probe(o_file, offset)
-        if entry is not None and end <= entry.o_end:
+        hot = self._probe(o_file, offset)
+        if hot is not None and end <= hot[1]:
             self._cache_hits += 1
-            return [
-                TranslatedExtent(
-                    file=entry.r_file,
-                    offset=entry.r_offset + (offset - entry.o_offset),
-                    length=length,
-                    logical_offset=offset,
-                    mapped=True,
-                )
-            ]
+            start, _, r_file, r_offset = hot
+            moved = r_offset + (offset - start)
+            return [TranslatedExtent(r_file, moved, length, offset, True)]
         self._cache_misses += 1
-        starts = self._starts.get(o_file, [])
-        idx = bisect_right(starts, offset) - 1
-        if idx < 0:
-            idx = 0
-        return self._translate_walk(o_file, offset, end, idx)
-
-    def _file_columns(self, o_file: str) -> _FileColumns | None:
-        """The file's column index, rebuilt in one pass when its
-        entries changed since the last batch lookup; ``None`` when the
-        table maps nothing of the file."""
-        columns = self._columns.get(o_file)
-        if columns is None:
-            entries = self._entries.get(o_file)
-            if not entries:
-                return None
-            n = len(entries)
-            names: dict[str, int] = {}
-            columns = _FileColumns(
-                starts=np.array(self._starts[o_file], dtype=np.int64),
-                ends=np.fromiter((e.o_end for e in entries), np.int64, n),
-                r_offsets=np.fromiter((e.r_offset for e in entries), np.int64, n),
-                codes=np.fromiter(
-                    (names.setdefault(e.r_file, len(names)) for e in entries),
-                    np.int64,
-                    n,
-                ),
-                names=tuple(names),
-            )
-            self._columns[o_file] = columns
-        return columns
+        table = self._tables.get(o_file) or _Table(_NO_COLUMNS)
+        result: list[TranslatedExtent] = []
+        starts, ends = table.starts, table.ends
+        i = max(bisect_right(starts, offset) - 1, 0)
+        served = -1
+        cursor = offset
+        while cursor < end:
+            if i < len(starts) and ends[i] <= cursor:
+                i += 1
+                continue
+            if i >= len(starts) or starts[i] >= end:
+                # no further mapping: the rest stays in the original file
+                take = end - cursor
+                result.append(TranslatedExtent(o_file, cursor, take, cursor, False))
+                break
+            if cursor < starts[i]:
+                take = starts[i] - cursor
+                result.append(TranslatedExtent(o_file, cursor, take, cursor, False))
+                cursor += take
+            take = min(ends[i], end) - cursor
+            moved = table.r_offsets[i] + (cursor - starts[i])
+            name = table.names[table.codes[i]]
+            result.append(TranslatedExtent(name, moved, take, cursor, True))
+            served = i
+            cursor += take
+            i += 1
+        if served >= 0:
+            self._remember(o_file, table, served)
+        return result
 
     @twin_of(
         "repro.core.drt:DRT.translate",
@@ -514,13 +556,14 @@ class DRT:
             )
         if off.size and (int(off.min()) < 0 or int(lng.min()) < 0):
             raise RedirectionError("offset and length must be non-negative")
-        columns = self._file_columns(o_file)
-        if columns is None:
+        table = self._tables.get(o_file)
+        if table is None:
             extent, _, begin, end = cut_extents(_NO_ENTRIES, _NO_ENTRIES, off, off + lng)
             names: tuple[str, ...] = ()
             files = np.full(extent.size, UNMAPPED, dtype=np.int64)
             moved = begin
         else:
+            columns = table.columns()
             extent, entry, begin, end = cut_extents(
                 columns.starts, columns.ends, off, off + lng
             )
@@ -558,10 +601,8 @@ class DRT:
         """
         names: dict[str, int] = {}
         codes, starts, lengths = [], [], []
-        for o_file in self._entries:
-            columns = self._file_columns(o_file)
-            if columns is None:
-                continue
+        for table in self._tables.values():
+            columns = table.columns()
             recode = np.array(
                 [names.setdefault(name, len(names)) for name in columns.names],
                 dtype=np.int64,
@@ -592,7 +633,7 @@ class DRT:
     # -- stats / persistence ---------------------------------------------
 
     @property
-    def cache(self) -> LRUCache[tuple[str, int], DRTEntry]:
+    def cache(self) -> LRUCache[tuple[str, int], _Hot]:
         """The hot-entry list (for statistics)."""
         return self._cache
 

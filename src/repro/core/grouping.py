@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..numerics import unique_values
 from .features import FeatureSet, normalized_distances
 
 __all__ = ["GroupingResult", "group_requests", "suggest_k"]
@@ -60,9 +61,7 @@ class GroupingResult:
 
 def _compact(labels: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop empty groups and renumber labels densely."""
-    used = np.unique(labels)
-    remap = {old: new for new, old in enumerate(used)}
-    new_labels = np.array([remap[v] for v in labels], dtype=np.intp)
+    used, new_labels = np.unique(labels, return_inverse=True)
     return new_labels, centers[used]
 
 
@@ -110,7 +109,7 @@ def group_requests(
     # Distinct random request points as initial centers.  Choosing
     # duplicated points would create dead centers, so prefer unique
     # feature rows when enough exist.
-    unique_points = np.unique(points, axis=0)
+    unique_points = unique_values(points, axis=0)
     if unique_points.shape[0] >= k:
         idx = rng.choice(unique_points.shape[0], size=k, replace=False)
         centers = unique_points[idx].astype(np.float64)

@@ -31,6 +31,7 @@ from ..contracts import twin_of
 from ..exceptions import ConfigurationError, KVStoreError
 from ..layouts.base import Layout
 from ..layouts.fixed import FixedStripeLayout
+from ..numerics import unique_values
 from ..tracing.analysis import burst_ids_of
 from ..tracing.columnar import (
     ColumnarTrace,
@@ -206,7 +207,7 @@ class MHAPipeline:
         record-object version is its reference oracle.
         """
         features = extract_features(sub, gap=self.gap, spatial=self.spatial)
-        distinct = int(np.unique(features.points, axis=0).shape[0]) if len(sub) else 1
+        distinct = unique_values(features.points, axis=0).shape[0] if len(sub) else 1
         k = self.k if self.k is not None else suggest_k(
             len(sub), distinct, self.max_groups
         )
@@ -251,7 +252,7 @@ class MHAPipeline:
         (reachable in the ``n <= k`` one-request-per-group branch).
         """
         features = extract_features_columnar(sub, gap=self.gap, spatial=self.spatial)
-        distinct = int(np.unique(features.points, axis=0).shape[0]) if len(sub) else 1
+        distinct = unique_values(features.points, axis=0).shape[0] if len(sub) else 1
         k = self.k if self.k is not None else suggest_k(
             len(sub), distinct, self.max_groups
         )

@@ -6,12 +6,13 @@ Given a trace and a request grouping, the reorganizer:
    original file** and appends each request's not-yet-claimed bytes to
    the group's region, so "a later data block is moved to be adjacent
    to the first data block it is similar to";
-2. emits a :class:`~repro.core.drt.DRTEntry` per migrated extent,
-   producing the complete Data Reordering Table;
-3. re-expresses every request in region coordinates (the
-   :class:`RegionRequest` lists), which is what the Layout Determinator
-   evaluates the cost model over — the whole point of reordering is
-   that those post-migration offsets are contiguous per pattern.
+2. emits one DRT entry per migrated extent, producing the complete
+   Data Reordering Table;
+3. re-expresses every request in region coordinates (each
+   :class:`RegionPlan`'s request columns), which is what the Layout
+   Determinator evaluates the cost model over — the whole point of
+   reordering is that those post-migration offsets are contiguous per
+   pattern.
 
 Bytes accessed by requests from several groups are claimed by the first
 group that reaches them (earlier groups hold requests the clustering
@@ -22,7 +23,7 @@ file and fall through the redirector unmapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -36,7 +37,6 @@ from .grouping import GroupingResult
 from .intervals import IntervalSet, cut_extents
 
 __all__ = [
-    "RegionRequest",
     "RegionPlan",
     "ReorderPlan",
     "reorganize",
@@ -44,55 +44,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RegionRequest:
-    """A request (fragment) expressed in region-local coordinates.
+@dataclass(eq=False)
+class RegionPlan:
+    """One reordered region: its identity, size, and resident requests.
 
-    ``burst`` identifies the simultaneous request group the original
-    record belonged to (see
+    The requests are the determinator's columns
+    (:meth:`request_arrays`): request ``i`` is ``lengths[i]`` bytes at
+    region offset ``offsets[i]``.  ``bursts[i]`` identifies the
+    simultaneous request group its original record belonged to (see
     :func:`repro.tracing.analysis.burst_ids_of`); fragments of records
     issued together share an id, letting the determinator evaluate the
-    exact burst completion times.
+    exact burst completion times, and a request in no burst (id below
+    0) gets ``-(i + 1)``, a burst of its own.
     """
-
-    offset: int
-    length: int
-    op: str
-    burst: int = -1
-
-    @property
-    def is_read(self) -> bool:
-        return self.op == READ
-
-
-@dataclass
-class RegionPlan:
-    """One reordered region: its identity, size, and resident requests."""
 
     name: str
     group: int
-    size: int = 0
-    requests: list[RegionRequest] = field(default_factory=list)
+    size: int
+    offsets: np.ndarray
+    lengths: np.ndarray
+    is_read: np.ndarray
+    bursts: np.ndarray
 
-    def request_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def __post_init__(self) -> None:
+        own = -1 - np.arange(self.bursts.size, dtype=np.int64)
+        self.bursts = np.where(self.bursts >= 0, self.bursts, own)
+
+    def request_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The determinator's input: (offsets, lengths, is_read, burst_ids)."""
-        k = len(self.requests)
-        offsets = np.empty(k, dtype=np.int64)
-        lengths = np.empty(k, dtype=np.int64)
-        is_read = np.empty(k, dtype=bool)
-        bursts = np.empty(k, dtype=np.int64)
-        for i, r in enumerate(self.requests):
-            offsets[i] = r.offset
-            lengths[i] = r.length
-            is_read[i] = r.is_read
-            bursts[i] = r.burst if r.burst >= 0 else -(i + 1)  # singleton
-        return offsets, lengths, is_read, bursts
+        return self.offsets, self.lengths, self.is_read, self.bursts
 
-    def max_request(self) -> int:
-        """Largest resident request fragment (``r_max`` for RSSD)."""
-        return max((r.length for r in self.requests), default=0)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegionPlan):
+            return NotImplemented
+        return (
+            (self.name, self.group, self.size) == (other.name, other.group, other.size)
+            and all(
+                a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip(self.request_arrays(), other.request_arrays())
+            )
+        )
 
 
 @dataclass
@@ -112,6 +103,29 @@ class ReorderPlan:
 def region_name(o_file: str, group: int) -> str:
     """Naming convention for region files: ``{original}.region{g}``."""
     return f"{o_file}.region{group}"
+
+
+def _target(
+    trace: Trace | ColumnarTrace,
+    grouping: GroupingResult,
+    o_file: str | None,
+    drt: DRT | None,
+) -> tuple[str, DRT]:
+    """The original file's name and the DRT to fill, once the grouping
+    is checked to label every request of a single-file trace."""
+    if len(grouping.labels) != len(trace):
+        raise ConfigurationError(
+            f"grouping labels ({len(grouping.labels)}) do not match trace "
+            f"({len(trace)} records)"
+        )
+    files = trace.files()
+    if len(files) > 1:
+        raise ConfigurationError(
+            f"reorganize expects a single-file trace, got files {files}"
+        )
+    if o_file is None:
+        o_file = files[0] if files else "file"
+    return o_file, DRT() if drt is None else drt
 
 
 def reorganize(
@@ -141,80 +155,52 @@ def reorganize(
         (:func:`repro.tracing.analysis.burst_ids_of`); carried onto the
         region requests for exact burst-level cost evaluation.
     """
-    if len(grouping.labels) != len(trace):
-        raise ConfigurationError(
-            f"grouping labels ({len(grouping.labels)}) do not match trace "
-            f"({len(trace)} records)"
-        )
-    files = trace.files()
-    if len(files) > 1:
-        raise ConfigurationError(
-            f"reorganize expects a single-file trace, got files {files}"
-        )
-    if o_file is None:
-        o_file = files[0] if files else "file"
-    if drt is None:
-        drt = DRT()
+    o_file, drt = _target(trace, grouping, o_file, drt)
 
     claimed = IntervalSet()
-    regions = [
-        RegionPlan(name=region_name(o_file, g), group=g)
-        for g in range(grouping.k)
-    ]
-    migrated = 0
+    names = [region_name(o_file, g) for g in range(grouping.k)]
+    sizes = [0] * grouping.k
 
     # Phase 1 — claim bytes group by group, offset order inside a group.
-    for region in regions:
-        member_indices = grouping.members(region.group)
-        members = sorted((trace[int(i)] for i in member_indices),
+    for g, name in enumerate(names):
+        members = sorted((trace[int(i)] for i in grouping.members(g)),
                          key=lambda r: (r.offset, r.timestamp))
         for record in members:
             for gap_start, gap_end in claimed.add(record.offset, record.end):
-                entry = DRTEntry(
-                    o_file=o_file,
-                    o_offset=gap_start,
-                    length=gap_end - gap_start,
-                    r_file=region.name,
-                    r_offset=region.size,
-                )
-                drt.add(entry)
-                region.size += entry.length
-                migrated += entry.length
+                length = gap_end - gap_start
+                drt.add(DRTEntry(o_file, gap_start, length, name, sizes[g]))
+                sizes[g] += length
 
     # Phase 2 — express every request in region coordinates via the DRT.
-    by_name = {r.name: r for r in regions}
+    rows: dict[str, list[tuple[int, int, bool, int]]] = {name: [] for name in names}
     for record in trace:
         burst = bursts.get(record, -1) if bursts else -1
+        is_read = record.op == READ
         # accumulate this record's fragments per region, merging extents
         # that stay contiguous within the same region
-        pending: dict[str, RegionRequest] = {}
+        pending: dict[str, list[int]] = {}
         for extent in drt.translate(o_file, record.offset, record.size):
             if not extent.mapped:
                 continue  # cannot happen here: every byte was claimed above
             prev = pending.get(extent.file)
-            if prev is not None and prev.offset + prev.length == extent.offset:
-                pending[extent.file] = RegionRequest(
-                    offset=prev.offset,
-                    length=prev.length + extent.length,
-                    op=record.op,
-                    burst=burst,
-                )
+            if prev is not None and prev[0] + prev[1] == extent.offset:
+                prev[1] += extent.length
             else:
                 if prev is not None:
-                    by_name[extent.file].requests.append(prev)
-                pending[extent.file] = RegionRequest(
-                    offset=extent.offset,
-                    length=extent.length,
-                    op=record.op,
-                    burst=burst,
-                )
-        for name, fragment in pending.items():
-            by_name[name].requests.append(fragment)
+                    rows[extent.file].append((prev[0], prev[1], is_read, burst))
+                pending[extent.file] = [extent.offset, extent.length]
+        for name, (offset, length) in pending.items():
+            rows[name].append((offset, length, is_read, burst))
 
     # drop regions that ended up empty (possible when another group
     # claimed every byte the group touched)
-    regions = [r for r in regions if r.size > 0 or r.requests]
-    return ReorderPlan(o_file=o_file, regions=regions, drt=drt, migrated_bytes=migrated)
+    regions = []
+    for g, name in enumerate(names):
+        if sizes[g] or rows[name]:
+            table = np.array(rows[name], dtype=np.int64).reshape(-1, 4).T.copy()
+            columns = table[0], table[1], table[2].astype(bool), table[3]
+            regions.append(RegionPlan(name, g, sizes[g], *columns))
+    return ReorderPlan(o_file, regions, drt, migrated_bytes=sum(sizes))
 
 
 def reorganize_arrays(
@@ -243,38 +229,24 @@ def reorganize_arrays(
     :meth:`~repro.core.drt.DRT.translate_many` and merges each
     request's contiguous pieces per region.
     """
-    if len(grouping.labels) != len(trace):
-        raise ConfigurationError(
-            f"grouping labels ({len(grouping.labels)}) do not match trace "
-            f"({len(trace)} records)"
-        )
-    files = trace.files()
-    if len(files) > 1:
-        raise ConfigurationError(
-            f"reorganize expects a single-file trace, got files {files}"
-        )
-    if o_file is None:
-        o_file = files[0] if files else "file"
-    if drt is None:
-        drt = DRT()
+    o_file, drt = _target(trace, grouping, o_file, drt)
 
     d = trace.data
     off = d["offset"]
     size = d["size"]
     ts = d["timestamp"]
-    regions = [
-        RegionPlan(name=region_name(o_file, g), group=g)
-        for g in range(grouping.k)
-    ]
+    names = [region_name(o_file, g) for g in range(grouping.k)]
+    sizes = np.zeros(grouping.k, dtype=np.int64)
 
     # Phase 1 — claim bytes group by group, offset order inside a group.
     # np.lexsort is stable, matching the reference's sorted() on the
     # (offset, timestamp) key over ascending member indices.
     claimed_lo = np.empty(0, dtype=np.int64)
     claimed_hi = np.empty(0, dtype=np.int64)
-    entries: list[DRTEntry] = []
-    for region in regions:
-        members = grouping.members(region.group)
+    # each group's entries: (o_offsets, lengths, r_offsets, region codes)
+    entries = [np.empty((4, 0), dtype=np.int64)]
+    for g in range(grouping.k):
+        members = grouping.members(g)
         if not members.size:
             continue
         members = members[np.lexsort((ts[members], off[members]))]
@@ -293,34 +265,22 @@ def reorganize_arrays(
         gap_lo = gap_lo[gap]
         gap_hi = gap_hi[gap]
         lengths = gap_hi - gap_lo
+        sizes[g] = lengths.sum()
         r_offsets = np.cumsum(lengths) - lengths
-        region.size = int(lengths.sum())
-        entries.extend(
-            DRTEntry(
-                o_file=o_file,
-                o_offset=start,
-                length=length,
-                r_file=region.name,
-                r_offset=r_offset,
-            )
-            for start, length, r_offset in zip(
-                gap_lo.tolist(), lengths.tolist(), r_offsets.tolist()
-            )
-        )
+        entries.append(np.stack((gap_lo, lengths, r_offsets, np.full_like(gap_lo, g))))
         # claims never overlap, so sorting by start keeps ends sorted
         claimed_lo = np.concatenate((claimed_lo, gap_lo))
         claimed_hi = np.concatenate((claimed_hi, gap_hi))
         order = np.argsort(claimed_lo, kind="stable")
         claimed_lo = claimed_lo[order]
         claimed_hi = claimed_hi[order]
-    drt.add_all(entries)
-    migrated = sum(r.size for r in regions)
+    drt.add_all(o_file, *np.concatenate(entries, axis=1), names)
 
     # Phase 2 — express every request in region coordinates via the DRT:
     # a stable sort by region keeps each region's pieces in request and
     # logical order, and contiguous pieces of one request merge.
     pieces = drt.translate_many(o_file, off, size)
-    position = {r.name: i for i, r in enumerate(regions)}
+    position = {name: g for g, name in enumerate(names)}
     mapped = pieces.files != UNMAPPED  # every byte was claimed above
     request = np.repeat(np.arange(len(trace)), np.diff(pieces.starts))[mapped]
     region_of = np.array([position[name] for name in pieces.names], dtype=np.int64)
@@ -340,16 +300,15 @@ def reorganize_arrays(
     if heads.size:
         lengths = np.add.reduceat(lengths, heads)
     request = request[heads]
-    ops = d["op"][request].tolist()
-    burst_ids = bursts[request].tolist() if bursts is not None else [-1] * heads.size
-    fragments = [
-        RegionRequest(offset=o, length=n, op=OP_NAMES[op], burst=b)
-        for o, n, op, b in zip(starts[heads].tolist(), lengths.tolist(), ops, burst_ids)
+    is_read = d["op"][request] == OP_NAMES.index(READ)
+    ids = np.full(request.size, -1) if bursts is None else bursts[request]
+    columns = starts[heads], lengths, is_read, ids.astype(np.int64)
+    bounds = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(where[heads], minlength=len(names)), out=bounds[1:])
+    regions = [
+        RegionPlan(name, g, int(sizes[g]), *(c[lo:hi] for c in columns))
+        for g, (name, lo, hi) in enumerate(zip(names, bounds[:-1], bounds[1:]))
+        if sizes[g] or hi > lo
     ]
-    bounds = np.zeros(len(regions) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(where[heads], minlength=len(regions)), out=bounds[1:])
-    for g, region in enumerate(regions):
-        region.requests = fragments[bounds[g] : bounds[g + 1]]
-
-    regions = [r for r in regions if r.size > 0 or r.requests]
+    migrated = int(sizes.sum())
     return ReorderPlan(o_file=o_file, regions=regions, drt=drt, migrated_bytes=migrated)

@@ -110,8 +110,7 @@ class IncrementalReplanner:
         # carry un-drifted files over verbatim
         carried_files = [f for f in old_plan.reorder_plans if f not in drifted]
         for file in carried_files:
-            for entry in old_plan.drt.entries_for(file):
-                drt.add(entry)
+            drt.add_all(file, *old_plan.drt.columns_for(file))
             for region in old_plan.reorder_plans[file].regions:
                 if region.name in old_plan.rst:
                     rst.set(region.name, old_plan.rst.get(region.name))

@@ -302,7 +302,8 @@ def _figures(
     for klass in classes:
         delivered = sum(t.bytes for t in by_class[klass])
         bw.add(klass, "delivered", bandwidth_mib(delivered / span if span > 0 else 0.0))
-    bw.add("all", "delivered", bandwidth_mib(report.total_bytes / span if span > 0 else 0.0))
+    total = report.total_bytes / span if span > 0 else 0.0
+    bw.add("all", "delivered", bandwidth_mib(total))
 
     tails = FigureResult(
         figure=f"{label}-tails",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics import unique_values
 from .record import Trace, TraceRecord
 
 __all__ = ["Phase", "split_phases", "concurrency_of", "trace_statistics", "TraceStats"]
@@ -196,6 +197,6 @@ def trace_statistics(trace: Trace) -> TraceStats:
         mean_size=float(sizes.mean()),
         max_size=int(sizes.max()),
         min_size=int(sizes.min()),
-        distinct_sizes=int(np.unique(sizes).size),
+        distinct_sizes=int(unique_values(sizes).size),
         distinct_ranks=len(trace.ranks()),
     )

@@ -36,6 +36,7 @@ import numpy as np
 from ..contracts import twin_of
 from ..devices.base import READ, WRITE
 from ..exceptions import TraceError
+from ..numerics import unique_values
 from .record import Trace, TraceRecord
 
 __all__ = [
@@ -292,7 +293,7 @@ class ColumnarTrace:
 
     def ranks(self) -> tuple[int, ...]:
         """Distinct ranks, ascending."""
-        return tuple(np.unique(self._data["rank"]).tolist())
+        return tuple(unique_values(self._data["rank"]).tolist())
 
     def total_bytes(self) -> int:
         return int(self._data["size"].sum())

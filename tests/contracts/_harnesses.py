@@ -375,7 +375,6 @@ def _plan_file_columnar(contract):
         for twin_region, ref_region in zip(twin_plan.regions, ref_plan.regions):
             assert twin_region.name == ref_region.name
             assert twin_region.size == ref_region.size
-            assert twin_region.requests == ref_region.requests
             for twin_col, ref_col in zip(
                 twin_region.request_arrays(), ref_region.request_arrays()
             ):

@@ -1,8 +1,9 @@
 """Tests for the Data Reorganizer (regions + DRT construction)."""
 
+import numpy as np
 import pytest
 
-from repro.core import DRT, DRTEntry, group_requests, reorganize
+from repro.core import DRT, group_requests, reorganize
 from repro.core.features import extract_features
 from repro.core.reorganizer import reorganize_arrays
 from repro.exceptions import ConfigurationError, RedirectionError
@@ -39,9 +40,9 @@ class TestRegions:
         _, _, plan = build(records, k=1)
         region = plan.regions[0]
         # every request fragment lands inside [0, region.size)
-        for rr in region.requests:
-            assert 0 <= rr.offset < region.size
-            assert rr.offset + rr.length <= region.size
+        offsets, lengths, _, _ = region.request_arrays()
+        assert (0 <= offsets).all() and (offsets < region.size).all()
+        assert (offsets + lengths <= region.size).all()
         assert region.size == 600
 
     def test_drt_maps_every_accessed_byte(self):
@@ -57,7 +58,7 @@ class TestRegions:
         assert plan.migrated_bytes == 1000
         region = plan.regions[0]
         assert region.size == 1000
-        assert len(region.requests) == 2  # both requests resolved
+        assert region.offsets.size == 2  # both requests resolved
 
     def test_overlapping_requests_split_between_groups(self):
         # one large write over [0, 1000); small reads within it
@@ -116,7 +117,8 @@ class TestPrefilledTable:
     def test_columnar_path_accepts_other_files(self):
         trace, grouping, _ = build(self.records())
         drt = DRT()
-        drt.add_all([DRTEntry("g", 300 * i, 100, "g.region0", 100 * i) for i in range(8)])
+        at = np.arange(8)
+        drt.add_all("g", 300 * at, np.full(8, 100), 100 * at, 0 * at, ["g.region0"])
         plan = reorganize_arrays(ColumnarTrace.from_trace(trace), grouping, drt=drt)
         assert plan.regions == reorganize(trace, grouping).regions
         assert len(drt) == 8 + len(plan.drt.entries_for(trace.files()[0]))

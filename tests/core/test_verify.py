@@ -8,12 +8,12 @@ plan in memory and resolves every request of its trace.
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import DRT, DRTEntry, MHAPipeline, RST, StripePair, load_plan
+from repro.core import DRTEntry, MHAPipeline, RST, StripePair, load_plan
 from repro.exceptions import KVStoreError
 from repro.kvstore import EpochDB
 from repro.units import KiB
 from repro.workloads import IORWorkload, LANLWorkload, LUWorkload
-from tests.plan_checks import audit_plan
+from tests.plan_checks import audit_plan, drt_record
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ def commit_tables(directory, entries, regions, epoch=1):
     would refuse them, and a stripe pair per region to an RST."""
     drt = EpochDB(directory / "drt.db")
     for e in entries:
-        drt.stage(DRT._encode_key(e), DRT._encode_value(e))
+        drt.stage(*drt_record(e.o_file, e.o_offset, e.length, e.r_file, e.r_offset))
     drt.commit(epoch)
     drt.close()
     with RST(directory / "rst.db") as rst:

@@ -6,7 +6,11 @@ the same check on a plan in memory, then what only the trace can tell:
 every request translates through the DRT into pieces that tile it, and
 maps through the redirector into fragments that tile it.
 :func:`migrate_offline` times a plan's one-off migration.
+:func:`drt_record` encodes a DRT log record, for tests that commit
+tables the DRT itself would refuse.
 """
+
+import struct
 
 from repro.core import DRT, RST, MHAPlan, Redirector
 from repro.core.pipeline import check_tables
@@ -43,3 +47,12 @@ def migrate_offline(spec, plan):
     )
     pfs.sim.run()
     return report
+
+
+def drt_record(o_file, o_offset, length, r_file, r_offset):
+    """One DRT entry as its log record: the key is the original offset
+    (``<Q``) then the original file's name, the value the length and the
+    region offset (``<QQ``) then the region file's name, names in
+    UTF-8."""
+    key = struct.pack("<Q", o_offset) + o_file.encode()
+    return key, struct.pack("<QQ", length, r_offset) + r_file.encode()

@@ -1795,7 +1795,9 @@ def _exported(node: FunctionNode) -> tuple[set[str], bool]:
     return node.effects, node.unproven
 
 
-def _kind_to_effect(kind: str | None, root: str | None) -> tuple[str | None, str | None]:
+def _kind_to_effect(
+    kind: str | None, root: str | None
+) -> tuple[str | None, str | None]:
     """Map an argument's root kind to the caller-side mutation effect."""
     if kind == "param":
         return MUTATES_ARG, root
