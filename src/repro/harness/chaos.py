@@ -24,8 +24,11 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
+import numpy as np
+
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_FAULT_SEED
+from ..devices.base import READ, WRITE
 from ..exceptions import ConfigurationError
 from ..faults import (
     BackgroundScrub,
@@ -35,9 +38,10 @@ from ..faults import (
     TransientSlowdown,
     WriteCliff,
 )
+from ..tracing.columnar import OP_NAMES
 from ..tracing.record import Trace
 from ..units import KiB, MiB
-from ..workloads.base import TraceBuilder
+from ..workloads.base import phase_trace
 from .experiment import Comparison, compare_schemes
 from .report import (
     TAIL_QUANTILES,
@@ -87,15 +91,12 @@ def chaos_trace(
     """
     if phases < 1:
         raise ConfigurationError(f"phases must be >= 1, got {phases}")
-    builder = TraceBuilder(file=file)
-    for phase in range(phases):
-        op = "write" if phase % 2 == 0 else "read"
-        slab = phase // 2
-        for rank in range(processes):
-            offset = (slab * processes + rank) * request_size
-            builder.add(rank, op, offset, request_size)
-        builder.next_phase()
-    return builder.build()
+    ranks = np.tile(np.arange(processes), phases)
+    phase = np.repeat(np.arange(phases), processes)
+    offsets = ((phase // 2) * processes + ranks) * request_size
+    ops = np.where(phase % 2 == 0, OP_NAMES.index(WRITE), OP_NAMES.index(READ))
+    sizes = np.full(phase.size, request_size)
+    return phase_trace(phase, ranks, offsets, sizes, ops, file).to_trace()
 
 
 def chaos_fault_plan(

@@ -18,6 +18,9 @@ holds the shared machinery:
 * :func:`merged_runs_of` — dispatch: a layout's vectorized
   ``merged_extent_runs`` kernel when it has one, otherwise the exact
   per-extent object path (``map_extent`` + :func:`merge_fragments`);
+* :func:`in_request_order` — the one gather that assembles runs mapped
+  in groups (per file, or batch and fallback) back into request order:
+  :meth:`MergedRuns.concat`, then :meth:`MergedRuns.take`;
 * :func:`merge_fragments` — the order-preserving coalescer (moved here
   from :mod:`repro.pfs.system`, which re-exports it), rewritten to
   build one :class:`~repro.layouts.base.SubRequest` per *merged run*
@@ -40,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "MergedRuns",
     "RunColumns",
-    "RunsBuilder",
+    "in_request_order",
     "merge_fragments",
     "merged_runs_of",
     "periodic_merged_runs",
@@ -227,63 +230,22 @@ def runs_from_fragments(fragments: Sequence[SubRequest]) -> MergedRuns:
     )
 
 
-class RunsBuilder:
-    """Assemble per-item runs — possibly produced out of order by
-    grouped batch kernels — into one item-ordered :class:`MergedRuns`.
+def in_request_order(
+    parts: Sequence[MergedRuns], rows: Sequence[Sequence[int] | np.ndarray]
+) -> MergedRuns:
+    """One batch from runs mapped in groups: request ``rows[p][k]`` gets
+    extent ``k`` of ``parts[p]``.
 
-    ``place`` points item ``i`` at extent ``k`` of a source
-    :class:`MergedRuns` (with an optional rebase added to the logical
-    offsets, for region/DRT coordinate shifts); unplaced items come out
-    with zero runs.  Pre-merge fragment totals are accumulated
-    separately via :meth:`add_fragments` because group kernels only
-    know them per batch.
+    ``rows`` partitions the request indices ``0..n-1``.  The parts are
+    concatenated and taken back into request order in one gather; the
+    pre-merge fragment count is the parts' sum.
     """
-
-    def __init__(self, n_items: int) -> None:
-        self._slots: list[tuple[MergedRuns, int, int, int] | None] = [None] * n_items
-        self._n_fragments = 0
-
-    def place(self, item: int, source: MergedRuns, k: int, base: int = 0) -> None:
-        self._slots[item] = (source, source.starts[k], source.starts[k + 1], base)
-
-    def place_fragments(self, item: int, fragments: Sequence[SubRequest]) -> None:
-        """Object-path escape hatch: raw fragments for one item
-        (merged here; also counts them as pre-merge fragments)."""
-        runs = runs_from_fragments(fragments)
-        self._slots[item] = (runs, 0, len(runs.servers), 0)
-        self._n_fragments += runs.n_fragments
-
-    def add_fragments(self, count: int) -> None:
-        self._n_fragments += count
-
-    def build(self) -> MergedRuns:
-        servers: list[int] = []
-        objs: list[str] = []
-        offsets: list[int] = []
-        lengths: list[int] = []
-        firsts: list[int] = []
-        starts: list[int] = [0]
-        for slot in self._slots:
-            if slot is not None:
-                src, lo, hi, base = slot
-                servers.extend(src.servers[lo:hi])
-                objs.extend(src.objs[lo:hi])
-                offsets.extend(src.offsets[lo:hi])
-                lengths.extend(src.lengths[lo:hi])
-                if base:
-                    firsts.extend(x + base for x in src.first_logicals[lo:hi])
-                else:
-                    firsts.extend(src.first_logicals[lo:hi])
-            starts.append(len(servers))
-        return MergedRuns(
-            servers=servers,
-            objs=objs,
-            offsets=offsets,
-            lengths=lengths,
-            first_logicals=firsts,
-            starts=starts,
-            n_fragments=self._n_fragments,
-        )
+    merged = MergedRuns.concat(parts)
+    n = merged.n_extents
+    position = np.empty(n, dtype=np.intp)
+    if n:
+        position[np.concatenate(rows)] = np.arange(n)
+    return merged.take(position, merged.n_fragments)
 
 
 def periodic_merged_runs(

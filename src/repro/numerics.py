@@ -67,5 +67,30 @@ def unique_values(values: "np.ndarray", *, axis: int | None = None) -> "np.ndarr
     NumPy 2.4: 16-17 ms and 1.3 MiB, paid inside the first plan of a
     process).  Asking for the counts skips that check and takes the
     sorting path, which returns the same sorted values.
+
+    The distinct rows of a 2-D numeric array (``axis=0``) come from one
+    ``np.lexsort`` over the columns and a compare of adjacent rows,
+    about ten times faster than ``np.unique``'s sort of a structured
+    view.  That needs equal rows to share their bits, so a float array
+    holding NaN or -0.0 (equal to 0.0, and which of the two
+    ``np.unique`` keeps depends on its unstable sort) takes
+    ``np.unique`` itself.
     """
+    if axis == 0 and _bitwise_rows(values):
+        ordered = values[np.lexsort(values.T[::-1])]
+        first = np.empty(len(ordered), dtype=bool)
+        first[:1] = True
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        return ordered[first]
     return np.unique(values, return_counts=True, axis=axis)[0]
+
+
+def _bitwise_rows(values: "np.ndarray") -> bool:
+    """Whether ``values`` is a 2-D numeric array whose equal rows are
+    bit-identical (no NaN, no -0.0)."""
+    if values.ndim != 2 or values.shape[1] == 0 or values.dtype.kind not in "iuf":
+        return False
+    if values.dtype.kind != "f":
+        return True
+    negative_zero = np.signbit(values) & (values >= 0)
+    return not (np.isnan(values).any() or negative_zero.any())

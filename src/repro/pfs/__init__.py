@@ -1,6 +1,5 @@
 """Hybrid parallel file system simulator (the OrangeFS-testbed role)."""
 
-from .mds import MetaDataServer
 from .replay import FileView, RunMetrics, replay_trace, run_workload
 from .server import DataServer, ServerStats
 from .storage import DataClient, ObjectStore, migrate
@@ -9,7 +8,6 @@ from .system import HybridPFS, merge_fragments
 __all__ = [
     "DataServer",
     "ServerStats",
-    "MetaDataServer",
     "HybridPFS",
     "merge_fragments",
     "FileView",

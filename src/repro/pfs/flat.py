@@ -62,7 +62,7 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..exceptions import SimulationError
-from ..layouts.batch import MergedRuns, RunsBuilder
+from ..layouts.batch import MergedRuns, in_request_order, runs_from_fragments
 from ..tracing.columnar import OP_NAMES, ColumnarTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -78,40 +78,38 @@ def mapped_runs(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
     Views exposing a ``merged_runs(file, offsets, lengths)`` batch API
     (:class:`~repro.schemes.base.LayoutView`, the MHA
     :class:`~repro.core.redirector.Redirector`, the straggler-aware
-    view) get one batched call
-    per file, fed the offset/size columns as the arrays they already
-    are; anything else falls back to per-record ``map_request``.
+    view) get one batched call per file, fed the offset/size columns as
+    the arrays they already are, and a multi-file trace's parts are
+    gathered into record order by
+    :func:`~repro.layouts.batch.in_request_order`; anything else falls
+    back to per-record ``map_request``.
     Either way run ``k`` of the result equals what the event path's
     ``merge_fragments(view.map_request(...))`` produces for record
     ``k``.
     """
     batch = getattr(view, "merged_runs", None)
-    n = len(trace)
     d = trace.data
     if batch is None:
-        builder = RunsBuilder(n)
         names = trace.interned_files
-        offs = d["offset"].tolist()
-        sizes = d["size"].tolist()
-        codes = d["file"].tolist()
-        for i in range(n):
-            builder.place_fragments(
-                i, view.map_request(names[codes[i]], offs[i], sizes[i])
-            )
-        return builder.build()
+        return MergedRuns.concat(
+            [
+                runs_from_fragments(view.map_request(names[code], offset, size))
+                for code, offset, size in zip(
+                    d["file"].tolist(), d["offset"].tolist(), d["size"].tolist()
+                )
+            ]
+        )
     partition = trace.file_partition()
     if len(partition) == 1:
         # single-file trace: the batch result is already record-ordered
         (file,) = partition
         runs: MergedRuns = batch(file, d["offset"], d["size"])
         return runs
-    builder = RunsBuilder(n)
-    for file, indices in partition.items():
-        runs = batch(file, d["offset"][indices], d["size"][indices])
-        builder.add_fragments(runs.n_fragments)
-        for k, item in enumerate(indices.tolist()):
-            builder.place(item, runs, k)
-    return builder.build()
+    parts = [
+        batch(file, d["offset"][rows], d["size"][rows])
+        for file, rows in partition.items()
+    ]
+    return in_request_order(parts, list(partition.values()))
 
 
 #: heap sentinel marking an arrival wakeup (vs. a barrier phase >= 0

@@ -1,11 +1,12 @@
 """The hybrid parallel file system: servers assembled from a cluster spec.
 
-:class:`HybridPFS` owns the simulator, the data servers (HServers with
-HDDs first, SServers with SSDs after, matching the cluster index
-convention) and the MDS.  Clients interact with it through
-:meth:`issue`: hand over the per-server fragments of one request and
-receive a completion that fires when the slowest fragment finishes —
-the defining latency semantics of striped parallel I/O.
+:class:`HybridPFS` owns the simulator and the data servers (HServers
+with HDDs first, SServers with SSDs after, matching the cluster index
+convention).  Clients interact with it through :meth:`issue`: hand
+over the per-server fragments of one request and receive a completion
+that fires when the slowest fragment finishes — the defining latency
+semantics of striped parallel I/O.  Metadata lookups are not charged:
+the paper's §III-G calls them cheap for bandwidth-dominated workloads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from ..exceptions import SimulationError
 from ..layouts.base import SubRequest
 from ..layouts.batch import merge_fragments
 from ..simulate import Completion, FIFOResource, Simulator
-from .mds import MetaDataServer
 from .server import DataServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +58,6 @@ class HybridPFS:
             self.servers.append(
                 DataServer(self.sim, idx, spec.ssd, spec.link, name=f"s{idx}")
             )
-        self.mds = MetaDataServer(self.sim, link=spec.link)
         # compute-node NICs (optional): one serialized link per node
         self.client_links: list[FIFOResource] | None = None
         if spec.model_client_nics:

@@ -52,7 +52,12 @@ from ..contracts import twin_of
 from ..core.drt import DRT, DRTEntry
 from ..exceptions import ConfigurationError
 from ..layouts.base import SubRequest
-from ..layouts.batch import MergedRuns, RunsBuilder, merge_fragments
+from ..layouts.batch import (
+    MergedRuns,
+    in_request_order,
+    merge_fragments,
+    runs_from_fragments,
+)
 from ..tracing.record import Trace
 from .base import Scheme
 from .catalog import make_scheme
@@ -360,16 +365,14 @@ class StragglerAwareView:
         keep = np.ones(off.size, dtype=bool)
         keep[covered] = False
         items = np.flatnonzero(keep)
-        runs = batch(file, off[items], lng[items])
-        builder = RunsBuilder(off.size)
-        builder.add_fragments(runs.n_fragments)
-        for k, item in enumerate(items.tolist()):
-            builder.place(item, runs, k)
-        for item in covered:
-            builder.place_fragments(
-                item, self.map_request(file, int(off[item]), int(lng[item]))
-            )
-        return builder.build()
+        uncovered = batch(file, off[items], lng[items])
+        redirected = MergedRuns.concat(
+            [
+                runs_from_fragments(self.map_request(file, int(off[k]), int(lng[k])))
+                for k in covered
+            ]
+        )
+        return in_request_order([uncovered, redirected], [items, covered])
 
     def _redirect(self, file: str, frag: SubRequest, target: int) -> SubRequest:
         """Move one write fragment to ``target``'s overflow object and

@@ -1,6 +1,6 @@
 """FIFO resources for the discrete-event engine.
 
-A storage server's service channel, a client NIC and the MDS are each
+A storage server's service channel and a client NIC are each
 modelled as a :class:`FIFOResource`: work items are served one at a
 time in arrival order, each occupying the resource for a
 caller-supplied duration.  This is the single FIFO queue per server

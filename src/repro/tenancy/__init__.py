@@ -2,10 +2,10 @@
 
 The tenancy layer turns the single-application simulator into a
 service: N tenants (each a :mod:`repro.workloads` instance on its own
-seeded arrival process) share one hybrid PFS, with per-tenant RST
-namespaces on the MDS, admission control, token-bucket bandwidth
-shares, SServer capacity quotas, and SCFQ weighted fair queueing in
-the dispatch front end.  Builds shard across processes
+seeded arrival process) share one hybrid PFS, with per-tenant file and
+rank namespaces, admission control, token-bucket bandwidth shares,
+SServer capacity quotas, and SCFQ weighted fair queueing in the
+dispatch front end.  Builds shard across processes
 (:func:`~repro.tenancy.shard.build_tenants`); the replay itself is one
 shared deterministic pass.  Start at
 :func:`~repro.tenancy.service.serve_scenario` or

@@ -23,9 +23,9 @@
    stage preserves within-tenant order, so the shards' premapped
    per-file runs stay valid.
 4. **One coupled replay** — a single :class:`~repro.pfs.system.HybridPFS`
-   (per-tenant RST namespaces registered on its MDS) replays the merged
-   columnar trace open-loop; cross-tenant interference happens where it
-   physically lives, in the shared server queues.
+   replays the merged columnar trace open-loop; cross-tenant
+   interference happens where it physically lives, in the shared server
+   queues.
 5. **Attribution** — ``RunMetrics.latency_ranks`` plus the disjoint
    rank windows turn the shared latency stream back into per-tenant
    p50/p95/p99 tails.
@@ -46,7 +46,6 @@ import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_ARRIVAL_SEED
-from ..core.rst import RST, StripePair
 from ..exceptions import ConfigurationError
 from ..harness.report import (
     FigureResult,
@@ -65,7 +64,7 @@ from .namespace import RANK_STRIDE, tenant_of_rank
 from .qos import nominal_bandwidth, token_bucket_release, wfq_emission
 from .shard import TenantBuild, build_tenants
 from .spec import TenantSpec, make_tenants, validate_tenants
-from .view import TenantRoutingView
+from .view import RequestColumns, TenantRoutingView
 
 __all__ = ["SERVE_QUANTILES", "ServeReport", "TenantMetrics", "serve_scenario"]
 
@@ -222,7 +221,7 @@ def serve_scenario(
     merged, offsets = _merge_emission(builds, fleet, capacity, max_active)
 
     runs_by_file: dict[str, MergedRuns] = {}
-    requests_by_file: dict[str, tuple[tuple[int, int], ...]] = {}
+    requests_by_file: dict[str, RequestColumns] = {}
     for build in builds:
         for file, runs in build.runs_by_file.items():
             if file in runs_by_file:
@@ -234,11 +233,6 @@ def serve_scenario(
     view = TenantRoutingView(runs_by_file, requests_by_file)
 
     pfs = HybridPFS(spec)
-    for build in builds:
-        rst = RST()
-        for region, h, s in build.rst_entries:
-            rst.set(region, StripePair(h, s))
-        pfs.mds.register_namespace(build.tenant, rst)
     metrics = replay_trace(
         pfs,
         view,

@@ -41,6 +41,7 @@ from ..tracing.columnar import ColumnarTrace
 from ..workloads.arrivals import open_arrivals
 from .namespace import RANK_STRIDE, namespace_trace
 from .spec import TenantSpec, tenant_op, tenant_workload, validate_tenants
+from .view import RequestColumns
 
 __all__ = ["TenantBuild", "TenantBuildTask", "build_tenant", "build_tenants"]
 
@@ -66,17 +67,14 @@ class TenantBuild:
 
     ``trace`` is the tenant's namespaced, arrival-stamped trace in time
     order; ``runs_by_file`` / ``requests_by_file`` are its premapped
-    per-file columnar runs and the matching request sequences;
-    ``rst_entries`` are its region-stripe decisions for the MDS
-    namespace (empty for schemes without an RST).
+    per-file columnar runs and the matching offset and size columns.
     """
 
     tenant: int
     klass: str
     trace: ColumnarTrace
     runs_by_file: dict[str, MergedRuns]
-    requests_by_file: dict[str, tuple[tuple[int, int], ...]]
-    rst_entries: tuple[tuple[str, int, int], ...]
+    requests_by_file: dict[str, RequestColumns]
     total_bytes: int
     ssd_bytes: int
     demoted: bool
@@ -88,36 +86,24 @@ class TenantBuild:
 
 def _premap(
     spec: ClusterSpec, scheme_name: str, trace: ColumnarTrace
-) -> tuple[
-    dict[str, MergedRuns],
-    dict[str, tuple[tuple[int, int], ...]],
-    tuple[tuple[str, int, int], ...],
-    int,
-]:
+) -> tuple[dict[str, MergedRuns], dict[str, RequestColumns], int]:
     """Build the scheme, batch-map each file's requests, report SSD bytes."""
-    scheme = make_scheme(scheme_name)
-    view = scheme.build(spec, trace)
+    view = make_scheme(scheme_name).build(spec, trace)
     offsets = trace.data["offset"]
     sizes = trace.data["size"]
     runs_by_file: dict[str, MergedRuns] = {}
-    requests_by_file: dict[str, tuple[tuple[int, int], ...]] = {}
+    requests_by_file: dict[str, RequestColumns] = {}
     ssd_bytes = 0
     sserver_floor = spec.num_hservers
     for file, rows in trace.file_partition().items():
         file_offsets, file_sizes = offsets[rows], sizes[rows]
         runs = view.merged_runs(file, file_offsets, file_sizes)
         runs_by_file[file] = runs
-        requests_by_file[file] = tuple(zip(file_offsets.tolist(), file_sizes.tolist()))
+        requests_by_file[file] = (file_offsets, file_sizes)
         for server, length in zip(runs.servers, runs.lengths):
             if server >= sserver_floor:
                 ssd_bytes += length
-    plan = getattr(scheme, "plan", None)
-    rst_entries: tuple[tuple[str, int, int], ...] = ()
-    if plan is not None and getattr(plan, "rst", None) is not None:
-        rst_entries = tuple(
-            (region, pair.h, pair.s) for region, pair in plan.rst
-        )
-    return runs_by_file, requests_by_file, rst_entries, ssd_bytes
+    return runs_by_file, requests_by_file, ssd_bytes
 
 
 @effects("READS_CONFIG", "IO")
@@ -133,9 +119,7 @@ def build_tenant(task: TenantBuildTask) -> TenantBuild:
         stream=tenant.tenant,
     )
     trace = namespace_trace(arrived, tenant.tenant, stride=task.rank_stride)
-    runs, requests, rst_entries, ssd_bytes = _premap(
-        task.spec, tenant.scheme, trace
-    )
+    runs, requests, ssd_bytes = _premap(task.spec, tenant.scheme, trace)
     total_bytes = trace.total_bytes()
     demoted = False
     if (
@@ -146,9 +130,7 @@ def build_tenant(task: TenantBuildTask) -> TenantBuild:
         and ssd_bytes > tenant.sserver_quota * total_bytes
     ):
         hdd_only = task.spec.with_ratio(task.spec.num_hservers, 0)
-        runs, requests, rst_entries, ssd_bytes = _premap(
-            hdd_only, tenant.scheme, trace
-        )
+        runs, requests, ssd_bytes = _premap(hdd_only, tenant.scheme, trace)
         demoted = True
     return TenantBuild(
         tenant=tenant.tenant,
@@ -156,7 +138,6 @@ def build_tenant(task: TenantBuildTask) -> TenantBuild:
         trace=trace,
         runs_by_file=runs,
         requests_by_file=requests,
-        rst_entries=rst_entries,
         total_bytes=total_bytes,
         ssd_bytes=ssd_bytes,
         demoted=demoted,

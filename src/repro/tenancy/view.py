@@ -17,11 +17,16 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..exceptions import LayoutError
 from ..layouts.base import SubRequest
 from ..layouts.batch import MergedRuns
 
 __all__ = ["TenantRoutingView"]
+
+#: one file's premapped requests: offset and size columns
+RequestColumns = tuple[np.ndarray, np.ndarray]
 
 
 class TenantRoutingView:
@@ -29,53 +34,50 @@ class TenantRoutingView:
 
     ``runs_by_file`` maps each namespaced file to the MergedRuns of its
     requests *in trace record order*; ``requests_by_file`` carries the
-    matching ``(offset, length)`` sequence for verification.  The flat
+    matching offset and size columns for verification.  The flat
     kernel calls :meth:`merged_runs` once per file and gets the stored
     columns back after an order check.  The event engine calls
     :meth:`map_request` record by record in *simulation* order (ranks
-    interleave however the queues play out), so that path is served by
-    an order-free ``(offset, length) -> extent`` index instead — valid
-    because a layout mapping is a pure function of the request, so
-    identical requests share identical runs.
+    interleave however the queues play out), so that path searches the
+    columns for the request's first occurrence instead — valid because
+    a layout mapping is a pure function of the request, so identical
+    requests share identical runs.
     """
 
     def __init__(
         self,
         runs_by_file: Mapping[str, MergedRuns],
-        requests_by_file: Mapping[str, Sequence[tuple[int, int]]],
+        requests_by_file: Mapping[str, RequestColumns],
     ) -> None:
         if set(runs_by_file) != set(requests_by_file):
             raise LayoutError("runs and request sequences must cover the same files")
         self._runs = dict(runs_by_file)
-        self._requests = {
-            file: tuple(pairs) for file, pairs in requests_by_file.items()
-        }
+        self._requests = dict(requests_by_file)
         for file, runs in self._runs.items():
-            if runs.n_extents != len(self._requests[file]):
+            offsets, sizes = self._requests[file]
+            if not runs.n_extents == len(offsets) == len(sizes):
                 raise LayoutError(
                     f"file {file!r}: {runs.n_extents} premapped extents for "
-                    f"{len(self._requests[file])} requests"
+                    f"{len(offsets)} offsets and {len(sizes)} sizes"
                 )
-        self._extent_of: dict[str, dict[tuple[int, int], int]] = {}
-        for file, pairs in self._requests.items():
-            index = self._extent_of[file] = {}
-            for k, pair in enumerate(pairs):
-                index.setdefault(pair, k)
 
     def files(self) -> tuple[str, ...]:
         return tuple(self._runs)
+
+    def _premapped(self, file: str) -> tuple[MergedRuns, RequestColumns]:
+        runs = self._runs.get(file)
+        if runs is None:
+            raise LayoutError(f"no premapped runs for file {file!r}")
+        return runs, self._requests[file]
 
     def merged_runs(
         self, file: str, offsets: Sequence[int], lengths: Sequence[int]
     ) -> MergedRuns:
         """The premapped columnar runs for one file's full batch."""
-        runs = self._runs.get(file)
-        if runs is None:
-            raise LayoutError(f"no premapped runs for file {file!r}")
-        expected = self._requests[file]
-        if len(offsets) != len(expected) or any(
-            (off, length) != pair
-            for off, length, pair in zip(offsets, lengths, expected)
+        runs, (expected_offsets, expected_sizes) = self._premapped(file)
+        if not (
+            np.array_equal(offsets, expected_offsets)
+            and np.array_equal(lengths, expected_sizes)
         ):
             raise LayoutError(
                 f"file {file!r}: replayed request batch diverged from the "
@@ -85,12 +87,10 @@ class TenantRoutingView:
 
     def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
         """Order-free per-record mapping (event-engine path)."""
-        runs = self._runs.get(file)
-        if runs is None:
-            raise LayoutError(f"no premapped runs for file {file!r}")
-        k = self._extent_of[file].get((offset, length))
-        if k is None:
+        runs, (offsets, sizes) = self._premapped(file)
+        (match,) = np.nonzero((offsets == offset) & (sizes == length))
+        if match.size == 0:
             raise LayoutError(
                 f"file {file!r}: request ({offset}, {length}) was never premapped"
             )
-        return runs.subrequests(k)
+        return runs.subrequests(int(match[0]))

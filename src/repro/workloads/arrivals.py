@@ -125,8 +125,8 @@ class OpenArrivalWorkload(Workload):
         return f"open({self.inner.name})"
 
     def columnar(self, *args: OpType | None) -> ColumnarTrace:
-        """The re-stamped trace on the columnar spine; ``args`` is
-        :meth:`trace`'s optional ``op``."""
+        """The re-stamped trace on the columnar spine; ``args`` is the
+        optional ``op`` (``"write"`` by default)."""
         (op,) = args or ("write",)
         return open_arrivals(
             self.inner.columnar(op).sorted_by_time(),
@@ -137,8 +137,10 @@ class OpenArrivalWorkload(Workload):
             stream=self.stream,
         )
 
-    def trace(self, op: OpType = "write") -> Trace:
-        return self.columnar(op).to_trace()
+    # benchmarks/e2e/tracer.py rebinds ``trace`` from this class's own
+    # namespace, so the inherited one-liner is repeated here
+    def trace(self, *args: OpType | None) -> Trace:
+        return self.columnar(*args).to_trace()
 
     def __repr__(self) -> str:
         return (

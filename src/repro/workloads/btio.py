@@ -18,11 +18,13 @@ scale the totals down by ``scale`` for tractable simulation.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..devices.base import OpType
 from ..exceptions import ConfigurationError
-from ..tracing.record import Trace
+from ..tracing.columnar import ColumnarTrace
 from ..units import GiB, KiB
-from .base import TraceBuilder, Workload
+from .base import Workload, phase_trace
 
 __all__ = ["BTIOWorkload", "CLASS_TOTALS"]
 
@@ -73,17 +75,19 @@ class BTIOWorkload(Workload):
         raw = CLASS_TOTALS[cls] * self.scale / (self.steps * self.num_processes)
         return max(KiB, int(round(raw / KiB)) * KiB)
 
-    def trace(self, op: OpType = "write") -> Trace:
-        builder = TraceBuilder(file=self.file)
-        offset = 0
+    def columnar(self, op: OpType = "write") -> ColumnarTrace:
+        """Step ``s`` is one phase: every rank appends its ``s``-th
+        request, the class cycling over the steps."""
         P = self.num_processes
-        for step in range(self.steps):
-            cls = self.classes[step % len(self.classes)]
-            size = self.request_size(cls)
-            for rank in range(P):
-                builder.add(rank, op, offset, size, phase=step)
-                offset += size
-        return builder.build()
+        step_sizes = [
+            self.request_size(self.classes[s % len(self.classes)])
+            for s in range(self.steps)
+        ]
+        sizes = np.repeat(np.asarray(step_sizes, dtype=np.int64), P)
+        phases = np.repeat(np.arange(self.steps), P)
+        ranks = np.tile(np.arange(P), self.steps)
+        offsets = np.cumsum(sizes) - sizes
+        return phase_trace(phases, ranks, offsets, sizes, op, self.file)
 
     def label(self) -> str:
         return f"{self.num_processes}p"

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..devices.base import READ, WRITE
+from ..devices.base import READ, WRITE, OpType
 from ..exceptions import ConfigurationError
 from ..tracing.columnar import OP_NAMES, ColumnarTrace
-from ..tracing.record import Trace
 from ..units import MiB
-from .base import PHASE_GAP, _RANK_STAGGER, TraceBuilder, Workload
+from .base import Workload, phase_trace
 
 __all__ = ["CheckpointWorkload"]
 
@@ -70,93 +69,27 @@ class CheckpointWorkload(Workload):
         """Bytes of the file owned by one rank."""
         return self.checkpoints * self.epoch_bytes
 
-    def _offset(self, rank: int, epoch: int) -> int:
-        return rank * self.area_size + epoch * self.epoch_bytes
+    def columnar(self, op: OpType | None = None) -> ColumnarTrace:
+        """The full write(+restart-read) trace; ``op`` filters one type.
 
-    def trace(self, op: str | None = None) -> Trace:
-        """The full write(+restart-read) trace; ``op`` filters one type."""
-        builder = TraceBuilder(file=self.file)
-        phase = 0
-        if op in (None, WRITE):
-            for epoch in range(self.checkpoints):
-                for rank in range(self.num_processes):
-                    base = self._offset(rank, epoch)
-                    builder.add(rank, WRITE, base, self.header_size, phase=phase)
-                    builder.add(
-                        rank,
-                        WRITE,
-                        base + self.header_size,
-                        self.payload_size,
-                        phase=phase + 1,
-                    )
-                phase += 2
-        if self.restart and op in (None, READ):
-            last = self.checkpoints - 1
-            for rank in range(self.num_processes):
-                base = self._offset(rank, last)
-                builder.add(rank, READ, base, self.header_size, phase=phase)
-                builder.add(
-                    rank,
-                    READ,
-                    base + self.header_size,
-                    self.payload_size,
-                    phase=phase + 1,
-                )
-        return builder.build()
-
-    def columnar(self, op: str | None = None) -> ColumnarTrace:
-        """Columnar-native :meth:`trace`, header/payload rows interleaved."""
-        P = self.num_processes
-        C = self.checkpoints
-        offset_parts: list[np.ndarray] = []
-        size_parts: list[np.ndarray] = []
-        rank_parts: list[np.ndarray] = []
-        phase_parts: list[np.ndarray] = []
-        code_parts: list[np.ndarray] = []
-
-        def emit(rank, epoch, phase0, code) -> None:
-            n = rank.size
-            base = rank * self.area_size + epoch * self.epoch_bytes
-            offsets = np.empty(2 * n, dtype=np.int64)
-            offsets[0::2] = base
-            offsets[1::2] = base + self.header_size
-            sizes = np.empty(2 * n, dtype=np.int64)
-            sizes[0::2] = self.header_size
-            sizes[1::2] = self.payload_size
-            phases = np.empty(2 * n, dtype=np.int64)
-            phases[0::2] = phase0
-            phases[1::2] = phase0 + 1
-            offset_parts.append(offsets)
-            size_parts.append(sizes)
-            rank_parts.append(np.repeat(rank, 2))
-            phase_parts.append(phases)
-            code_parts.append(np.full(2 * n, code, dtype=np.int8))
-
-        next_phase = 0
-        if op in (None, WRITE):
-            epoch = np.repeat(np.arange(C), P)
-            rank = np.tile(np.arange(P), C)
-            emit(rank, epoch, 2 * epoch, OP_NAMES.index(WRITE))
-            next_phase = 2 * C
-        if self.restart and op in (None, READ):
-            rank = np.arange(P)
-            emit(rank, C - 1, next_phase, OP_NAMES.index(READ))
-        if not offset_parts:
-            return ColumnarTrace.from_columns(
-                offsets=np.empty(0, dtype=np.int64),
-                timestamps=np.empty(0, dtype=np.float64),
-                ranks=np.empty(0, dtype=np.int32),
-                sizes=np.empty(0, dtype=np.int64),
-                files=self.file,
-            )
-        ranks = np.concatenate(rank_parts)
-        phases = np.concatenate(phase_parts)
-        return ColumnarTrace.from_columns(
-            offsets=np.concatenate(offset_parts),
-            timestamps=phases * PHASE_GAP + ranks * _RANK_STAGGER,
-            ranks=ranks,
-            sizes=np.concatenate(size_parts),
-            ops=np.concatenate(code_parts),
-            files=self.file,
-            pids=ranks,
+        Each rank writes one (header, payload) pair per epoch, epoch
+        ``e`` in phases ``2e`` and ``2e + 1``; the restart reads the
+        last epoch's pair back in the two phases after the writes.
+        """
+        P, C = self.num_processes, self.checkpoints
+        n_writes = P * C if op in (None, WRITE) else 0
+        n_reads = P if self.restart and op in (None, READ) else 0
+        pair = np.arange(n_writes + n_reads)
+        is_write = pair < n_writes
+        rank = pair % P
+        epoch = np.where(is_write, pair // P, C - 1)
+        base = rank * self.area_size + epoch * self.epoch_bytes
+        code = np.where(is_write, OP_NAMES.index(WRITE), OP_NAMES.index(READ))
+        return phase_trace(
+            (2 * (pair // P)[:, None] + [0, 1]).reshape(-1),
+            np.repeat(rank, 2),
+            (base[:, None] + [0, self.header_size]).reshape(-1),
+            np.tile([self.header_size, self.payload_size], pair.size),
+            np.repeat(code, 2),
+            self.file,
         )

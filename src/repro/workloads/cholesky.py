@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..determinism import SeedDomain, derive_rng
-from ..devices.base import READ, WRITE
+from ..devices.base import OpType
 from ..exceptions import ConfigurationError
-from ..tracing.record import Trace
-from .base import TraceBuilder, Workload
+from ..tracing.columnar import ColumnarTrace
+from .base import Workload, slab_trace
 
 __all__ = ["CholeskyWorkload", "READ_BOUNDS", "WRITE_BOUNDS"]
 
@@ -57,8 +57,8 @@ class CholeskyWorkload(Workload):
         sizes = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
         return np.clip(np.round(sizes).astype(np.int64), lo, hi)
 
-    def trace(self, op: str | None = None) -> Trace:
-        builder = TraceBuilder()
+    def columnar(self, op: OpType | None = None) -> ColumnarTrace:
+        """The full read+write trace (``op`` filters to one type)."""
         rng = derive_rng(SeedDomain.CHOLESKY, base=self.seed)
         # one size schedule shared by all ranks per panel keeps phases
         # aligned (the solver's panels are global); bounds are exact
@@ -68,26 +68,5 @@ class CholeskyWorkload(Workload):
         if self.panels >= 2:
             read_sizes[0], read_sizes[-1] = READ_BOUNDS
             write_sizes[0], write_sizes[-1] = WRITE_BOUNDS
-        read_cursor = [0] * self.num_processes
-        write_cursor = [0] * self.num_processes
-        phase = 0
-        for panel in range(self.panels):
-            if op in (None, READ):
-                size = int(read_sizes[panel])
-                for rank in range(self.num_processes):
-                    builder.add(
-                        rank, READ, read_cursor[rank], size,
-                        phase=phase, file=self.file_for(rank),
-                    )
-                    read_cursor[rank] += size
-                phase += 1
-            if op in (None, WRITE):
-                size = int(write_sizes[panel])
-                for rank in range(self.num_processes):
-                    builder.add(
-                        rank, WRITE, write_cursor[rank], size,
-                        phase=phase, file=self.file_for(rank),
-                    )
-                    write_cursor[rank] += size
-                phase += 1
-        return builder.build()
+        files = [self.file_for(rank) for rank in range(self.num_processes)]
+        return slab_trace(op, read_sizes, write_sizes, files)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..devices.base import OpType
 from ..exceptions import ConfigurationError
-from ..tracing.record import Trace
+from ..tracing.columnar import ColumnarTrace
 from ..units import KiB
-from .base import TraceBuilder, Workload
+from .base import Workload, phase_trace
 
 __all__ = ["HPIOWorkload"]
 
@@ -66,17 +68,17 @@ class HPIOWorkload(Workload):
         """Lock-step phases: one region per process per group."""
         return self.region_count // self.num_processes
 
-    def trace(self, op: OpType = "write") -> Trace:
-        builder = TraceBuilder(file=self.file)
-        offset = 0
-        sizes = self.region_sizes
+    def columnar(self, op: OpType = "write") -> ColumnarTrace:
+        """Group ``g`` is one phase: every rank touches its region of the
+        group, regions back to back ``region_spacing`` apart."""
         P = self.num_processes
-        for group in range(self.groups):
-            size = sizes[group % len(sizes)]
-            for rank in range(P):
-                builder.add(rank, op, offset, size, phase=group)
-                offset += size + self.region_spacing
-        return builder.build()
+        groups = np.arange(self.groups)
+        cycle = np.asarray(self.region_sizes, dtype=np.int64)
+        sizes = np.repeat(cycle[groups % cycle.size], P)
+        strides = sizes + self.region_spacing
+        offsets = np.cumsum(strides) - strides
+        ranks = np.tile(np.arange(P), self.groups)
+        return phase_trace(np.repeat(groups, P), ranks, offsets, sizes, op, self.file)
 
     def label(self) -> str:
         return f"{self.num_processes}p"

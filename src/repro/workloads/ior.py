@@ -31,7 +31,7 @@ from ..exceptions import ConfigurationError
 from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
 from ..units import KiB, MiB
-from .base import PHASE_GAP, _RANK_STAGGER, TraceBuilder, Workload
+from .base import Workload, phase_trace
 
 __all__ = ["IORWorkload", "IORMixedProcsWorkload"]
 
@@ -102,38 +102,17 @@ class IORWorkload(Workload):
             slots = [slots[i] for i in order]
         return slots
 
-    def trace(self, op: OpType = "write") -> Trace:
-        builder = TraceBuilder(file=self.file)
-        slots = self._plan_requests()
-        P = self.num_processes
-        for phase_start in range(0, len(slots), P):
-            batch = slots[phase_start : phase_start + P]
-            for rank, (offset, size) in enumerate(batch):
-                builder.add(rank, op, offset, size)
-            builder.next_phase()
-        return builder.build()
-
     def columnar(self, op: OpType = "write") -> ColumnarTrace:
-        """Columnar-native :meth:`trace`: same requests, no records.
-
-        The slot plan (including the seeded shuffle) is shared with the
-        record path, so the two emit identical request streams; only
-        the materialization differs.
-        """
+        """Slot ``i`` of the plan goes to rank ``i % P`` in phase ``i // P``."""
         slots = np.asarray(self._plan_requests(), dtype=np.int64)
         idx = np.arange(len(slots))
-        ranks = idx % self.num_processes
-        phases = idx // self.num_processes
-        timestamps = phases * PHASE_GAP + ranks * _RANK_STAGGER
-        return ColumnarTrace.from_columns(
-            offsets=slots[:, 0],
-            timestamps=timestamps,
-            ranks=ranks,
-            sizes=slots[:, 1],
-            ops=op,
-            files=self.file,
-            pids=ranks,
-        )
+        P = self.num_processes
+        return phase_trace(idx // P, idx % P, slots[:, 0], slots[:, 1], op, self.file)
+
+    # benchmarks/e2e/tracer.py rebinds ``trace`` from this class's own
+    # namespace, so the inherited one-liner is repeated here
+    def trace(self, op: OpType = "write") -> Trace:
+        return self.columnar(op).to_trace()
 
     def label(self) -> str:
         """The paper's "x+y" figure label for this configuration."""
@@ -161,56 +140,20 @@ class IORMixedProcsWorkload(Workload):
         self.bytes_per_group = int(bytes_per_group)
         self.file = file
 
-    def trace(self, op: OpType = "write") -> Trace:
-        builder = TraceBuilder(file=self.file)
-        segment_base = 0
-        rank_base = 0
-        size = self.request_size
-        per_group = (self.bytes_per_group // size) * size
-        for procs in self.process_groups:
-            offset = segment_base
-            count = per_group // size
-            phase = 0
-            for i in range(count):
-                rank = rank_base + (i % procs)
-                builder.add(rank, op, offset, size, phase=phase)
-                offset += size
-                if (i + 1) % procs == 0:
-                    phase += 1
-            segment_base += per_group
-            rank_base += procs
-            builder._phase = max(builder._phase, phase)
-        return builder.build()
-
     def columnar(self, op: OpType = "write") -> ColumnarTrace:
-        """Columnar-native :meth:`trace` over every process group."""
+        """Each group's ranks issue its segment's slots in lock-step
+        phases, group after group."""
         size = self.request_size
-        per_group = (self.bytes_per_group // size) * size
-        count = per_group // size
-        offset_parts: list[np.ndarray] = []
-        rank_parts: list[np.ndarray] = []
-        phase_parts: list[np.ndarray] = []
-        segment_base = 0
-        rank_base = 0
-        for procs in self.process_groups:
-            i = np.arange(count)
-            offset_parts.append(segment_base + i * size)
-            rank_parts.append(rank_base + i % procs)
-            phase_parts.append(i // procs)
-            segment_base += per_group
-            rank_base += procs
-        offsets = np.concatenate(offset_parts)
-        ranks = np.concatenate(rank_parts)
-        phases = np.concatenate(phase_parts)
-        timestamps = phases * PHASE_GAP + ranks * _RANK_STAGGER
-        return ColumnarTrace.from_columns(
-            offsets=offsets,
-            timestamps=timestamps,
-            ranks=ranks,
-            sizes=np.full(offsets.size, size, dtype=np.int64),
-            ops=op,
-            files=self.file,
-            pids=ranks,
+        count = self.bytes_per_group // size
+        i = np.arange(count)
+        segments = np.arange(len(self.process_groups)) * count * size
+        procs = np.asarray(self.process_groups)
+        rank_bases = np.cumsum(procs) - procs
+        offsets = (segments[:, None] + i * size).reshape(-1)
+        ranks = (rank_bases[:, None] + i % procs[:, None]).reshape(-1)
+        phases = (i // procs[:, None]).reshape(-1)
+        return phase_trace(
+            phases, ranks, offsets, np.full(offsets.size, size), op, self.file
         )
 
     def label(self) -> str:

@@ -15,11 +15,13 @@ loops in lock-step phases.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..devices.base import OpType
 from ..exceptions import ConfigurationError
-from ..tracing.record import Trace
+from ..tracing.columnar import ColumnarTrace
 from ..units import KiB
-from .base import TraceBuilder, Workload
+from .base import Workload, phase_trace
 
 __all__ = ["LANLWorkload", "LOOP_PATTERN"]
 
@@ -57,18 +59,15 @@ class LANLWorkload(Workload):
         """One process's request sizes in issue order (regenerates Fig. 3)."""
         return list(LOOP_PATTERN) * self.loops
 
-    def trace(self, op: OpType = "write") -> Trace:
-        builder = TraceBuilder(file=self.file)
-        for loop in range(self.loops):
-            for part, size in enumerate(LOOP_PATTERN):
-                # one phase per request slot: all processes issue the
-                # same-shaped request simultaneously
-                phase = loop * len(LOOP_PATTERN) + part
-                for rank in range(self.num_processes):
-                    offset = (
-                        rank * self.area_size
-                        + loop * self.bytes_per_loop
-                        + sum(LOOP_PATTERN[:part])
-                    )
-                    builder.add(rank, op, offset, size, phase=phase)
-        return builder.build()
+    def columnar(self, op: OpType = "write") -> ColumnarTrace:
+        """One phase per request slot of each loop: every rank issues
+        the same-shaped request at its place in its own area."""
+        P, parts = self.num_processes, len(LOOP_PATTERN)
+        phase = np.arange(self.loops * parts)
+        pattern = np.asarray(LOOP_PATTERN, dtype=np.int64)
+        loop, part = np.divmod(phase, parts)
+        within = loop * self.bytes_per_loop + (np.cumsum(pattern) - pattern)[part]
+        ranks = np.tile(np.arange(P), phase.size)
+        offsets = ranks * self.area_size + np.repeat(within, P)
+        sizes = np.repeat(pattern[part], P)
+        return phase_trace(np.repeat(phase, P), ranks, offsets, sizes, op, self.file)

@@ -16,10 +16,10 @@ against its own file.
 
 from __future__ import annotations
 
-from ..devices.base import READ, WRITE
+from ..devices.base import OpType
 from ..exceptions import ConfigurationError
-from ..tracing.record import Trace
-from .base import TraceBuilder, Workload
+from ..tracing.columnar import ColumnarTrace
+from .base import Workload, slab_trace
 
 __all__ = ["LUWorkload", "WRITE_SIZE", "MIN_READ", "MAX_READ"]
 
@@ -58,36 +58,11 @@ class LUWorkload(Workload):
         size = MIN_READ + frac * (MAX_READ - MIN_READ)
         return int(round(size))
 
-    def trace(self, op: str | None = None) -> Trace:
+    def columnar(self, op: OpType | None = None) -> ColumnarTrace:
         """The full read+write trace (``op`` filters to one type)."""
-        builder = TraceBuilder()
-        write_cursor = [0] * self.num_processes
-        read_cursor = [0] * self.num_processes
-        phase = 0
-        for slab in range(self.slabs):
-            rsize = self.read_size(slab)
-            if op in (None, READ):
-                for rank in range(self.num_processes):
-                    builder.add(
-                        rank,
-                        READ,
-                        read_cursor[rank],
-                        rsize,
-                        phase=phase,
-                        file=self.file_for(rank),
-                    )
-                    read_cursor[rank] += rsize
-                phase += 1
-            if op in (None, WRITE):
-                for rank in range(self.num_processes):
-                    builder.add(
-                        rank,
-                        WRITE,
-                        write_cursor[rank],
-                        WRITE_SIZE,
-                        phase=phase,
-                        file=self.file_for(rank),
-                    )
-                    write_cursor[rank] += WRITE_SIZE
-                phase += 1
-        return builder.build()
+        return slab_trace(
+            op,
+            [self.read_size(slab) for slab in range(self.slabs)],
+            [WRITE_SIZE] * self.slabs,
+            [self.file_for(rank) for rank in range(self.num_processes)],
+        )

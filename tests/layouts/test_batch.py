@@ -22,10 +22,11 @@ from repro.layouts import (
 )
 from repro.layouts.batch import (
     MergedRuns,
-    RunsBuilder,
+    in_request_order,
     merge_fragments,
     merged_runs_of,
     run_columns,
+    runs_from_fragments,
 )
 from repro.schemes.base import LayoutView
 from repro.units import KiB
@@ -129,30 +130,25 @@ class TestLayoutBatchEquivalence:
 
 
 class TestRunsBuilder:
-    def test_place_rebases_and_orders_by_item(self):
-        layout = fixed()
-        source = merged_runs_of(layout, [0, 8 * KiB], [8 * KiB, 4 * KiB])
-        builder = RunsBuilder(3)
-        builder.place(2, source, 0)  # out of order on purpose
-        builder.place(0, source, 1, base=100)
-        builder.add_fragments(source.n_fragments)
-        built = builder.build()
-        assert built.n_extents == 3
-        assert built.subrequests(1) == []  # unplaced slot
-        rebased = built.subrequests(0)
-        plain = source.subrequests(1)
-        assert [f.logical_offset for f in rebased] == [
-            f.logical_offset + 100 for f in plain
-        ]
-        assert built.subrequests(2) == source.subrequests(0)
-        assert built.n_fragments == source.n_fragments
+    """Assembling run batches: ``concat``, ``take`` and
+    ``in_request_order``."""
 
-    def test_place_fragments_counts_premerge(self):
+    def test_in_request_order_interleaves_parts(self):
+        a = merged_runs_of(fixed(), [0, 8 * KiB], [8 * KiB, 4 * KiB])
+        b = merged_runs_of(fixed(), [4 * KiB], [40 * KiB])
+        built = in_request_order([a, b], [np.array([2, 0]), [1]])
+        assert built.n_extents == 3
+        assert built.subrequests(0) == a.subrequests(1)
+        assert built.subrequests(1) == b.subrequests(0)
+        assert built.subrequests(2) == a.subrequests(0)
+        assert built.n_fragments == a.n_fragments + b.n_fragments
+        empty = MergedRuns([], [], [], [], [], [0], 0)
+        assert in_request_order([], []) == empty
+
+    def test_fragments_concat_counts_premerge(self):
         layout = fixed()
         fragments = layout.map_extent(0, 12 * KiB)
-        builder = RunsBuilder(1)
-        builder.place_fragments(0, fragments)
-        built = builder.build()
+        built = MergedRuns.concat([runs_from_fragments(fragments)])
         assert built.subrequests(0) == merge_fragments(fragments)
         assert built.n_fragments == len(fragments)
 

@@ -85,11 +85,3 @@ class TestHybridPFS:
         assert all(t > 0 for t in pfs.per_server_busy())
         pfs.reset_stats()
         assert pfs.per_server_bytes() == [0, 0]
-
-    def test_mds_present(self):
-        pfs = HybridPFS(ClusterSpec())
-        completion, pair = pfs.mds.lookup("region0")
-        pfs.sim.run()
-        assert completion.fired
-        assert pair is None  # empty RST
-        assert pfs.mds.lookups == 1

@@ -1,5 +1,6 @@
 """The serve scenario end to end: determinism, sharding, fairness."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
@@ -141,53 +142,6 @@ class TestQuotaEnforcement:
         assert any(t.demoted for t in report.tenants if t.klass == "tail")
 
 
-class TestMDSNamespaces:
-    def test_namespace_per_tenant_registered(self):
-        import repro.tenancy.service as service_mod
-
-        captured = {}
-        original = service_mod.replay_trace
-
-        def spy(pfs, *args, **kwargs):
-            captured["mds"] = pfs.mds
-            return original(pfs, *args, **kwargs)
-
-        service_mod.replay_trace = spy
-        try:
-            serve()
-        finally:
-            service_mod.replay_trace = original
-        mds = captured["mds"]
-        assert mds.namespaces() == tuple(range(N))
-        for tenant in mds.namespaces():
-            mds.rst_for(tenant)  # registered, possibly empty
-
-    def test_mds_namespace_api(self):
-        from repro.core.rst import RST, StripePair
-        from repro.exceptions import ConfigurationError
-        from repro.pfs.mds import MetaDataServer
-        from repro.simulate import Simulator
-
-        mds = MetaDataServer(Simulator())
-        rst = RST()
-        rst.set("r0", StripePair(4096, 8192))
-        mds.register_namespace(0, rst)
-        mds.register_namespace(1)
-        assert mds.namespaces() == (0, 1)
-        assert mds.rst_for(0).get("r0") == StripePair(4096, 8192)
-        assert mds.drt_for(0) is None
-        _, pair = mds.lookup("r0", tenant=0)
-        assert pair == StripePair(4096, 8192)
-        _, missing = mds.lookup("r0", tenant=1)
-        assert missing is None
-        _, global_miss = mds.lookup("r0")
-        assert global_miss is None
-        with pytest.raises(ConfigurationError):
-            mds.register_namespace(0)
-        with pytest.raises(ConfigurationError):
-            mds.rst_for(9)
-
-
 class TestTenantRoutingView:
     def make_view(self):
         builds = build_tenants(SPEC, make_tenants(2, hot_fraction=1.0))
@@ -201,19 +155,21 @@ class TestTenantRoutingView:
     def test_serves_premapped_batches(self):
         view, builds = self.make_view()
         b = builds[0]
-        (file, pairs), = b.requests_by_file.items()
-        runs = view.merged_runs(file, [p[0] for p in pairs], [p[1] for p in pairs])
+        (file, (offsets, sizes)), = b.requests_by_file.items()
+        runs = view.merged_runs(file, offsets.tolist(), sizes.tolist())
         assert runs is b.runs_by_file[file]
-        frags = view.map_request(file, pairs[0][0], pairs[0][1])
-        assert frags == runs.subrequests(0)
+        frags = view.map_request(file, int(offsets[1]), int(sizes[1]))
+        assert frags == runs.subrequests(1)
 
     def test_unknown_file_and_diverged_batches_rejected(self):
         view, builds = self.make_view()
-        (file, pairs), = builds[0].requests_by_file.items()
+        (file, (offsets, sizes)), = builds[0].requests_by_file.items()
         with pytest.raises(LayoutError, match="no premapped"):
             view.merged_runs("nope", [0], [1])
         with pytest.raises(LayoutError, match="diverged"):
-            view.merged_runs(file, [pairs[0][0] + 7], [pairs[0][1]])
+            view.merged_runs(file, [int(offsets[0]) + 7], [int(sizes[0])])
+        with pytest.raises(LayoutError, match="diverged"):
+            view.merged_runs(file, offsets[::-1], sizes[::-1])
         with pytest.raises(LayoutError, match="never premapped"):
             view.map_request(file, 10**9, 1)
 
@@ -225,7 +181,7 @@ class TestTenantRoutingView:
         with pytest.raises(LayoutError):
             TenantRoutingView({"f": empty}, {})
         with pytest.raises(LayoutError):
-            TenantRoutingView({"f": empty}, {"f": ((0, 1),)})
+            TenantRoutingView({"f": empty}, {"f": (np.array([0]), np.array([1]))})
 
 
 class TestInterference:

@@ -21,7 +21,7 @@ class TestCheckpointWorkload:
         w = CheckpointWorkload(num_processes=2, checkpoints=4, restart=True)
         reads = [r for r in w.trace() if r.op == "read"]
         assert len(reads) == 2 * 2  # header + payload per rank
-        last_epoch_base = w._offset(0, 3)
+        last_epoch_base = 3 * w.epoch_bytes
         assert min(r.offset for r in reads if r.rank == 0) == last_epoch_base
 
     def test_no_restart(self):

@@ -49,7 +49,6 @@ _ORDER_SENSITIVE_MARKERS = frozenset(
         "digest",
         "hexdigest",
         "MergedRuns",
-        "RunsBuilder",
         "ServeReport",
     }
 )
