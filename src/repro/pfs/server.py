@@ -61,9 +61,6 @@ class DataServer:
         self.name = name if name is not None else f"server{index}"
         self.channel = FIFOResource(sim, name=self.name)
         self.stats = ServerStats()
-        #: service-time multiplier for fault/straggler injection: 1.0 is
-        #: healthy, 2.0 services everything at half speed, etc.
-        self.slowdown = 1.0
         #: compiled fault timeline (:class:`repro.faults.state.ServerFaultState`),
         #: installed by :meth:`repro.faults.plan.FaultPlan.attach`; ``None``
         #: is a healthy server and costs one attribute check per submit
@@ -80,8 +77,6 @@ class DataServer:
         upstream stage — e.g. the issuing client's NIC — must finish
         first).
         """
-        if self.slowdown <= 0:
-            raise ValueError(f"slowdown must be > 0, got {self.slowdown}")
         device = self.device
         base = (
             device.alpha(op) / device.channels
@@ -90,7 +85,7 @@ class DataServer:
         )
         faults = self.faults
         if faults is None:
-            duration = self.slowdown * base
+            duration = base
         else:
             # the service start is fully determined at submission (FIFO
             # queue-tail arithmetic), so the fault timeline is consulted
@@ -102,7 +97,7 @@ class DataServer:
             start, factor = faults.adjust(
                 op, length, max(now, not_before, tail), tail
             )
-            duration = self.slowdown * (factor * base)
+            duration = factor * base
             not_before = start
         self.stats.sub_requests += 1
         if op == "read":
@@ -131,8 +126,6 @@ class DataServer:
         submission) instead of scheduling a completion event.  ``now``
         is the caller's clock.
         """
-        if self.slowdown <= 0:
-            raise ValueError(f"slowdown must be > 0, got {self.slowdown}")
         device = self.device
         base = (
             device.alpha(op) / device.channels
@@ -149,13 +142,13 @@ class DataServer:
         tail = channel.busy_until
         faults = self.faults
         if faults is None:
-            duration = self.slowdown * base
+            duration = base
             start = max(now, not_before, tail)
         else:
             start, factor = faults.adjust_flat(
                 op, length, max(now, not_before, tail), tail
             )
-            duration = self.slowdown * (factor * base)
+            duration = factor * base
         finish = start + duration
         channel.busy_until = finish
         channel.busy_time += duration

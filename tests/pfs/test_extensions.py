@@ -1,9 +1,13 @@
 """Tests for the simulator extensions: latency percentiles, client
 NICs, and straggler injection."""
 
+import math
+
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.exceptions import ConfigurationError
+from repro.faults import ServerFaultState, TransientSlowdown, Window
 from repro.layouts import FixedStripeLayout
 from repro.pfs import HybridPFS, replay_trace, run_workload
 from repro.schemes.base import LayoutView
@@ -17,6 +21,12 @@ def rec(offset, size, ts, rank=0, op="write"):
 
 def view_for(spec):
     return LayoutView({}, default=FixedStripeLayout(spec.server_ids, 64 * KiB, obj="f"))
+
+
+def slowed(factor):
+    """A fault timeline that runs a server ``factor`` times slower
+    for the whole replay."""
+    return ServerFaultState(windows=[Window(0.0, math.inf, factor)])
 
 
 class TestLatencyPercentiles:
@@ -86,7 +96,7 @@ class TestStragglerInjection:
         healthy = run_workload(spec, view_for(spec), trace)
 
         pfs = HybridPFS(spec)
-        pfs.servers[0].slowdown = 4.0
+        pfs.servers[0].faults = slowed(4.0)
         degraded = replay_trace(pfs, view_for(spec), trace)
         assert degraded.makespan > healthy.makespan
 
@@ -96,16 +106,13 @@ class TestStragglerInjection:
         pfs = HybridPFS(spec)
         base = replay_trace(pfs, view_for(spec), trace).per_server_busy[0]
         pfs2 = HybridPFS(spec)
-        pfs2.servers[0].slowdown = 2.0
+        pfs2.servers[0].faults = slowed(2.0)
         doubled = replay_trace(pfs2, view_for(spec), trace).per_server_busy[0]
         assert doubled == pytest.approx(2 * base)
 
     def test_invalid_slowdown(self):
-        spec = ClusterSpec()
-        pfs = HybridPFS(spec)
-        pfs.servers[0].slowdown = 0.0
-        with pytest.raises(ValueError):
-            pfs.servers[0].submit("read", 1024)
+        with pytest.raises(ConfigurationError, match="slowdown factor"):
+            TransientSlowdown(server=0, factor=0.0)
 
     def test_mha_replan_routes_around_straggler(self):
         """Robustness extension: re-profiling on a degraded cluster and
