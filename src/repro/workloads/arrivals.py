@@ -126,10 +126,10 @@ class OpenArrivalWorkload(Workload):
 
     def columnar(self, *args: OpType | None) -> ColumnarTrace:
         """The re-stamped trace on the columnar spine; ``args`` is the
-        optional ``op`` (``"write"`` by default)."""
-        (op,) = args or ("write",)
+        optional ``op``, passed on to the wrapped workload (so no op
+        means that workload's own default)."""
         return open_arrivals(
-            self.inner.columnar(op).sorted_by_time(),
+            self.inner.columnar(*args).sorted_by_time(),
             self.rate,
             start=self.start,
             jitter=self.jitter,

@@ -9,6 +9,7 @@ from repro.workloads import (
     CheckpointWorkload,
     IORWorkload,
     OpenArrivalWorkload,
+    open_arrivals,
     poisson_arrival_times,
 )
 
@@ -77,7 +78,13 @@ class TestOpenArrivalWorkload:
             assert columns == as_columnar_trace(wrapped.trace(op))
             times = columns.data["timestamp"].tolist()
             assert times == poisson_arrival_times(len(columns), 100.0, stream=3)
-        assert wrapped.columnar() == wrapped.columnar("write")
+        # no op means the wrapped generator's own default (the full
+        # checkpoint mix here, not only its writes)
+        default = open_arrivals(
+            wrapped.inner.columnar().sorted_by_time(), 100.0, stream=3
+        )
+        assert wrapped.columnar() == default
+        assert len(default) == len(wrapped.inner.columnar())
 
     def test_name_and_validation(self):
         wrapped = OpenArrivalWorkload(inner(), rate=5.0)
