@@ -3,6 +3,11 @@
 A file is cut into ``stripe``-byte units distributed over the servers
 in round-robin order (Fig. 1 of the paper).  This is the OrangeFS /
 Lustre default that the DEF baseline uses with a 64 KB stripe.
+
+A layout is a value: two layouts with the same servers, stripe and
+object name map every extent the same way, compare equal and hash
+alike, so a table of premapped runs can be keyed on them.  Nothing
+changes a layout after construction.
 """
 
 from __future__ import annotations
@@ -73,6 +78,17 @@ class FixedStripeLayout(Layout):
             cycle=nservers * self.stripe,
             obj=self.obj,
         )
+
+    def _key(self) -> tuple[tuple[int, ...], int, str]:
+        return (self._servers, self.stripe, self.obj)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FixedStripeLayout):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

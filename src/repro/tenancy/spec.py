@@ -15,9 +15,10 @@ randomness comes later from the seeded arrival rewrite
 :class:`TenantSpec` checks its own fields on construction: weights and
 rates finite and positive, start and jitter finite and non-negative,
 shares in ``(0, 1]``, quotas in ``[0, 1]``, and schemes restricted to
-the static/flat-eligible families (the serve loop replays every tenant
-through one shared flat kernel; feedback schemes like SAW need the
-event engine and per-run state that cannot be premapped per shard).
+those whose mapping is fixed before the replay (every tenant's
+requests are premapped in its build shard; SAW's mapping depends on
+the latency feedback it sees during the shared replay, so it cannot
+be premapped per shard).
 :func:`validate_tenants` is the config-time fleet gate: tenant ids
 unique and dense, and shares **summing to at most 1** (the shaper
 hands out fractions of one cluster).
@@ -47,7 +48,8 @@ __all__ = [
 TENANT_CLASSES: tuple[str, ...] = ("hot", "tail")
 
 #: schemes a tenant may request: static views (or the MHA redirector),
-#: all flat-engine eligible and premappable per shard
+#: whose mappings do not depend on the replay, so each build shard can
+#: premap its tenant's requests
 SERVE_SCHEMES: tuple[str, ...] = ("DEF", "AAL", "HARL", "MHA")
 
 #: share sums within this of 1.0 still validate (float accumulation)

@@ -1,8 +1,11 @@
 """Tests for the DEF/AAL/HARL/MHA scheme builders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
+from repro.determinism import SANITIZE_ENV_VAR, ledger, reset_ledger
 from repro.exceptions import ConfigurationError, LayoutError
 from repro.layouts import check_tiling
 from repro.schemes import (
@@ -15,6 +18,7 @@ from repro.schemes import (
     scheme_names,
 )
 from repro.schemes.base import LayoutView
+from repro.tracing import Trace, TraceRecord
 from repro.units import KiB, MiB
 from repro.workloads import IORWorkload
 
@@ -102,6 +106,75 @@ class TestAAL:
     def test_invalid_step(self, bad):
         with pytest.raises(ConfigurationError, match="step"):
             AALScheme(step=bad)
+
+
+#: small traces over two files: 1–20 requests (AAL subsamples past 8
+#: below), clustered timestamps so burst ids vary, both ops
+small_traces = st.lists(
+    st.builds(
+        TraceRecord,
+        offset=st.integers(0, 255).map(lambda k: k * 4 * KiB),
+        timestamp=st.sampled_from([0.0, 0.0001, 0.2, 1.0, 1.0002, 3.0]),
+        rank=st.integers(0, 3),
+        file=st.sampled_from(["a", "b"]),
+        op=st.sampled_from(["read", "write"]),
+        size=st.integers(1, 64).map(lambda k: k * 4 * KiB),
+    ),
+    min_size=1,
+    max_size=20,
+).map(Trace)
+
+#: a full cluster and its HDD-only sub-cluster, the two shapes a
+#: demoted serve tenant is built on
+SHAPES = (
+    ClusterSpec(num_hservers=2, num_sservers=2),
+    ClusterSpec(num_hservers=2, num_sservers=2).with_ratio(2, 0),
+)
+
+
+class TestAALReuse:
+    """One instance building many traces in any order decides exactly
+    what a fresh instance per build decides, and draws the same
+    samples."""
+
+    @staticmethod
+    def build_all(builds, *, shared):
+        reset_ledger()
+        scheme = AALScheme(max_eval_requests=8)
+        results = []
+        for trace, spec in builds:
+            if not shared:
+                scheme = AALScheme(max_eval_requests=8)
+            view = scheme.build(spec, trace)
+            layouts = {f: view.layout_for(f) for f in trace.files()}
+            results.append((dict(scheme.decisions), layouts))
+        return results, ledger().snapshot()
+
+    @given(
+        traces=st.lists(small_traces, min_size=1, max_size=3),
+        order=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=8),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reuse_matches_a_fresh_instance_per_build(self, traces, order):
+        # every trace on both shapes, then a drawn interleaving of repeats
+        builds = [(trace, spec) for trace in traces for spec in SHAPES]
+        builds += [(traces[i % len(traces)], SHAPES[j]) for i, j in order]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(SANITIZE_ENV_VAR, "1")
+            try:
+                reused, reused_ledger = self.build_all(builds, shared=True)
+                fresh, fresh_ledger = self.build_all(builds, shared=False)
+            finally:
+                reset_ledger()
+        assert reused == fresh
+        # the SeedDomain.SAMPLE draws (and every other lineage) match
+        assert reused_ledger == fresh_ledger
+        subsampled = any(
+            len([r for r in trace if r.file == file]) > 8
+            for trace in traces
+            for file in trace.files()
+        )
+        assert bool(reused_ledger) == subsampled
 
 
 class TestHARL:
