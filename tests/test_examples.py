@@ -2,9 +2,11 @@
 
 CI's "Examples run" step only checks that each example exits 0.  The
 degraded-cluster example prints the bandwidths of a healthy, a
-straggling and a re-planned cluster, so its stdout is compared here
-with the text it printed when this pin was written: a change to how a
-server is slowed down must leave every number as it was.
+straggling and a re-planned cluster, and the checkpoint-reordering
+example those of a profiled DEF run and the MHA plan's redirected run,
+so their stdout is compared here with the text each printed when its
+pin was written: a change to how a server is slowed down or how a
+redirected request is mapped must leave every number as it was.
 """
 
 import os
@@ -26,6 +28,19 @@ stripe pairs (healthy -> re-planned):
   ior.dat.region3: <0, 4096> -> <0, 4096>
 """
 
+CHECKPOINT_REORDERING = """\
+profiled run (DEF layout): 72.40 MiB/s over 768 requests
+
+MHA plan: 3 regions, 768 DRT entries
+  checkpoint.dat.region0: stripes <0, 4096>, cost=0.2108s
+  checkpoint.dat.region1: stripes <0, 4096>, cost=0.0224s
+  checkpoint.dat.region2: stripes <0, 4096>, cost=0.2108s
+data migrated into regions: 64 MiB
+
+optimized run (MHA layout): 144.15 MiB/s
+speedup: 1.99x, with 768 requests redirected through the DRT
+"""
+
 
 def run_example(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -43,3 +58,9 @@ def test_degraded_cluster_output_is_pinned():
     result = run_example("degraded_cluster.py")
     assert result.returncode == 0, result.stderr
     assert result.stdout == DEGRADED_CLUSTER
+
+
+def test_checkpoint_reordering_output_is_pinned():
+    result = run_example("checkpoint_reordering.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == CHECKPOINT_REORDERING
