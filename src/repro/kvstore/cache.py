@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Generic, Hashable, TypeVar
 
+from ..exceptions import ConfigurationError
+
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
@@ -24,7 +26,7 @@ class LRUCache(Generic[K, V]):
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
+            raise ConfigurationError(f"capacity must be > 0, got {capacity}")
         self.capacity = capacity
         self._data: OrderedDict[K, V] = OrderedDict()
         self.hits = 0

@@ -43,6 +43,7 @@ import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_REPLAY_ENGINE
+from ..exceptions import ConfigurationError
 from ..layouts.base import SubRequest
 from ..simulate import Simulator, Waitable
 from ..tracing.columnar import ColumnarTrace, as_columnar_trace
@@ -394,7 +395,7 @@ def replay_trace(
     if engine is None:
         engine = DEFAULT_REPLAY_ENGINE
     if engine not in ("flat", "event"):
-        raise ValueError(f"unknown replay engine {engine!r}")
+        raise ConfigurationError(f"unknown replay engine {engine!r}")
     if fault_plan is not None:
         fault_plan.attach(pfs)
     pfs.reset_stats()

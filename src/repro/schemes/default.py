@@ -8,6 +8,7 @@ oblivious to both the access pattern and the server types.
 from __future__ import annotations
 
 from ..cluster import ClusterSpec
+from ..exceptions import ConfigurationError
 from ..layouts.fixed import FixedStripeLayout
 from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
@@ -27,7 +28,7 @@ class DEFScheme(Scheme):
 
     def __init__(self, stripe: int = DEFAULT_STRIPE) -> None:
         if stripe <= 0:
-            raise ValueError(f"stripe must be > 0, got {stripe}")
+            raise ConfigurationError(f"stripe must be > 0, got {stripe}")
         self.stripe = stripe
 
     def build(self, spec: ClusterSpec, trace: Trace | ColumnarTrace) -> LayoutView:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.kvstore import LRUCache
 
 
@@ -64,7 +65,7 @@ class TestLRUCache:
         assert len(c) == 0
 
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LRUCache(0)
 
     def test_len(self):

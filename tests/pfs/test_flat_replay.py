@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import repro.pfs.replay as replay_mod
 from repro.cluster import ClusterSpec
 from repro.core import DRT
+from repro.exceptions import ConfigurationError
 from repro.layouts import FixedStripeLayout
 from repro.pfs import HybridPFS, replay_trace, run_workload
 from repro.schemes import build_view, scheme_names
@@ -468,7 +469,7 @@ class TestEngineSelection:
 
     def test_unknown_engine_rejected(self):
         spec, trace = self.make()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             replay_trace(HybridPFS(spec), simple_view(spec), trace, engine="warp")
 
     def test_explicit_event_engine_skips_flat(self, monkeypatch):

@@ -68,7 +68,7 @@ class TestDEF:
         assert frags
 
     def test_invalid_stripe(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             DEFScheme(stripe=0)
 
 
