@@ -53,7 +53,7 @@ def main() -> None:
     second = run_workload(spec, plan.redirector, trace)
     print(f"\noptimized run (MHA layout): {format_bandwidth(second.bandwidth)}")
     print(f"speedup: {first.makespan / second.makespan:.2f}x, with "
-          f"{plan.redirector.stats.requests} requests redirected through the DRT")
+          f"{second.requests} requests redirected through the DRT")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from .placer import (
     migration_schedule,
     place_regions,
 )
-from .redirector import Redirector, RedirectorStats
+from .redirector import Redirector
 from .reorganizer import RegionPlan, ReorderPlan, reorganize
 from .rst import RST, StripePair
 
@@ -72,7 +72,6 @@ __all__ = [
     "migration_schedule",
     "estimate_migration_time",
     "Redirector",
-    "RedirectorStats",
     "MHAPipeline",
     "MHAPlan",
     "identity_redirector",

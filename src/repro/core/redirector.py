@@ -11,7 +11,6 @@ reproduces the paper's redirection-overhead experiment (Fig. 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,23 +21,7 @@ from ..layouts.base import Layout, SubRequest
 from ..layouts.batch import MergedRuns, merged_runs_of, runs_from_fragments
 from .drt import DRT, UNMAPPED, TranslatedExtent
 
-__all__ = ["Redirector", "RedirectorStats", "distinct_extents"]
-
-
-@dataclass
-class RedirectorStats:
-    """Operation counters for overhead analysis (Fig. 14)."""
-
-    requests: int = 0
-    translated_extents: int = 0
-    fallthrough_extents: int = 0
-    fragments: int = 0
-
-    def reset(self) -> None:
-        self.requests = 0
-        self.translated_extents = 0
-        self.fallthrough_extents = 0
-        self.fragments = 0
+__all__ = ["Redirector", "distinct_extents"]
 
 
 class Redirector:
@@ -63,7 +46,6 @@ class Redirector:
         self._drt = drt
         self._regions = dict(region_layouts)
         self._originals = dict(original_layouts)
-        self.stats = RedirectorStats()
 
     @property
     def drt(self) -> DRT:
@@ -85,26 +67,18 @@ class Redirector:
                 f"DRT points to region {region!r} with no layout"
             ) from None
 
-    def _target_layout(
-        self, file: str, extent: TranslatedExtent, weight: int = 1
-    ) -> Layout:
-        """The layout serving one translated extent; counts its kind
-        ``weight`` times (once per request that repeats the extent)."""
-        if extent.mapped:
-            self.stats.translated_extents += weight
-            return self._region_layout(extent.file)
-        self.stats.fallthrough_extents += weight
-        return self.layout_for(file)
-
     def _assemble(
-        self, file: str, extents: Sequence[TranslatedExtent], weight: int = 1
+        self, file: str, extents: Sequence[TranslatedExtent]
     ) -> list[SubRequest]:
         """Map translated extents through their layouts, rebasing the
-        fragments into the original file's coordinate space; counts
-        them ``weight`` times."""
+        fragments into the original file's coordinate space."""
         fragments: list[SubRequest] = []
         for extent in extents:
-            layout = self._target_layout(file, extent, weight)
+            layout = (
+                self._region_layout(extent.file)
+                if extent.mapped
+                else self.layout_for(file)
+            )
             base = extent.logical_offset - extent.offset
             for frag in layout.map_extent(extent.offset, extent.length):
                 fragments.append(
@@ -116,7 +90,6 @@ class Redirector:
                         logical_offset=base + frag.logical_offset,
                     )
                 )
-        self.stats.fragments += weight * len(fragments)
         return fragments
 
     def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
@@ -126,7 +99,6 @@ class Redirector:
         coordinate space, so callers can verify tiling and reassemble
         data irrespective of where the bytes physically moved.
         """
-        self.stats.requests += 1
         return self._assemble(file, self._drt.translate(file, offset, length))
 
     @twin_of(
@@ -147,8 +119,7 @@ class Redirector:
         single piece — the common case once a file is fully reordered,
         and always the case for an identity DRT — are grouped per
         target layout and pushed through its vectorized kernel.
-        Multi-piece extents take the exact object path.  Statistics
-        count every request, as :meth:`map_request` does; the DRT's
+        Multi-piece extents take the exact object path.  The DRT's
         hot-entry counters are left to the per-record path.
         """
         off = np.asarray(offsets, dtype=np.int64).reshape(-1)
@@ -159,52 +130,36 @@ class Redirector:
             )
         repeats = distinct_extents(off, lng)
         if repeats is None:
-            runs, owner, shifts = self._distinct_runs(
-                file, off, lng, np.ones(off.size, np.int64)
-            )
-            return runs.take(owner, runs.n_fragments, shifts)
+            runs, owner = self._distinct_runs(file, off, lng)
+            return runs.take(owner)
         first, inverse = repeats
-        runs, owner, shifts = self._distinct_runs(
-            file, off[first], lng[first], np.bincount(inverse)
-        )
-        return runs.take(owner[inverse], runs.n_fragments, shifts[inverse])
+        runs, owner = self._distinct_runs(file, off[first], lng[first])
+        return runs.take(owner[inverse])
 
     def _distinct_runs(
-        self, file: str, off: np.ndarray, lng: np.ndarray, weights: np.ndarray
-    ) -> tuple[MergedRuns, np.ndarray, np.ndarray]:
-        """Merged runs of distinct extents, extent ``k`` standing for
-        ``weights[k]`` requests in the statistics and in
-        ``n_fragments``.
+        self, file: str, off: np.ndarray, lng: np.ndarray
+    ) -> tuple[MergedRuns, np.ndarray]:
+        """Merged runs of distinct extents: extent ``k``'s runs are
+        extent ``owner[k]`` of the returned batch.
 
-        Returns ``(runs, owner, shifts)``: extent ``k``'s runs are
-        extent ``owner[k]`` of ``runs``, with ``shifts[k]`` to add to
-        their first logical offsets.  ``runs`` concatenates the
-        single-piece extents' kernel calls, one per (target file,
-        weight) because the kernels report pre-merge fragments per
-        call, not per extent, and then the multi-piece extents'
-        object-path runs.
+        The batch concatenates the single-piece extents' kernel calls,
+        one per target file (a single piece's runs do not depend on
+        where it sits in the original file), then the multi-piece
+        extents' object-path runs.
         """
         pieces = self._drt.translate_many(file, off, lng)
-        self.stats.requests += int(weights.sum())
         per_extent = np.diff(pieces.starts)
         owner = np.zeros(off.size, dtype=np.int64)
-        shifts = np.zeros(off.size, dtype=np.int64)
         parts: list[MergedRuns] = []
         n_extents = 0
-        n_fragments = 0
 
         single = np.flatnonzero(per_extent == 1)
         piece = pieces.starts[single]
         code = pieces.files[piece]
-        weight = weights[single]
-        mapped = code != UNMAPPED
-        self.stats.translated_extents += int(weight[mapped].sum())
-        self.stats.fallthrough_extents += int(weight[~mapped].sum())
-        order = np.lexsort((weight, code))
+        order = np.argsort(code, kind="stable")
         code = code[order]
-        weight = weight[order]
         head = np.ones(order.size, dtype=bool)
-        head[1:] = (code[1:] != code[:-1]) | (weight[1:] != weight[:-1])
+        head[1:] = code[1:] != code[:-1]
         bounds = [*np.flatnonzero(head).tolist(), order.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             c = int(code[lo])
@@ -214,36 +169,26 @@ class Redirector:
                 else self._region_layout(pieces.names[c])
             )
             at = piece[order[lo:hi]]
-            runs = merged_runs_of(
-                layout, pieces.offsets[at].tolist(), pieces.lengths[at].tolist()
+            parts.append(
+                merged_runs_of(
+                    layout, pieces.offsets[at].tolist(), pieces.lengths[at].tolist()
+                )
             )
-            counted = int(weight[lo]) * runs.n_fragments
-            self.stats.fragments += counted
-            n_fragments += counted
-            parts.append(runs)
-            items = single[order[lo:hi]]
-            owner[items] = n_extents + np.arange(hi - lo)
-            shifts[items] = pieces.logicals[at] - pieces.offsets[at]
+            owner[single[order[lo:hi]]] = n_extents + np.arange(hi - lo)
             n_extents += hi - lo
 
         for item in np.flatnonzero(per_extent > 1).tolist():
-            w = int(weights[item])
-            # _assemble counts the extent's pieces and fragments itself
-            fragments = self._assemble(file, pieces.extents(item), w)
-            n_fragments += w * len(fragments)
+            fragments = self._assemble(file, pieces.extents(item))
             parts.append(runs_from_fragments(fragments))
             owner[item] = n_extents
             n_extents += 1
 
         empty = per_extent == 0
         if empty.any():
-            parts.append(MergedRuns([], [], [], [], [], [0, 0], 0))
+            parts.append(MergedRuns([], [], [0, 0]))
             owner[empty] = n_extents
 
-        runs = MergedRuns.concat(parts)
-        # the parts count an extent's fragments once, not per request
-        runs.n_fragments = n_fragments
-        return runs, owner, shifts
+        return MergedRuns.concat(parts), owner
 
 
 def distinct_extents(

@@ -6,12 +6,7 @@ which layout to build live in :mod:`repro.schemes`.
 """
 
 from .base import Layout, SubRequest, check_tiling
-from .extents import (
-    bytes_in_window,
-    per_server_bytes,
-    per_server_bytes_batch,
-    windows_touched,
-)
+from .extents import bytes_in_window, per_server_bytes, per_server_bytes_batch
 from .fixed import FixedStripeLayout
 from .region import Region, RegionLayout
 from .varied import VariedStripeLayout
@@ -25,7 +20,6 @@ __all__ = [
     "Region",
     "RegionLayout",
     "bytes_in_window",
-    "windows_touched",
     "per_server_bytes",
     "per_server_bytes_batch",
 ]

@@ -7,14 +7,16 @@ holds the shared machinery:
 
 * :class:`MergedRuns` — the columnar result: per-extent *merged* runs
   (one contiguous server-object range each, exactly what
-  :func:`merge_fragments` would produce) stored as parallel lists with
-  ``starts`` boundaries, plus the pre-merge fragment count;
+  :func:`merge_fragments` would produce) as server and length lists
+  with ``starts`` boundaries.  A run's service time depends on its
+  server and its byte count alone (Eq. 2, and the simulator's one
+  service law), so those are all a premapped run keeps;
 * :func:`periodic_merged_runs` — the NumPy kernel for round-robin
   striping.  Both fixed and varied striping are periodic: server ``j``
   owns the window ``[a_j, a_j + w_j)`` of every ``cycle``-byte period,
   so a contiguous extent produces **at most one merged run per
-  server**, whose length and object offset follow from the same
-  cumulative-window closed form as :func:`repro.layouts.extents`;
+  server**, whose length follows from the same cumulative-window
+  closed form as :func:`repro.layouts.extents.bytes_in_window`;
 * :func:`merged_runs_of` — dispatch: a layout's vectorized
   ``merged_extent_runs`` kernel when it has one, otherwise the exact
   per-extent object path (``map_extent`` + :func:`merge_fragments`);
@@ -42,12 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "MergedRuns",
-    "RunColumns",
     "in_request_order",
     "merge_fragments",
     "merged_runs_of",
     "periodic_merged_runs",
-    "run_columns",
     "runs_from_fragments",
 ]
 
@@ -102,104 +102,41 @@ def merge_fragments(fragments: Iterable[SubRequest]) -> list[SubRequest]:
     ]
 
 
-#: one request's merged runs as columns: servers, objects, object
-#: offsets, lengths and first logical offsets
-RunColumns = tuple[list[int], list[str], list[int], list[int], list[int]]
-
-
-def run_columns(runs: Sequence[SubRequest]) -> RunColumns:
-    """Merged runs as :data:`RunColumns`, in the order given."""
-    return (
-        [f.server for f in runs],
-        [f.obj for f in runs],
-        [f.offset for f in runs],
-        [f.length for f in runs],
-        [f.logical_offset for f in runs],
-    )
-
-
 @dataclass
 class MergedRuns:
     """Columnar merged sub-requests for a batch of extents.
 
-    Run ``j`` is one contiguous range of a server object; the runs of
-    extent ``k`` occupy ``[starts[k], starts[k+1])`` and are sorted by
-    ``first_logicals`` (the logical offset of the run's first byte) —
-    exactly the fragments :func:`merge_fragments` would return for the
-    same extent, as columns instead of dataclasses.  ``n_fragments``
-    counts the *pre-merge* fragments across the whole batch (what
-    ``map_extent`` would have produced), preserving the redirector's
-    overhead accounting.
+    Run ``j`` is one contiguous range of a server object, ``lengths[j]``
+    bytes on server ``servers[j]``; the runs of extent ``k`` occupy
+    ``[starts[k], starts[k+1])`` in ascending order of their first
+    logical byte — exactly the servers and lengths of the fragments
+    :func:`merge_fragments` would return for the same extent, in the
+    same order.
     """
 
     servers: list[int]
-    objs: list[str]
-    offsets: list[int]
     lengths: list[int]
-    first_logicals: list[int]
     starts: list[int]
-    n_fragments: int
 
     @property
     def n_extents(self) -> int:
         return len(self.starts) - 1
 
-    def subrequests(self, k: int) -> list[SubRequest]:
-        """Extent ``k``'s merged runs as :class:`SubRequest` objects."""
-        lo, hi = self.starts[k], self.starts[k + 1]
-        return [
-            SubRequest(
-                server=self.servers[j],
-                obj=self.objs[j],
-                offset=self.offsets[j],
-                length=self.lengths[j],
-                logical_offset=self.first_logicals[j],
-            )
-            for j in range(lo, hi)
-        ]
-
     @classmethod
     def concat(cls, parts: Sequence["MergedRuns"]) -> "MergedRuns":
-        """The batch holding every part's extents, part after part;
-        its pre-merge fragment count is the parts' sum."""
+        """The batch holding every part's extents, part after part."""
         servers: list[int] = []
-        objs: list[str] = []
-        offsets: list[int] = []
         lengths: list[int] = []
-        firsts: list[int] = []
         starts: list[int] = [0]
         for part in parts:
             shift = len(servers)
             starts.extend(s + shift for s in part.starts[1:])
             servers.extend(part.servers)
-            objs.extend(part.objs)
-            offsets.extend(part.offsets)
             lengths.extend(part.lengths)
-            firsts.extend(part.first_logicals)
-        return cls(
-            servers=servers,
-            objs=objs,
-            offsets=offsets,
-            lengths=lengths,
-            first_logicals=firsts,
-            starts=starts,
-            n_fragments=sum(part.n_fragments for part in parts),
-        )
+        return cls(servers=servers, lengths=lengths, starts=starts)
 
-    def take(
-        self,
-        extents: Sequence[int] | np.ndarray,
-        n_fragments: int,
-        shifts: np.ndarray | None = None,
-    ) -> "MergedRuns":
-        """The batch whose extent ``i`` has extent ``extents[i]``'s runs,
-        their first logical offsets moved by ``shifts[i]`` when given
-        (a region or DRT coordinate shift).
-
-        ``n_fragments`` is the new batch's pre-merge fragment count,
-        which only the caller knows: this batch holds a total, not a
-        count per extent.
-        """
+    def take(self, extents: Sequence[int] | np.ndarray) -> "MergedRuns":
+        """The batch whose extent ``i`` has extent ``extents[i]``'s runs."""
         index = np.asarray(extents, dtype=np.intp).reshape(-1)
         bounds = np.asarray(self.starts, dtype=np.intp)
         lo = bounds[index]
@@ -208,17 +145,10 @@ class MergedRuns:
         np.cumsum(counts, out=starts[1:])
         # run j of the new batch is run runs[j] of this one
         runs = np.repeat(lo - starts[:-1], counts) + np.arange(starts[-1])
-        firsts = np.asarray(self.first_logicals, dtype=np.int64)[runs]
-        if shifts is not None:
-            firsts += np.repeat(np.asarray(shifts, dtype=np.int64), counts)
         return MergedRuns(
             servers=np.asarray(self.servers, dtype=np.int64)[runs].tolist(),
-            objs=np.asarray(self.objs, dtype=object)[runs].tolist(),
-            offsets=np.asarray(self.offsets, dtype=np.int64)[runs].tolist(),
             lengths=np.asarray(self.lengths, dtype=np.int64)[runs].tolist(),
-            first_logicals=firsts.tolist(),
             starts=starts.tolist(),
-            n_fragments=n_fragments,
         )
 
 
@@ -226,7 +156,9 @@ def runs_from_fragments(fragments: Sequence[SubRequest]) -> MergedRuns:
     """A single-extent :class:`MergedRuns` from an explicit fragment list."""
     merged = merge_fragments(fragments)
     return MergedRuns(
-        *run_columns(merged), starts=[0, len(merged)], n_fragments=len(fragments)
+        servers=[f.server for f in merged],
+        lengths=[f.length for f in merged],
+        starts=[0, len(merged)],
     )
 
 
@@ -237,15 +169,14 @@ def in_request_order(
     extent ``k`` of ``parts[p]``.
 
     ``rows`` partitions the request indices ``0..n-1``.  The parts are
-    concatenated and taken back into request order in one gather; the
-    pre-merge fragment count is the parts' sum.
+    concatenated and taken back into request order in one gather.
     """
     merged = MergedRuns.concat(parts)
     n = merged.n_extents
     position = np.empty(n, dtype=np.intp)
     if n:
         position[np.concatenate(rows)] = np.arange(n)
-    return merged.take(position, merged.n_fragments)
+    return merged.take(position)
 
 
 def periodic_merged_runs(
@@ -256,7 +187,6 @@ def periodic_merged_runs(
     window_widths: np.ndarray,
     window_servers: np.ndarray,
     cycle: int,
-    obj: str,
 ) -> MergedRuns:
     """Vectorized merged-run mapping for periodic round-robin striping.
 
@@ -271,11 +201,8 @@ def periodic_merged_runs(
     :func:`repro.layouts.extents.bytes_in_window` closed form):
 
     * run length  = ``cum_j(end) - cum_j(offset)``;
-    * run object offset = ``cum_j(offset)``;
     * run first logical byte = ``offset`` if ``offset`` lies in the
-      window, else ``offset + ((a_j - offset) mod cycle)``;
-    * pre-merge fragment count = windows-touched
-      (:func:`repro.layouts.extents.windows_touched`).
+      window, else ``offset + ((a_j - offset) mod cycle)``.
 
     Runs per extent are emitted in ascending first-logical order — the
     exact output order of ``merge_fragments(map_extent(...))``.
@@ -290,14 +217,13 @@ def periodic_merged_runs(
         )
     n = off.size
     if n == 0:
-        return MergedRuns([], [], [], [], [], [0], 0)
+        return MergedRuns([], [], [0])
     if int(off.min()) < 0 or int(lng.min()) < 0:
         raise LayoutError("offset and length must be non-negative")
     a = window_starts[None, :]
     w = window_widths[None, :]
     lo = off[:, None]
-    hi = (off + lng)[:, None]
-    full_hi, rem_hi = np.divmod(hi, cycle)
+    full_hi, rem_hi = np.divmod((off + lng)[:, None], cycle)
     full_lo, rem_lo = np.divmod(lo, cycle)
     cum_hi = full_hi * w + np.clip(rem_hi - a, 0, w)
     cum_lo = full_lo * w + np.clip(rem_lo - a, 0, w)
@@ -315,18 +241,10 @@ def periodic_merged_runs(
     np.cumsum(counts, out=row_starts[1:])
     rows = np.repeat(np.arange(n), counts)
     cols = order[rows, np.arange(total) - row_starts[rows]]
-    # pre-merge fragment count == distinct window instances intersected
-    k_max = (hi - a - 1) // cycle
-    k_lo = -((-(lo - a - w + 1)) // cycle)  # ceil division
-    touched = np.where(mask, k_max - k_lo + 1, 0)
     return MergedRuns(
         servers=window_servers[cols].tolist(),
-        objs=[obj] * total,
-        offsets=cum_lo[rows, cols].tolist(),
         lengths=run_len[rows, cols].tolist(),
-        first_logicals=first[rows, cols].tolist(),
         starts=row_starts.tolist(),
-        n_fragments=int(touched.sum()),
     )
 
 
@@ -337,31 +255,14 @@ def generic_merged_runs(
 ) -> MergedRuns:
     """Exact per-extent fallback: ``map_extent`` + :func:`merge_fragments`."""
     servers: list[int] = []
-    objs: list[str] = []
-    offs: list[int] = []
     lens: list[int] = []
-    firsts: list[int] = []
     starts: list[int] = [0]
-    n_fragments = 0
     for offset, length in zip(offsets, lengths):
-        fragments = map_extent(int(offset), int(length))
-        n_fragments += len(fragments)
-        for frag in merge_fragments(fragments):
+        for frag in merge_fragments(map_extent(int(offset), int(length))):
             servers.append(frag.server)
-            objs.append(frag.obj)
-            offs.append(frag.offset)
             lens.append(frag.length)
-            firsts.append(frag.logical_offset)
         starts.append(len(servers))
-    return MergedRuns(
-        servers=servers,
-        objs=objs,
-        offsets=offs,
-        lengths=lens,
-        first_logicals=firsts,
-        starts=starts,
-        n_fragments=n_fragments,
-    )
+    return MergedRuns(servers=servers, lengths=lens, starts=starts)
 
 
 def merged_runs_of(

@@ -4,9 +4,9 @@ The RSSD stripe search (Algorithm 2) evaluates the cost model for
 hundreds of ``<h, s>`` candidates over every request in a region.
 Enumerating fragments for each combination would be quadratic in
 practice, so the cost model instead uses the *closed-form* functions
-here: how many bytes of a logical extent land on each server, and how
-many distinct stripe windows (hence positioning startups) it touches —
-in O(M + N) per request with no fragment lists.
+here: how many bytes of a logical extent land on each server, in
+O(M + N) per request with no fragment lists, and (over a grid of
+stripe pairs) how many requests touch each server.
 
 Correctness is cross-checked against the explicit fragment mapper in
 property tests (``tests/layouts/test_extents.py``).
@@ -20,7 +20,6 @@ from ..contracts import twin_of
 
 __all__ = [
     "bytes_in_window",
-    "windows_touched",
     "per_server_bytes",
     "per_server_bytes_batch",
     "length_bands",
@@ -46,29 +45,6 @@ def bytes_in_window(offset: int, length: int, start: int, width: int, cycle: int
         return full * width + min(max(rem - start, 0), width)
 
     return cumulative(offset + length) - cumulative(offset)
-
-
-def windows_touched(offset: int, length: int, start: int, width: int, cycle: int) -> int:
-    """Number of distinct periodic windows the extent intersects.
-
-    Window ``k`` occupies ``[k*cycle + start, k*cycle + start + width)``.
-    Each touched window is one contiguous fragment on that server, i.e.
-    one potential positioning startup.
-    """
-    if width <= 0 or length <= 0:
-        return 0
-    if cycle <= 0:
-        raise ValueError(f"cycle must be > 0, got {cycle}")
-    end = offset + length
-    # Window k intersects iff  k*cycle + start < end  and
-    # k*cycle + start + width > offset, i.e.
-    #   k <= floor((end - start - 1) / cycle)   and
-    #   k >= ceil((offset - start - width + 1) / cycle).
-    k_max = (end - start - 1) // cycle
-    k_lo = -((-(offset - start - width + 1)) // cycle)  # ceil division
-    if k_max < k_lo:
-        return 0
-    return k_max - k_lo + 1
 
 
 def per_server_bytes(

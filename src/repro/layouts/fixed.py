@@ -76,7 +76,6 @@ class FixedStripeLayout(Layout):
             window_widths=np.full(nservers, self.stripe, dtype=np.int64),
             window_servers=np.asarray(self._servers, dtype=np.int64),
             cycle=nservers * self.stripe,
-            obj=self.obj,
         )
 
     def _key(self) -> tuple[tuple[int, ...], int, str]:

@@ -163,43 +163,21 @@ class RegionLayout(Layout):
                 batch[0].append(cursor - region.start)
                 batch[1].append(region_end - cursor)
                 cursor = region_end
-        runs_by_region: dict[int, MergedRuns] = {}
-        n_fragments = 0
-        for idx, (local_offsets, local_lengths) in per_region.items():
-            runs = merged_runs_of(
-                self._regions[idx].layout, local_offsets, local_lengths
-            )
-            runs_by_region[idx] = runs
-            n_fragments += runs.n_fragments
+        runs_by_region = {
+            idx: merged_runs_of(self._regions[idx].layout, *batch)
+            for idx, batch in per_region.items()
+        }
         servers: list[int] = []
-        objs: list[str] = []
-        offs: list[int] = []
         lens: list[int] = []
-        firsts: list[int] = []
         starts: list[int] = [0]
         for k in range(n):
             for idx, j in pieces[k]:
                 runs = runs_by_region[idx]
                 lo, hi = runs.starts[j], runs.starts[j + 1]
-                base = self._regions[idx].start
                 servers.extend(runs.servers[lo:hi])
-                objs.extend(runs.objs[lo:hi])
-                offs.extend(runs.offsets[lo:hi])
                 lens.extend(runs.lengths[lo:hi])
-                if base:
-                    firsts.extend(x + base for x in runs.first_logicals[lo:hi])
-                else:
-                    firsts.extend(runs.first_logicals[lo:hi])
             starts.append(len(servers))
-        return MergedRuns(
-            servers=servers,
-            objs=objs,
-            offsets=offs,
-            lengths=lens,
-            first_logicals=firsts,
-            starts=starts,
-            n_fragments=n_fragments,
-        )
+        return MergedRuns(servers=servers, lengths=lens, starts=starts)
 
     def __repr__(self) -> str:
         return f"RegionLayout({len(self._regions)} regions, obj={self.obj!r})"

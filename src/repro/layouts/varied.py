@@ -147,7 +147,6 @@ class VariedStripeLayout(Layout):
             window_widths=np.asarray(widths, dtype=np.int64),
             window_servers=np.asarray(servers, dtype=np.int64),
             cycle=self._cycle,
-            obj=self.obj,
         )
 
     def __repr__(self) -> str:

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.pipeline import MHAPlan
-from ..core.redirector import RedirectorStats
 from ..exceptions import ConfigurationError
 from ..layouts.base import SubRequest
 from ..pfs.system import HybridPFS
@@ -56,7 +55,6 @@ class EpochRedirector:
         self._old_view = plan.redirector
         self.new_plan: MHAPlan | None = None
         self.flipped: set[str] = set()
-        self.stats = RedirectorStats()
         self.epochs = 0
 
     @property
@@ -95,15 +93,11 @@ class EpochRedirector:
 
     def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
         """Resolve a request through the current epoch state."""
-        self.stats.requests += 1
         if self.new_plan is None:
-            fragments = self._old_view.map_request(file, offset, length)
-        else:
-            fragments = _map_epoch(
-                self.new_plan, self.flipped, self._old_view, file, offset, length
-            )
-        self.stats.fragments += len(fragments)
-        return fragments
+            return self._old_view.map_request(file, offset, length)
+        return _map_epoch(
+            self.new_plan, self.flipped, self._old_view, file, offset, length
+        )
 
 
 class _ChainedView:

@@ -83,9 +83,9 @@ def mapped_runs(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
     gathered into record order by
     :func:`~repro.layouts.batch.in_request_order`; anything else falls
     back to per-record ``map_request``.
-    Either way run ``k`` of the result equals what the event path's
-    ``merge_fragments(view.map_request(...))`` produces for record
-    ``k``.
+    Either way extent ``k``'s runs have the servers and lengths, in
+    order, of the event path's ``merge_fragments(view.map_request(...))``
+    for record ``k``.
     """
     batch = getattr(view, "merged_runs", None)
     d = trace.data

@@ -12,8 +12,8 @@
    re-stamp of the timestamp column, namespacing of the rank, pid and
    file-name columns, scheme build, per-file columnar premapping,
    SServer-quota enforcement.  The tenant's
-   :class:`~repro.tracing.columnar.ColumnarTrace` and its
-   ``MergedRuns`` are the exchange format back to the coordinator.
+   :class:`~repro.tracing.columnar.ColumnarTrace`, its ``MergedRuns``
+   and its file view are the exchange format back to the coordinator.
 3. **Deterministic merge** — admission control
    (:func:`~repro.tenancy.admission.admission_offsets`), per-tenant
    token-bucket shaping at ``share × nominal`` rate, and SCFQ weighted
@@ -230,7 +230,9 @@ def serve_scenario(
                 )
             runs_by_file[file] = runs
             requests_by_file[file] = build.requests_by_file[file]
-    view = TenantRoutingView(runs_by_file, requests_by_file)
+    view = TenantRoutingView(
+        runs_by_file, requests_by_file, {build.tenant: build.view for build in builds}
+    )
 
     pfs = HybridPFS(spec)
     metrics = replay_trace(

@@ -23,18 +23,19 @@ namespace, so most of them build the same layouts.  One
 :class:`TenantLayouts` table per :func:`build_tenants` call lets every
 distinct layout be built once: a tenant builds its scheme and premaps
 its requests on its *tenant-local* trace (file names without the
-tenant prefix), and only then moves the trace, the file keys and each
-run's object into its namespace.  The table shares one scheme object
-per scheme name (AAL keeps the stripe of every search on the
-instance) and the premapped runs of every distinct ``(layout, offset
-column, size column)``.  Every entry is keyed on the complete input of
-the work it replaces, and that work is deterministic, so no result can
-depend on what an earlier tenant left in the table: each build is
-bit-identical to building the tenant from scratch on its namespaced
-trace (``tests/tenancy/test_shard.py``).  With ``n_jobs > 1`` each
-task is pickled with its own copy of the empty table, so tasks run by
-workers share nothing and build every layout themselves; results are
-the same at every job count.
+tenant prefix), and only then moves the trace and the file keys into
+its namespace.  A premapped run is a server and a length, which no
+file name enters, so the runs need no renaming and tenants share
+them.  The table shares one scheme object per scheme name (AAL keeps
+the stripe of every search on the instance) and the premapped runs of
+every distinct ``(layout, offset column, size column)``.  Every entry
+is keyed on the complete input of the work it replaces, and that work
+is deterministic, so no result can depend on what an earlier tenant
+left in the table: each build is bit-identical to building the tenant
+from scratch on its namespaced trace (``tests/tenancy/test_shard.py``).
+With ``n_jobs > 1`` each task is pickled with its own copy of the
+empty table, so tasks run by workers share nothing and build every
+layout themselves; results are the same at every job count.
 
 The SServer quota is enforced here, at build time, the way a real
 deployment would: if a tenant's premapped placement puts more than
@@ -47,7 +48,7 @@ and all-HDD — in the full cluster) and the build is flagged
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_ARRIVAL_SEED
@@ -55,6 +56,7 @@ from ..core.parallel import parallel_map
 from ..effects import effects
 from ..layouts.base import Layout
 from ..layouts.batch import MergedRuns
+from ..pfs.replay import FileView
 from ..schemes.base import LayoutView, Scheme
 from ..schemes.registry import make_scheme
 from ..tracing.columnar import ColumnarTrace
@@ -71,9 +73,9 @@ __all__ = [
     "build_tenants",
 ]
 
-#: one scheme build's premap: runs and request columns per file, and
-#: the bytes the runs put on SServers
-Premap = tuple[dict[str, MergedRuns], dict[str, RequestColumns], int]
+#: one scheme build's premap: the view it mapped through, runs and
+#: request columns per file, and the bytes the runs put on SServers
+Premap = tuple[FileView, dict[str, MergedRuns], dict[str, RequestColumns], int]
 
 
 class TenantLayouts:
@@ -86,7 +88,7 @@ class TenantLayouts:
     equals only itself, so its runs are never shared.  A view that is
     not a :class:`~repro.schemes.base.LayoutView` (MHA's redirector)
     premaps every build itself.  Callers must not change the runs they
-    get: tenants share their column lists.
+    get: tenants share them.
     """
 
     def __init__(self) -> None:
@@ -96,7 +98,8 @@ class TenantLayouts:
     def premap(
         self, spec: ClusterSpec, scheme_name: str, trace: ColumnarTrace
     ) -> Premap:
-        """Build the scheme, batch-map each file's requests, report SSD bytes."""
+        """Build the scheme, batch-map each file's requests through its
+        view, report SSD bytes."""
         scheme = self._schemes.get(scheme_name)
         if scheme is None:
             scheme = self._schemes[scheme_name] = make_scheme(scheme_name)
@@ -126,7 +129,7 @@ class TenantLayouts:
             for server, length in zip(runs.servers, runs.lengths):
                 if server >= sserver_floor:
                     ssd_bytes += length
-        return runs_by_file, requests_by_file, ssd_bytes
+        return view, runs_by_file, requests_by_file, ssd_bytes
 
 
 @dataclass(frozen=True)
@@ -152,12 +155,16 @@ class TenantBuild:
 
     ``trace`` is the tenant's namespaced, arrival-stamped trace in time
     order; ``runs_by_file`` / ``requests_by_file`` are its premapped
-    per-file columnar runs and the matching offset and size columns.
+    per-file columnar runs and the matching offset and size columns,
+    keyed by namespaced file.  ``view`` is the file view the runs were
+    mapped through (the HDD-only rebuild's for a demoted tenant), over
+    tenant-local file names.
     """
 
     tenant: int
     klass: str
     trace: ColumnarTrace
+    view: FileView
     runs_by_file: dict[str, MergedRuns]
     requests_by_file: dict[str, RequestColumns]
     total_bytes: int
@@ -169,21 +176,13 @@ class TenantBuild:
         return len(self.trace)
 
 
-def _namespaced(runs: MergedRuns, tenant: int) -> MergedRuns:
-    """``runs`` with every object inside ``tenant``'s namespace; the
-    other columns are shared, not copied."""
-    names = {obj: tenant_file(tenant, obj) for obj in dict.fromkeys(runs.objs)}
-    return replace(runs, objs=[names[obj] for obj in runs.objs])
-
-
 @effects("READS_CONFIG", "IO")
 def build_tenant(task: TenantBuildTask) -> TenantBuild:
     """One tenant's full shard pipeline (module-level: picklable).
 
     The scheme is built and the requests premapped on the re-stamped,
-    tenant-local trace, through the task's layout table; the trace,
-    the file keys and every run's object then move into the tenant's
-    namespace.
+    tenant-local trace, through the task's layout table; the trace and
+    the file keys then move into the tenant's namespace.
     """
     tenant = task.tenant
     layouts = task.layouts if task.layouts is not None else TenantLayouts()
@@ -196,7 +195,9 @@ def build_tenant(task: TenantBuildTask) -> TenantBuild:
         stream=tenant.tenant,
     )
     trace = namespace_trace(local, tenant.tenant, stride=task.rank_stride)
-    runs, requests, ssd_bytes = layouts.premap(task.spec, tenant.scheme, local)
+    view, runs, requests, ssd_bytes = layouts.premap(
+        task.spec, tenant.scheme, local
+    )
     total_bytes = local.total_bytes()
     demoted = False
     if (
@@ -207,14 +208,17 @@ def build_tenant(task: TenantBuildTask) -> TenantBuild:
         and ssd_bytes > tenant.sserver_quota * total_bytes
     ):
         hdd_only = task.spec.with_ratio(task.spec.num_hservers, 0)
-        runs, requests, ssd_bytes = layouts.premap(hdd_only, tenant.scheme, local)
+        view, runs, requests, ssd_bytes = layouts.premap(
+            hdd_only, tenant.scheme, local
+        )
         demoted = True
     return TenantBuild(
         tenant=tenant.tenant,
         klass=tenant.klass,
         trace=trace,
+        view=view,
         runs_by_file={
-            tenant_file(tenant.tenant, file): _namespaced(file_runs, tenant.tenant)
+            tenant_file(tenant.tenant, file): file_runs
             for file, file_runs in runs.items()
         },
         requests_by_file={

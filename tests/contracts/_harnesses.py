@@ -664,6 +664,19 @@ def _drt_translate(contract):
     return test
 
 
+def _extent_runs(runs, k):
+    """Extent ``k`` of a run batch as ``(servers, lengths)``."""
+    lo, hi = runs.starts[k], runs.starts[k + 1]
+    return runs.servers[lo:hi], runs.lengths[lo:hi]
+
+
+def _merged(fragments):
+    """``merge_fragments`` reduced to the ``(servers, lengths)`` a run
+    batch keeps."""
+    merged = merge_fragments(fragments)
+    return [f.server for f in merged], [f.length for f in merged]
+
+
 def _build_redirector(spec):
     drt = DRT()
     drt.add(DRTEntry("f", 0, 64 * KiB, "f.r0", 0))
@@ -688,11 +701,7 @@ def _redirector_runs(contract):
         )
         assert runs.n_extents == len(probes)
         for k, (o, l) in enumerate(probes):
-            assert runs.subrequests(k) == merge_fragments(
-                scalar.map_request("f", o, l)
-            )
-        assert batched.stats == scalar.stats
-        assert runs.n_fragments == scalar.stats.fragments
+            assert _extent_runs(runs, k) == _merged(scalar.map_request("f", o, l))
 
     return test
 
@@ -719,9 +728,7 @@ def _layout_view_runs(contract):
         )
         assert runs.n_extents == len(probes)
         for k, (o, l) in enumerate(probes):
-            assert runs.subrequests(k) == merge_fragments(
-                view.map_request(file, o, l)
-            )
+            assert _extent_runs(runs, k) == _merged(view.map_request(file, o, l))
 
     return test
 
@@ -763,9 +770,7 @@ def _saw_runs(contract):
         runs = view.merged_runs("f", [o for o, _ in probes], [l for _, l in probes])
         assert runs.n_extents == len(probes)
         for k, (o, l) in enumerate(probes):
-            assert runs.subrequests(k) == merge_fragments(
-                view.map_request("f", o, l)
-            )
+            assert _extent_runs(runs, k) == _merged(view.map_request("f", o, l))
 
     return test
 

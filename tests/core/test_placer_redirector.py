@@ -95,17 +95,6 @@ class TestRedirector:
         frags = r.map_request("f", 2000, 500)
         assert frags[0].logical_offset == 2000
 
-    def test_stats_counted(self, spec):
-        r = self.make(spec)
-        r.map_request("f", 0, 100)
-        r.map_request("f", 1500, 100)
-        assert r.stats.requests == 2
-        assert r.stats.translated_extents == 1
-        assert r.stats.fallthrough_extents == 1
-        assert r.stats.fragments >= 2
-        r.stats.reset()
-        assert r.stats.requests == 0
-
     def test_missing_region_layout_raises(self, spec):
         drt = DRT()
         drt.add(DRTEntry("f", 0, 100, "ghost", 0))

@@ -2,8 +2,9 @@
 
 Every batch API the flat replay kernel maps requests through — layout
 ``merged_extent_runs``, :func:`merged_runs_of`, ``LayoutView.merged_runs``
-and the MHA redirector's ``merged_runs`` — is checked
-fragment-for-fragment against the scalar path it replaces.
+and the MHA redirector's ``merged_runs`` — is checked run for run
+against the scalar path it replaces: each extent's servers and lengths
+equal those of ``merge_fragments`` over its fragments, in order.
 """
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.layouts.batch import (
     in_request_order,
     merge_fragments,
     merged_runs_of,
-    run_columns,
     runs_from_fragments,
 )
 from repro.schemes.base import LayoutView
@@ -89,14 +89,23 @@ extent_batches = st.lists(
 )
 
 
+def extent_runs(runs: MergedRuns, k: int):
+    """Extent ``k`` of a run batch as ``(servers, lengths)``."""
+    lo, hi = runs.starts[k], runs.starts[k + 1]
+    return runs.servers[lo:hi], runs.lengths[lo:hi]
+
+
+def merged_columns(fragments):
+    """``merge_fragments`` reduced to the two columns a batch keeps."""
+    merged = merge_fragments(fragments)
+    return [f.server for f in merged], [f.length for f in merged]
+
+
 def assert_runs_equal_object_path(layout, runs: MergedRuns, extents):
     assert runs.n_extents == len(extents)
-    expected_fragments = 0
     for k, (offset, length) in enumerate(extents):
         fragments = layout.map_extent(offset, length)
-        expected_fragments += len(fragments)
-        assert runs.subrequests(k) == merge_fragments(fragments)
-    assert runs.n_fragments == expected_fragments
+        assert extent_runs(runs, k) == merged_columns(fragments)
 
 
 class TestLayoutBatchEquivalence:
@@ -125,7 +134,6 @@ class TestLayoutBatchEquivalence:
     def test_empty_batch(self):
         runs = merged_runs_of(fixed(), [], [])
         assert runs.n_extents == 0
-        assert runs.n_fragments == 0
         assert runs.starts == [0]
 
 
@@ -138,65 +146,36 @@ class TestRunsBuilder:
         b = merged_runs_of(fixed(), [4 * KiB], [40 * KiB])
         built = in_request_order([a, b], [np.array([2, 0]), [1]])
         assert built.n_extents == 3
-        assert built.subrequests(0) == a.subrequests(1)
-        assert built.subrequests(1) == b.subrequests(0)
-        assert built.subrequests(2) == a.subrequests(0)
-        assert built.n_fragments == a.n_fragments + b.n_fragments
-        empty = MergedRuns([], [], [], [], [], [0], 0)
-        assert in_request_order([], []) == empty
+        assert extent_runs(built, 0) == extent_runs(a, 1)
+        assert extent_runs(built, 1) == extent_runs(b, 0)
+        assert extent_runs(built, 2) == extent_runs(a, 0)
+        assert in_request_order([], []) == MergedRuns([], [], [0])
 
     def test_fragments_concat_counts_premerge(self):
         layout = fixed()
         fragments = layout.map_extent(0, 12 * KiB)
         built = MergedRuns.concat([runs_from_fragments(fragments)])
-        assert built.subrequests(0) == merge_fragments(fragments)
-        assert built.n_fragments == len(fragments)
+        assert extent_runs(built, 0) == merged_columns(fragments)
 
     def test_take_repeats_extents(self):
         source = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
-        taken = source.take([1, 0, 1], n_fragments=11)
+        taken = source.take([1, 0, 1])
         assert taken.n_extents == 3
-        assert taken.subrequests(0) == taken.subrequests(2) == source.subrequests(1)
-        assert taken.subrequests(1) == source.subrequests(0)
-        assert taken.n_fragments == 11
-        assert source.take([], n_fragments=0) == MergedRuns([], [], [], [], [], [0], 0)
-
-    def test_take_shifts_first_logicals(self):
-        source = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
-        taken = source.take([1, 0], n_fragments=5, shifts=np.array([100, 7]))
-        assert [f.logical_offset for f in taken.subrequests(0)] == [
-            f.logical_offset + 100 for f in source.subrequests(1)
-        ]
-        assert [f.logical_offset for f in taken.subrequests(1)] == [
-            f.logical_offset + 7 for f in source.subrequests(0)
-        ]
-        same = source.take([0, 1], n_fragments=9, shifts=np.zeros(2, np.int64))
-        assert same.subrequests(0) == source.subrequests(0)
-        assert same.subrequests(1) == source.subrequests(1)
-        assert same.n_fragments == 9
+        assert extent_runs(taken, 0) == extent_runs(taken, 2) == extent_runs(source, 1)
+        assert extent_runs(taken, 1) == extent_runs(source, 0)
+        assert source.take([]) == MergedRuns([], [], [0])
 
     def test_concat_appends_extents(self):
         a = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
         b = merged_runs_of(fixed(), [4 * KiB], [40 * KiB])
         both = MergedRuns.concat([a, b])
         assert both.n_extents == 3
-        assert [both.subrequests(k) for k in range(3)] == [
-            a.subrequests(0),
-            a.subrequests(1),
-            b.subrequests(0),
+        assert [extent_runs(both, k) for k in range(3)] == [
+            extent_runs(a, 0),
+            extent_runs(a, 1),
+            extent_runs(b, 0),
         ]
-        assert both.n_fragments == a.n_fragments + b.n_fragments
-        assert MergedRuns.concat([]) == MergedRuns([], [], [], [], [], [0], 0)
-
-    def test_run_columns(self):
-        fragments = merge_fragments(fixed().map_extent(0, 12 * KiB))
-        runs = MergedRuns(
-            *run_columns(fragments),
-            starts=[0, len(fragments)],
-            n_fragments=len(fragments),
-        )
-        assert runs.subrequests(0) == fragments
-        assert run_columns([]) == ([], [], [], [], [])
+        assert MergedRuns.concat([]) == MergedRuns([], [], [0])
 
 
 class TestMergeFragments:
@@ -232,7 +211,7 @@ class TestViewBatching:
         lengths = [256 * KiB, 8 * KiB]
         runs = view.merged_runs("f", offsets, lengths)
         for k, (o, l) in enumerate(zip(offsets, lengths)):
-            assert runs.subrequests(k) == merge_fragments(view.map_request("f", o, l))
+            assert extent_runs(runs, k) == merged_columns(view.map_request("f", o, l))
 
 
 class TestRedirectorBatching:
@@ -256,10 +235,9 @@ class TestRedirectorBatching:
         batched, scalar = self.make(), self.make()
         runs = batched.merged_runs("f", self.OFFSETS, self.LENGTHS)
         for k, (o, l) in enumerate(zip(self.OFFSETS, self.LENGTHS)):
-            assert runs.subrequests(k) == merge_fragments(
+            assert extent_runs(runs, k) == merged_columns(
                 scalar.map_request("f", o, l)
             )
-        assert batched.stats == scalar.stats
 
     def test_repeated_requests_map_once_and_count_each(self, monkeypatch):
         offsets = self.OFFSETS * 3 + [70 * KiB]
@@ -277,11 +255,9 @@ class TestRedirectorBatching:
         # distinct extents once each, in order of first occurrence
         assert seen == [list(zip(self.OFFSETS, self.LENGTHS))]
         for k, (o, l) in enumerate(zip(offsets, lengths)):
-            assert runs.subrequests(k) == merge_fragments(
+            assert extent_runs(runs, k) == merged_columns(
                 scalar.map_request("f", o, l)
             )
-        assert batched.stats == scalar.stats
-        assert runs.n_fragments == scalar.stats.fragments
 
 
 class TestDistinctExtents:

@@ -10,7 +10,6 @@ from repro.layouts import (
     bytes_in_window,
     per_server_bytes,
     per_server_bytes_batch,
-    windows_touched,
 )
 
 stripe_sizes = st.integers(min_value=0, max_value=64)
@@ -24,14 +23,6 @@ def brute_force_bytes(offset, length, start, width, cycle):
     return sum(
         1 for x in range(offset, offset + length) if start <= (x % cycle) < start + width
     )
-
-
-def brute_force_windows(offset, length, start, width, cycle):
-    touched = set()
-    for x in range(offset, offset + length):
-        if start <= (x % cycle) < start + width:
-            touched.add(x // cycle)
-    return len(touched)
 
 
 class TestBytesInWindow:
@@ -58,26 +49,6 @@ class TestBytesInWindow:
     def test_invalid_cycle(self):
         with pytest.raises(ValueError):
             bytes_in_window(0, 1, 0, 1, 0)
-
-
-class TestWindowsTouched:
-    @given(
-        extent=extents,
-        start=st.integers(min_value=0, max_value=50),
-        width=st.integers(min_value=1, max_value=40),
-        extra=st.integers(min_value=1, max_value=60),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, extent, start, width, extra):
-        offset, length = extent
-        cycle = start + width + extra
-        assert windows_touched(
-            offset, length, start, width, cycle
-        ) == brute_force_windows(offset, length, start, width, cycle)
-
-    def test_no_touch(self):
-        # extent entirely inside the other class's span
-        assert windows_touched(10, 5, 0, 8, 20) == 0
 
 
 class TestPerServerBytes:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.exceptions import LayoutError
-from repro.layouts.batch import MergedRuns
+from repro.layouts.batch import MergedRuns, runs_from_fragments
 from repro.tenancy import (
     RANK_STRIDE,
     TenantRoutingView,
@@ -150,7 +150,8 @@ class TestTenantRoutingView:
         for b in builds:
             runs.update(b.runs_by_file)
             requests.update(b.requests_by_file)
-        return TenantRoutingView(runs, requests), builds
+        views = {b.tenant: b.view for b in builds}
+        return TenantRoutingView(runs, requests, views), builds
 
     def test_serves_premapped_batches(self):
         view, builds = self.make_view()
@@ -158,30 +159,37 @@ class TestTenantRoutingView:
         (file, (offsets, sizes)), = b.requests_by_file.items()
         runs = view.merged_runs(file, offsets.tolist(), sizes.tolist())
         assert runs is b.runs_by_file[file]
+        # the event path maps through the tenant's own view
         frags = view.map_request(file, int(offsets[1]), int(sizes[1]))
-        assert frags == runs.subrequests(1)
+        assert runs_from_fragments(frags) == runs.take([1])
 
     def test_unknown_file_and_diverged_batches_rejected(self):
         view, builds = self.make_view()
         (file, (offsets, sizes)), = builds[0].requests_by_file.items()
         with pytest.raises(LayoutError, match="no premapped"):
             view.merged_runs("nope", [0], [1])
+        with pytest.raises(LayoutError, match="no premapped"):
+            view.map_request("nope", 0, 1)
         with pytest.raises(LayoutError, match="diverged"):
             view.merged_runs(file, [int(offsets[0]) + 7], [int(sizes[0])])
         with pytest.raises(LayoutError, match="diverged"):
             view.merged_runs(file, offsets[::-1], sizes[::-1])
-        with pytest.raises(LayoutError, match="never premapped"):
-            view.map_request(file, 10**9, 1)
 
     def test_mismatched_construction_rejected(self):
-        empty = MergedRuns(
-            servers=[], objs=[], offsets=[], lengths=[],
-            first_logicals=[], starts=[0], n_fragments=0,
-        )
+        empty = MergedRuns(servers=[], lengths=[], starts=[0])
+        none = (np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        views = {0: build_tenants(SPEC, make_tenants(1))[0].view}
         with pytest.raises(LayoutError):
-            TenantRoutingView({"f": empty}, {})
+            TenantRoutingView({"t0000/f": empty}, {}, views)
         with pytest.raises(LayoutError):
-            TenantRoutingView({"f": empty}, {"f": (np.array([0]), np.array([1]))})
+            TenantRoutingView(
+                {"t0000/f": empty}, {"t0000/f": (np.array([0]), np.array([1]))}, views
+            )
+        # a file whose tenant has no view
+        for file in ("t0001/f", "f"):
+            with pytest.raises(LayoutError, match="no tenant view"):
+                TenantRoutingView({file: empty}, {file: none}, views)
+        TenantRoutingView({"t0000/f": empty}, {"t0000/f": none}, views)
 
 
 class TestInterference:

@@ -5,7 +5,9 @@ table: one scheme object per scheme name (AAL keeps its stripe
 searches) and the premapped runs of each distinct fixed-stripe layout
 and request batch.  These tests count the searches and premaps that
 actually run, and compare every build with building the tenant alone
-from scratch on its namespaced trace.
+from scratch on its namespaced trace.  Serving the mixed fleet on the
+event engine maps every request through its tenant's own view, and
+must give the flat kernel's digest.
 """
 
 import numpy as np
@@ -15,7 +17,13 @@ import repro.layouts.fixed as fixed
 import repro.schemes.aal as aal
 from repro.cluster import ClusterSpec
 from repro.schemes import make_scheme
-from repro.tenancy import TenantSpec, build_tenants, make_tenants, namespace_trace
+from repro.tenancy import (
+    TenantSpec,
+    build_tenants,
+    make_tenants,
+    namespace_trace,
+    serve_scenario,
+)
 from repro.tenancy.shard import TenantBuildTask, TenantLayouts, build_tenant
 from repro.tenancy.spec import tenant_op, tenant_workload
 from repro.tracing.columnar import ColumnarTrace
@@ -117,7 +125,7 @@ def assert_same_build(build, expected):
     assert build.total_bytes == trace.total_bytes()
     assert list(build.runs_by_file) == list(runs)
     for file, file_runs in runs.items():
-        # every column, objects, extent starts and fragment count included
+        # servers, lengths and extent starts
         assert build.runs_by_file[file] == file_runs
     assert list(build.requests_by_file) == list(requests)
     for file, (offsets, sizes) in requests.items():
@@ -179,6 +187,21 @@ class TestTenantLayouts:
         moved = ColumnarTrace(data, base.interned_files, validate=False)
         table = TenantLayouts()
         for trace in (base, moved, base):
-            runs, _, ssd_bytes = table.premap(SPEC, "DEF", trace)
+            _, runs, _, ssd_bytes = table.premap(SPEC, "DEF", trace)
             expected_runs, _, expected_ssd = premap_from_scratch(SPEC, "DEF", trace)
             assert (runs, ssd_bytes) == (expected_runs, expected_ssd)
+
+
+class TestServeEngines:
+    def test_event_path_maps_every_scheme_like_the_premap(self):
+        """The flat kernel replays the premapped runs; the event engine
+        maps each request through its tenant's DEF, AAL, HARL or MHA
+        view, demoted or not.  Both give one digest at one and two
+        jobs."""
+        digests = set()
+        for engine in ("flat", "event"):
+            for n_jobs in (1, 2):
+                report = serve_scenario(SPEC, FLEET, n_jobs=n_jobs, engine=engine)
+                assert report.metrics.engine == engine
+                digests.add(report.digest())
+        assert len(digests) == 1
