@@ -305,6 +305,35 @@ class TestServeDigestPinned:
         assert report.digest() == self.PINNED
 
 
+class TestServeFleetDigestsPinned:
+    """Full-size fleets on the default cluster, serially.
+
+    The 8-tenant pin above runs a 2+2 cluster; these run the standard
+    ``make_tenants`` mix at 64, 250 and 1,000 tenants, so a change to
+    how the fleet is built, merged or replayed at scale must move them
+    consciously.  The 250-tenant digest equals the end-to-end
+    benchmark's ``serve-250`` pin.
+    """
+
+    #: tenants -> (max_active, digest)
+    PINNED = {
+        64: (16, "a0365985d7d34bdbb5dadbbdbe7ed02d85ec6695e17109ee2d9c434134c32989"),
+        250: (64, "6649798da160cba4fd9d0e4fa7b4d612ab488f91039c12fd19276d2a750ffab6"),
+        1000: (64, "6d8aec0d6cd0c66d89d1d98e6568c793211bfc9df7d3d13a037e9322b95cad28"),
+    }
+
+    @pytest.mark.parametrize("tenants", sorted(PINNED))
+    def test_fleet_digest(self, tenants):
+        from repro.cluster import ClusterSpec
+        from repro.tenancy import serve_scenario
+
+        max_active, pinned = self.PINNED[tenants]
+        report = serve_scenario(
+            ClusterSpec(), tenants=tenants, max_active=max_active, n_jobs=1
+        )
+        assert report.digest() == pinned
+
+
 class TestChaosDigestPinned:
     """Regression pin for the chaos harness.
 
