@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import ConfigurationError
 from ..numerics import unique_values
 from .record import Trace, TraceRecord
 
@@ -45,8 +46,8 @@ def split_phases(trace: Trace, gap: float = 0.5) -> list[Phase]:
     Records are first time-ordered.  ``gap`` is in the trace's own time
     unit (the generators stamp phases ``PHASE_GAP`` seconds apart).
     """
-    if gap <= 0:
-        raise ValueError(f"gap must be > 0, got {gap}")
+    if not 0 < gap < np.inf:
+        raise ConfigurationError(f"gap must be finite and > 0, got {gap}")
     ordered = list(trace.sorted_by_time())
     if not ordered:
         return []
@@ -106,11 +107,11 @@ def burst_clusters(
     :func:`_phase_spatial_threshold`); an integer value uses that fixed
     byte threshold instead.  Spatial clustering recovers the
     *per-location* concurrency MHA needs when different file parts see
-    different process counts (Fig. 9).  A negative threshold is a
-    ``ValueError``.
+    different process counts (Fig. 9).  A negative threshold, or a gap
+    that is not finite and positive, is a ``ConfigurationError``.
     """
-    if spatial < 0:
-        raise ValueError(f"spatial must be >= 0, got {spatial}")
+    if not spatial >= 0:
+        raise ConfigurationError(f"spatial must be >= 0, got {spatial}")
     clusters: list[list[TraceRecord]] = []
     for phase in split_phases(trace, gap=gap):
         if spatial is False:

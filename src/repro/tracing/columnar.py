@@ -35,7 +35,7 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..devices.base import READ, WRITE
-from ..exceptions import TraceError
+from ..exceptions import ConfigurationError, TraceError
 from ..numerics import unique_values
 from .record import Trace, TraceRecord
 
@@ -487,8 +487,8 @@ def split_phases_columnar(trace: ColumnarTrace, gap: float = 0.5) -> PhaseSlices
     records are ``trace.record(i) for i in slices.indices(p)`` — as
     index slices instead of materialized :class:`Phase` tuples.
     """
-    if gap <= 0:
-        raise ValueError(f"gap must be > 0, got {gap}")
+    if not 0 < gap < np.inf:
+        raise ConfigurationError(f"gap must be finite and > 0, got {gap}")
     order = trace.time_order()
     times = trace.data["timestamp"][order]
     if times.size == 0:
@@ -557,8 +557,8 @@ def _burst_partition(
     records of :func:`~repro.tracing.analysis.burst_clusters`'s output,
     cluster by cluster, member by member.
     """
-    if spatial < 0:
-        raise ValueError(f"spatial must be >= 0, got {spatial}")
+    if not spatial >= 0:
+        raise ConfigurationError(f"spatial must be >= 0, got {spatial}")
     slices = split_phases_columnar(trace, gap=gap)
     order, pstarts = slices.order, slices.starts
     n = order.size

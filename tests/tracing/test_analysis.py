@@ -1,7 +1,10 @@
 """Tests for phase splitting, concurrency and burst analysis."""
 
+import math
+
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.tracing import (
     Trace,
     TraceRecord,
@@ -33,8 +36,18 @@ class TestSplitPhases:
         assert split_phases(Trace([])) == []
 
     def test_invalid_gap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="gap"):
             split_phases(Trace([]), gap=0)
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_gap_rejected(self, gap):
+        """A NaN gap compares false against every timestamp gap, so it
+        would put the whole trace in one phase; it is rejected like 0."""
+        t = Trace([rec(0, 0.0), rec(100, 10.0)])
+        with pytest.raises(ConfigurationError, match="gap"):
+            split_phases(t, gap=gap)
+        with pytest.raises(ConfigurationError, match="gap"):
+            burst_clusters(t, gap=gap)
 
     def test_distinct_ranks(self):
         t = Trace([rec(0, 0.0, rank=0), rec(100, 0.0, rank=1), rec(200, 0.1, rank=0)])

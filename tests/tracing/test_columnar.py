@@ -8,12 +8,15 @@ parts the generator does not reach — container semantics of
 round-trips at the edges (empty / single record).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.features import extract_features, extract_features_columnar
+from repro.exceptions import ConfigurationError
 from repro.tracing import (
     ColumnarTrace,
     Trace,
@@ -219,8 +222,39 @@ class TestDuplicateRecords:
     )
     def test_negative_spatial_rejected(self, fn, as_input):
         trace = Trace([rec(offset=0), rec(offset=64 * KiB, ts=0.1)])
-        with pytest.raises(ValueError, match="spatial"):
+        with pytest.raises(ConfigurationError, match="spatial"):
             fn(as_input(trace), spatial=-1)
+
+    @pytest.mark.parametrize(
+        "fn, as_input",
+        [
+            (split_phases, lambda trace: trace),
+            (split_phases_columnar, ColumnarTrace.from_trace),
+            (concurrency_of, lambda trace: trace),
+            (concurrency_columnar, ColumnarTrace.from_trace),
+        ],
+        ids=["phases-ref", "phases-columnar", "bursts-ref", "bursts-columnar"],
+    )
+    @pytest.mark.parametrize("gap", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_gap_must_be_finite_and_positive(self, fn, as_input, gap):
+        """Both twins reject the same gaps: a NaN gap used to pass and
+        put an 8-phase IOR trace in one phase."""
+        trace = Trace([rec(offset=0), rec(offset=64 * KiB, ts=10.0)])
+        with pytest.raises(ConfigurationError, match="gap"):
+            fn(as_input(trace), gap=gap)
+
+    @pytest.mark.parametrize(
+        "fn, as_input",
+        [
+            (concurrency_of, lambda trace: trace),
+            (concurrency_columnar, ColumnarTrace.from_trace),
+        ],
+        ids=["reference", "columnar"],
+    )
+    def test_nan_spatial_rejected(self, fn, as_input):
+        trace = Trace([rec(offset=0), rec(offset=64 * KiB, ts=0.1)])
+        with pytest.raises(ConfigurationError, match="spatial"):
+            fn(as_input(trace), spatial=math.nan)
 
 
 # ---------------------------------------------------------------------------
