@@ -15,6 +15,7 @@ valid downstream).
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -40,8 +41,8 @@ def admission_offsets(
     """
     if max_active < 1:
         raise ConfigurationError(f"max_active must be >= 1, got {max_active}")
-    if capacity <= 0.0:
-        raise ConfigurationError(f"capacity must be > 0, got {capacity}")
+    if not 0.0 < capacity < math.inf:
+        raise ConfigurationError(f"capacity must be finite and > 0, got {capacity}")
     n = len(first_arrivals)
     if not n == len(last_arrivals) == len(demands):
         raise ConfigurationError("per-tenant inputs must have equal length")

@@ -26,6 +26,7 @@ every run and on every worker process.
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -66,10 +67,10 @@ def token_bucket_release(
     (they wait for the full refill rather than being rejected).
     Release times are non-decreasing and never precede arrivals.
     """
-    if rate <= 0.0:
-        raise ConfigurationError(f"shaping rate must be > 0, got {rate}")
-    if burst < 0.0:
-        raise ConfigurationError(f"burst must be >= 0, got {burst}")
+    if not 0.0 < rate < math.inf:
+        raise ConfigurationError(f"shaping rate must be finite and > 0, got {rate}")
+    if not 0.0 <= burst < math.inf:
+        raise ConfigurationError(f"burst must be finite and >= 0, got {burst}")
     if len(arrivals) != len(sizes):
         raise ConfigurationError("arrivals and sizes must have equal length")
     release: list[float] = []
@@ -107,10 +108,13 @@ def wfq_emission(
     own requests stay in order.  Ties in finish tags break by
     ``(tenant, k)`` — fully deterministic.
     """
-    if capacity <= 0.0:
-        raise ConfigurationError(f"capacity must be > 0, got {capacity}")
+    if not 0.0 < capacity < math.inf:
+        raise ConfigurationError(f"capacity must be finite and > 0, got {capacity}")
     if not len(releases) == len(sizes) == len(weights):
         raise ConfigurationError("per-tenant inputs must have equal length")
+    for weight in weights:
+        if not 0.0 < weight < math.inf:
+            raise ConfigurationError(f"weight must be finite and > 0, got {weight}")
     events: list[tuple[float, int, int]] = []
     for i, stream in enumerate(releases):
         if len(stream) != len(sizes[i]):

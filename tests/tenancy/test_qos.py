@@ -1,5 +1,7 @@
 """QoS kernels: shaping, fair queueing, capacity — pure and fair."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,14 @@ class TestTokenBucket:
             token_bucket_release([0.0], [1], rate=0.0, burst=1.0)
         with pytest.raises(ConfigurationError):
             token_bucket_release([0.0], [1, 2], rate=1.0, burst=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_or_burst_rejected(self, value):
+        """A NaN rate or burst used to give NaN release times."""
+        with pytest.raises(ConfigurationError, match="rate"):
+            token_bucket_release([0.0], [1], rate=value, burst=1.0)
+        with pytest.raises(ConfigurationError, match="burst"):
+            token_bucket_release([0.0], [1], rate=1.0, burst=value)
 
     @given(
         raw=st.lists(
@@ -122,6 +132,19 @@ class TestWFQ:
         with pytest.raises(ConfigurationError):
             wfq_emission([[0.0]], [[1, 2]], [1.0], capacity=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_or_weight_rejected(self, value):
+        """A NaN capacity used to fail inside the heap with IndexError."""
+        with pytest.raises(ConfigurationError, match="capacity"):
+            wfq_emission([[0.0]], [[1]], [1.0], capacity=value)
+        with pytest.raises(ConfigurationError, match="weight"):
+            wfq_emission([[0.0], [0.0]], [[1], [1]], [1.0, value], capacity=1.0)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_non_positive_weight_rejected(self, weight):
+        with pytest.raises(ConfigurationError, match="weight"):
+            wfq_emission([[0.0]], [[1]], [weight], capacity=1.0)
+
 
 class TestAdmission:
     def test_enough_slots_admit_everyone_immediately(self):
@@ -149,3 +172,9 @@ class TestAdmission:
             admission_offsets([0.0], [1.0], [1], 0.0, 1)
         with pytest.raises(ConfigurationError):
             admission_offsets([0.0], [1.0, 2.0], [1], 1e6, 1)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_rejected(self, capacity):
+        """A NaN capacity used to give a NaN offset."""
+        with pytest.raises(ConfigurationError, match="capacity"):
+            admission_offsets([0.0, 0.0], [1.0, 1.0], [1, 1], capacity, 1)
