@@ -1,8 +1,8 @@
 """Process-parallel execution of independent coarse-grained tasks.
 
 A comparison runs one independent task per scheme, the chaos
-experiment one per fault cell and the tenancy service one per tenant
-build.  This module provides the one
+experiment one per fault cell and the tenancy service one per range of
+tenants.  This module provides the one
 executor abstraction they share (region searches are too small to pay
 for a worker process and run in the calling process):
 
@@ -11,7 +11,8 @@ for a worker process and run in the calling process):
   to the serial loop on ``serve`` and ``fig07``, so nothing fans out by
   default);
 * with ``n_jobs > 1`` it maps a picklable function over items with a
-  ``ProcessPoolExecutor``, preserving item order, and degrades to a
+  ``ProcessPoolExecutor``, preserving item order (each item is pickled
+  once, in the caller, and unpickled by the worker), and degrades to a
   plain serial loop when there is nothing to fan out, when a task does
   not pickle, or when the platform cannot spawn worker processes
   (sandboxes without ``fork`` semaphores, for example) — results are
@@ -34,7 +35,6 @@ import pickle
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from typing import TypeVar
 
 from ..determinism import ledger, reset_ledger, sanitize_enabled
@@ -54,16 +54,19 @@ class TaskError(ReproError):
         super().__init__(f"task {label!r} failed: {type(cause).__name__}: {cause}")
 
 
-def _sanitized_call(
-    fn: Callable[[T], R], item: T
-) -> tuple[R, dict[str, dict[str, int]]]:
-    """Worker-side shim under ``REPRO_SANITIZE=1``.
+def _call_pickled(fn: Callable[[T], R], payload: bytes, sanitizing: bool) -> object:
+    """Worker-side shim: unpickle the item the parent pickled once, and
+    apply ``fn``; under the sanitizer, return ``(result, ledger)``.
 
-    Captures exactly the seed lineages and draw counts this one item
-    produced (the worker ledger is reset first, because pool processes
-    are reused across items) and ships them back with the result, so
-    the parent's merged ledger is identical to a serial run's.
+    Under ``REPRO_SANITIZE=1`` it captures exactly the seed lineages and
+    draw counts this one item produced (the worker ledger is reset
+    first, because pool processes are reused across items) and ships
+    them back with the result, so the parent's merged ledger is
+    identical to a serial run's.
     """
+    item = pickle.loads(payload)
+    if not sanitizing:
+        return fn(item)
     reset_ledger()
     result = fn(item)
     return result, ledger().snapshot()
@@ -113,12 +116,12 @@ def parallel_map(
     # Unpicklable work must never reach the pool: a task that fails to
     # pickle inside the executor's feeder thread leaves the pool's
     # management thread permanently stuck (it is joined again at
-    # interpreter exit, hanging the whole process).  Validate up front
-    # and run serially instead — same results, just one process.
+    # interpreter exit, hanging the whole process).  Pickle up front
+    # and run serially instead — same results, just one process.  The
+    # bytes are what the workers get, so each item is pickled once.
     try:
         pickle.dumps(fn)
-        for item in items:
-            pickle.dumps(item)
+        payloads = [pickle.dumps(item) for item in items]
     except Exception:
         return _run_serial(fn, items, labels)
 
@@ -129,12 +132,12 @@ def parallel_map(
         # missing POSIX semaphores) run the same tasks serially
         return _run_serial(fn, items, labels)
     sanitizing = sanitize_enabled()
-    submit_fn: Callable[[T], object] = (
-        partial(_sanitized_call, fn) if sanitizing else fn
-    )
     succeeded = False
     try:
-        futures = [executor.submit(submit_fn, item) for item in items]
+        futures = [
+            executor.submit(_call_pickled, fn, payload, sanitizing)
+            for payload in payloads
+        ]
         results: list[R] = []
         for future, label in zip(futures, labels):
             try:

@@ -31,6 +31,24 @@ def boom_on_two(x):
     return x
 
 
+class Counted:
+    """An item that counts, in the process that pickles it, how often
+    it was pickled."""
+
+    reduces = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        Counted.reduces += 1
+        return (Counted, (self.value,))
+
+
+def double(item):
+    return 2 * item.value
+
+
 class TestParallelMap:
     def test_serial_preserves_order(self):
         assert parallel_map(square, [3, 1, 2], n_jobs=1) == [9, 1, 4]
@@ -84,6 +102,13 @@ class TestParallelMap:
         with pytest.raises(TaskError) as info:
             parallel_map(boom, [10], n_jobs=1)
         assert info.value.label == "#0"
+
+    def test_each_item_is_pickled_once(self, monkeypatch):
+        items = [Counted(v) for v in range(6)]
+        serial = parallel_map(double, items, n_jobs=1)
+        monkeypatch.setattr(Counted, "reduces", 0)
+        assert parallel_map(double, items, n_jobs=2) == serial
+        assert Counted.reduces == len(items)
 
     def test_unpicklable_function_falls_back_to_serial(self):
         # a lambda cannot cross the process boundary; the pool path
