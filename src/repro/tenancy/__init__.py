@@ -5,9 +5,12 @@ service: N tenants (each a :mod:`repro.workloads` instance on its own
 seeded arrival process) share one hybrid PFS, with per-tenant file and
 rank namespaces, admission control, token-bucket bandwidth shares,
 SServer capacity quotas, and SCFQ weighted fair queueing in the
-dispatch front end.  Builds shard across processes
-(:func:`~repro.tenancy.shard.build_tenants`); the replay itself is one
-shared deterministic pass.  Start at
+dispatch front end.  The fleet is built as one table
+(:func:`~repro.tenancy.shard.build_tenants`): each tenant class is
+generated, partitioned and premapped once per distinct layout, and
+tenants are rows with their own arrival clocks, built serially or as
+ranges of tenants across processes; the replay itself is one shared
+deterministic pass.  Start at
 :func:`~repro.tenancy.service.serve_scenario` or
 ``python -m repro.harness serve``.
 """
@@ -15,7 +18,6 @@ shared deterministic pass.  Start at
 from .admission import admission_offsets
 from .namespace import (
     RANK_STRIDE,
-    namespace_trace,
     rank_base,
     tenant_file,
     tenant_of_file,
@@ -23,7 +25,7 @@ from .namespace import (
 )
 from .qos import nominal_bandwidth, token_bucket_release, wfq_emission
 from .service import SERVE_QUANTILES, ServeReport, TenantMetrics, serve_scenario
-from .shard import TenantBuild, TenantBuildTask, build_tenant, build_tenants
+from .shard import FleetTable, TenantClass, build_tenant, build_tenants
 from .spec import (
     SERVE_SCHEMES,
     TENANT_CLASSES,
@@ -39,9 +41,9 @@ __all__ = [
     "SERVE_QUANTILES",
     "SERVE_SCHEMES",
     "TENANT_CLASSES",
+    "FleetTable",
     "ServeReport",
-    "TenantBuild",
-    "TenantBuildTask",
+    "TenantClass",
     "TenantMetrics",
     "TenantRoutingView",
     "TenantSpec",
@@ -49,7 +51,6 @@ __all__ = [
     "build_tenant",
     "build_tenants",
     "make_tenants",
-    "namespace_trace",
     "nominal_bandwidth",
     "rank_base",
     "serve_scenario",

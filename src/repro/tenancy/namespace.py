@@ -8,19 +8,17 @@ make per-tenant layout views composable into one routing view (a file
 belongs to exactly one tenant, so premapped per-file request runs
 remain valid after the global merge); disjoint ranks make per-tenant
 latency attribution a single integer division over
-``RunMetrics.latency_ranks``.  :func:`namespace_trace` applies both to
-a columnar trace: it rewrites the rank and pid columns and the interned
-file-name table, and leaves every other column as it was.
+``RunMetrics.latency_ranks``.  No trace is rewritten into a namespace:
+the fleet table (:mod:`repro.tenancy.shard`) keeps tenant-local class
+rows and a tenant-id column, and the merge shifts each gathered row's
+rank and pid into its tenant's window and its file into the tenant's
+:func:`tenant_file` names.
 """
 
 from __future__ import annotations
 
-from ..exceptions import ConfigurationError
-from ..tracing.columnar import ColumnarTrace
-
 __all__ = [
     "RANK_STRIDE",
-    "namespace_trace",
     "rank_base",
     "tenant_file",
     "tenant_of_file",
@@ -53,30 +51,3 @@ def rank_base(tenant: int, stride: int = RANK_STRIDE) -> int:
 def tenant_of_rank(rank: int, stride: int = RANK_STRIDE) -> int:
     """The tenant owning global rank ``rank``."""
     return rank // stride
-
-
-def namespace_trace(
-    trace: ColumnarTrace, tenant: int, *, stride: int = RANK_STRIDE
-) -> ColumnarTrace:
-    """Rewrite a tenant-local trace into the global namespace.
-
-    File names gain the tenant prefix; ranks (and pids) shift into the
-    tenant's window.  Local ranks must fit the window — a generator
-    using more than ``stride`` ranks is a configuration error, not a
-    silent collision.
-    """
-    data = trace.data.copy()
-    local = data["rank"]
-    outside = (local < 0) | (local >= stride)
-    if outside.any():
-        raise ConfigurationError(
-            f"tenant {tenant} local rank {int(local[outside][0])} outside the "
-            f"0..{stride - 1} namespace window"
-        )
-    local += rank_base(tenant, stride)
-    data["pid"] = local
-    return ColumnarTrace(
-        data,
-        tuple(tenant_file(tenant, file) for file in trace.interned_files),
-        validate=False,
-    )

@@ -6,22 +6,22 @@
 1. **Fleet** — :func:`~repro.tenancy.spec.make_tenants` (or an
    explicit tuple of :class:`~repro.tenancy.spec.TenantSpec`),
    validated at config time (shares sum ≤ 1, dense ids).
-2. **Sharded builds** — :func:`~repro.tenancy.shard.build_tenants`
-   generates one time-sorted columnar trace per tenant class, then
-   fans one pure task per tenant across processes: seeded Poisson
-   re-stamp of the timestamp column, namespacing of the rank, pid and
-   file-name columns, scheme build, per-file columnar premapping,
-   SServer-quota enforcement.  The tenant's
-   :class:`~repro.tracing.columnar.ColumnarTrace`, its ``MergedRuns``
-   and its file view are the exchange format back to the coordinator.
+2. **Fleet build** — :func:`~repro.tenancy.shard.build_tenants`
+   generates and partitions one time-sorted columnar trace per tenant
+   class, then builds the fleet table, serially or as contiguous
+   ranges of tenants across processes: each tenant's seeded Poisson
+   arrival column, scheme build on its re-stamped class rows,
+   per-file columnar premapping (shared between tenants whose layouts
+   are equal) and SServer-quota enforcement.
 3. **Deterministic merge** — admission control
    (:func:`~repro.tenancy.admission.admission_offsets`), per-tenant
    token-bucket shaping at ``share × nominal`` rate, and SCFQ weighted
    fair queueing (:func:`~repro.tenancy.qos.wfq_emission`) assign
    every row a strictly increasing emission timestamp, and one gather
-   of every build's rows in that order makes the fleet trace.  Each
-   stage preserves within-tenant order, so the shards' premapped
-   per-file runs stay valid.
+   of the emitted rows from the class rows, moved into each tenant's
+   rank window and file names, makes the fleet trace.  Each stage
+   preserves within-tenant order, so the premapped per-file runs stay
+   valid.
 4. **One coupled replay** — a single :class:`~repro.pfs.system.HybridPFS`
    replays the merged columnar trace open-loop; cross-tenant
    interference happens where it physically lives, in the shared server
@@ -46,7 +46,6 @@ import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import DEFAULT_ARRIVAL_SEED
-from ..exceptions import ConfigurationError
 from ..harness.report import (
     FigureResult,
     bandwidth_mib,
@@ -54,17 +53,15 @@ from ..harness.report import (
     quantile_label,
     to_csv,
 )
-from ..layouts.batch import MergedRuns
 from ..pfs.replay import RunMetrics, replay_trace
 from ..pfs.system import HybridPFS
 from ..tracing.columnar import ColumnarTrace
 from ..units import MiB
 from .admission import admission_offsets
-from .namespace import RANK_STRIDE, tenant_of_rank
+from .namespace import RANK_STRIDE, tenant_file, tenant_of_rank
 from .qos import nominal_bandwidth, token_bucket_release, wfq_emission
-from .shard import TenantBuild, build_tenants
+from .shard import FleetTable, build_tenants
 from .spec import TenantSpec, make_tenants, validate_tenants
-from .view import RequestColumns, TenantRoutingView
 
 __all__ = ["SERVE_QUANTILES", "ServeReport", "TenantMetrics", "serve_scenario"]
 
@@ -135,52 +132,67 @@ class ServeReport:
 
 
 def _merge_emission(
-    builds: list[TenantBuild],
-    tenants: tuple[TenantSpec, ...],
-    capacity: float,
-    max_active: int,
+    fleet: FleetTable, capacity: float, max_active: int
 ) -> tuple[ColumnarTrace, list[float]]:
     """Admission + shaping + WFQ: the merged, re-stamped trace.
 
-    The fleet trace is one gather of every build's rows in emission
-    order; each build's file codes are shifted past the names of the
-    builds before it, so the merged name table is their concatenation.
+    The fleet trace is one gather of the emitted rows straight from the
+    class rows: each row's rank and pid move into its tenant's window
+    and its file code past the names of the tenants before it, so the
+    merged name table is every tenant's names in fleet order.
     """
-    arrivals = [b.trace.data["timestamp"].tolist() for b in builds]
-    sizes = [b.trace.data["size"].tolist() for b in builds]
+    classes = fleet.classes
+    counts = np.array(
+        [len(classes[t.klass].trace) for t in fleet.tenants], dtype=np.int64
+    )
+    first_row = np.cumsum(counts) - counts
+    spans = list(zip(first_row.tolist(), (first_row + counts).tolist()))
+    arrivals = fleet.arrival.tolist()
     offsets = admission_offsets(
-        [a[0] if a else 0.0 for a in arrivals],
-        [a[-1] if a else 0.0 for a in arrivals],
-        [b.total_bytes for b in builds],
+        [arrivals[lo] if hi > lo else 0.0 for lo, hi in spans],
+        [arrivals[hi - 1] if hi > lo else 0.0 for lo, hi in spans],
+        [classes[t.klass].total_bytes for t in fleet.tenants],
         capacity,
         max_active,
     )
-    releases: list[list[float]] = []
-    for spec_t, stream, size_row, offset in zip(tenants, arrivals, sizes, offsets):
-        shifted = [t + offset for t in stream]
-        burst = 2.0 * max(size_row) if size_row else 0.0
-        releases.append(
-            token_bucket_release(
-                shifted, size_row, spec_t.share * capacity, burst
-            )
+    shifted = (fleet.arrival + np.repeat(offsets, counts)).tolist()
+    sizes = {name: c.trace.data["size"].tolist() for name, c in classes.items()}
+    releases = [
+        token_bucket_release(
+            shifted[lo:hi],
+            sizes[t.klass],
+            t.share * capacity,
+            2.0 * max(sizes[t.klass]) if sizes[t.klass] else 0.0,
         )
+        for t, (lo, hi) in zip(fleet.tenants, spans)
+    ]
     order = wfq_emission(
-        releases, sizes, [t.weight for t in tenants], capacity
+        releases,
+        [sizes[t.klass] for t in fleet.tenants],
+        [t.weight for t in fleet.tenants],
+        capacity,
     )
-    rows = np.array([len(b.trace) for b in builds], dtype=np.int64)
-    first_row = np.cumsum(rows) - rows
-    names: list[str] = []
-    file_base = np.empty(len(builds), dtype=np.int32)
-    for i, build in enumerate(builds):
-        file_base[i] = len(names)
-        names.extend(build.trace.interned_files)
-    data = np.concatenate([b.trace.data for b in builds])
-    data["file"] += np.repeat(file_base, rows)
+    names = list(classes)
+    class_rows = np.concatenate([classes[name].trace.data for name in names])
+    class_counts = np.array([len(classes[name].trace) for name in names])
+    class_of = [names.index(t.klass) for t in fleet.tenants]
+    class_first = (np.cumsum(class_counts) - class_counts)[class_of]
+    files = [classes[t.klass].trace.interned_files for t in fleet.tenants]
+    name_counts = np.array([len(f) for f in files], dtype=np.int32)
     emitted = np.array(order, dtype=np.float64).reshape(-1, 3)
-    tenant_of = emitted[:, 0].astype(np.int64)
-    merged = data[first_row[tenant_of] + emitted[:, 1].astype(np.int64)]
+    position = emitted[:, 0].astype(np.int64)
+    k = emitted[:, 1].astype(np.int64)
+    merged = class_rows[class_first[position] + k]
+    merged["rank"] += fleet.tenant[first_row[position] + k] * fleet.rank_stride
+    merged["pid"] = merged["rank"]
+    merged["file"] += (np.cumsum(name_counts) - name_counts)[position]
     merged["timestamp"] = emitted[:, 2]
-    return ColumnarTrace(merged, tuple(names), validate=False), offsets
+    namespaced = tuple(
+        tenant_file(t.tenant, file)
+        for t, tenant_files in zip(fleet.tenants, files)
+        for file in tenant_files
+    )
+    return ColumnarTrace(merged, namespaced, validate=False), offsets
 
 
 def serve_scenario(
@@ -214,25 +226,11 @@ def serve_scenario(
     else:
         fleet = tuple(tenants)
         validate_tenants(fleet)
-    builds = build_tenants(
+    table = build_tenants(
         spec, fleet, n_jobs=n_jobs, arrival_seed=arrival_seed, rank_stride=rank_stride
     )
-    capacity = nominal_bandwidth(spec)
-    merged, offsets = _merge_emission(builds, fleet, capacity, max_active)
-
-    runs_by_file: dict[str, MergedRuns] = {}
-    requests_by_file: dict[str, RequestColumns] = {}
-    for build in builds:
-        for file, runs in build.runs_by_file.items():
-            if file in runs_by_file:
-                raise ConfigurationError(
-                    f"file {file!r} premapped by two tenants — namespace leak"
-                )
-            runs_by_file[file] = runs
-            requests_by_file[file] = build.requests_by_file[file]
-    view = TenantRoutingView(
-        runs_by_file, requests_by_file, {build.tenant: build.view for build in builds}
-    )
+    merged, offsets = _merge_emission(table, nominal_bandwidth(spec), max_active)
+    view = table.routing_view()
 
     pfs = HybridPFS(spec)
     metrics = replay_trace(
@@ -248,25 +246,26 @@ def serve_scenario(
     for latency, rank in zip(metrics.latencies, metrics.latency_ranks):
         per_tenant.setdefault(tenant_of_rank(rank, rank_stride), []).append(latency)
 
+    classes = table.classes
     report = ServeReport(
         label=label,
         num_tenants=len(fleet),
         max_active=max_active,
         makespan=metrics.makespan,
-        total_requests=sum(b.requests for b in builds),
-        total_bytes=sum(b.total_bytes for b in builds),
+        total_requests=len(table.arrival),
+        total_bytes=sum(classes[t.klass].total_bytes for t in fleet),
         metrics=metrics,
     )
-    for build, tenant_spec, offset in zip(builds, fleet, offsets):
-        ordered = sorted(per_tenant.get(build.tenant, []))
+    for tenant_spec, demoted, offset in zip(fleet, table.demoted, offsets):
+        ordered = sorted(per_tenant.get(tenant_spec.tenant, []))
         report.tenants.append(
             TenantMetrics(
-                tenant=build.tenant,
-                klass=build.klass,
-                requests=build.requests,
+                tenant=tenant_spec.tenant,
+                klass=tenant_spec.klass,
+                requests=len(classes[tenant_spec.klass].trace),
                 completed=len(ordered),
-                bytes=build.total_bytes,
-                demoted=build.demoted,
+                bytes=classes[tenant_spec.klass].total_bytes,
+                demoted=demoted,
                 admission_delay=offset,
                 p50=_percentile(ordered, 50.0),
                 p95=_percentile(ordered, 95.0),

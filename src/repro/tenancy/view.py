@@ -1,9 +1,9 @@
 """The composite routing view: premapped per-file runs, one cluster.
 
-Each tenant's layout view is built (and its requests premapped into
-columnar :class:`~repro.layouts.batch.MergedRuns`) inside its own
-build shard; the shared replay then needs *one* file-view object over
-all tenants.  :class:`TenantRoutingView` is that object.  The flat
+Each tenant's layout view is built (and its class's requests premapped
+into columnar :class:`~repro.layouts.batch.MergedRuns`) in the fleet
+build; the shared replay then needs *one* file-view object over all
+tenants.  :class:`TenantRoutingView` is that object.  The flat
 kernel never recomputes a mapping: per-file runs arrive precomputed,
 and the view just hands them back — valid because tenant namespaces
 make every file belong to exactly one tenant, and because every stage

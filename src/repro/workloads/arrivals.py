@@ -11,7 +11,8 @@ arrival process (exponential inter-arrival gaps at a target ``rate``,
 plus an optional uniformly jittered start offset so tenants launched
 together do not phase-lock).  :class:`OpenArrivalWorkload` wraps a
 workload in that rewrite; the tenant builds of :mod:`repro.tenancy`
-apply it to one shared class trace per tenant.
+write each tenant's :func:`poisson_arrival_times` into one arrival
+column of the fleet table, beside one shared trace per tenant class.
 
 Determinism contract: tenant ``k`` passes ``stream=k`` and the rewrite
 draws from ``derive_rng(SeedDomain.ARRIVALS, stream, base=seed)`` (the
@@ -46,8 +47,9 @@ def poisson_arrival_times(
     jitter: float = 0.0,
     seed: int = DEFAULT_ARRIVAL_SEED,
     stream: int = 0,
-) -> list[float]:
-    """``n`` strictly increasing Poisson arrival times.
+) -> np.ndarray:
+    """``n`` strictly increasing Poisson arrival times, as a float64
+    array.
 
     Exponential inter-arrival gaps with mean ``1 / rate``, beginning at
     ``start`` plus a ``U[0, jitter)`` launch offset.  The generator is
@@ -61,8 +63,7 @@ def poisson_arrival_times(
         raise TraceError(f"jitter must be >= 0, got {jitter}")
     rng = derive_rng(SeedDomain.ARRIVALS, stream, base=seed)
     offset = start + (float(rng.uniform(0.0, jitter)) if jitter > 0.0 else 0.0)
-    times = offset + np.cumsum(rng.exponential(1.0 / rate, n))
-    return [float(t) for t in times]
+    return offset + np.cumsum(rng.exponential(1.0 / rate, n))
 
 
 def open_arrivals(

@@ -2,16 +2,24 @@
 
 import pytest
 
+import repro.tenancy.shard as shard
+from repro.cluster import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.tenancy import (
     RANK_STRIDE,
-    namespace_trace,
+    build_tenants,
+    make_tenants,
+    nominal_bandwidth,
     rank_base,
     tenant_file,
     tenant_of_file,
     tenant_of_rank,
 )
+from repro.tenancy.service import _merge_emission
 from repro.tracing import ColumnarTrace, TraceRecord
+from tests.tenancy.test_shard import FixedGenerator
+
+SPEC = ClusterSpec(num_hservers=2, num_sservers=2)
 
 
 def rec(rank, file="f", ts=0.0):
@@ -42,26 +50,47 @@ class TestNames:
 
 
 class TestNamespaceTrace:
-    def test_rewrites_files_ranks_and_pids(self):
-        trace = columns(rec(0), rec(1, file="g", ts=1.0))
-        spaced = namespace_trace(trace, 7)
-        assert isinstance(spaced, ColumnarTrace)
-        assert spaced.interned_files == ("t0007/f", "t0007/g")
-        assert [r.file for r in spaced] == ["t0007/f", "t0007/g"]
-        assert [r.rank for r in spaced] == [rank_base(7), rank_base(7) + 1]
-        assert [r.pid for r in spaced] == [rank_base(7), rank_base(7) + 1]
-        # payload untouched
-        assert [r.timestamp for r in spaced] == [0.0, 1.0]
-        assert all(r.size == 1024 for r in spaced)
+    """The merge moves each gathered class row into its tenant's
+    namespace; no per-tenant copy of the trace exists before it."""
 
-    def test_rank_overflow_is_a_config_error(self):
+    def merged(self, tenants=2, **kwargs):
+        fleet = build_tenants(SPEC, make_tenants(tenants, hot_fraction=1.0), **kwargs)
+        trace, _ = _merge_emission(fleet, nominal_bandwidth(SPEC), max_active=4)
+        return fleet, trace
+
+    def test_rewrites_files_ranks_and_pids(self):
+        fleet, trace = self.merged(rank_stride=8)
+        local = fleet.classes["hot"].trace
+        assert trace.interned_files == tuple(
+            tenant_file(k, file) for k in (0, 1) for file in local.interned_files
+        )
+        for k in (0, 1):
+            mine = [r for r in trace if tenant_of_rank(r.rank, 8) == k]
+            # every class row once, in class order, on the tenant's clock
+            assert len(mine) == len(local)
+            assert [(r.offset, r.size, r.op) for r in mine] == [
+                (r.offset, r.size, r.op) for r in local
+            ]
+            assert [r.rank for r in mine] == [rank_base(k, 8) + r.rank for r in local]
+            assert all(r.pid == r.rank for r in mine)
+            assert {r.file for r in mine} == {tenant_file(k, "hot.dat")}
+
+    def test_rank_overflow_is_a_config_error(self, monkeypatch):
+        # the hot class uses ranks 0 and 1
         with pytest.raises(ConfigurationError, match="namespace window"):
-            namespace_trace(columns(rec(0), rec(RANK_STRIDE)), 0)
+            build_tenants(SPEC, make_tenants(2), rank_stride=1)
+        negative = columns(rec(0), rec(-1, ts=1.0))
+        stand_in = FixedGenerator(negative)
+        monkeypatch.setattr(shard, "tenant_workload", lambda tenant: stand_in)
         with pytest.raises(ConfigurationError, match="local rank -1"):
-            namespace_trace(columns(rec(-1)), 0)
+            build_tenants(SPEC, make_tenants(2))
 
     def test_namespaces_are_disjoint(self):
-        a = namespace_trace(columns(rec(0)), 3).record(0)
-        b = namespace_trace(columns(rec(0)), 4).record(0)
-        assert a.file != b.file
-        assert tenant_of_rank(a.rank) != tenant_of_rank(b.rank)
+        _, trace = self.merged(tenants=3)
+        files = {}
+        for record in trace:
+            tenant = tenant_of_rank(record.rank)
+            assert tenant_of_file(record.file) == tenant
+            files.setdefault(tenant, set()).add(record.file)
+        assert sorted(files) == [0, 1, 2]
+        assert not files[0] & files[1] and not files[1] & files[2]

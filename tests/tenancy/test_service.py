@@ -12,13 +12,14 @@ from repro.tenancy import (
     TenantSpec,
     build_tenants,
     make_tenants,
-    namespace_trace,
     serve_scenario,
+    tenant_file,
     tenant_of_rank,
     tenant_workload,
 )
 from repro.tenancy.spec import tenant_op
 from repro.workloads import OpenArrivalWorkload
+from tests.tenancy.test_shard import namespace_trace, tenant_rows
 
 SPEC = ClusterSpec(num_hservers=2, num_sservers=2)
 N = 16
@@ -53,11 +54,12 @@ class TestDeterminism:
 
 class TestClassTraces:
     def test_builds_equal_per_tenant_generation(self):
-        """Each build's trace is what generating the tenant's own
+        """Each tenant's rows of the table are what generating its own
         workload, re-stamping and namespacing it would give."""
         fleet = make_tenants(6)
-        builds = build_tenants(SPEC, fleet, arrival_seed=5, rank_stride=8)
-        for spec_t, build in zip(fleet, builds):
+        table = build_tenants(SPEC, fleet, arrival_seed=5, rank_stride=8)
+        assert len(table.classes) == 2
+        for position, spec_t in enumerate(fleet):
             own = OpenArrivalWorkload(
                 tenant_workload(spec_t),
                 rate=spec_t.rate,
@@ -66,8 +68,10 @@ class TestClassTraces:
                 seed=5,
                 stream=spec_t.tenant,
             ).columnar(tenant_op(spec_t))
-            assert build.trace == namespace_trace(own, spec_t.tenant, stride=8)
-            assert build.requests == len(own)
+            assert tenant_rows(table, position) == namespace_trace(
+                own, spec_t.tenant, stride=8
+            )
+            assert int((table.tenant == spec_t.tenant).sum()) == len(own)
 
 
 class TestFairnessInvariants:
@@ -117,25 +121,26 @@ class TestFairnessInvariants:
 
 class TestQuotaEnforcement:
     def test_tail_quota_demotes_to_hdd(self):
-        builds = build_tenants(SPEC, make_tenants(4, hot_fraction=0.5))
-        tails = [b for b in builds if b.klass == "tail"]
-        hots = [b for b in builds if b.klass == "hot"]
+        table = build_tenants(SPEC, make_tenants(4, hot_fraction=0.5))
+        builds = list(zip(table.tenants, table.demoted, table.ssd_bytes))
+        tails = [b for b in builds if b[0].klass == "tail"]
+        hots = [b for b in builds if b[0].klass == "hot"]
         assert tails and hots
-        for b in tails:  # default tail quota binds: rebuilt HDD-only
-            assert b.demoted
-            assert b.ssd_bytes == 0
-        for b in hots:  # unlimited quota: SSD use intact
-            assert not b.demoted
-            assert b.ssd_bytes > 0
+        for _, demoted, ssd_bytes in tails:  # default tail quota binds
+            assert demoted
+            assert ssd_bytes == 0
+        for _, demoted, ssd_bytes in hots:  # unlimited quota: SSD use intact
+            assert not demoted
+            assert ssd_bytes > 0
 
     def test_unquotad_fleet_keeps_ssd_placement(self):
         fleet = tuple(
             TenantSpec(tenant=k, klass="tail", scheme="AAL", share=0.25)
             for k in range(4)
         )
-        builds = build_tenants(SPEC, fleet)
-        assert all(not b.demoted for b in builds)
-        assert all(b.ssd_bytes > 0 for b in builds)
+        table = build_tenants(SPEC, fleet)
+        assert not any(table.demoted)
+        assert all(ssd_bytes > 0 for ssd_bytes in table.ssd_bytes)
 
     def test_quota_respected_in_full_serve(self):
         report = serve()
@@ -144,28 +149,25 @@ class TestQuotaEnforcement:
 
 class TestTenantRoutingView:
     def make_view(self):
-        builds = build_tenants(SPEC, make_tenants(2, hot_fraction=1.0))
-        runs = {}
-        requests = {}
-        for b in builds:
-            runs.update(b.runs_by_file)
-            requests.update(b.requests_by_file)
-        views = {b.tenant: b.view for b in builds}
-        return TenantRoutingView(runs, requests, views), builds
+        table = build_tenants(SPEC, make_tenants(2, hot_fraction=1.0))
+        return table.routing_view(), table
 
     def test_serves_premapped_batches(self):
-        view, builds = self.make_view()
-        b = builds[0]
-        (file, (offsets, sizes)), = b.requests_by_file.items()
+        view, table = self.make_view()
+        (local, (offsets, sizes)), = table.classes["hot"].requests.items()
+        file = tenant_file(0, local)
         runs = view.merged_runs(file, offsets.tolist(), sizes.tolist())
-        assert runs is b.runs_by_file[file]
+        assert runs is table.runs[0][0]
+        # both tenants map the class file through equal DEF layouts
+        assert view.merged_runs(tenant_file(1, local), offsets, sizes) is runs
         # the event path maps through the tenant's own view
         frags = view.map_request(file, int(offsets[1]), int(sizes[1]))
         assert runs_from_fragments(frags) == runs.take([1])
 
     def test_unknown_file_and_diverged_batches_rejected(self):
-        view, builds = self.make_view()
-        (file, (offsets, sizes)), = builds[0].requests_by_file.items()
+        view, table = self.make_view()
+        (local, (offsets, sizes)), = table.classes["hot"].requests.items()
+        file = tenant_file(0, local)
         with pytest.raises(LayoutError, match="no premapped"):
             view.merged_runs("nope", [0], [1])
         with pytest.raises(LayoutError, match="no premapped"):
@@ -178,7 +180,7 @@ class TestTenantRoutingView:
     def test_mismatched_construction_rejected(self):
         empty = MergedRuns(servers=[], lengths=[], starts=[0])
         none = (np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        views = {0: build_tenants(SPEC, make_tenants(1))[0].view}
+        views = {0: build_tenants(SPEC, make_tenants(1)).views[0]}
         with pytest.raises(LayoutError):
             TenantRoutingView({"t0000/f": empty}, {}, views)
         with pytest.raises(LayoutError):
