@@ -62,7 +62,6 @@ TWIN_MODULES = (
     "repro.faults.state",
     "repro.layouts.extents",
     "repro.pfs.flat",
-    "repro.pfs.server",
     "repro.schemes.base",
     "repro.schemes.straggler",
     "repro.simulate.resources",

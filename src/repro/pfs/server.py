@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..contracts import twin_of
 from ..devices.base import Device, OpType
 from ..network.link import Link
 from ..simulate import Completion, FIFOResource, Simulator
@@ -108,54 +107,6 @@ class DataServer:
         if self.latency_log is not None:
             self.latency_log.append(record.finish - self.sim.now)
         return done
-
-    @twin_of(
-        "repro.pfs.server:DataServer.submit",
-        twin_only=("now",),
-        harness="server_submit",
-    )
-    def submit_flat(
-        self, op: OpType, length: int, now: float, not_before: float = 0.0
-    ) -> float:
-        """Event-free twin of :meth:`submit` for the flat replay kernel.
-
-        Same duration arithmetic, same statistics — but the finish time
-        is computed synchronously with
-        :meth:`FIFOResource.schedule_flat`'s arithmetic, inlined (the
-        server is a single FIFO channel, so it is fully determined at
-        submission) instead of scheduling a completion event.  ``now``
-        is the caller's clock.
-        """
-        device = self.device
-        base = (
-            device.alpha(op) / device.channels
-            + device.transfer_time(op, length)
-            + self.link.transfer_time(length)
-        )
-        stats = self.stats
-        stats.sub_requests += 1
-        if op == "read":
-            stats.bytes_read += length
-        else:
-            stats.bytes_written += length
-        channel = self.channel
-        tail = channel.busy_until
-        faults = self.faults
-        if faults is None:
-            duration = base
-            start = max(now, not_before, tail)
-        else:
-            start, factor = faults.adjust_flat(
-                op, length, max(now, not_before, tail), tail
-            )
-            duration = factor * base
-        finish = start + duration
-        channel.busy_until = finish
-        channel.busy_time += duration
-        channel.served += 1
-        if self.latency_log is not None:
-            self.latency_log.append(finish - now)
-        return finish
 
     @property
     def busy_time(self) -> float:

@@ -38,7 +38,6 @@ from repro.layouts.extents import per_server_bytes_batch, server_totals_grid
 from repro.core.features import extract_features, extract_features_columnar
 from repro.core.pipeline import MHAPipeline
 from repro.pfs import HybridPFS, replay_trace
-from repro.pfs.server import DataServer
 from repro.schemes.base import LayoutView
 from repro.schemes.straggler import StragglerAwareView
 from repro.simulate import FIFOResource, Simulator
@@ -133,17 +132,6 @@ _service_batches = st.lists(
     max_size=12,
 )
 
-_sub_request_batches = st.lists(
-    st.tuples(
-        st.sampled_from(["read", "write"]),
-        st.integers(min_value=1, max_value=16),  # length in 8 KiB units
-        st.integers(min_value=0, max_value=30),  # not_before * 4
-    ),
-    min_size=1,
-    max_size=14,
-)
-
-
 # fault timelines: quarters keep every boundary exactly representable
 _fault_windows = st.lists(
     st.tuples(
@@ -201,8 +189,8 @@ _FAULT_PLAN = FaultPlan(
     )
 )
 
-#: every mechanism stacked on one server, for the single-server
-#: submit harness
+#: every mechanism stacked on one server, the faulted replay
+#: harness's second plan
 _SERVER_FAULT_PLAN = FaultPlan(
     faults=(
         TransientSlowdown(server=0, factor=3.0, windows=3, mean_duration=1.0, horizon=8.0),
@@ -414,12 +402,12 @@ def _replay(contract):
         raw=_trace_shapes,
         nics=st.booleans(),
         gap=st.booleans(),
-        faulted=st.booleans(),
+        plan=st.sampled_from([None, _FAULT_PLAN, _SERVER_FAULT_PLAN]),
         open_=st.booleans(),
         feedback=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test(raw, nics, gap, faulted, open_, feedback):
+    def test(raw, nics, gap, plan, open_, feedback):
         spec = ClusterSpec(num_hservers=2, num_sservers=2, model_client_nics=nics)
         trace = Trace(
             [
@@ -459,7 +447,7 @@ def _replay(contract):
                 engine=engine,
                 keep_latencies=True,
                 barrier_gap=5.0 if gap else None,
-                fault_plan=_FAULT_PLAN if faulted else None,
+                fault_plan=plan,
                 open_arrivals=open_,
             )
             runs[engine] = (metrics, pfs)
@@ -474,6 +462,8 @@ def _replay(contract):
         assert fm.requests == em.requests
         for fsrv, esrv in zip(fpfs.servers, epfs.servers):
             assert fsrv.stats == esrv.stats
+            assert fsrv.channel.busy_until == esrv.channel.busy_until
+            assert fsrv.channel.served == esrv.channel.served
         assert fpfs.sim.now == epfs.sim.now
         if feedback:
             fview, eview = views["flat"], views["event"]
@@ -532,39 +522,6 @@ def _fault_adjust(contract):
 
 
 # ---------------------------------------------------------------- pfs layers
-
-
-def _fresh_server(use_ssd):
-    spec = ClusterSpec()
-    sim = Simulator()
-    device = spec.ssd if use_ssd else spec.hdd
-    server = DataServer(sim, 0, device, spec.link)
-    server.latency_log = []
-    return sim, server
-
-
-@harness("server_submit")
-def _server_submit(contract):
-    @given(batch=_sub_request_batches, use_ssd=st.booleans(), faulted=st.booleans())
-    @settings(max_examples=30, deadline=None)
-    def test(batch, use_ssd, faulted):
-        _, ref = _fresh_server(use_ssd)
-        _, twin = _fresh_server(use_ssd)
-        if faulted:
-            # separate compilations: fault states carry mutable cursors
-            ref.faults = _SERVER_FAULT_PLAN.compile(1)[0]
-            twin.faults = _SERVER_FAULT_PLAN.compile(1)[0]
-        for op, length, nb4 in batch:
-            ref.submit(op, length * 8 * KiB, not_before=nb4 / 4.0)
-            twin.submit_flat(op, length * 8 * KiB, 0.0, not_before=nb4 / 4.0)
-        # one (finish - submit) entry per sub-request, in submit order
-        assert twin.latency_log == ref.latency_log
-        assert twin.stats == ref.stats
-        assert twin.busy_time == ref.busy_time
-        assert twin.channel.busy_until == ref.channel.busy_until
-        assert twin.channel.served == ref.channel.served
-
-    return test
 
 
 @harness("fifo_schedule")
