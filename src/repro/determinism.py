@@ -100,11 +100,18 @@ def derive_seed(domain: SeedDomain, *indices: int, base: int = 0) -> int:
     never serialize alike.  Collision-free by construction: distinct
     lineages produce distinct seeds up to SHA-256 collisions.
     """
+    return _derive_seed(domain, indices, base, sanitize_enabled())
+
+
+def _derive_seed(
+    domain: SeedDomain, indices: tuple[int, ...], base: int, sanitize: bool
+) -> int:
+    """:func:`derive_seed`, recording the lineage when ``sanitize``."""
     hasher = hashlib.sha256()
     payload = "|".join([domain.value, str(int(base)), *map(str, map(int, indices))])
     hasher.update(payload.encode("ascii"))
     seed = int.from_bytes(hasher.digest()[:8], "big")
-    if sanitize_enabled():
+    if sanitize:
         _LEDGER.record(domain.value, tuple(int(i) for i in indices), int(base), seed)
     return seed
 
@@ -118,9 +125,9 @@ def derive_rng(
     ``REPRO_SANITIZE=1`` the generator is wrapped so every draw is
     counted against its lineage in the process ledger.
     """
-    seed = derive_seed(domain, *indices, base=base)
-    rng = np.random.default_rng(seed)
-    if sanitize_enabled():
+    sanitize = sanitize_enabled()
+    rng = np.random.default_rng(_derive_seed(domain, indices, base, sanitize))
+    if sanitize:
         key = _lineage_key(
             domain.value, tuple(int(i) for i in indices), int(base)
         )
