@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..exceptions import ConfigurationError
 from ..units import MiB
 
 __all__ = ["Link", "GIGABIT_ETHERNET"]
@@ -38,9 +39,11 @@ class Link:
 
     def __post_init__(self) -> None:
         if not (0 < self.bandwidth < math.inf):
-            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+            raise ConfigurationError(
+                f"bandwidth must be finite and > 0, got {self.bandwidth}"
+            )
         if not (0 <= self.latency < math.inf):
-            raise ValueError(
+            raise ConfigurationError(
                 f"latency must be finite and non-negative, got {self.latency}"
             )
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.devices import HDD, SSD, READ, WRITE
+from repro.exceptions import ConfigurationError
 from repro.units import MiB
 
 
@@ -33,9 +34,9 @@ class TestHDD:
         assert hdd.beta(WRITE) == pytest.approx(1.0 / (100 * MiB))
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             HDD(seek_time=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             HDD(bandwidth=0)
 
     def test_single_channel(self):
@@ -66,9 +67,9 @@ class TestSSD:
         assert SSD().channels > 1
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SSD(read_bandwidth=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SSD(write_startup=-0.1)
 
 
@@ -82,30 +83,30 @@ class TestConstructionValidation:
     @pytest.mark.parametrize("device", [HDD, SSD])
     @pytest.mark.parametrize("channels", [0, -1])
     def test_channels_below_one_rejected(self, device, channels):
-        with pytest.raises(ValueError, match="channels"):
+        with pytest.raises(ConfigurationError, match="channels"):
             device(channels=channels)
 
     @pytest.mark.parametrize("field", ["seek_time"])
     @pytest.mark.parametrize("value", BAD_TIMES)
     def test_hdd_times_must_be_finite(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigurationError, match=field):
             HDD(**{field: value})
 
     @pytest.mark.parametrize("value", BAD_RATES)
     def test_hdd_bandwidth_must_be_finite(self, value):
-        with pytest.raises(ValueError, match="bandwidth"):
+        with pytest.raises(ConfigurationError, match="bandwidth"):
             HDD(bandwidth=value)
 
     @pytest.mark.parametrize("field", ["read_startup", "write_startup"])
     @pytest.mark.parametrize("value", BAD_TIMES)
     def test_ssd_times_must_be_finite(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigurationError, match=field):
             SSD(**{field: value})
 
     @pytest.mark.parametrize("field", ["read_bandwidth", "write_bandwidth"])
     @pytest.mark.parametrize("value", BAD_RATES)
     def test_ssd_bandwidths_must_be_finite(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigurationError, match=field):
             SSD(**{field: value})
 
     def test_boundary_values_accepted(self):

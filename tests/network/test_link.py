@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.network import GIGABIT_ETHERNET, Link
 from repro.units import MiB
 
@@ -25,19 +26,19 @@ class TestLink:
             Link().transfer_time(-1)
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Link(bandwidth=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Link(latency=-1)
 
     @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -1.0])
     def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
-        with pytest.raises(ValueError, match="bandwidth"):
+        with pytest.raises(ConfigurationError, match="bandwidth"):
             Link(bandwidth=bandwidth)
 
     @pytest.mark.parametrize("latency", [math.nan, math.inf])
     def test_latency_must_be_finite(self, latency):
-        with pytest.raises(ValueError, match="latency"):
+        with pytest.raises(ConfigurationError, match="latency"):
             Link(latency=latency)
 
     def test_zero_latency_accepted(self):
