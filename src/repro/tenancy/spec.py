@@ -95,9 +95,7 @@ class TenantSpec:
                 f"weight must be finite and > 0, got {self.weight}"
             )
         if not 0.0 < self.share <= 1.0:
-            raise ConfigurationError(
-                f"share must be in (0, 1], got {self.share}"
-            )
+            raise ConfigurationError(f"share must be in (0, 1], got {self.share}")
         if self.sserver_quota is not None and not 0.0 <= self.sserver_quota <= 1.0:
             raise ConfigurationError(
                 f"sserver_quota must be in [0, 1], got {self.sserver_quota}"
@@ -189,9 +187,7 @@ def make_tenants(
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     if not 0.0 <= hot_fraction <= 1.0:
-        raise ConfigurationError(
-            f"hot_fraction must be in [0, 1], got {hot_fraction}"
-        )
+        raise ConfigurationError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
     share = 1.0 / count
     tenants: list[TenantSpec] = []
     acc = 0.0

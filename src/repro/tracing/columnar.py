@@ -705,8 +705,6 @@ def collapse_by_last_group(
     """
     order = np.lexsort((labels, inverse))
     inv_sorted = inverse[order]
-    last = np.flatnonzero(
-        np.concatenate((inv_sorted[1:] != inv_sorted[:-1], [True]))
-    )
+    last = np.flatnonzero(np.concatenate((inv_sorted[1:] != inv_sorted[:-1], [True])))
     winner = order[last]  # one index per class, classes in id order
     return values[winner[inverse]]
