@@ -396,10 +396,12 @@ class TestReplayLongDigestPinned:
     MHA+SAW under slowdown and scrub faults with latencies kept.  The
     digest hashes each run's metrics as the benchmark's check does, so
     it equals the benchmark's ``replay-long`` pin; the MHA+SAW view's
-    redirect counters are pinned beside it.
+    redirect counters and its redirect table, entry by entry, are
+    pinned beside it.
     """
 
     PINNED = "6aa0e0ad46aa45b21b83df8817f14fc8c221889ed4f651eeebc5cfeeeb878a74"
+    PINNED_DRT = "0ee9a5b87a264d5f336ae8b3537a8f4b29c6e67e8bc13b825bfcda660c036703"
     PASSES = 20
 
     @staticmethod
@@ -455,3 +457,10 @@ class TestReplayLongDigestPinned:
         assert view.replicated_bytes == 11_730_944
         assert view.redirected_fragments == 2_348
         assert hasher.hexdigest() == self.PINNED
+        entries = list(view._drt)
+        assert len(entries) == 2_348
+        table = "".join(
+            f"{e.o_file},{e.o_offset},{e.length},{e.r_file},{e.r_offset}\n"
+            for e in entries
+        )
+        assert hashlib.sha256(table.encode()).hexdigest() == self.PINNED_DRT
