@@ -17,8 +17,8 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..exceptions import RedirectionError
-from ..layouts.base import Layout, SubRequest
-from ..layouts.batch import MergedRuns, merged_runs_of, runs_from_fragments
+from ..layouts.base import FragmentColumns, Layout, SubRequest
+from ..layouts.batch import MergedRuns, merged_runs_of, runs_from_columns
 from .drt import DRT, UNMAPPED, TranslatedExtent
 
 __all__ = ["Redirector", "distinct_extents"]
@@ -68,29 +68,25 @@ class Redirector:
             ) from None
 
     def _assemble(
-        self, file: str, extents: Sequence[TranslatedExtent]
-    ) -> list[SubRequest]:
-        """Map translated extents through their layouts, rebasing the
-        fragments into the original file's coordinate space."""
-        fragments: list[SubRequest] = []
+        self, out: FragmentColumns, file: str, extents: Sequence[TranslatedExtent]
+    ) -> None:
+        """Map translated extents through their layouts into ``out``,
+        rebasing the fragments into the original file's coordinate
+        space."""
         for extent in extents:
             layout = (
                 self._region_layout(extent.file)
                 if extent.mapped
                 else self.layout_for(file)
             )
-            base = extent.logical_offset - extent.offset
-            for frag in layout.map_extent(extent.offset, extent.length):
-                fragments.append(
-                    SubRequest(
-                        server=frag.server,
-                        obj=frag.obj,
-                        offset=frag.offset,
-                        length=frag.length,
-                        logical_offset=base + frag.logical_offset,
-                    )
-                )
-        return fragments
+            shift = extent.logical_offset - extent.offset
+            layout.fragment_columns(out, extent.offset, extent.length, shift)
+
+    def fragment_columns(
+        self, out: FragmentColumns, file: str, offset: int, length: int
+    ) -> None:
+        """:meth:`map_request`'s fragments, appended to ``out``."""
+        self._assemble(out, file, self._drt.translate(file, offset, length))
 
     def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
         """Resolve a request into server fragments, via the DRT.
@@ -99,7 +95,9 @@ class Redirector:
         coordinate space, so callers can verify tiling and reassemble
         data irrespective of where the bytes physically moved.
         """
-        return self._assemble(file, self._drt.translate(file, offset, length))
+        out = FragmentColumns()
+        self.fragment_columns(out, file, offset, length)
+        return out.subrequests()
 
     @twin_of(
         "repro.core.redirector:Redirector.map_request",
@@ -178,8 +176,9 @@ class Redirector:
             n_extents += hi - lo
 
         for item in np.flatnonzero(per_extent > 1).tolist():
-            fragments = self._assemble(file, pieces.extents(item))
-            parts.append(runs_from_fragments(fragments))
+            fragments = FragmentColumns()
+            self._assemble(fragments, file, pieces.extents(item))
+            parts.append(runs_from_columns(fragments))
             owner[item] = n_extents
             n_extents += 1
 

@@ -6,7 +6,9 @@ file/region, and at what offsets inside each server's storage object?
 The answer is a list of :class:`SubRequest` fragments that **tile** the
 request: contiguous in logical order, non-overlapping, covering every
 byte exactly once.  Those tiling invariants are property-tested in
-``tests/layouts``.
+``tests/layouts``.  Each layout does its stripe arithmetic once, in
+:meth:`Layout.fragment_columns`, which appends the fragments to a
+:class:`FragmentColumns`; ``map_extent`` wraps it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..exceptions import LayoutError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .batch import MergedRuns
 
-__all__ = ["SubRequest", "Layout", "check_tiling"]
+__all__ = ["FragmentColumns", "SubRequest", "Layout", "check_tiling"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,35 @@ class SubRequest:
             raise LayoutError("fragment offsets must be non-negative")
 
 
+class FragmentColumns:
+    """Fragments as columns, one list per :class:`SubRequest` field.
+
+    Layouts and file views append to it (``fragment_columns``), so a
+    caller that only needs some fields builds no object per fragment.
+    """
+
+    __slots__ = ("servers", "objs", "offsets", "lengths", "logicals")
+
+    def __init__(self) -> None:
+        self.servers: list[int] = []
+        self.objs: list[str] = []
+        self.offsets: list[int] = []
+        self.lengths: list[int] = []
+        self.logicals: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.servers)
+
+    def subrequests(self) -> list[SubRequest]:
+        """The fragments as :class:`SubRequest` objects, in order."""
+        return [
+            SubRequest(*row)
+            for row in zip(
+                self.servers, self.objs, self.offsets, self.lengths, self.logicals
+            )
+        ]
+
+
 class Layout(abc.ABC):
     """Maps logical extents of one file/region onto server objects."""
 
@@ -70,12 +101,26 @@ class Layout(abc.ABC):
         """Indices of the servers this layout may place data on."""
 
     @abc.abstractmethod
+    def fragment_columns(
+        self, out: FragmentColumns, offset: int, length: int, shift: int = 0
+    ) -> None:
+        """Append the fragments of ``[offset, offset+length)`` to ``out``,
+        each logical offset raised by ``shift``.
+
+        Fragments come in ascending logical order and tile the extent
+        exactly; a zero-length extent appends nothing.  Raises
+        :class:`LayoutError` for a negative offset or length.
+        """
+
     def map_extent(self, offset: int, length: int) -> list[SubRequest]:
         """Split ``[offset, offset+length)`` into per-server fragments.
 
         Fragments are returned in ascending ``logical_offset`` order and
         tile the extent exactly.  A zero-length extent maps to ``[]``.
         """
+        out = FragmentColumns()
+        self.fragment_columns(out, offset, length)
+        return out.subrequests()
 
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]
@@ -83,7 +128,7 @@ class Layout(abc.ABC):
         """Columnar *merged* runs for a batch of extents, or ``None``.
 
         ``None`` means this layout has no batch kernel; callers fall
-        back to ``map_extent`` + ``merge_fragments`` through
+        back to ``fragment_columns`` + ``merge_columns`` through
         :func:`repro.layouts.batch.merged_runs_of`.
         """
         return None

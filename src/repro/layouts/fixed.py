@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import LayoutError
-from .base import Layout, SubRequest
+from .base import FragmentColumns, Layout
 from .batch import MergedRuns, periodic_merged_runs
 
 __all__ = ["FixedStripeLayout"]
@@ -41,29 +41,27 @@ class FixedStripeLayout(Layout):
     def servers(self) -> Sequence[int]:
         return self._servers
 
-    def map_extent(self, offset: int, length: int) -> list[SubRequest]:
+    def fragment_columns(
+        self, out: FragmentColumns, offset: int, length: int, shift: int = 0
+    ) -> None:
         if offset < 0 or length < 0:
             raise LayoutError("offset and length must be non-negative")
-        fragments: list[SubRequest] = []
+        servers, offsets = out.servers, out.offsets
+        lengths, logicals = out.lengths, out.logicals
+        first = len(servers)
         nservers = len(self._servers)
+        stripe = self.stripe
         cursor = offset
         end = offset + length
         while cursor < end:
-            stripe_idx, within = divmod(cursor, self.stripe)
-            take = min(self.stripe - within, end - cursor)
-            server = self._servers[stripe_idx % nservers]
-            server_offset = (stripe_idx // nservers) * self.stripe + within
-            fragments.append(
-                SubRequest(
-                    server=server,
-                    obj=self.obj,
-                    offset=server_offset,
-                    length=take,
-                    logical_offset=cursor,
-                )
-            )
+            stripe_idx, within = divmod(cursor, stripe)
+            take = min(stripe - within, end - cursor)
+            servers.append(self._servers[stripe_idx % nservers])
+            offsets.append((stripe_idx // nservers) * stripe + within)
+            lengths.append(take)
+            logicals.append(shift + cursor)
             cursor += take
-        return fragments
+        out.objs.extend([self.obj] * (len(servers) - first))
 
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]

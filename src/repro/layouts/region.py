@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..exceptions import LayoutError
-from .base import Layout, SubRequest
+from .base import FragmentColumns, Layout
 from .batch import MergedRuns, merged_runs_of
 
 __all__ = ["Region", "RegionLayout"]
@@ -100,32 +100,22 @@ class RegionLayout(Layout):
         idx = bisect_right(self._starts, offset) - 1
         return idx, self._regions[idx]
 
-    def map_extent(self, offset: int, length: int) -> list[SubRequest]:
+    def fragment_columns(
+        self, out: FragmentColumns, offset: int, length: int, shift: int = 0
+    ) -> None:
         if offset < 0 or length < 0:
             raise LayoutError("offset and length must be non-negative")
-        fragments: list[SubRequest] = []
+        last = len(self._regions) - 1
         cursor = offset
         end = offset + length
         while cursor < end:
             idx, region = self.region_at(cursor)
-            if idx == len(self._regions) - 1:
-                region_end = end  # last region extends indefinitely
-            else:
-                region_end = min(region.end, end)
-            take = region_end - cursor
-            local = cursor - region.start
-            for frag in region.layout.map_extent(local, take):
-                fragments.append(
-                    SubRequest(
-                        server=frag.server,
-                        obj=frag.obj,
-                        offset=frag.offset,
-                        length=frag.length,
-                        logical_offset=region.start + frag.logical_offset,
-                    )
-                )
+            # the last region extends indefinitely
+            region_end = end if idx == last else min(region.end, end)
+            region.layout.fragment_columns(
+                out, cursor - region.start, region_end - cursor, shift + region.start
+            )
             cursor = region_end
-        return fragments
 
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]

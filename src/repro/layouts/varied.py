@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import LayoutError
-from .base import Layout, SubRequest
+from .base import FragmentColumns, Layout
 from .batch import MergedRuns, periodic_merged_runs
 
 __all__ = ["VariedStripeLayout"]
@@ -91,10 +91,14 @@ class VariedStripeLayout(Layout):
         """Logical bytes covered by one full stripe cycle."""
         return self._cycle
 
-    def map_extent(self, offset: int, length: int) -> list[SubRequest]:
+    def fragment_columns(
+        self, out: FragmentColumns, offset: int, length: int, shift: int = 0
+    ) -> None:
         if offset < 0 or length < 0:
             raise LayoutError("offset and length must be non-negative")
-        fragments: list[SubRequest] = []
+        servers, offsets = out.servers, out.offsets
+        lengths, logicals = out.lengths, out.logicals
+        first = len(servers)
         cursor = offset
         end = offset + length
         cycle = self._cycle
@@ -103,26 +107,18 @@ class VariedStripeLayout(Layout):
             cycle_idx, within_cycle = divmod(cursor, cycle)
             if within_cycle < hspan:
                 slot, within = divmod(within_cycle, self.h)
-                server = self._hservers[slot]
+                servers.append(self._hservers[slot])
                 stripe = self.h
-                server_offset = cycle_idx * self.h + within
             else:
                 slot, within = divmod(within_cycle - hspan, self.s)
-                server = self._sservers[slot]
+                servers.append(self._sservers[slot])
                 stripe = self.s
-                server_offset = cycle_idx * self.s + within
             take = min(stripe - within, end - cursor)
-            fragments.append(
-                SubRequest(
-                    server=server,
-                    obj=self.obj,
-                    offset=server_offset,
-                    length=take,
-                    logical_offset=cursor,
-                )
-            )
+            offsets.append(cycle_idx * stripe + within)
+            lengths.append(take)
+            logicals.append(shift + cursor)
             cursor += take
-        return fragments
+        out.objs.extend([self.obj] * (len(servers) - first))
 
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]

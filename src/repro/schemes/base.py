@@ -14,7 +14,7 @@ from typing import Sequence
 from ..cluster import ClusterSpec
 from ..contracts import twin_of
 from ..exceptions import LayoutError
-from ..layouts.base import Layout, SubRequest
+from ..layouts.base import FragmentColumns, Layout, SubRequest
 from ..layouts.batch import MergedRuns, merged_runs_of
 from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
@@ -38,6 +38,12 @@ class LayoutView:
     def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
         """Resolve a request through the file's static layout."""
         return self.layout_for(file).map_extent(offset, length)
+
+    def fragment_columns(
+        self, out: FragmentColumns, file: str, offset: int, length: int
+    ) -> None:
+        """:meth:`map_request`'s fragments, appended to ``out``."""
+        self.layout_for(file).fragment_columns(out, offset, length)
 
     @twin_of(
         "repro.schemes.base:LayoutView.map_request",

@@ -193,7 +193,7 @@ def _premap(
     return view, tuple(runs), ssd_bytes
 
 
-@effects("READS_CONFIG", "IO")
+@effects("READS_CONFIG")
 def build_tenant(task: TenantRange) -> FleetTable:
     """Build one contiguous range of tenants (module-level: picklable).
 
