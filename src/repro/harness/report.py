@@ -134,7 +134,7 @@ def to_csv(result: FigureResult) -> str:
 def from_csv(text: str, figure: str = "csv", title: str = "") -> FigureResult:
     """Rebuild a :class:`FigureResult` from :func:`to_csv` output."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if not header or header[0] != "label":
         raise ValueError("not a FigureResult CSV (missing 'label' header)")
     result = FigureResult(figure=figure, title=title)

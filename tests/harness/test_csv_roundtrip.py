@@ -34,6 +34,10 @@ class TestCSVRoundTrip:
     def test_header_validation(self):
         with pytest.raises(ValueError):
             from_csv("nope,DEF\nx,1\n")
+        # no header at all: empty input and a blank line alike
+        for text in ("", "\n"):
+            with pytest.raises(ValueError, match="not a FigureResult CSV"):
+                from_csv(text)
 
     def test_csv_is_plottable_shape(self):
         text = to_csv(self._result())
