@@ -59,7 +59,6 @@ TWIN_MODULES = (
     "repro.core.features",
     "repro.core.pipeline",
     "repro.core.redirector",
-    "repro.faults.state",
     "repro.layouts.extents",
     "repro.pfs.flat",
     "repro.schemes.base",

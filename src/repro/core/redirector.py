@@ -18,7 +18,7 @@ import numpy as np
 from ..contracts import twin_of
 from ..exceptions import RedirectionError
 from ..layouts.base import FragmentColumns, Layout, SubRequest
-from ..layouts.batch import MergedRuns, merged_runs_of, runs_from_columns
+from ..layouts.batch import MergedRuns, runs_from_columns
 from .drt import DRT, UNMAPPED, TranslatedExtent
 
 __all__ = ["Redirector", "distinct_extents"]
@@ -116,8 +116,9 @@ class Redirector:
         its profiled run touched.  Extents whose translation is a
         single piece — the common case once a file is fully reordered,
         and always the case for an identity DRT — are grouped per
-        target layout and pushed through its vectorized kernel.
-        Multi-piece extents take the exact object path.  The DRT's
+        target layout and pushed through its batch kernel
+        (``merged_extent_runs``).  A multi-piece extent's fragments are
+        merged across its pieces (``runs_from_columns``).  The DRT's
         hot-entry counters are left to the per-record path.
         """
         off = np.asarray(offsets, dtype=np.int64).reshape(-1)
@@ -168,8 +169,8 @@ class Redirector:
             )
             at = piece[order[lo:hi]]
             parts.append(
-                merged_runs_of(
-                    layout, pieces.offsets[at].tolist(), pieces.lengths[at].tolist()
+                layout.merged_extent_runs(
+                    pieces.offsets[at].tolist(), pieces.lengths[at].tolist()
                 )
             )
             owner[single[order[lo:hi]]] = n_extents + np.arange(hi - lo)

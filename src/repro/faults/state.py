@@ -19,14 +19,10 @@ structures plus optional write-cliff state:
   last long-enough idle gap; once past the device cache capacity,
   writes dilate).
 
-The lookup has a reference path (:meth:`ServerFaultState.adjust`,
-bisect per call) and a flat twin (:meth:`~ServerFaultState.adjust_flat`)
-registered via :func:`~repro.contracts.twin_of`: per-server service
-starts are non-decreasing in both replay engines (FIFO queue-tail
-arithmetic), so the twin advances monotone cursors instead of
-bisecting — amortized O(1) per sub-request.  Both paths compute the
-final factor with the *same* helper in the same multiplication order,
-so every float they produce is bit-identical.
+Both replay engines look a sub-request up through the one
+:meth:`ServerFaultState.adjust` (a bisect per timeline), so both
+compose the same factors in the same multiplication order and every
+float they produce is bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..contracts import twin_of
 from ..devices.base import OpType
 
 __all__ = [
@@ -131,8 +126,8 @@ class ServerFaultState:
 
     Instances are built by :meth:`repro.faults.plan.FaultPlan.compile`
     and attached to :class:`~repro.pfs.server.DataServer` as
-    ``server.faults``; the server consults :meth:`adjust` (event
-    engine) or :meth:`adjust_flat` (flat kernel) per sub-request.
+    ``server.faults``; both replay engines consult :meth:`adjust` per
+    sub-request.
     """
 
     def __init__(
@@ -148,27 +143,29 @@ class ServerFaultState:
         self._outage_starts = [span[0] for span in self._outages]
         self._scrubs = tuple(scrubs)
         self.cliff = cliff
-        # monotone cursors for adjust_flat; reset whenever a query
-        # regresses so arbitrary call sequences stay correct
-        self._outage_cursor = 0
-        self._segment_cursor = 0
-        self._last_candidate = float("-inf")
-        self._last_start = float("-inf")
 
-    def _factor_at(
-        self,
-        op: OpType,
-        length: int,
-        start: float,
-        prev_tail: float,
-        segment: Window | None,
-    ) -> float:
-        """Compose the duration factor at ``start`` — shared by both
-        lookup paths so the multiplication order (segment, scrubs in
-        declaration order, cliff) is identical bit for bit."""
+    def adjust(
+        self, op: OpType, length: int, candidate: float, prev_tail: float
+    ) -> tuple[float, float]:
+        """``(service_start, duration_factor)`` for a sub-request that
+        would otherwise start at ``candidate``.
+
+        ``prev_tail`` is the server queue's tail *before* this
+        submission — the previous service's finish time — used for the
+        write-cliff idle-gap recovery test.  Service that would begin
+        inside an outage is deferred to the outage's end; the factor is
+        evaluated at the (possibly deferred) start, composed in one
+        order: the dilation segment's, each scrub's in declaration
+        order, then the write cliff's.
+        """
+        start = candidate
+        i = bisect_right(self._outage_starts, candidate) - 1
+        if i >= 0 and candidate < self._outages[i][1]:
+            start = self._outages[i][1]
         factor = 1.0
-        if segment is not None:
-            factor *= segment.factor
+        j = bisect_right(self._segment_starts, start) - 1
+        if j >= 0 and start < self._segments[j].end:
+            factor *= self._segments[j].factor
         for scrub in self._scrubs:
             if (start - scrub.phase) % scrub.period < scrub.duty:
                 factor *= scrub.factor
@@ -180,67 +177,4 @@ class ServerFaultState:
                 cliff.written += length
                 if cliff.written > cliff.capacity_bytes:
                     factor *= cliff.factor
-        return factor
-
-    def adjust(
-        self, op: OpType, length: int, candidate: float, prev_tail: float
-    ) -> tuple[float, float]:
-        """Reference lookup: ``(service_start, duration_factor)`` for a
-        sub-request that would otherwise start at ``candidate``.
-
-        ``prev_tail`` is the server queue's tail *before* this
-        submission — the previous service's finish time — used for the
-        write-cliff idle-gap recovery test.  Service that would begin
-        inside an outage is deferred to the outage's end; the factor is
-        evaluated at the (possibly deferred) start.
-        """
-        start = candidate
-        i = bisect_right(self._outage_starts, candidate) - 1
-        if i >= 0 and candidate < self._outages[i][1]:
-            start = self._outages[i][1]
-        segment = None
-        j = bisect_right(self._segment_starts, start) - 1
-        if j >= 0 and start < self._segments[j].end:
-            segment = self._segments[j]
-        return start, self._factor_at(op, length, start, prev_tail, segment)
-
-    @twin_of(
-        "repro.faults.state:ServerFaultState.adjust",
-        harness="fault_adjust",
-    )
-    def adjust_flat(
-        self, op: OpType, length: int, candidate: float, prev_tail: float
-    ) -> tuple[float, float]:
-        """Cursor twin of :meth:`adjust` for the flat replay kernel.
-
-        Per-server candidates are non-decreasing under FIFO queue-tail
-        arithmetic, so interval lookup is an amortized O(1) cursor
-        advance instead of a bisect; a regressing query resets the
-        cursors, keeping arbitrary sequences correct.  Returns the
-        same floats as :meth:`adjust`, bit for bit.
-        """
-        if candidate < self._last_candidate:
-            self._outage_cursor = 0
-        self._last_candidate = candidate
-        outages = self._outages
-        i = self._outage_cursor
-        n = len(outages)
-        while i < n and outages[i][1] <= candidate:
-            i += 1
-        self._outage_cursor = i
-        start = candidate
-        if i < n and outages[i][0] <= candidate:
-            start = outages[i][1]
-        if start < self._last_start:
-            self._segment_cursor = 0
-        self._last_start = start
-        segments = self._segments
-        j = self._segment_cursor
-        m = len(segments)
-        while j < m and segments[j].end <= start:
-            j += 1
-        self._segment_cursor = j
-        segment = None
-        if j < m and segments[j].start <= start:
-            segment = segments[j]
-        return start, self._factor_at(op, length, start, prev_tail, segment)
+        return start, factor

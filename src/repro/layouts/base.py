@@ -8,7 +8,9 @@ request: contiguous in logical order, non-overlapping, covering every
 byte exactly once.  Those tiling invariants are property-tested in
 ``tests/layouts``.  Each layout does its stripe arithmetic once, in
 :meth:`Layout.fragment_columns`, which appends the fragments to a
-:class:`FragmentColumns`; ``map_extent`` wraps it.
+:class:`FragmentColumns`; ``map_extent`` wraps it.  Each layout also
+has a batch kernel, :meth:`Layout.merged_extent_runs`, which maps many
+extents straight to their merged runs.
 """
 
 from __future__ import annotations
@@ -122,29 +124,24 @@ class Layout(abc.ABC):
         self.fragment_columns(out, offset, length)
         return out.subrequests()
 
+    @abc.abstractmethod
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]
-    ) -> "MergedRuns | None":
-        """Columnar *merged* runs for a batch of extents, or ``None``.
+    ) -> "MergedRuns":
+        """Columnar *merged* runs for a batch of extents.
 
-        ``None`` means this layout has no batch kernel; callers fall
-        back to ``fragment_columns`` + ``merge_columns`` through
-        :func:`repro.layouts.batch.merged_runs_of`.
+        Extent ``k``'s runs have the servers and lengths, in order, of
+        ``merge_fragments(map_extent(offsets[k], lengths[k]))``.  Raises
+        :class:`LayoutError` when the two columns differ in length or
+        hold a negative value.
         """
-        return None
-
-    def locate(self, offset: int) -> SubRequest:
-        """The fragment containing the single byte at ``offset``."""
-        frags = self.map_extent(offset, 1)
-        if len(frags) != 1:
-            raise LayoutError(f"locate({offset}) produced {len(frags)} fragments")
-        return frags[0]
 
 
 def check_tiling(offset: int, length: int, fragments: Iterable[SubRequest]) -> None:
     """Raise :class:`LayoutError` unless ``fragments`` tile the extent.
 
-    Used by tests and by the PFS client in paranoid mode.
+    Used by tests and by :class:`repro.pfs.storage.DataClient`, which
+    checks every fragment list it moves a payload through.
     """
     cursor = offset
     for frag in fragments:

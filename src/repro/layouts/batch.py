@@ -11,47 +11,45 @@ holds the shared machinery:
   with ``starts`` boundaries.  A run's service time depends on its
   server and its byte count alone (Eq. 2, and the simulator's one
   service law), so those are all a premapped run keeps;
-* :func:`periodic_merged_runs` — the NumPy kernel for round-robin
-  striping.  Both fixed and varied striping are periodic: server ``j``
-  owns the window ``[a_j, a_j + w_j)`` of every ``cycle``-byte period,
-  so a contiguous extent produces **at most one merged run per
-  server**, whose length follows from the same cumulative-window
-  closed form as :func:`repro.layouts.extents.bytes_in_window`;
-* :func:`merged_runs_of` — dispatch: a layout's vectorized
-  ``merged_extent_runs`` kernel when it has one, otherwise the exact
-  per-extent path (``fragment_columns`` + :func:`merge_columns`);
+* :func:`periodic_merged_runs` — the NumPy kernel behind
+  :meth:`repro.layouts.varied.VariedStripeLayout.merged_extent_runs`
+  (fixed striping is its one-class case).  Striping is periodic:
+  server ``j`` owns the window ``[a_j, a_j + w_j)`` of every
+  ``cycle``-byte period, so a contiguous extent produces **at most one
+  merged run per server**, whose length follows from the same
+  cumulative-window closed form as
+  :func:`repro.layouts.extents.bytes_in_window`.  Every layout has a
+  batch kernel (``Layout.merged_extent_runs``): region layouts split
+  extents at region boundaries and call their regions' kernels;
 * :func:`in_request_order` — the one gather that assembles runs mapped
-  in groups (per file, or batch and fallback) back into request order:
+  in groups (per file) back into request order:
   :meth:`MergedRuns.concat`, then :meth:`MergedRuns.take`;
 * :func:`merge_fragments` — the order-preserving coalescer (moved here
   from :mod:`repro.pfs.system`, which re-exports it), which builds one
   :class:`~repro.layouts.base.SubRequest` per *merged run*;
   :func:`merge_columns` is the same merge over
-  :class:`~repro.layouts.base.FragmentColumns`, building none.
+  :class:`~repro.layouts.base.FragmentColumns`, building none, and
+  :func:`runs_from_columns` turns one extent's merged fragments into a
+  :class:`MergedRuns` (the redirector's multi-piece extents).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..exceptions import LayoutError
 from .base import FragmentColumns, SubRequest
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .base import Layout
-
 __all__ = [
     "MergedRuns",
     "in_request_order",
     "merge_columns",
     "merge_fragments",
-    "merged_runs_of",
     "periodic_merged_runs",
     "runs_from_columns",
-    "runs_from_fragments",
 ]
 
 
@@ -159,18 +157,9 @@ class MergedRuns:
         )
 
 
-def runs_from_fragments(fragments: Sequence[SubRequest]) -> MergedRuns:
-    """A single-extent :class:`MergedRuns` from an explicit fragment list."""
-    merged = merge_fragments(fragments)
-    return MergedRuns(
-        servers=[f.server for f in merged],
-        lengths=[f.length for f in merged],
-        starts=[0, len(merged)],
-    )
-
-
 def runs_from_columns(fragments: FragmentColumns) -> MergedRuns:
-    """:func:`runs_from_fragments` for fragments given as columns."""
+    """A single-extent :class:`MergedRuns`: the merged runs of one
+    extent's fragments, given as columns."""
     merged = merge_columns(fragments)
     return MergedRuns(merged.servers, merged.lengths, [0, len(merged)])
 
@@ -204,12 +193,12 @@ def periodic_merged_runs(
     """Vectorized merged-run mapping for periodic round-robin striping.
 
     Server window ``j`` occupies ``[a_j, a_j + w_j)`` of every
-    ``cycle``-byte period (fixed striping: ``a_j = j*stripe``,
-    ``w_j = stripe``; varied striping: the H windows then the S
-    windows).  For a contiguous extent every touched window yields one
-    merged run, because the extent covers a suffix of its first window
-    instance, every full instance between, and a prefix of its last —
-    ranges that are contiguous in the server object.  Hence, with
+    ``cycle``-byte period (varied striping: the H windows then the S
+    windows; fixed striping has only the H windows).  For a contiguous
+    extent every touched window yields one merged run, because the
+    extent covers a suffix of its first window instance, every full
+    instance between, and a prefix of its last — ranges that are
+    contiguous in the server object.  Hence, with
     ``cum_j(y)`` = bytes of ``[0, y)`` landing in window ``j`` (the
     :func:`repro.layouts.extents.bytes_in_window` closed form):
 
@@ -259,31 +248,3 @@ def periodic_merged_runs(
         lengths=run_len[rows, cols].tolist(),
         starts=row_starts.tolist(),
     )
-
-
-def generic_merged_runs(
-    layout: "Layout", offsets: Sequence[int], lengths: Sequence[int]
-) -> MergedRuns:
-    """Exact per-extent fallback: each extent's fragments, merged."""
-    parts: list[MergedRuns] = []
-    for offset, length in zip(offsets, lengths):
-        fragments = FragmentColumns()
-        layout.fragment_columns(fragments, int(offset), int(length))
-        parts.append(runs_from_columns(fragments))
-    return MergedRuns.concat(parts)
-
-
-def merged_runs_of(
-    layout: "Layout", offsets: Sequence[int], lengths: Sequence[int]
-) -> MergedRuns:
-    """Batch-map extents through ``layout`` into merged runs.
-
-    Uses the layout's vectorized ``merged_extent_runs`` kernel when it
-    provides one (fixed/varied/region striping), otherwise the exact
-    object path.  Both produce identical runs — property-tested in
-    ``tests/layouts/test_batch.py``.
-    """
-    fast = layout.merged_extent_runs(offsets, lengths)
-    if fast is not None:
-        return fast
-    return generic_merged_runs(layout, offsets, lengths)

@@ -6,10 +6,11 @@ MHA's reordered region files each carry a single varied layout, but the
 *original* file view used before reordering is also region-shaped, so
 both schemes share this composition.
 
-Each region maps into its own storage object (named
-``f"{obj}/r{index}"``), matching the implementation note in §III-E that
-"each region is implemented by a physical file in the same file
-system".
+Each region maps into its own storage object (HARL names them
+``f"{file}/r{index}"``), matching the implementation note in §III-E
+that "each region is implemented by a physical file in the same file
+system".  A layout whose regions share an object is rejected: its runs
+could merge across a region boundary, which no batch kernel models.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from ..exceptions import LayoutError
 from .base import FragmentColumns, Layout
-from .batch import MergedRuns, merged_runs_of
+from .batch import MergedRuns
 
 __all__ = ["Region", "RegionLayout"]
 
@@ -51,9 +52,10 @@ class Region:
 class RegionLayout(Layout):
     """A file layout assembled from consecutive regions.
 
-    Regions must be sorted, non-overlapping and gap-free from offset 0;
-    extents beyond the last region fall into an ``overflow`` layout
-    (the last region's layout pattern continued), so the file can grow.
+    Regions must be sorted, non-overlapping and gap-free from offset 0,
+    and each must map into its own storage object; extents beyond the
+    last region fall into the last region's layout pattern continued,
+    so the file can grow.
     """
 
     def __init__(self, regions: Sequence[Region], obj: str = "file") -> None:
@@ -66,6 +68,9 @@ class RegionLayout(Layout):
                     f"region {idx} starts at {region.start}, expected {cursor}"
                 )
             cursor = region.end
+        objs = [region.layout.obj for region in regions]
+        if len(set(objs)) != len(objs):
+            raise LayoutError(f"regions share a storage object: {objs}")
         self._regions = tuple(regions)
         self._starts = [r.start for r in self._regions]
         self.obj = obj
@@ -119,21 +124,20 @@ class RegionLayout(Layout):
 
     def merged_extent_runs(
         self, offsets: Sequence[int], lengths: Sequence[int]
-    ) -> MergedRuns | None:
+    ) -> MergedRuns:
         """Batch kernel: split extents at region boundaries, batch each
         region's pieces through its sublayout, reassemble per extent.
 
         Pieces of one extent cover ascending logical ranges and each
         piece's runs come out first-logical-sorted, so concatenating
-        pieces in split order keeps the extent's runs sorted.  Requires
-        every region to use a distinct storage object — otherwise runs
-        could merge *across* regions and the exact per-extent object
-        path must be used instead (``None`` is returned).
+        pieces in split order keeps the extent's runs sorted.  No run
+        merges across regions: each maps into its own storage object.
         """
-        region_objs = [region.layout.obj for region in self._regions]
-        if len(set(region_objs)) != len(region_objs):
-            return None
         n = len(offsets)
+        if len(lengths) != n:
+            raise LayoutError(
+                f"offsets ({n}) and lengths ({len(lengths)}) must match"
+            )
         last = len(self._regions) - 1
         # per extent: (region index, position in that region's batch)
         pieces: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -154,7 +158,7 @@ class RegionLayout(Layout):
                 batch[1].append(region_end - cursor)
                 cursor = region_end
         runs_by_region = {
-            idx: merged_runs_of(self._regions[idx].layout, *batch)
+            idx: self._regions[idx].layout.merged_extent_runs(*batch)
             for idx, batch in per_region.items()
         }
         servers: list[int] = []

@@ -9,7 +9,16 @@ the next ``N*s`` bytes go round-robin (``s`` at a time) across the
 The extreme configuration ``h == 0`` ("dispatching the data only on
 SServer", Algorithm 2) is supported: HServers receive nothing and the
 cycle is ``N*s``.  Symmetrically ``s == 0`` places data only on
-HServers.  ``h == s == 0`` is invalid.
+HServers.  ``h == s == 0`` is invalid.  Fixed striping (DEF's layout,
+:class:`~repro.layouts.fixed.FixedStripeLayout`) is the one-class case:
+every server an HServer, ``h`` the stripe and ``s == 0``.  This class
+holds the one copy of the periodic stripe walk and of its batch
+kernel.
+
+A layout is a value: two layouts with the same classes, stripes and
+object name map every extent the same way, compare equal and hash
+alike, so a table of premapped runs can be keyed on them.  Nothing
+changes a layout after construction.
 """
 
 from __future__ import annotations
@@ -49,23 +58,25 @@ class VariedStripeLayout(Layout):
             raise LayoutError(f"stripe sizes must be >= 0, got h={h}, s={s}")
         hs = tuple(hservers)
         ss = tuple(sservers)
-        if len(set(hs) | set(ss)) != len(hs) + len(ss):
+        if len(set(hs + ss)) != len(hs) + len(ss):
             raise LayoutError("server index appears twice across classes")
         if h > 0 and not hs:
             raise LayoutError("h > 0 but no HServers given")
         if s > 0 and not ss:
             raise LayoutError("s > 0 but no SServers given")
-        effective_h = h if hs else 0
-        effective_s = s if ss else 0
-        if effective_h == 0 and effective_s == 0:
+        h = int(h) if hs else 0
+        s = int(s) if ss else 0
+        if h == 0 and s == 0:
             raise LayoutError("layout places no data anywhere (h == s == 0)")
         self._hservers = hs
         self._sservers = ss
-        self.h = int(effective_h)
-        self.s = int(effective_s)
+        self.h = h
+        self.s = s
         self.obj = obj
-        self._hspan = len(hs) * self.h
-        self._cycle = self._hspan + len(ss) * self.s
+        self._hspan = len(hs) * h
+        self._cycle = self._hspan + len(ss) * s
+        # what equality and hashing compare: the layout is immutable
+        self._key = (hs, ss, h, s, obj)
 
     @property
     def hservers(self) -> Sequence[int]:
@@ -99,21 +110,25 @@ class VariedStripeLayout(Layout):
         servers, offsets = out.servers, out.offsets
         lengths, logicals = out.lengths, out.logicals
         first = len(servers)
-        cursor = offset
-        end = offset + length
+        hservers, sservers = self._hservers, self._sservers
+        h, s = self.h, self.s
         cycle = self._cycle
         hspan = self._hspan
+        cursor = offset
+        end = offset + length
         while cursor < end:
             cycle_idx, within_cycle = divmod(cursor, cycle)
             if within_cycle < hspan:
-                slot, within = divmod(within_cycle, self.h)
-                servers.append(self._hservers[slot])
-                stripe = self.h
+                slot, within = divmod(within_cycle, h)
+                servers.append(hservers[slot])
+                stripe = h
             else:
-                slot, within = divmod(within_cycle - hspan, self.s)
-                servers.append(self._sservers[slot])
-                stripe = self.s
-            take = min(stripe - within, end - cursor)
+                slot, within = divmod(within_cycle - hspan, s)
+                servers.append(sservers[slot])
+                stripe = s
+            take = stripe - within
+            if take > end - cursor:
+                take = end - cursor
             offsets.append(cycle_idx * stripe + within)
             lengths.append(take)
             logicals.append(shift + cursor)
@@ -144,6 +159,14 @@ class VariedStripeLayout(Layout):
             window_servers=np.asarray(servers, dtype=np.int64),
             cycle=self._cycle,
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VariedStripeLayout):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,12 @@
-"""Streaming feature sketch: windowed + EWMA per-region traffic stats.
+"""Streaming feature sketch: windowed per-region traffic stats.
 
 The off-line pipeline sees a complete trace and can run the full §III-D
 feature analysis; the online controller sees one record at a time and
 must keep its view of "what each region is currently serving" cheap and
-bounded.  Two estimators run side by side, per region:
-
-* a **window** (``collections.deque(maxlen=...)``) of the most recent
-  ``(size, concurrency)`` samples — the drift detector's primary
-  evidence, because it forgets old traffic at a predictable rate;
-* an **EWMA** of the same features — a smoothed long-horizon summary
-  used for reporting and for damping one-burst blips.
+bounded.  Each region keeps a **window**
+(``collections.deque(maxlen=...)``) of its most recent ``(size,
+concurrency)`` samples — the drift detector's evidence, because it
+forgets old traffic at a predictable rate.
 
 Concurrency cannot be known at arrival time (a burst's size is only
 known once the burst ends), so the sketch buffers the current burst per
@@ -39,42 +36,27 @@ from ..exceptions import ConfigurationError
 from ..tracing.analysis import concurrency_of
 from ..tracing.record import Trace, TraceRecord
 
-__all__ = ["RegionSketch", "StreamingSketch", "DEFAULT_WINDOW", "DEFAULT_EWMA_ALPHA"]
+__all__ = ["RegionSketch", "StreamingSketch", "DEFAULT_WINDOW"]
 
 #: default per-region sample window
 DEFAULT_WINDOW = 256
-#: default EWMA smoothing factor (weight of the newest sample)
-DEFAULT_EWMA_ALPHA = 0.05
 
 
 @dataclass
 class RegionSketch:
-    """Windowed + EWMA ``(size, concurrency)`` stats for one region."""
+    """Windowed ``(size, concurrency)`` stats for one region."""
 
     window: int = DEFAULT_WINDOW
-    alpha: float = DEFAULT_EWMA_ALPHA
     samples: deque = field(default_factory=deque)
-    ewma_size: float = 0.0
-    ewma_concurrency: float = 0.0
-    count: int = 0
 
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {self.alpha}")
         self.samples = deque(self.samples, maxlen=self.window)
 
     def update(self, size: int, concurrency: int) -> None:
-        """Fold one attributed sample into both estimators."""
+        """Add one attributed sample to the window."""
         self.samples.append((size, concurrency))
-        if self.count == 0:
-            self.ewma_size = float(size)
-            self.ewma_concurrency = float(concurrency)
-        else:
-            self.ewma_size += self.alpha * (size - self.ewma_size)
-            self.ewma_concurrency += self.alpha * (concurrency - self.ewma_concurrency)
-        self.count += 1
 
     @property
     def n(self) -> int:
@@ -114,8 +96,6 @@ class StreamingSketch:
     ----------
     window:
         Per-region sample window length.
-    alpha:
-        EWMA smoothing factor.
     gap:
         Burst-closing time gap (same meaning as the off-line analysis
         gap: records further apart belong to different phases).
@@ -129,14 +109,12 @@ class StreamingSketch:
     def __init__(
         self,
         window: int = DEFAULT_WINDOW,
-        alpha: float = DEFAULT_EWMA_ALPHA,
         gap: float = 0.5,
         spatial: bool | int = True,
     ) -> None:
         if window <= 0:
             raise ConfigurationError(f"window must be >= 1, got {window}")
         self.window = window
-        self.alpha = alpha
         self.gap = gap
         self.spatial = spatial
         self.regions: dict[str, RegionSketch] = {}
@@ -177,19 +155,10 @@ class StreamingSketch:
         Reading a snapshot instead leaves the burst open, so it is
         attributed exactly once, whole, when it really closes.
         """
-        snap = StreamingSketch(
-            window=self.window, alpha=self.alpha, gap=self.gap, spatial=self.spatial
-        )
+        snap = StreamingSketch(window=self.window, gap=self.gap, spatial=self.spatial)
         snap.observed = self.observed
         snap.regions = {
-            name: RegionSketch(
-                window=rs.window,
-                alpha=rs.alpha,
-                samples=rs.samples,
-                ewma_size=rs.ewma_size,
-                ewma_concurrency=rs.ewma_concurrency,
-                count=rs.count,
-            )
+            name: RegionSketch(window=rs.window, samples=rs.samples)
             for name, rs in self.regions.items()
         }
         snap.traffic = {
@@ -213,9 +182,7 @@ class StreamingSketch:
                 continue
             sketch = self.regions.get(region)
             if sketch is None:
-                sketch = self.regions[region] = RegionSketch(
-                    window=self.window, alpha=self.alpha
-                )
+                sketch = self.regions[region] = RegionSketch(window=self.window)
             sketch.update(record.size, conc.get(record, 1))
 
     @staticmethod

@@ -14,12 +14,14 @@ one batched pass through the view (:func:`mapped_runs`).
 
 **Bit-identity with the event engine.**  The kernel owns the servers'
 FIFO arithmetic.  It prices each distinct ``(server, op, length)`` of
-a run once, with the expression :meth:`repro.pfs.server.DataServer.submit`
-evaluates, keeps each server's queue tail, busy time, counts and
-latency log in locals (written back once, at the end), and combines
-them with the same ``max``/``+`` arithmetic in the same per-server
-order, consulting a faulted server's timeline per run — so every float
-it produces equals the event engine's bit for bit.  Ordering decisions
+a run once, with :meth:`repro.pfs.server.DataServer.service_time` (the
+price :meth:`~repro.pfs.server.DataServer.submit` charges), keeps each
+server's queue tail, busy time, counts and latency log in locals
+(written back once, at the end), and combines them with the same
+``max``/``+`` arithmetic in the same per-server order, consulting a
+faulted server's timeline per run through the same
+:meth:`repro.faults.state.ServerFaultState.adjust` — so every float it
+produces equals the event engine's bit for bit.  Ordering decisions
 mirror the event engine exactly:
 
 * ranks issue their first records synchronously in sorted-rank order
@@ -67,52 +69,38 @@ import numpy as np
 
 from ..contracts import twin_of
 from ..exceptions import SimulationError
-from ..layouts.batch import MergedRuns, in_request_order, runs_from_fragments
+from ..layouts.batch import MergedRuns, in_request_order
 from ..tracing.columnar import OP_NAMES, ColumnarTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .replay import FileView
+    from .replay import BatchFileView
     from .server import DataServer
     from .system import HybridPFS
 
 __all__ = ["mapped_runs", "replay_flat"]
 
 
-def mapped_runs(view: "FileView", trace: ColumnarTrace) -> MergedRuns:
+def mapped_runs(view: "BatchFileView", trace: ColumnarTrace) -> MergedRuns:
     """Map all records of ``trace`` through ``view`` into merged runs.
 
-    Views exposing a ``merged_runs(file, offsets, lengths)`` batch API
+    One ``view.merged_runs`` call per file
     (:class:`~repro.schemes.base.LayoutView`, the MHA
     :class:`~repro.core.redirector.Redirector`, the straggler-aware
-    view) get one batched call per file, fed the offset/size columns as
-    the arrays they already are, and a multi-file trace's parts are
-    gathered into record order by
-    :func:`~repro.layouts.batch.in_request_order`; anything else falls
-    back to per-record ``map_request``.
-    Either way extent ``k``'s runs have the servers and lengths, in
-    order, of the event path's ``merge_fragments(view.map_request(...))``
-    for record ``k``.
+    view and the multi-tenant routing view all have it), fed the
+    offset/size columns as the arrays they already are; a multi-file
+    trace's parts are gathered into record order by
+    :func:`~repro.layouts.batch.in_request_order`.  Extent ``k``'s runs
+    have the servers and lengths, in order, of the event path's
+    ``merge_fragments(view.map_request(...))`` for record ``k``.
     """
-    batch = getattr(view, "merged_runs", None)
     d = trace.data
-    if batch is None:
-        names = trace.interned_files
-        return MergedRuns.concat(
-            [
-                runs_from_fragments(view.map_request(names[code], offset, size))
-                for code, offset, size in zip(
-                    d["file"].tolist(), d["offset"].tolist(), d["size"].tolist()
-                )
-            ]
-        )
     partition = trace.file_partition()
     if len(partition) == 1:
         # single-file trace: the batch result is already record-ordered
         (file,) = partition
-        runs: MergedRuns = batch(file, d["offset"], d["size"])
-        return runs
+        return view.merged_runs(file, d["offset"], d["size"])
     parts = [
-        batch(file, d["offset"][rows], d["size"][rows])
+        view.merged_runs(file, d["offset"][rows], d["size"][rows])
         for file, rows in partition.items()
     ]
     return in_request_order(parts, list(partition.values()))
@@ -131,7 +119,7 @@ _WAKEUP = -2
 )
 def replay_flat(
     pfs: "HybridPFS",
-    view: "FileView",
+    view: "BatchFileView",
     ordered: ColumnarTrace,
     *,
     keep_latencies: bool = False,
@@ -290,7 +278,7 @@ def replay_flat(
                 duration = price[j]
             fault = faults[s]
             if fault is not None:
-                begin, factor = fault.adjust_flat(op, n, begin, tails[s])
+                begin, factor = fault.adjust(op, n, begin, tails[s])
                 duration *= factor
             finish = begin + duration
             tails[s] = finish
@@ -358,9 +346,8 @@ def replay_flat(
 
 class _Prices(dict[int, float]):
     """Run service times keyed ``(length * len(OP_NAMES) + op code) *
-    len(servers) + server``, each priced on first lookup with the
-    server's own ``device.alpha(op) / device.channels +
-    device.transfer_time(op, n) + link.transfer_time(n)``."""
+    len(servers) + server``, each priced on first lookup by the server's
+    own :meth:`~repro.pfs.server.DataServer.service_time`."""
 
     def __init__(self, servers: Sequence["DataServer"]) -> None:
         super().__init__()
@@ -369,13 +356,7 @@ class _Prices(dict[int, float]):
     def __missing__(self, key: int) -> float:
         rest, s = divmod(key, len(self.servers))
         length, code = divmod(rest, len(OP_NAMES))
-        op = OP_NAMES[code]
-        device = self.servers[s].device
-        self[key] = price = (
-            device.alpha(op) / device.channels
-            + device.transfer_time(op, length)
-            + self.servers[s].link.transfer_time(length)
-        )
+        self[key] = price = self.servers[s].service_time(OP_NAMES[code], length)
         return price
 
     def column(self, runs: MergedRuns, op_codes: np.ndarray) -> list[float]:

@@ -5,9 +5,12 @@ of the application according to the I/O trace": every rank issues its
 own requests synchronously (next request starts when the previous
 completes — the applications use synchronous read/write), and ranks
 run concurrently.  The replay engine reproduces exactly that, mapping
-each request through a *file view* — any object with
-``map_request(file, offset, length) -> list[SubRequest]``, i.e. a
-static layout table (DEF/AAL/HARL) or the MHA redirector.
+each request through a *file view* — a static layout table
+(DEF/AAL/HARL) or the MHA redirector: any object with
+``map_request(file, offset, length) -> list[SubRequest]``
+(:class:`FileView`) and, to replay on the flat engine, the batch
+mapper ``merged_runs(file, offsets, lengths) -> MergedRuns``
+(:class:`BatchFileView`).
 
 Two engines produce the same replay:
 
@@ -45,6 +48,7 @@ from ..cluster import ClusterSpec
 from ..config import DEFAULT_REPLAY_ENGINE
 from ..exceptions import ConfigurationError
 from ..layouts.base import SubRequest
+from ..layouts.batch import MergedRuns
 from ..simulate import Simulator, Waitable
 from ..tracing.columnar import ColumnarTrace, as_columnar_trace
 from ..tracing.record import Trace, TraceRecord
@@ -54,7 +58,7 @@ from .system import HybridPFS
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.plan import FaultPlan
 
-__all__ = ["FileView", "RunMetrics", "replay_trace", "run_workload"]
+__all__ = ["BatchFileView", "FileView", "RunMetrics", "replay_trace", "run_workload"]
 
 
 @runtime_checkable
@@ -63,6 +67,18 @@ class FileView(Protocol):
 
     def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
         """Fragments of ``[offset, offset+length)`` of ``file``."""
+        ...  # pragma: no cover - protocol
+
+
+@runtime_checkable
+class BatchFileView(FileView, Protocol):
+    """A file view the flat kernel can premap: one batch call per file."""
+
+    def merged_runs(
+        self, file: str, offsets: Sequence[int], lengths: Sequence[int]
+    ) -> MergedRuns:
+        """Extent ``k``'s servers and lengths, in order, are those of
+        ``merge_fragments(map_request(file, offsets[k], lengths[k]))``."""
         ...  # pragma: no cover - protocol
 
 
@@ -376,7 +392,9 @@ def replay_trace(
     flat kernel is skipped, falling back to the event engine, when an
     ``on_record`` hook is set or when the simulator already has pending
     events (e.g. background migrations in flight).  ``metrics.engine``
-    names the engine that ran.
+    names the engine that ran.  The flat kernel premaps through the
+    view's ``merged_runs``: a view without one (not a
+    :class:`BatchFileView`) raises :class:`ConfigurationError` there.
 
     ``fault_plan`` attaches a compiled
     :class:`~repro.faults.plan.FaultPlan` to ``pfs`` before the replay
@@ -396,24 +414,32 @@ def replay_trace(
         engine = DEFAULT_REPLAY_ENGINE
     if engine not in ("flat", "event"):
         raise ConfigurationError(f"unknown replay engine {engine!r}")
+    sim = pfs.sim
+    # the view the flat kernel replays, or None for the event engine
+    flat_view: BatchFileView | None = None
+    if engine == "flat" and on_record is None and sim.pending() == 0:
+        if not isinstance(view, BatchFileView):
+            raise ConfigurationError(
+                f"{type(view).__name__} has no merged_runs for the flat "
+                "engine; replay it with engine='event'"
+            )
+        flat_view = view
     if fault_plan is not None:
         fault_plan.attach(pfs)
     pfs.reset_stats()
     if keep_latencies:
         for srv in pfs.servers:
             srv.latency_log = []
-    sim = pfs.sim
     start_time = sim.now
     ordered = as_columnar_trace(trace).sorted_by_time()
     phase_of: list[int] | None = None
     phase_sizes: list[int] | None = None
     if barrier_gap is not None:
         phase_of, phase_sizes = _phase_index(ordered, barrier_gap)
-    use_flat = engine == "flat" and on_record is None and sim.pending() == 0
-    if use_flat:
+    if flat_view is not None:
         foreground_end, latencies, latency_ranks = replay_flat(
             pfs,
-            view,
+            flat_view,
             ordered,
             keep_latencies=keep_latencies,
             phase_of=phase_of,
@@ -451,7 +477,7 @@ def replay_trace(
         latencies=latencies,
         latency_ranks=latency_ranks,
         per_server_latencies=per_server_latencies,
-        engine="flat" if use_flat else "event",
+        engine="event" if flat_view is None else "flat",
     )
 
 

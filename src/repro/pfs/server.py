@@ -69,6 +69,21 @@ class DataServer:
         #: harvests it into the run metrics, ``None`` disables logging
         self.latency_log: list[float] | None = None
 
+    def service_time(self, op: OpType, length: int) -> float:
+        """Seconds a healthy server takes for one ``length``-byte
+        sub-request: ``device.alpha(op) / device.channels +
+        device.transfer_time(op, length) + link.transfer_time(length)``.
+
+        :meth:`submit` and the flat replay kernel both charge this; the
+        fault timeline is the one thing that dilates it.
+        """
+        device = self.device
+        return (
+            device.alpha(op) / device.channels
+            + device.transfer_time(op, length)
+            + self.link.transfer_time(length)
+        )
+
     def submit(self, op: OpType, length: int, not_before: float = 0.0) -> Completion:
         """Enqueue one sub-request; completion fires when it finishes.
 
@@ -76,12 +91,7 @@ class DataServer:
         upstream stage — e.g. the issuing client's NIC — must finish
         first).
         """
-        device = self.device
-        base = (
-            device.alpha(op) / device.channels
-            + device.transfer_time(op, length)
-            + self.link.transfer_time(length)
-        )
+        base = self.service_time(op, length)
         faults = self.faults
         if faults is None:
             duration = base

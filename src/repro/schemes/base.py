@@ -15,7 +15,7 @@ from ..cluster import ClusterSpec
 from ..contracts import twin_of
 from ..exceptions import LayoutError
 from ..layouts.base import FragmentColumns, Layout, SubRequest
-from ..layouts.batch import MergedRuns, merged_runs_of
+from ..layouts.batch import MergedRuns
 from ..tracing.columnar import ColumnarTrace
 from ..tracing.record import Trace
 
@@ -54,8 +54,9 @@ class LayoutView:
     def merged_runs(
         self, file: str, offsets: Sequence[int], lengths: Sequence[int]
     ) -> MergedRuns:
-        """Columnar merged runs for a batch of requests against one file."""
-        return merged_runs_of(self.layout_for(file), offsets, lengths)
+        """Columnar merged runs for a batch of requests against one file:
+        the file layout's batch kernel."""
+        return self.layout_for(file).merged_extent_runs(offsets, lengths)
 
     def files(self) -> tuple[str, ...]:
         return tuple(self._layouts)

@@ -31,7 +31,6 @@ from repro.faults import (
     TransientSlowdown,
     WriteCliff,
 )
-from repro.faults.state import CliffState, Scrub, ServerFaultState, Window
 from repro.layouts import FixedStripeLayout
 from repro.layouts.batch import in_request_order, merge_fragments
 from repro.layouts.extents import per_server_bytes_batch, server_totals_grid
@@ -130,52 +129,6 @@ _service_batches = st.lists(
     ),
     min_size=1,
     max_size=12,
-)
-
-# fault timelines: quarters keep every boundary exactly representable
-_fault_windows = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=40),  # start * 4
-        st.integers(min_value=0, max_value=12),  # extra duration * 4
-        st.sampled_from([1.5, 2.0, 3.0]),  # dilation factor
-    ),
-    min_size=0,
-    max_size=4,
-)
-_fault_outages = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=40),  # start * 4
-        st.integers(min_value=1, max_value=12),  # duration * 4
-    ),
-    min_size=0,
-    max_size=3,
-)
-_fault_scrubs = st.lists(
-    st.tuples(
-        st.integers(min_value=4, max_value=40),  # period * 4
-        st.integers(min_value=0, max_value=40),  # duty * 4 (clamped to period)
-        st.sampled_from([1.5, 2.5]),
-        st.integers(min_value=0, max_value=8),  # phase * 4
-    ),
-    min_size=0,
-    max_size=2,
-)
-_fault_cliffs = st.none() | st.tuples(
-    st.integers(min_value=1, max_value=8),  # capacity in 8 KiB units
-    st.sampled_from([2.0, 4.0]),
-    st.integers(min_value=1, max_value=8),  # recovery idle * 4
-)
-# (op, length/8KiB, candidate*4, tail lag*4): candidates need NOT be
-# monotone — the flat twin must survive out-of-order probes too
-_fault_queries = st.lists(
-    st.tuples(
-        st.sampled_from(["read", "write"]),
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=0, max_value=80),
-        st.integers(min_value=0, max_value=80),
-    ),
-    min_size=1,
-    max_size=20,
 )
 
 #: a fixed four-mechanism plan for the faulted replay harness
@@ -469,54 +422,6 @@ def _replay(contract):
             fview, eview = views["flat"], views["event"]
             assert fview.replicated_bytes == eview.replicated_bytes
             assert fview.redirected_fragments == eview.redirected_fragments
-
-    return test
-
-
-# ---------------------------------------------------------------- faults
-
-
-def _fault_state(windows, outages, scrubs, cliff):
-    cliff_state = None
-    if cliff is not None:
-        cap8, factor, idle4 = cliff
-        cliff_state = CliffState(
-            capacity_bytes=cap8 * 8 * KiB, factor=factor, recovery_idle=idle4 / 4.0
-        )
-    return ServerFaultState(
-        windows=[
-            Window(s4 / 4.0, s4 / 4.0 + d4 / 4.0 + 0.25, factor)
-            for s4, d4, factor in windows
-        ],
-        outages=[(s4 / 4.0, s4 / 4.0 + d4 / 4.0) for s4, d4 in outages],
-        scrubs=[
-            Scrub(p4 / 4.0, min(duty4, p4) / 4.0, factor, ph4 / 4.0)
-            for p4, duty4, factor, ph4 in scrubs
-        ],
-        cliff=cliff_state,
-    )
-
-
-@harness("fault_adjust")
-def _fault_adjust(contract):
-    @given(
-        windows=_fault_windows,
-        outages=_fault_outages,
-        scrubs=_fault_scrubs,
-        cliff=_fault_cliffs,
-        queries=_fault_queries,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test(windows, outages, scrubs, cliff, queries):
-        ref = _fault_state(windows, outages, scrubs, cliff)
-        twin = _fault_state(windows, outages, scrubs, cliff)
-        for op, len8, cand4, lag4 in queries:
-            candidate = cand4 / 4.0
-            prev_tail = max(0.0, candidate - lag4 / 4.0)
-            length = len8 * 8 * KiB
-            got = twin.adjust_flat(op, length, candidate, prev_tail)
-            want = ref.adjust(op, length, candidate, prev_tail)
-            assert got == want
 
     return test
 

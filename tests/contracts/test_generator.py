@@ -81,6 +81,15 @@ class TestHarnessCoverage:
             assert contract.harness, f"{contract.twin} declares no harness"
             assert contract.harness in _harnesses.HARNESSES
 
+    def test_every_harness_serves_a_contract(self):
+        """A recipe no contract names is dead code that every other
+        check here still passes."""
+        contracts.load_all()
+        named = {contract.harness for contract in contracts.iter_contracts()}
+        assert set(_harnesses.HARNESSES) <= named, sorted(
+            set(_harnesses.HARNESSES) - named
+        )
+
     def test_build_twin_test_returns_callable(self):
         contracts.load_all()
         for contract in contracts.iter_contracts():

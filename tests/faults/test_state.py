@@ -119,20 +119,3 @@ class TestWriteCliff:
         state = self._state()
         state.adjust("write", 8 * KiB, 0.1, 0.0)
         assert state.adjust("write", KiB, 0.5, 0.2)[1] == 2.0
-
-
-class TestFlatTwinCursorReset:
-    def test_regressing_queries_match_reference(self):
-        # deliberately non-monotone probe sequence over a dense timeline
-        timeline = dict(
-            windows=[Window(0.0, 2.0, 2.0), Window(1.0, 4.0, 1.5)],
-            outages=[(0.5, 1.0), (3.0, 3.5)],
-            scrubs=[Scrub(period=2.0, duty=0.5, factor=3.0)],
-        )
-        ref = ServerFaultState(**timeline)
-        twin = ServerFaultState(**timeline)
-        probes = [0.2, 3.2, 0.6, 4.0, 0.0, 3.4, 1.2, 0.9]
-        for t in probes:
-            assert twin.adjust_flat("read", KiB, t, 0.0) == ref.adjust(
-                "read", KiB, t, 0.0
-            )

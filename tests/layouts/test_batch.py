@@ -1,10 +1,10 @@
 """Batched request mapping must equal the per-request object path.
 
 Every batch API the flat replay kernel maps requests through — layout
-``merged_extent_runs``, :func:`merged_runs_of`, ``LayoutView.merged_runs``
-and the MHA redirector's ``merged_runs`` — is checked run for run
-against the scalar path it replaces: each extent's servers and lengths
-equal those of ``merge_fragments`` over its fragments, in order.
+``merged_extent_runs``, ``LayoutView.merged_runs`` and the MHA
+redirector's ``merged_runs`` — is checked run for run against the
+scalar path it replaces: each extent's servers and lengths equal those
+of ``merge_fragments`` over its fragments, in order.
 """
 
 import numpy as np
@@ -21,12 +21,12 @@ from repro.layouts import (
     RegionLayout,
     VariedStripeLayout,
 )
+from repro.layouts.base import FragmentColumns
 from repro.layouts.batch import (
     MergedRuns,
     in_request_order,
     merge_fragments,
-    merged_runs_of,
-    runs_from_fragments,
+    runs_from_columns,
 )
 from repro.schemes.base import LayoutView
 from repro.units import KiB
@@ -50,22 +50,10 @@ def region_distinct():
     )
 
 
-def region_shared_obj():
-    # both regions stripe into the same object: the batch kernel must
-    # refuse (runs could merge across regions) and fall back
-    return RegionLayout(
-        [
-            Region(0, 64 * KiB, FixedStripeLayout([0, 1], 4 * KiB, obj="f")),
-            Region(64 * KiB, 128 * KiB, FixedStripeLayout([0, 1], 8 * KiB, obj="f")),
-        ]
-    )
-
-
 LAYOUTS = {
     "fixed": fixed,
     "varied": varied,
     "region": region_distinct,
-    "region-shared-obj": region_shared_obj,
 }
 
 EXTENTS = [
@@ -114,27 +102,49 @@ class TestLayoutBatchEquivalence:
         layout = LAYOUTS[name]()
         offsets = [o for o, _ in EXTENTS]
         lengths = [l for _, l in EXTENTS]
-        runs = merged_runs_of(layout, offsets, lengths)
+        runs = layout.merged_extent_runs(offsets, lengths)
         assert_runs_equal_object_path(layout, runs, EXTENTS)
-
-    def test_shared_obj_region_has_no_batch_kernel(self):
-        assert region_shared_obj().merged_extent_runs([0], [KiB]) is None
-        assert region_distinct().merged_extent_runs([0], [KiB]) is not None
 
     @pytest.mark.parametrize("name", sorted(LAYOUTS))
     @given(extents=extent_batches)
     @settings(max_examples=50, deadline=None)
     def test_property_equivalence(self, name, extents):
         layout = LAYOUTS[name]()
-        runs = merged_runs_of(
-            layout, [o for o, _ in extents], [l for _, l in extents]
+        runs = layout.merged_extent_runs(
+            [o for o, _ in extents], [l for _, l in extents]
         )
         assert_runs_equal_object_path(layout, runs, extents)
 
     def test_empty_batch(self):
-        runs = merged_runs_of(fixed(), [], [])
+        runs = fixed().merged_extent_runs([], [])
         assert runs.n_extents == 0
         assert runs.starts == [0]
+
+
+class TestFixedIsOneClassVaried:
+    """Fixed striping is varied striping with one class: ``h`` the
+    stripe, ``s == 0``."""
+
+    def test_equal_and_hash_alike(self):
+        one_class = VariedStripeLayout([0, 1, 2], (), 4 * KiB, 0, obj="f")
+        assert fixed() == one_class and one_class == fixed()
+        assert hash(fixed()) == hash(one_class)
+        assert fixed().stripe == 4 * KiB
+        assert fixed() != FixedStripeLayout([0, 1, 2], 4 * KiB, obj="g")
+        assert fixed() != FixedStripeLayout([0, 1, 2], 8 * KiB, obj="f")
+        assert fixed() != FixedStripeLayout([1, 0, 2], 4 * KiB, obj="f")
+
+    def test_maps_every_extent_alike(self):
+        one_class = VariedStripeLayout([0, 1, 2], (), 4 * KiB, 0, obj="f")
+        for offset, length in EXTENTS:
+            assert fixed().map_extent(offset, length) == one_class.map_extent(
+                offset, length
+            )
+        offsets = [o for o, _ in EXTENTS]
+        lengths = [l for _, l in EXTENTS]
+        assert fixed().merged_extent_runs(
+            offsets, lengths
+        ) == one_class.merged_extent_runs(offsets, lengths)
 
 
 class TestRunsBuilder:
@@ -142,8 +152,8 @@ class TestRunsBuilder:
     ``in_request_order``."""
 
     def test_in_request_order_interleaves_parts(self):
-        a = merged_runs_of(fixed(), [0, 8 * KiB], [8 * KiB, 4 * KiB])
-        b = merged_runs_of(fixed(), [4 * KiB], [40 * KiB])
+        a = fixed().merged_extent_runs([0, 8 * KiB], [8 * KiB, 4 * KiB])
+        b = fixed().merged_extent_runs([4 * KiB], [40 * KiB])
         built = in_request_order([a, b], [np.array([2, 0]), [1]])
         assert built.n_extents == 3
         assert extent_runs(built, 0) == extent_runs(a, 1)
@@ -153,12 +163,13 @@ class TestRunsBuilder:
 
     def test_fragments_concat_counts_premerge(self):
         layout = fixed()
-        fragments = layout.map_extent(0, 12 * KiB)
-        built = MergedRuns.concat([runs_from_fragments(fragments)])
-        assert extent_runs(built, 0) == merged_columns(fragments)
+        fragments = FragmentColumns()
+        layout.fragment_columns(fragments, 0, 12 * KiB)
+        built = MergedRuns.concat([runs_from_columns(fragments)])
+        assert extent_runs(built, 0) == merged_columns(layout.map_extent(0, 12 * KiB))
 
     def test_take_repeats_extents(self):
-        source = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
+        source = fixed().merged_extent_runs([0, 8 * KiB], [24 * KiB, 4 * KiB])
         taken = source.take([1, 0, 1])
         assert taken.n_extents == 3
         assert extent_runs(taken, 0) == extent_runs(taken, 2) == extent_runs(source, 1)
@@ -166,8 +177,8 @@ class TestRunsBuilder:
         assert source.take([]) == MergedRuns([], [], [0])
 
     def test_concat_appends_extents(self):
-        a = merged_runs_of(fixed(), [0, 8 * KiB], [24 * KiB, 4 * KiB])
-        b = merged_runs_of(fixed(), [4 * KiB], [40 * KiB])
+        a = fixed().merged_extent_runs([0, 8 * KiB], [24 * KiB, 4 * KiB])
+        b = fixed().merged_extent_runs([4 * KiB], [40 * KiB])
         both = MergedRuns.concat([a, b])
         assert both.n_extents == 3
         assert [extent_runs(both, k) for k in range(3)] == [

@@ -44,7 +44,7 @@ class TestMapping:
 
     def test_locate_single_byte(self):
         layout = FixedStripeLayout([0, 1], stripe=10)
-        frag = layout.locate(15)
+        (frag,) = layout.map_extent(15, 1)
         assert frag.server == 1 and frag.offset == 5 and frag.length == 1
 
     def test_obj_label_propagates(self):

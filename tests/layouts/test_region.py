@@ -78,10 +78,28 @@ class TestValidation:
         with pytest.raises(LayoutError):
             RegionLayout(
                 [
-                    Region(0, 100, FixedStripeLayout([0], 10)),
-                    Region(150, 200, FixedStripeLayout([0], 10)),
+                    Region(0, 100, FixedStripeLayout([0], 10, obj="r0")),
+                    Region(150, 200, FixedStripeLayout([0], 10, obj="r1")),
                 ]
             )
+
+    def test_regions_sharing_an_object_rejected(self):
+        # runs could merge across the boundary: each region is its own file
+        with pytest.raises(LayoutError, match="share a storage object"):
+            RegionLayout(
+                [
+                    Region(0, 64, FixedStripeLayout([0, 1], 4, obj="f")),
+                    Region(64, 128, FixedStripeLayout([0, 1], 8, obj="f")),
+                ]
+            )
+
+    @pytest.mark.parametrize(
+        "offsets, lengths", [([0], [10, 20]), ([0, 10], [10]), ([], [10])]
+    )
+    def test_batch_columns_must_match(self, offsets, lengths):
+        layout = RegionLayout(simple_regions())
+        with pytest.raises(LayoutError, match="must match"):
+            layout.merged_extent_runs(offsets, lengths)
 
     def test_regions_must_start_at_zero(self):
         with pytest.raises(LayoutError):

@@ -45,16 +45,6 @@ class TestRegionSketch:
             sketch.update(size, 1)
         assert sketch.n == 3
         assert sketch.feature_point() == (30.0, 1.0)
-        assert sketch.count == 4  # lifetime counter keeps counting
-
-    def test_ewma_starts_at_first_sample(self):
-        sketch = RegionSketch(alpha=0.5)
-        sketch.update(100, 4)
-        assert sketch.ewma_size == 100.0
-        assert sketch.ewma_concurrency == 4.0
-        sketch.update(200, 8)
-        assert sketch.ewma_size == 150.0
-        assert sketch.ewma_concurrency == 6.0
 
     def test_empty_feature_point(self):
         assert RegionSketch().feature_point() == (0.0, 0.0)
@@ -62,8 +52,6 @@ class TestRegionSketch:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RegionSketch(window=0)
-        with pytest.raises(ConfigurationError):
-            RegionSketch(alpha=0.0)
 
 
 class TestStreamingSketch:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.exceptions import ConfigurationError
 from repro.layouts import FixedStripeLayout
 from repro.pfs import HybridPFS, replay_trace, run_workload
 from repro.schemes.base import LayoutView
@@ -78,6 +79,28 @@ class TestReplay:
         m2 = replay_trace(pfs, simple_view(spec), trace)
         assert m1.total_bytes == m2.total_bytes
         assert m2.makespan > 0
+
+
+class TestEngineNeedsBatchView:
+    def test_view_without_merged_runs_replays_only_on_event_engine(self, spec):
+        """The flat kernel premaps through ``merged_runs``: a view with
+        only ``map_request`` is refused there, before any state moves,
+        and replays on the event engine."""
+
+        class PerRecordView:
+            def __init__(self, inner):
+                self.map_request = inner.map_request
+
+        trace = Trace([rec(i * 64 * KiB, 64 * KiB, float(i)) for i in range(4)])
+        pfs = HybridPFS(spec)
+        with pytest.raises(ConfigurationError, match="merged_runs"):
+            replay_trace(pfs, PerRecordView(simple_view(spec)), trace)
+        assert pfs.sim.now == 0.0
+        metrics = replay_trace(
+            pfs, PerRecordView(simple_view(spec)), trace, engine="event"
+        )
+        assert metrics == run_workload(spec, simple_view(spec), trace)
+        assert metrics.engine == "event"
 
 
 class TestOnRecordHook:

@@ -32,6 +32,22 @@ class TestService:
                 )
                 assert done.value.duration == expected, (device.name, op)
 
+    def test_submit_finishes_service_time_after_start(self):
+        """One price for both engines: a healthy server's sub-request
+        ends exactly ``service_time(op, n)`` after it starts."""
+        for device in (HDD(), SSD()):
+            for op in ("read", "write"):
+                for length in (KiB, 64 * KiB, 3000 * KiB):
+                    sim, server = make_server(device=device)
+                    server.submit("write", 4 * KiB)  # a queue tail to wait for
+                    done = server.submit(op, length, not_before=1e-4)
+                    sim.run()
+                    record = done.value
+                    assert record.start > 0.0
+                    assert record.finish == record.start + server.service_time(
+                        op, length
+                    ), (device.name, op, length)
+
     def test_ssd_startup_amortized_by_channels(self):
         ssd = SSD()
         sim, server = make_server(device=ssd)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.exceptions import LayoutError
-from repro.layouts.batch import MergedRuns, runs_from_fragments
+from repro.layouts.base import FragmentColumns
+from repro.layouts.batch import MergedRuns, runs_from_columns
 from repro.tenancy import (
     RANK_STRIDE,
     TenantRoutingView,
@@ -161,8 +162,14 @@ class TestTenantRoutingView:
         # both tenants map the class file through equal DEF layouts
         assert view.merged_runs(tenant_file(1, local), offsets, sizes) is runs
         # the event path maps through the tenant's own view
-        frags = view.map_request(file, int(offsets[1]), int(sizes[1]))
-        assert runs_from_fragments(frags) == runs.take([1])
+        columns = FragmentColumns()
+        for frag in view.map_request(file, int(offsets[1]), int(sizes[1])):
+            columns.servers.append(frag.server)
+            columns.objs.append(frag.obj)
+            columns.offsets.append(frag.offset)
+            columns.lengths.append(frag.length)
+            columns.logicals.append(frag.logical_offset)
+        assert runs_from_columns(columns) == runs.take([1])
 
     def test_unknown_file_and_diverged_batches_rejected(self):
         view, table = self.make_view()

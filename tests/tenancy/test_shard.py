@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.layouts.fixed as fixed
 import repro.schemes.aal as aal
+import repro.layouts.varied as varied
 import repro.tenancy.shard as shard
 from repro.cluster import ClusterSpec
 from repro.config import DEFAULT_ARRIVAL_SEED
@@ -194,7 +194,7 @@ def assert_every_tenant_alone(fleet, arrival_seed=DEFAULT_ARRIVAL_SEED):
 class TestWorkCounts:
     def test_each_distinct_search_and_premap_runs_once(self, monkeypatch):
         searches = counting(monkeypatch, aal, "burst_costs_grid")
-        premaps = counting(monkeypatch, fixed, "periodic_merged_runs")
+        premaps = counting(monkeypatch, varied, "periodic_merged_runs")
         partitions = counting(monkeypatch, ColumnarTrace, "file_partition")
         fleet = build_tenants(SPEC, make_tenants(20))
         # 16 hot DEF tenants premap one batch through one layout; the 4
