@@ -63,7 +63,9 @@ __all__ = ["BatchFileView", "FileView", "RunMetrics", "replay_trace", "run_workl
 
 @runtime_checkable
 class FileView(Protocol):
-    """Anything that can resolve a file request into server fragments."""
+    """Anything that can resolve a file request into server fragments:
+    what the event engine maps each request through.  The flat kernel
+    also needs :class:`BatchFileView`'s ``merged_runs``."""
 
     def map_request(self, file: str, offset: int, length: int) -> list[SubRequest]:
         """Fragments of ``[offset, offset+length)`` of ``file``."""
